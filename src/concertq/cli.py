@@ -23,18 +23,23 @@ from .model import DomainError, ParseError, parse_scenario, pruned_scenario
 from .serialize import csv_rows, fmt, to_json
 
 
-def _load_scenario(path: str, seed: int | None, tol: float | None):
+def _read(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read scenario {path}: {exc}") from exc
-    s = parse_scenario(text)
-    opts = s.options
-    if seed is not None:
-        opts = replace(opts, seed=seed)
-    if tol is not None:
-        opts = replace(opts, tol=tol)
-    return replace(s, options=opts)
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_scenario(args):
+    """The scenario at ``args.scenario`` with the command's --seed, --tol and
+    --grid-step overrides applied to (and validated by) its options."""
+    s = parse_scenario(_read(args.scenario, "scenario"))
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "tol", "grid_step")
+        if getattr(args, name, None) is not None
+    }
+    return replace(s, options=replace(s.options, **overrides))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -54,7 +59,7 @@ def _profile_csv_external(profile: fluid.ArrivalProfile, origin: float) -> str:
 
 
 def _cmd_eq(args, multi: bool) -> int:
-    s = _load_scenario(args.scenario, args.seed, args.tol)
+    s = _load_scenario(args)
     s, report = pruned_scenario(s)
     for msg in report.messages:
         print(f"note: {msg}", file=sys.stderr)
@@ -74,22 +79,17 @@ def _cmd_eq(args, multi: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    s = _load_scenario(args.scenario, args.seed, args.tol)
-    try:
-        text = Path(args.profile).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read profile {args.profile}: {exc}") from exc
+    s = _load_scenario(args)
+    text = _read(args.profile, "profile")
     profile = fluid.ArrivalProfile.from_csv(text).shifted(-s.time_origin)
-    report = equilibrium.verify_equilibrium(
-        s, profile, grid_step=args.grid_step, tol=args.tol
-    )
+    report = equilibrium.verify_equilibrium(s, profile)
     _write(args.out, to_json(report.to_dict()))
     _summary(args, f"is_equilibrium={str(report.is_equilibrium).lower()}")
     return 0
 
 
 def _cmd_poa(args) -> int:
-    s = _load_scenario(args.scenario, args.seed, args.tol)
+    s = _load_scenario(args)
     report = poa.poa_multi(s)
     _write(args.out, to_json(report.to_dict()))
     _summary(args, report.summary_line())
@@ -140,12 +140,9 @@ def _cmd_eq_two(args) -> int:
 
 
 def _cmd_fluid(args) -> int:
-    s = _load_scenario(args.scenario, args.seed, args.tol)
+    s = _load_scenario(args)
     if args.profile:
-        try:
-            text = Path(args.profile).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read profile {args.profile}: {exc}") from exc
+        text = _read(args.profile, "profile")
         profile = fluid.ArrivalProfile.from_csv(text).shifted(-s.time_origin)
     else:
         s, _ = pruned_scenario(s)
@@ -154,12 +151,13 @@ def _cmd_fluid(args) -> int:
     horizon = fluid.default_horizon(profile, s.queues)
     rows = []
     for q in s.queues:
+        qf = fluid.queue_fluid(profile, q, horizon)
         paths = {
-            "cumulative_arrivals": profile.queue_cdf(q.id).refine(list(horizon)),
-            "netflow": fluid.netflow(profile.queue_cdf(q.id), q, horizon),
-            "queue_length": fluid.fluid_queue(profile, q, horizon),
-            "busy_time": fluid.fluid_busy(profile, q, horizon),
-            "virtual_wait": fluid.fluid_wait(profile, q, horizon),
+            "cumulative_arrivals": qf.cdf.refine(list(horizon)),
+            "netflow": qf.netflow,
+            "queue_length": qf.queue_length,
+            "busy_time": qf.busy,
+            "virtual_wait": qf.wait,
         }
         for name, path in paths.items():
             for t, v in zip(path.times, path.values):
@@ -170,26 +168,23 @@ def _cmd_fluid(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    s = _load_scenario(args.scenario, args.seed, args.tol)
+    s = _load_scenario(args)
     s, _ = pruned_scenario(s)
     eq = equilibrium.solve_multi(s)
     profile = eq.profile
+    grid = sim.default_grid(profile, s, points=args.grid_points)
     cfg = sim.SimConfig(
         n=args.n,
         seed=s.options.seed,
         service_dist=args.service,
+        grid=grid,
         replications=args.reps,
     )
-    grid = sim.default_grid(profile, s, points=args.grid_points)
-    cfg = replace(cfg, grid=grid)
     report = sim.convergence_report(s, profile, cfg)
 
     origin = s.time_origin
     rows = []
-    for rep in range(cfg.replications):
-        events = sim.sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
-        paths = sim.run_des(s, events, cfg, replication=rep)
-        scaled = sim.scaled_paths(paths, cfg.n, grid)
+    for rep, scaled in enumerate(report.scaled):
         for q in s.queues:
             for j, t in enumerate(grid):
                 rows.append(
@@ -204,12 +199,10 @@ def _cmd_simulate(args) -> int:
                     )
                 )
     header = ["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"]
+    _write(args.out, csv_rows(header, rows))
     if args.out:
-        _write(args.out, csv_rows(header, rows))
         summary_path = str(Path(args.out).with_suffix(".summary.json"))
         _write(summary_path, to_json(report.to_dict()))
-    else:
-        _write(None, csv_rows(header, rows))
     worst = max(p.mean for p in report.processes.values())
     _summary(
         args,

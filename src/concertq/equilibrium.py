@@ -26,7 +26,7 @@ best-response gap off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +138,7 @@ def _service_epochs(s: Scenario, assign: list[int]) -> list[float]:
     return taus
 
 
-def _assign_serve_sets(s: Scenario, max_sweeps: int | None = None) -> tuple[list[int], list[float]]:
+def _assign_serve_sets(s: Scenario) -> tuple[list[int], list[float]]:
     """Fixed point for serve sets: start with every queue in the first
     population's window, then reassign each queue to the window containing
     its opening time until stable.
@@ -148,7 +148,7 @@ def _assign_serve_sets(s: Scenario, max_sweeps: int | None = None) -> tuple[list
     K, N = s.n_queues, s.n_populations
     starts = [q.t_start for q in s.queues]
     assign = [0] * K
-    sweeps = max_sweeps if max_sweeps is not None else K * N + 8
+    sweeps = K * N + 8
     for _ in range(sweeps):
         taus = _service_epochs(s, assign)
         new_assign = []
@@ -316,10 +316,13 @@ def verify_equilibrium(
     ``tol`` and no off-support (queue, time) pair undercuts it by more than
     ``tol``.
     """
-    if tol is None:
-        tol = s.options.tol
-    if grid_step is None:
-        grid_step = s.options.grid_step
+    # explicit arguments override the scenario's options; Options validates both
+    opts = replace(
+        s.options,
+        tol=s.options.tol if tol is None else tol,
+        grid_step=s.options.grid_step if grid_step is None else grid_step,
+    )
+    tol, grid_step = opts.tol, opts.grid_step
 
     if not profile.segments or profile.total_mass <= 0:
         raise DomainError("cannot verify an empty profile")
@@ -336,6 +339,13 @@ def verify_equilibrium(
 
     horizon = fluid.default_horizon(profile, s.queues)
     horizon = (min(horizon[0], window[0] - 1.0), max(horizon[1], window[1] + 1.0))
+    # one wait path and one set of evaluation points per queue, shared by
+    # every population's cost curve there
+    per_queue = []
+    for q in s.queues:
+        wait = fluid.queue_fluid(profile, q, horizon).wait
+        ts = np.union1d(wait.times, grid)
+        per_queue.append((q, wait, ts[(ts >= window[0]) & (ts <= window[1])]))
 
     deviations: dict[int, float] = {}
     gaps: dict[int, float] = {}
@@ -345,15 +355,12 @@ def verify_equilibrium(
     for pop in s.populations:
         sup_vals: list[np.ndarray] = []
         off_vals: list[np.ndarray] = []
-        for q in s.queues:
-            curve = fluid.cost_curve(pop, profile, q, horizon)
-            ts = np.union1d(curve.times, grid)
-            ts = ts[(ts >= window[0]) & (ts <= window[1])]
-            cs = curve(ts)
+        for q, wait, ts in per_queue:
+            cs = fluid.arrival_cost(pop, wait)(ts)
             n_points += ts.size
             in_support = np.zeros(ts.shape, dtype=bool)
-            for seg in profile.segments:
-                if seg.population == pop.id and seg.queue == q.id and seg.mass > 0:
+            for seg in profile.pair_segments(pop.id, q.id):
+                if seg.mass > 0:
                     in_support |= (ts >= seg.start) & (ts <= seg.end)
             sup_vals.append(cs[in_support])
             off_vals.append(cs[~in_support])

@@ -121,9 +121,6 @@ class TwoUserEquilibrium:
         out = np.where(tt <= 0.0, pre, post)
         return _maybe_scalar(np.where(tt < self.t_first, 0.0, out), scalar)
 
-    def queue_empty_prob(self, i: int, t) -> np.ndarray | float:
-        return 1.0 - self.queue_occupied_prob(i, t)
-
     def to_dict(self) -> dict:
         return {
             "mu1": self.mu1,

@@ -17,8 +17,9 @@ previously attained minimum.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -77,10 +78,6 @@ class PiecewisePath:
                 out[right] = self.values[-1] + sl_right * (tt[right] - t1)
         return float(out[0]) if scalar else out
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
-
     # -- algebra ------------------------------------------------------------
 
     def refine(self, extra_times) -> "PiecewisePath":
@@ -92,15 +89,6 @@ class PiecewisePath:
         ts = np.union1d(self.times, other.times)
         mode = "const" if (self.extend == "const" and other.extend == "const") else "slope"
         return PiecewisePath(ts, self(ts) + other(ts), extend=mode)
-
-    def __neg__(self) -> "PiecewisePath":
-        return PiecewisePath(self.times, -self.values, extend=self.extend)
-
-    def __sub__(self, other: "PiecewisePath") -> "PiecewisePath":
-        return self + (-other)
-
-    def scaled(self, factor: float) -> "PiecewisePath":
-        return PiecewisePath(self.times, self.values * factor, extend=self.extend)
 
     def shifted(self, dt: float) -> "PiecewisePath":
         return PiecewisePath(self.times + dt, self.values, extend=self.extend)
@@ -135,7 +123,7 @@ class PiecewisePath:
     def from_csv(cls, text: str) -> "PiecewisePath":
         extend = "const"
         ts, vs = [], []
-        for raw in io.StringIO(text):
+        for lineno, raw in enumerate(io.StringIO(text), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -146,13 +134,28 @@ class PiecewisePath:
             if line.lower().startswith("t,"):
                 continue
             parts = line.split(",")
+            where = f"bad path row {lineno}: {line!r}"
             if len(parts) != 2:
-                raise ParseError(f"bad path row: {line!r}")
-            ts.append(float(parts[0]))
-            vs.append(float(parts[1]))
+                raise ParseError(f"{where}: expected 2 cells")
+            t, v = _cells(parts, (float, float), where)
+            ts.append(t)
+            vs.append(v)
         if not ts:
             raise ParseError("empty path document")
         return cls(np.asarray(ts), np.asarray(vs), extend=extend)
+
+
+def _cells(parts: list[str], kinds: tuple, where: str) -> list:
+    """CSV cells converted by ``kinds``; ParseError naming ``where`` unless
+    every cell converts and is finite."""
+    try:
+        vals = [kind(p) for kind, p in zip(kinds, parts)]
+    except ValueError:
+        names = ",".join(kind.__name__ for kind in kinds)
+        raise ParseError(f"{where}: expected cells of types {names}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ParseError(f"{where}: values must be finite")
+    return vals
 
 
 def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
@@ -230,10 +233,6 @@ class ArrivalProfile:
         return tuple(sorted({s.queue for s in self.segments}))
 
     @property
-    def population_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({s.population for s in self.segments}))
-
-    @property
     def total_mass(self) -> float:
         return sum(s.mass for s in self.segments)
 
@@ -269,6 +268,18 @@ class ArrivalProfile:
     def population_segments(self, population: int) -> tuple[Segment, ...]:
         return tuple(s for s in self.segments if s.population == population)
 
+    @cached_property
+    def _pair_index(self) -> dict[tuple[int, int], list[Segment]]:
+        index: dict[tuple[int, int], list[Segment]] = {}
+        for s in self.segments:
+            index.setdefault((s.population, s.queue), []).append(s)
+        return index
+
+    def pair_segments(self, population: int, queue: int) -> tuple[Segment, ...]:
+        """Segments of one (population, queue) pair in profile order, from an
+        index built once in a single pass over the profile."""
+        return tuple(self._pair_index.get((population, queue), ()))
+
     def queue_cdf(self, queue: int) -> PiecewisePath:
         """Aggregate cumulative arrivals F_k at the queue, all populations."""
         segs = self.queue_segments(queue)
@@ -282,14 +293,6 @@ class ArrivalProfile:
             vals += s.density * (np.clip(ts, s.start, s.end) - s.start)
         return PiecewisePath(ts, vals, extend="const")
 
-    def density_at(self, queue: int, t) -> np.ndarray:
-        """Aggregate density at the queue; segments cover [start, end)."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(tt)
-        for s in self.queue_segments(queue):
-            out += np.where((tt >= s.start) & (tt < s.end), s.density, 0.0)
-        return out
-
     def shifted(self, dt: float) -> "ArrivalProfile":
         return ArrivalProfile(
             tuple(
@@ -297,24 +300,6 @@ class ArrivalProfile:
                 for s in self.segments
             )
         )
-
-    def scaled(self, factor: float) -> "ArrivalProfile":
-        """Profile with every density multiplied by ``factor``."""
-        return ArrivalProfile(
-            tuple(
-                Segment(s.population, s.queue, s.start, s.end, s.density * factor)
-                for s in self.segments
-            )
-        )
-
-    def check_masses(self, populations: Iterable[PopulationSpec], tol: float = 1e-6) -> None:
-        """Raise DomainError if per-population routed mass does not add up."""
-        for p in populations:
-            got = self.mass(population=p.id)
-            if abs(got - p.mass) > tol * max(1.0, p.mass):
-                raise DomainError(
-                    f"population {p.id} routes mass {got:.12g}, expected {p.mass:.12g}"
-                )
 
     # -- serialization ------------------------------------------------------
 
@@ -331,22 +316,16 @@ class ArrivalProfile:
     @classmethod
     def from_csv(cls, text: str) -> "ArrivalProfile":
         segs = []
-        for raw in io.StringIO(text):
+        for lineno, raw in enumerate(io.StringIO(text), start=1):
             row = raw.strip()
             if not row or row.startswith("#") or row.lower().startswith("pop,"):
                 continue
             parts = row.split(",")
+            where = f"bad profile row {lineno}: {row!r}"
             if len(parts) != 5:
-                raise ParseError(f"bad profile row: {row!r}")
-            segs.append(
-                Segment(
-                    population=int(parts[0]),
-                    queue=int(parts[1]),
-                    start=float(parts[2]),
-                    end=float(parts[3]),
-                    density=float(parts[4]),
-                )
-            )
+                raise ParseError(f"{where}: expected 5 cells")
+            cells = _cells(parts, (int, int, float, float, float), where)
+            segs.append(Segment(*cells))
         return cls(tuple(segs))
 
 
@@ -390,36 +369,63 @@ def netflow(
     return PiecewisePath(ts, vals, extend="slope")
 
 
-def _queue_netflow(profile, q, horizon):
+@dataclass(frozen=True)
+class QueueFluid:
+    """Every fluid path of one queue, all from one reflection of its netflow.
+    None depends on a population: each population's arrival cost at the
+    queue is an affine map of ``wait`` (see ``arrival_cost``)."""
+
+    cdf: PiecewisePath
+    netflow: PiecewisePath
+    queue_length: PiecewisePath
+    regulator: PiecewisePath
+    busy: PiecewisePath
+    wait: PiecewisePath
+
+
+def queue_fluid(
+    profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
+) -> QueueFluid:
+    """The queue's fluid paths from one CDF, one netflow and one reflection
+    (``fluid_busy`` and ``fluid_wait`` define busy time and virtual wait)."""
     if horizon is None:
         horizon = default_horizon(profile, [q])
-    return netflow(profile.queue_cdf(q.id), q, horizon)
+    cdf = profile.queue_cdf(q.id)
+    x = netflow(cdf, q, horizon)
+    phi, psi = reflect(x)
+    reg = psi.refine([q.t_start])
+    busy = np.maximum(reg.times - q.t_start, 0.0) - reg.values / q.mu
+    ql = phi.refine([q.t_start])
+    wait = ql.values / q.mu + np.maximum(q.t_start - ql.times, 0.0)
+    return QueueFluid(
+        cdf=cdf,
+        netflow=x,
+        queue_length=phi,
+        regulator=psi,
+        busy=PiecewisePath(reg.times, busy, extend="slope"),
+        wait=PiecewisePath(ql.times, wait, extend="const"),
+    )
 
 
 def fluid_queue(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> PiecewisePath:
     """Fluid queue length: the reflection of the queue's netflow."""
-    phi, _ = reflect(_queue_netflow(profile, q, horizon))
-    return phi
+    return queue_fluid(profile, q, horizon).queue_length
 
 
 def fluid_regulator(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> PiecewisePath:
     """Cumulative idleness regulator of the queue's netflow."""
-    _, psi = reflect(_queue_netflow(profile, q, horizon))
-    return psi
+    return queue_fluid(profile, q, horizon).regulator
 
 
 def fluid_busy(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> PiecewisePath:
     """Busy time (t - t_start)_+ - regulator / mu; nondecreasing."""
-    _, psi = reflect(_queue_netflow(profile, q, horizon))
-    psi = psi.refine([q.t_start])
-    vals = np.maximum(psi.times - q.t_start, 0.0) - psi.values / q.mu
-    return PiecewisePath(psi.times, vals, extend="slope")
+    return queue_fluid(profile, q, horizon).busy
 
 
 def fluid_wait(
@@ -427,10 +433,14 @@ def fluid_wait(
 ) -> PiecewisePath:
     """Virtual waiting time: queue length / mu, plus the time left until the
     queue opens for arrivals that land before t_start."""
-    phi, _ = reflect(_queue_netflow(profile, q, horizon))
-    phi = phi.refine([q.t_start])
-    vals = phi.values / q.mu + np.maximum(q.t_start - phi.times, 0.0)
-    return PiecewisePath(phi.times, vals, extend="const")
+    return queue_fluid(profile, q, horizon).wait
+
+
+def arrival_cost(pop: PopulationSpec, wait: PiecewisePath) -> PiecewisePath:
+    """Arrival cost (alpha + beta) * wait + beta * t of the population at a
+    queue with virtual waiting time ``wait``."""
+    vals = pop.weight * wait.values + pop.beta * wait.times
+    return PiecewisePath(wait.times, vals, extend="slope")
 
 
 def cost_curve(
@@ -441,6 +451,4 @@ def cost_curve(
 ) -> PiecewisePath:
     """Arrival cost (alpha + beta) * wait + beta * t for the population at the
     queue, exact on the horizon."""
-    w = fluid_wait(profile, q, horizon)
-    vals = pop.weight * w.values + pop.beta * w.times
-    return PiecewisePath(w.times, vals, extend="slope")
+    return arrival_cost(pop, fluid_wait(profile, q, horizon))

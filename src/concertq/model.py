@@ -106,6 +106,14 @@ class Options:
     grid_step: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if not (self.tol >= 0 and math.isfinite(self.tol)):
+            raise DomainError(f"tol must be nonnegative and finite, got {self.tol}")
+        if self.grid_step is not None and not (
+            self.grid_step > 0 and math.isfinite(self.grid_step)
+        ):
+            raise DomainError(f"grid_step must be positive and finite, got {self.grid_step}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -350,7 +358,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
 
     feasible = True
     if s.n_populations > 1:
-        gammas = [p.gamma for p in s.populations]
         for a, b in zip(s.populations, s.populations[1:]):
             if not (a.gamma < b.gamma):
                 feasible = False
@@ -359,7 +366,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                     "multi-population solver needs strictly increasing gammas"
                 )
                 break
-        del gammas
     return ValidationReport(
         feasible=feasible, pruned_queues=tuple(pruned), messages=tuple(messages)
     )

@@ -85,17 +85,14 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     if not profile.segments:
         return 0.0
     horizon = fluid.default_horizon(profile, s.queues)
+    waits = {q.id: fluid.queue_fluid(profile, q, horizon).wait for q in s.queues}
     total = 0.0
     for pop in s.populations:
         for q in s.queues:
-            segs = [
-                seg
-                for seg in profile.segments
-                if seg.population == pop.id and seg.queue == q.id and seg.mass > 0
-            ]
+            segs = [seg for seg in profile.pair_segments(pop.id, q.id) if seg.mass > 0]
             if not segs:
                 continue
-            curve = fluid.cost_curve(pop, profile, q, horizon)
+            curve = fluid.arrival_cost(pop, waits[q.id])
             for seg in segs:
                 total += seg.density * curve.integral(seg.start, seg.end)
     return total

@@ -71,12 +71,8 @@ class SimConfig:
 def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.ndarray:
     """Equispaced evaluation grid over [first support point - 0.1, T + 0.5],
     where T bounds the time the last user leaves."""
-    lo, hi = profile.support_bounds()
-    lo = min(lo, min(q.t_start for q in s.queues)) - 0.1
-    drain = max(
-        max(hi, q.t_start) + profile.mass(queue=q.id) / q.mu for q in s.queues
-    )
-    return np.linspace(lo, drain + 0.5, points)
+    lo, drain = fluid.default_horizon(profile, s.queues, pad=0.0)
+    return np.linspace(lo - 0.1, drain + 0.5, points)
 
 
 def sample_arrivals(
@@ -152,12 +148,6 @@ class QueueRecord:
     def queue_length_at(self, grid: np.ndarray) -> np.ndarray:
         return self.arrivals_at(grid) - self.departures_at(grid)
 
-    def potential_service_at(self, grid: np.ndarray) -> np.ndarray:
-        """Completions of a server that never idles after opening."""
-        csum = np.cumsum(self.services)
-        out = np.searchsorted(csum, grid - self.t_start, side="right").astype(float)
-        return np.where(grid >= self.t_start, out, 0.0)
-
     def workload_presented_at(self, grid: np.ndarray) -> np.ndarray:
         """Total service requirement of everyone arrived by t."""
         prefix = np.concatenate(([0.0], np.cumsum(self.services)))
@@ -222,10 +212,6 @@ class SimPaths:
     mass_scale: float           # fluid mass carried by one user
     t_origin: float
     records: dict[int, QueueRecord]
-
-    @property
-    def queue_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.records))
 
     def total_arrivals_at(self, grid: np.ndarray) -> np.ndarray:
         out = np.zeros_like(grid, dtype=float)
@@ -297,14 +283,13 @@ class ScaledPaths:
     queue_length: dict[int, np.ndarray]   # Q_k * mass_scale
     busy_time: dict[int, np.ndarray]      # unscaled, order one
     virtual_wait: dict[int, np.ndarray]   # unscaled, order one
-    empty_time: dict[int, np.ndarray]     # unscaled, from the origin
 
 
 def scaled_paths(paths: SimPaths, n: int, grid: np.ndarray) -> ScaledPaths:
     """Evaluate the scaled step functions on the grid.
 
     Arrival and queue-length counts are multiplied by the per-user fluid
-    mass; busy time, virtual wait and empty time are already order one.
+    mass; busy time and virtual wait are already order one.
     """
     if n != paths.n:
         raise DomainError(f"paths were simulated with n={paths.n}, not {n}")
@@ -316,13 +301,11 @@ def scaled_paths(paths: SimPaths, n: int, grid: np.ndarray) -> ScaledPaths:
     queue_length = {}
     busy = {}
     wait = {}
-    empty = {}
     for qid, rec in paths.records.items():
         arrivals[qid] = rec.arrivals_at(grid) * m
         queue_length[qid] = rec.queue_length_at(grid) * m
         busy[qid] = rec.busy_time_at(grid)
         wait[qid] = rec.virtual_wait_at(grid)
-        empty[qid] = rec.empty_time_at(grid, paths.t_origin)
     return ScaledPaths(
         grid=grid,
         arrivals=arrivals,
@@ -330,7 +313,6 @@ def scaled_paths(paths: SimPaths, n: int, grid: np.ndarray) -> ScaledPaths:
         queue_length=queue_length,
         busy_time=busy,
         virtual_wait=wait,
-        empty_time=empty,
     )
 
 
@@ -357,7 +339,11 @@ class ProcessErrors:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Distances between scaled simulated paths and their fluid limits."""
+    """Distances between scaled simulated paths and their fluid limits.
+
+    ``scaled`` holds each replication's grid-evaluated paths, so callers
+    that emit them need not simulate again; ``to_dict`` leaves them out.
+    """
 
     n: int
     replications: int
@@ -365,6 +351,7 @@ class ConvergenceReport:
     first_arrivals: tuple[float, ...]
     support_infimum: float
     grid: np.ndarray
+    scaled: tuple[ScaledPaths, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -388,18 +375,13 @@ def fluid_reference(
     horizon = (float(grid[0]) - 1.0, float(grid[-1]) + 1.0)
     hz = fluid.default_horizon(profile, s.queues)
     horizon = (min(horizon[0], hz[0]), max(horizon[1], hz[1]))
-    out: dict[str, dict[int, np.ndarray]] = {
-        "arrivals": {},
-        "queue_length": {},
-        "busy_time": {},
-        "virtual_wait": {},
+    bundles = {q.id: fluid.queue_fluid(profile, q, horizon) for q in s.queues}
+    return {
+        "arrivals": {qid: b.cdf(grid) for qid, b in bundles.items()},
+        "queue_length": {qid: b.queue_length(grid) for qid, b in bundles.items()},
+        "busy_time": {qid: b.busy(grid) for qid, b in bundles.items()},
+        "virtual_wait": {qid: b.wait(grid) for qid, b in bundles.items()},
     }
-    for q in s.queues:
-        out["arrivals"][q.id] = profile.queue_cdf(q.id)(grid)
-        out["queue_length"][q.id] = fluid.fluid_queue(profile, q, horizon)(grid)
-        out["busy_time"][q.id] = fluid.fluid_busy(profile, q, horizon)(grid)
-        out["virtual_wait"][q.id] = fluid.fluid_wait(profile, q, horizon)(grid)
-    return out
 
 
 def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> ConvergenceReport:
@@ -411,11 +393,13 @@ def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> 
 
     errors: dict[str, list[float]] = {k: [] for k in reference}
     first_arrivals: list[float] = []
+    all_scaled: list[ScaledPaths] = []
     for rep in range(cfg.replications):
         events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
         paths = run_des(s, events, cfg, replication=rep)
         scaled = scaled_paths(paths, cfg.n, grid)
         first_arrivals.append(paths.first_arrival())
+        all_scaled.append(scaled)
         sim_values = {
             "arrivals": scaled.arrivals,
             "queue_length": scaled.queue_length,
@@ -436,6 +420,7 @@ def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> 
         first_arrivals=tuple(first_arrivals),
         support_infimum=float(support_inf),
         grid=grid,
+        scaled=tuple(all_scaled),
     )
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import concertq as cq
+from concertq import sim
 from concertq.cli import main
 
 
@@ -231,3 +236,103 @@ def test_seed_flag_overrides_scenario(scenarios):
         "--n", "300", "--reps", "1", "--seed", "2", "--out", str(d / "s2.csv"),
     ])
     assert (d / "s1.csv").read_bytes() != (d / "s2.csv").read_bytes()
+
+
+def test_simulate_samples_each_replication_once(scenarios, monkeypatch):
+    calls = []
+    original = sim.sample_arrivals
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("replication"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_arrivals", counting)
+    out = scenarios["dir"] / "once.csv"
+    code = main([
+        "simulate", "--scenario", str(scenarios["two"]),
+        "--n", "300", "--reps", "2", "--seed", "5", "--out", str(out),
+    ])
+    assert code == 0
+    assert calls == [0, 1]
+    rows = out.read_text().splitlines()
+    assert {row.split(",")[0] for row in rows[1:]} == {"0", "1"}
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(Path(cq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "concertq", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def assert_one_error_line(stderr):
+    assert "Traceback" not in stderr
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,1,abc,0.75,0.5",      # non-numeric cell
+        "1.5,1,-0.75,0.75,0.5",  # non-integer population id
+        "1,x,-0.75,0.75,0.5",    # non-integer queue id
+        "1,1,nan,0.75,0.5",
+        "1,1,-0.75,inf,0.5",
+        "1,1,-0.75,0.75,nan",
+    ],
+)
+def test_malformed_profile_csv_is_a_parse_error(scenarios, row):
+    bad = scenarios["dir"] / "bad_profile.csv"
+    bad.write_text(f"pop,queue,a,b,density\n1,2,0.25,0.75,0.5\n{row}\n")
+    for command in ("verify", "fluid"):
+        result = run_cli(command, "--scenario", str(scenarios["two"]), "--profile", str(bad))
+        assert result.returncode == 2
+        assert_one_error_line(result.stderr)
+        assert "row 3" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--grid-step", "0"],
+        ["--grid-step", "-0.5"],
+        ["--grid-step", "nan"],
+        ["--grid-step", "inf"],
+        ["--tol", "-1"],
+        ["--tol", "inf"],
+    ],
+)
+def test_verify_rejects_bad_grid_step_and_tol_flags(scenarios, capsys, flags):
+    d = scenarios["dir"]
+    profile = d / "p_flags.csv"
+    main(["eq-single", "--scenario", str(scenarios["two"]), "--format", "csv", "--out", str(profile)])
+    capsys.readouterr()
+    out = d / "verify_flags.json"
+    code = main(["verify", "--scenario", str(scenarios["two"]), "--profile", str(profile),
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_tol_flag_is_validated_on_every_scenario_command(scenarios, capsys):
+    assert main(["poa", "--scenario", str(scenarios["two"]), "--tol", "-1"]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("options", ['{"grid_step":0}', '{"grid_step":-0.5}', '{"tol":-1}'])
+def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
+    d = scenarios["dir"]
+    profile = d / "p_opts.csv"
+    main(["eq-single", "--scenario", str(scenarios["two"]), "--format", "csv", "--out", str(profile)])
+    bad = d / "bad_options.json"
+    bad.write_text(
+        '{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],'
+        f'"populations":[{{"alpha":1,"beta":1}}],"options":{options}}}'
+    )
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(bad), "--profile", str(profile)]) == 1
+    assert_one_error_line(capsys.readouterr().err)

@@ -372,6 +372,13 @@ def test_verifier_rejects_unknown_queue():
         cq.verify_equilibrium(single_queue_scenario(), stray)
 
 
+@pytest.mark.parametrize("kwargs", [{"grid_step": 0.0}, {"grid_step": -0.1}, {"tol": -1.0}])
+def test_verifier_rejects_bad_grid_step_and_tol(kwargs):
+    s = two_queue_worked_scenario()
+    with pytest.raises(cq.DomainError):
+        cq.verify_equilibrium(s, cq.solve_single(s).profile, **kwargs)
+
+
 def test_profile_to_dict_shifts_times():
     s = make_scenario([(1.0, 2.0)], [{"alpha": 1, "beta": 1}])
     eq = cq.solve_single(s)

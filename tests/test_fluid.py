@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concertq as cq
-from concertq.fluid import PiecewisePath, default_horizon
+from concertq import fluid, poa, sim
+from concertq.fluid import PiecewisePath, default_horizon, queue_fluid
+from conftest import make_scenario, two_queue_worked_scenario
 
 
 def path(ts, vs, extend="const"):
@@ -59,6 +61,12 @@ def test_path_csv_round_trip():
     assert np.array_equal(q.times, p.times)
     assert np.array_equal(q.values, p.values)
     assert q.extend == "slope"
+
+
+@pytest.mark.parametrize("row", ["0.5,abc", "nan,1.0", "0.5,inf"])
+def test_path_csv_rejects_bad_cells_with_parse_error(row):
+    with pytest.raises(cq.ParseError, match="row 3"):
+        PiecewisePath.from_csv(f"# extend=const\nt,value\n{row}\n")
 
 
 # -- netflow ------------------------------------------------------------------
@@ -305,3 +313,90 @@ def test_arrival_profile_csv_round_trip():
     )
     again = cq.ArrivalProfile.from_csv(profile.to_csv())
     assert again == profile
+
+
+def test_pair_segments_keep_profile_order():
+    segs = (
+        cq.Segment(2, 1, 0.0, 1.0, 0.5),
+        cq.Segment(1, 1, 0.0, 1.0, 0.5),
+        cq.Segment(2, 1, 2.0, 3.0, 0.25),
+        cq.Segment(2, 2, 0.0, 1.0, 1.0),
+        cq.Segment(2, 1, 1.0, 2.0, 0.75),
+    )
+    profile = cq.ArrivalProfile(segs)
+    assert profile.pair_segments(2, 1) == (segs[0], segs[2], segs[4])
+    assert profile.pair_segments(1, 1) == (segs[1],)
+    assert profile.pair_segments(1, 2) == ()
+
+
+# -- one fluid bundle per queue -------------------------------------------------
+
+
+def ragged_multi_scenario():
+    """K=3, N=2 with unequal masses; five (population, queue) pairs."""
+    return make_scenario(
+        [(1.0, 0.0), (2.0, 0.3), (0.5, 0.8)],
+        [{"alpha": 1, "beta": 3, "mass": 0.7}, {"alpha": 2, "beta": 1, "mass": 1.6}],
+    )
+
+
+def assert_same_path(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.values, b.values)
+    assert a.extend == b.extend
+
+
+@pytest.mark.parametrize("build", [two_queue_worked_scenario, ragged_multi_scenario])
+@pytest.mark.parametrize("explicit_horizon", [False, True])
+def test_queue_fluid_matches_every_accessor(build, explicit_horizon):
+    s = build()
+    profile = cq.solve_multi(s).profile
+    for q in s.queues:
+        horizon = default_horizon(profile, s.queues) if explicit_horizon else None
+        qf = queue_fluid(profile, q, horizon)
+        assert_same_path(qf.cdf, profile.queue_cdf(q.id))
+        netflow_horizon = horizon if explicit_horizon else default_horizon(profile, [q])
+        assert_same_path(qf.netflow, cq.netflow(profile.queue_cdf(q.id), q, netflow_horizon))
+        assert_same_path(qf.queue_length, cq.fluid_queue(profile, q, horizon))
+        assert_same_path(qf.regulator, cq.fluid_regulator(profile, q, horizon))
+        assert_same_path(qf.busy, cq.fluid_busy(profile, q, horizon))
+        assert_same_path(qf.wait, cq.fluid_wait(profile, q, horizon))
+        for pop in s.populations:
+            assert_same_path(
+                fluid.arrival_cost(pop, qf.wait), cq.cost_curve(pop, profile, q, horizon)
+            )
+
+
+@pytest.fixture()
+def reflect_calls(monkeypatch):
+    calls = []
+    original = fluid.reflect
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(fluid, "reflect", counting)
+    return calls
+
+
+def test_verifier_reflects_each_queue_once(reflect_calls):
+    s = ragged_multi_scenario()
+    profile = cq.solve_multi(s).profile
+    assert cq.verify_equilibrium(s, profile).is_equilibrium
+    assert len(reflect_calls) == s.n_queues
+
+
+def test_social_cost_reflects_each_queue_once(reflect_calls):
+    s = ragged_multi_scenario()
+    profile = cq.solve_multi(s).profile
+    poa.social_cost(s, profile)
+    assert len(reflect_calls) == s.n_queues
+
+
+def test_fluid_reference_reflects_each_queue_once(reflect_calls):
+    s = ragged_multi_scenario()
+    profile = cq.solve_multi(s).profile
+    reference = sim.fluid_reference(s, profile, sim.default_grid(profile, s, points=64))
+    assert len(reflect_calls) == s.n_queues
+    assert set(reference) == {"arrivals", "queue_length", "busy_time", "virtual_wait"}

@@ -94,6 +94,36 @@ def test_parse_rejects_bad_cost_weights():
         )
 
 
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        ({"tol": -1.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"grid_step": 0.0}, "grid_step"),
+        ({"grid_step": -0.5}, "grid_step"),
+        ({"grid_step": float("nan")}, "grid_step"),
+        ({"grid_step": float("inf")}, "grid_step"),
+    ],
+)
+def test_options_reject_bad_tol_and_grid_step(options, field):
+    with pytest.raises(cq.DomainError, match=field):
+        cq.Options(**options)
+
+
+def test_options_accept_zero_tol_and_positive_grid_step():
+    assert cq.Options(tol=0.0, grid_step=1e-3).grid_step == 1e-3
+
+
+@pytest.mark.parametrize("options", ['{"tol": -1}', '{"grid_step": 0}', '{"grid_step": -0.5}'])
+def test_parse_rejects_bad_tol_and_grid_step(options):
+    with pytest.raises(cq.DomainError):
+        cq.parse_scenario(
+            '{"queues":[{"mu":1,"t_start":0}],"populations":[{"alpha":1,"beta":1}],'
+            f'"options":{options}}}'
+        )
+
+
 def test_time_origin_shift():
     s = make_scenario([(1.0, 3.0), (1.0, 3.5)], [{"alpha": 1, "beta": 1}])
     assert s.time_origin == 3.0
