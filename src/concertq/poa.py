@@ -241,8 +241,8 @@ def poa_equal_rate_case(K: int, mu: float, tau: float, tol: float = 1e-9) -> flo
             f"equal-rate special case disagrees with the general closed form: "
             f"{eta!r} vs {general!r}"
         )
-    if K > 1 and tau > 0:
-        assert 4.0 / 3.0 < eta < 2.0, f"eta={eta!r} outside (4/3, 2)"
+    if K > 1 and tau > 0 and not 4.0 / 3.0 < eta < 2.0:
+        raise AssertionError(f"eta={eta!r} outside (4/3, 2)")
     return eta
 
 

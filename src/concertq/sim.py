@@ -9,6 +9,10 @@ M / (n mu_k): the simulated paths, scaled by M / n, converge uniformly to
 the fluid paths as n grows.  Busy time and virtual waiting time are order
 one and are compared unscaled.
 
+Memory is O(n + I K) for n users, K queues and I knot intervals of the
+profile: the sampler routes through one per-interval cumulative table and
+never holds an n x K array.
+
 Randomness is fully reproducible: every stream is a Philox (counter-based)
 generator keyed by SeedSequence([seed, replication, stream index]), with
 stream 0 for arrival times, stream 1 for routing, and stream 16 + q for the
@@ -75,6 +79,35 @@ def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.
     return np.linspace(lo - 0.1, drain + 0.5, points)
 
 
+def _route(density: np.ndarray, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Column of the queue each draw joins.
+
+    ``density`` is the (I, K) per-interval density table, ``idx`` each
+    draw's interval and ``v`` its uniform routing draw.  Draw i joins the
+    first column whose cumulative routing probability in its interval
+    exceeds v[i]: the per-interval table is built once and read column by
+    column, so memory is O(n + I K).  A draw at or above the row's last
+    cumulative value (a rounding tail, the row summing just below 1) joins
+    the row's last queue with positive density.
+    """
+    total = density.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.cumsum(density / total[:, None], axis=1)
+    width = table.shape[1]
+    choice = np.zeros(v.size, dtype=np.intp)
+    column = np.empty(v.size)
+    hit = np.empty(v.size, dtype=bool)
+    for k in range(width):
+        np.take(table[:, k], idx, out=column)
+        np.greater_equal(v, column, out=hit)
+        choice += hit
+    tail = np.nonzero(choice == width)[0]
+    if tail.size:
+        last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
+        choice[tail] = last_positive[idx[tail]]
+    return choice
+
+
 def sample_arrivals(
     profile: ArrivalProfile, n: int, seed: int, replication: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +117,8 @@ def sample_arrivals(
     (renormalized to a probability mixture); queues are then drawn from the
     conditional routing probabilities d_k(t) / d(t).  Events are returned
     sorted by time, ties kept in draw order.  Deterministic given
-    (seed, replication).
+    (seed, replication).  Memory is O(n + I K) for K queues and I knot
+    intervals.
     """
     segs = [s for s in profile.segments if s.mass > 0]
     if not segs:
@@ -114,14 +148,28 @@ def sample_arrivals(
     with np.errstate(divide="ignore", invalid="ignore"):
         times = knots[idx] + (u - cum[idx]) / total_density[idx]
 
-    probs = density[idx] / total_density[idx][:, None]
-    v = rng_q.random(n)
-    choice = (v[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1)
-    choice = np.clip(choice, 0, len(queue_ids) - 1)
+    choice = _route(density, idx, rng_q.random(n))
     queues = np.asarray(queue_ids, dtype=int)[choice]
 
     order = np.argsort(times, kind="stable")
     return times[order], queues[order]
+
+
+def _time_covered(starts: np.ndarray, ends: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Length of the union of the sorted disjoint intervals [starts, ends]
+    lying left of each grid point."""
+    if starts.size == 0:
+        return np.zeros_like(grid)
+    lengths = ends - starts
+    cum = np.concatenate(([0.0], np.cumsum(lengths)))
+    idx = np.searchsorted(ends, grid, side="right")
+    out = cum[idx]
+    active = idx < starts.size
+    partial = np.where(
+        active, np.clip(grid - starts[np.minimum(idx, starts.size - 1)], 0.0, None), 0.0
+    )
+    partial = np.where(active, np.minimum(partial, lengths[np.minimum(idx, starts.size - 1)]), 0.0)
+    return out + partial
 
 
 @dataclass(frozen=True)
@@ -166,19 +214,7 @@ class QueueRecord:
         return period_starts, self.completions[last]
 
     def busy_time_at(self, grid: np.ndarray) -> np.ndarray:
-        starts, ends = self._busy_periods()
-        if starts.size == 0:
-            return np.zeros_like(grid)
-        lengths = ends - starts
-        cum = np.concatenate(([0.0], np.cumsum(lengths)))
-        idx = np.searchsorted(ends, grid, side="right")
-        out = cum[idx]
-        active = idx < starts.size
-        partial = np.where(
-            active, np.clip(grid - starts[np.minimum(idx, starts.size - 1)], 0.0, None), 0.0
-        )
-        partial = np.where(active, np.minimum(partial, lengths[np.minimum(idx, starts.size - 1)]), 0.0)
-        return out + partial
+        return _time_covered(*self._busy_periods(), grid)
 
     def idle_time_at(self, grid: np.ndarray) -> np.ndarray:
         """Non-serving time accumulated after the queue opens."""
@@ -186,17 +222,11 @@ class QueueRecord:
 
     def empty_time_at(self, grid: np.ndarray, origin: float) -> np.ndarray:
         """Time with nobody in the system, accumulated from ``origin``."""
-        if self.count == 0:
-            return np.maximum(grid - origin, 0.0)
         gap_starts = np.concatenate(([origin], self.completions))
         gap_ends = np.concatenate((self.arrivals, [np.inf]))
         # an empty interval needs its completion to precede the next arrival
         keep = gap_ends > gap_starts
-        gap_starts, gap_ends = gap_starts[keep], gap_ends[keep]
-        out = np.zeros_like(grid)
-        for a, b in zip(gap_starts, gap_ends):
-            out += np.clip(np.minimum(grid, b) - a, 0.0, None)
-        return out
+        return _time_covered(gap_starts[keep], gap_ends[keep], grid)
 
     def virtual_wait_at(self, grid: np.ndarray) -> np.ndarray:
         """Presented workload minus busy time, plus the pre-opening gap."""
@@ -246,9 +276,17 @@ def run_des(
     starts = [q.t_start for q in s.queues]
     t_origin = float(min(times.min() if times.size else min(starts), min(starts)))
 
+    # one stable grouping pass (a radix sort when the ids fit 16 bits) keeps
+    # each queue's arrivals in time order
+    key = queues
+    if queues.size and queues.min() >= 0 and queues.max() <= np.iinfo(np.uint16).max:
+        key = queues.astype(np.uint16)
+    order = np.argsort(key, kind="stable")
+    key, grouped = key[order], times[order]
+
     records: dict[int, QueueRecord] = {}
     for qi, q in enumerate(s.queues):
-        arr = times[queues == q.id]
+        arr = grouped[np.searchsorted(key, q.id):np.searchsorted(key, q.id, side="right")]
         rng = _stream(cfg.seed, replication, _SERVICE_STREAM_BASE + qi)
         mean = mass_scale / q.mu
         if cfg.service_dist == "exponential":

@@ -20,6 +20,15 @@ def two_queue_worked_scenario():
     return make_scenario([(1.0, 0.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1}])
 
 
+def wide_scenario():
+    """K=126 unit-rate queues opening every 0.0025 and N=20 unit-mass
+    populations with beta=1 and gamma = linspace(0.1, 0.9, 20)."""
+    return make_scenario(
+        [(1.0, 0.0025 * k) for k in range(126)],
+        [{"alpha": g / (1.0 - g), "beta": 1.0, "mass": 1.0} for g in np.linspace(0.1, 0.9, 20)],
+    )
+
+
 def single_queue_scenario():
     return make_scenario([(1.0, 0.0)], [{"alpha": 1, "beta": 1}])
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,18 @@ def test_equal_rate_case_interior_bounds():
             eta = cq.poa_equal_rate_case(K, mu, tau)
             assert 4.0 / 3.0 < eta < 2.0
 
+
+
+def test_equal_rate_case_range_check_survives_optimize_flag():
+    # tau = 1e-17 rounds eta to exactly 2, outside the open interval (4/3, 2);
+    # the check must still raise under python -O, which strips assert
+    env = dict(os.environ, PYTHONPATH=str(Path(cq.__file__).resolve().parent.parent))
+    code = "import concertq as cq; cq.poa_equal_rate_case(2, 1.0, 1e-17)"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: eta=2.0 outside (4/3, 2)" in proc.stderr
 
 def test_equal_rate_case_rejects_infeasible_spacing():
     with pytest.raises(cq.DomainError):

@@ -1,9 +1,17 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import concertq as cq
 from concertq import sim
-from conftest import make_scenario, single_queue_scenario, two_queue_worked_scenario
+from conftest import (
+    make_scenario,
+    single_queue_scenario,
+    two_queue_worked_scenario,
+    wide_scenario,
+)
 
 
 def equilibrium_profile(s):
@@ -59,6 +67,50 @@ def test_sampling_skips_interior_gaps():
 def test_sampling_rejects_empty_profile():
     with pytest.raises(cq.DomainError):
         sim.sample_arrivals(cq.ArrivalProfile(()), 10, seed=0)
+
+
+def _stream_digest(profile, n, seed):
+    times, queues = sim.sample_arrivals(profile, n, seed)
+    return hashlib.sha256(times.tobytes() + queues.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, n, seed, digest",
+    [
+        (two_queue_worked_scenario, 100_000, 0,
+         "d81f355d9242447a6d98772b3447fc887144c122fa42d2f63bd03159c7932ce8"),
+        (two_queue_worked_scenario, 100_000, 7919,
+         "229588aaf937309e963c01717734138ebf536a04e40d0a859cace3d9aafd5bf7"),
+        (wide_scenario, 20_000, 0,
+         "0f4468039ce6624f63a91dd5b15480d36e27620ea844b015bc61b5dd091f2820"),
+    ],
+)
+def test_sampled_streams_are_pinned(build, n, seed, digest):
+    # recorded from the n x K routing matrices the per-interval table replaced
+    assert _stream_digest(equilibrium_profile(build()), n, seed) == digest
+
+
+def test_sampler_memory_is_linear_in_n():
+    # O(n + I K): the former n x K routing matrices peaked near 100 MB here
+    profile = equilibrium_profile(wide_scenario())
+    tracemalloc.start()
+    try:
+        sim.sample_arrivals(profile, 50_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_routing_tail_joins_a_queue_with_density():
+    # the last row's cumulative routing probabilities end below 1
+    density = np.array([[1.0] + [0.0] * 7, [1.0] * 7 + [0.0]])
+    last = np.cumsum(density[1] / density[1].sum())[-1]
+    assert last < 1.0
+    v = np.array([np.nextafter(1.0, 0.0), 0.0, 0.5])
+    choice = sim._route(density, np.array([1, 1, 0]), v)
+    assert density[1, choice[0]] > 0
+    assert choice.tolist() == [6, 0, 0]
 
 
 # -- discrete-event core --------------------------------------------------------
@@ -153,6 +205,82 @@ def test_run_des_is_deterministic():
     b = sim.run_des(s, events, cfg)
     for qid in a.records:
         assert np.array_equal(a.records[qid].completions, b.records[qid].completions)
+
+
+def _run_des_by_masks(s, events, cfg):
+    """Reference FIFO pass splitting the events with one mask per queue."""
+    times, queues = events
+    mass_scale = sum(p.mass for p in s.populations) / cfg.n
+    out = {}
+    for qi, q in enumerate(s.queues):
+        arr = times[queues == q.id]
+        rng = sim._stream(cfg.seed, 0, sim._SERVICE_STREAM_BASE + qi)
+        svc = rng.exponential(mass_scale / q.mu, size=arr.size)
+        if arr.size:
+            csum = np.cumsum(svc)
+            offsets = np.maximum(arr, q.t_start) - np.concatenate(([0.0], csum[:-1]))
+            completions = csum + np.maximum.accumulate(offsets)
+        else:
+            completions = np.empty(0)
+        out[q.id] = (arr, svc, completions)
+    return out
+
+
+@pytest.mark.parametrize("foreign_id", [None, 999, 70_000])
+def test_grouping_pass_matches_per_queue_masks(foreign_id):
+    s = wide_scenario()
+    cfg = sim.SimConfig(n=20_000, seed=0)
+    times, queues = sim.sample_arrivals(equilibrium_profile(s), cfg.n, cfg.seed)
+    if foreign_id is not None:
+        # events for a queue outside the scenario are dropped
+        queues = queues.copy()
+        queues[::7] = foreign_id
+    paths = sim.run_des(s, (times, queues), cfg)
+    expected = _run_des_by_masks(s, (times, queues), cfg)
+    assert set(paths.records) == set(expected)
+    for qid, (arr, svc, completions) in expected.items():
+        rec = paths.records[qid]
+        assert rec.queue_id == qid
+        assert np.array_equal(rec.arrivals, arr)
+        assert np.array_equal(rec.services, svc)
+        assert np.array_equal(rec.completions, completions)
+
+
+def _empty_time_by_loop(rec, grid, origin):
+    """Reference: sum each empty interval's overlap with (-inf, t]."""
+    if rec.count == 0:
+        return np.maximum(grid - origin, 0.0)
+    gap_starts = np.concatenate(([origin], rec.completions))
+    gap_ends = np.concatenate((rec.arrivals, [np.inf]))
+    keep = gap_ends > gap_starts
+    out = np.zeros_like(grid)
+    for a, b in zip(gap_starts[keep], gap_ends[keep]):
+        out += np.clip(np.minimum(grid, b) - a, 0.0, None)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spread", [(-1.0, 3.0), (-1.0, -0.5)])
+def test_empty_time_matches_gap_loop(seed, spread):
+    # arrivals spread past the opening leave idle gaps; arrivals all before
+    # it leave one busy period and no idle gap
+    s = single_queue_scenario()
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    times = np.sort(rng.uniform(*spread, size=n))
+    paths = sim.run_des(s, (times, np.ones(n, dtype=int)), sim.SimConfig(n=n, seed=seed))
+    rec = paths.records[1]
+    grid = np.concatenate((
+        np.linspace(-2.0, 5.0, 301), rec.arrivals[:5], rec.completions[-5:], [paths.t_origin],
+    ))
+    grid.sort()
+    for origin in (paths.t_origin, paths.t_origin - 0.5):
+        assert np.allclose(
+            rec.empty_time_at(grid, origin), _empty_time_by_loop(rec, grid, origin),
+            rtol=0.0, atol=1e-12,
+        )
+    empty = sim.run_des(s, (np.empty(0), np.empty(0, dtype=int)), sim.SimConfig(n=1)).records[1]
+    assert np.array_equal(empty.empty_time_at(grid, -1.0), _empty_time_by_loop(empty, grid, -1.0))
 
 
 # -- scaled paths ----------------------------------------------------------------
