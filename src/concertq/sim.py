@@ -79,28 +79,25 @@ def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.
     return np.linspace(lo - 0.1, drain + 0.5, points)
 
 
-def _route(density: np.ndarray, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _route(
+    density: np.ndarray, total_density: np.ndarray, idx: np.ndarray, v: np.ndarray
+) -> np.ndarray:
     """Column of the queue each draw joins.
 
-    ``density`` is the (I, K) per-interval density table, ``idx`` each
-    draw's interval and ``v`` its uniform routing draw.  Draw i joins the
-    first column whose cumulative routing probability in its interval
-    exceeds v[i]: the per-interval table is built once and read column by
-    column, so memory is O(n + I K).  A draw at or above the row's last
-    cumulative value (a rounding tail, the row summing just below 1) joins
-    the row's last queue with positive density.
+    ``density`` is the (I, K) per-interval density table with row sums
+    ``total_density``, ``idx`` each draw's interval and ``v`` its uniform
+    routing draw.  Draw i joins the first column whose cumulative routing
+    probability in its interval exceeds v[i]: the per-interval table is
+    built once and read column by column, so memory is O(n + I K).  A draw
+    at or above the row's last cumulative value (a rounding tail, the row
+    summing just below 1) joins the row's last queue with positive density.
     """
-    total = density.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.cumsum(density / total[:, None], axis=1)
+        table = np.cumsum(density / total_density[:, None], axis=1)
     width = table.shape[1]
     choice = np.zeros(v.size, dtype=np.intp)
-    column = np.empty(v.size)
-    hit = np.empty(v.size, dtype=bool)
     for k in range(width):
-        np.take(table[:, k], idx, out=column)
-        np.greater_equal(v, column, out=hit)
-        choice += hit
+        choice += v >= table[idx, k]
     tail = np.nonzero(choice == width)[0]
     if tail.size:
         last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
@@ -148,7 +145,7 @@ def sample_arrivals(
     with np.errstate(divide="ignore", invalid="ignore"):
         times = knots[idx] + (u - cum[idx]) / total_density[idx]
 
-    choice = _route(density, idx, rng_q.random(n))
+    choice = _route(density, total_density, idx, rng_q.random(n))
     queues = np.asarray(queue_ids, dtype=int)[choice]
 
     order = np.argsort(times, kind="stable")
@@ -276,13 +273,9 @@ def run_des(
     starts = [q.t_start for q in s.queues]
     t_origin = float(min(times.min() if times.size else min(starts), min(starts)))
 
-    # one stable grouping pass (a radix sort when the ids fit 16 bits) keeps
-    # each queue's arrivals in time order
-    key = queues
-    if queues.size and queues.min() >= 0 and queues.max() <= np.iinfo(np.uint16).max:
-        key = queues.astype(np.uint16)
-    order = np.argsort(key, kind="stable")
-    key, grouped = key[order], times[order]
+    # one stable grouping pass keeps each queue's arrivals in time order
+    order = np.argsort(queues, kind="stable")
+    key, grouped = queues[order], times[order]
 
     records: dict[int, QueueRecord] = {}
     for qi, q in enumerate(s.queues):
