@@ -104,6 +104,8 @@ def _cmd_serve_count(args) -> int:
 
 
 def _cmd_eq_two(args) -> int:
+    if args.trace_points < 1:
+        raise DomainError(f"--trace-points must be at least 1, got {args.trace_points}")
     eq = exact_two.solve_two_user(args.mu1, args.mu2, args.alpha, args.beta)
     diags = exact_two.two_user_diagnostics(eq, ode_dt=args.ode_dt)
     payload = eq.to_dict()
@@ -111,26 +113,9 @@ def _cmd_eq_two(args) -> int:
     _write(args.out, to_json(payload))
     if args.trace:
         ts = np.linspace(eq.t_first, eq.t_last, args.trace_points)
-        f = eq.density(ts)
-        # routing is undefined where the density vanishes (the right support
-        # endpoint); emit the rate share there
-        p1 = np.where(f > 0, eq.routed_density(1, ts), eq.mu1 / eq.rate_sum)
-        p1 = np.where(f > 0, p1 / np.where(f > 0, f, 1.0), eq.mu1 / eq.rate_sum)
-        occupied1 = eq.queue_occupied_prob(1, ts)
-        occupied2 = eq.queue_occupied_prob(2, ts)
-        cost = (
-            (eq.alpha + eq.beta) * (occupied1 / eq.mu1 - np.minimum(ts, 0.0))
-            + eq.beta * ts
-        )
-        rows = zip(
-            map(float, ts),
-            map(float, f),
-            map(float, p1),
-            map(float, occupied1),
-            map(float, occupied2),
-            map(float, cost),
-        )
-        _write(args.trace, csv_rows(["t", "f", "p1", "P11", "P21", "cost"], rows))
+        occupied = np.column_stack((eq.queue_occupied_prob(1, ts), eq.queue_occupied_prob(2, ts)))
+        columns = [ts, eq.density(ts), eq.routing(1, ts), *occupied.T, eq.expected_cost(occupied, ts)[:, 0]]
+        _write(args.trace, csv_rows(["t", "f", "p1", "P11", "P21", "cost"], columns))
     _summary(
         args,
         f"t_first={fmt(eq.t_first)}, t_last={fmt(eq.t_last)}, cost={fmt(eq.cost)}, "
@@ -149,7 +134,7 @@ def _cmd_fluid(args) -> int:
         profile = equilibrium.solve_multi(s).profile
     origin = s.time_origin
     horizon = fluid.default_horizon(profile, s.queues)
-    rows = []
+    ids, names, times, values = [], [], [], []
     for q in s.queues:
         qf = fluid.queue_fluid(profile, q, horizon)
         paths = {
@@ -160,9 +145,12 @@ def _cmd_fluid(args) -> int:
             "virtual_wait": qf.wait,
         }
         for name, path in paths.items():
-            for t, v in zip(path.times, path.values):
-                rows.append((q.id, name, float(t + origin), float(v)))
-    _write(args.out, csv_rows(["queue", "process", "t", "value"], rows))
+            ids += [q.id] * path.times.size
+            names += [name] * path.times.size
+            times.append(path.times + origin)
+            values.append(path.values)
+    columns = [ids, names, np.concatenate(times), np.concatenate(values)]
+    _write(args.out, csv_rows(["queue", "process", "t", "value"], columns))
     _summary(args, f"queues={s.n_queues}, window=[{fmt(horizon[0] + origin)}, {fmt(horizon[1] + origin)}]")
     return 0
 
@@ -182,24 +170,19 @@ def _cmd_simulate(args) -> int:
     )
     report = sim.convergence_report(s, profile, cfg)
 
-    origin = s.time_origin
-    rows = []
-    for rep, scaled in enumerate(report.scaled):
-        for q in s.queues:
-            for j, t in enumerate(grid):
-                rows.append(
-                    (
-                        rep,
-                        float(t + origin),
-                        q.id,
-                        float(scaled.arrivals[q.id][j]),
-                        float(scaled.queue_length[q.id][j]),
-                        float(scaled.busy_time[q.id][j]),
-                        float(scaled.virtual_wait[q.id][j]),
-                    )
-                )
+    # one row per (replication, queue, grid point), in that nesting order
+    ids = [q.id for q in s.queues]
+    reps = len(report.scaled)
+    columns = [
+        np.repeat(np.arange(reps), len(ids) * grid.size),
+        np.tile(grid + s.time_origin, reps * len(ids)),
+        np.tile(np.repeat(ids, grid.size), reps),
+    ] + [
+        np.concatenate([getattr(scaled, field)[i] for scaled in report.scaled for i in ids])
+        for field in ("arrivals", "queue_length", "busy_time", "virtual_wait")
+    ]
     header = ["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"]
-    _write(args.out, csv_rows(header, rows))
+    _write(args.out, csv_rows(header, columns))
     if args.out:
         summary_path = str(Path(args.out).with_suffix(".summary.json"))
         _write(summary_path, to_json(report.to_dict()))

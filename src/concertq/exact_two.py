@@ -102,13 +102,15 @@ class TwoUserEquilibrium:
         return _maybe_scalar(out, scalar)
 
     def routing(self, i: int, t) -> np.ndarray | float:
-        """Routing probability to queue i; constant mu_i / (mu1 + mu2) before
-        opening.  Diverges where the density vanishes (the support's right
-        endpoint) when the rates differ."""
+        """Routing probability to queue i, routed_density / density: constant
+        mu_i / (mu1 + mu2) before opening, divergent toward the right endpoint
+        when the rates differ, and the rate share mu_i / (mu1 + mu2) wherever
+        the density is not positive (the endpoint itself, outside the support)."""
         tt, scalar = _as_array(t)
         f = self.density(tt)
+        share = (self.mu1 if i == 1 else self.mu2) / self.rate_sum
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.routed_density(i, tt) / f
+            out = np.where(f > 0, self.routed_density(i, tt) / f, share)
         return _maybe_scalar(out, scalar)
 
     def queue_occupied_prob(self, i: int, t) -> np.ndarray | float:
@@ -120,6 +122,16 @@ class TwoUserEquilibrium:
         post = mu_i * (self.cost - self.beta * tt) / (self.alpha + self.beta)
         out = np.where(tt <= 0.0, pre, post)
         return _maybe_scalar(np.where(tt < self.t_first, 0.0, out), scalar)
+
+    def expected_cost(self, occupied, t) -> np.ndarray:
+        """Expected cost of arriving at time t at each queue:
+        (alpha + beta) (occupied / mu - min(t, 0)) + beta t, where
+        ``occupied[..., k]`` is the probability that queue k + 1 holds the
+        other user and t broadcasts against the leading axes."""
+        tt = np.asarray(t, dtype=float)[..., None]
+        rates = np.array([self.mu1, self.mu2])
+        wait = np.asarray(occupied, dtype=float) / rates - np.minimum(tt, 0.0)
+        return (self.alpha + self.beta) * wait + self.beta * tt
 
     def to_dict(self) -> dict:
         return {
@@ -187,8 +199,26 @@ class QueuePairState:
     rates: tuple[float, float]
     clamp_events: int = 0
 
-    def copy(self) -> "QueuePairState":
-        return QueuePairState(self.lengths.copy(), self.rates, self.clamp_events)
+
+def _euler_path(lengths, rates, inflow, dt, active) -> tuple[np.ndarray, int]:
+    """Forward Euler for the expected queue lengths, clamped to [0, 1].
+
+    Step j moves queue k by (inflow[j][k] - outflow) * dt[j], where the
+    outflow is rates[k] times the queue's length when active[j] and zero
+    otherwise; each clamp is counted.  Returns the path (the initial
+    ``lengths`` first) and the clamp count.  The arguments are Python floats
+    and lists: per-step numpy calls on two-element arrays cost far more than
+    the arithmetic.
+    """
+    state = list(lengths)
+    path = [state]
+    clamp_events = 0
+    for row, h, on in zip(inflow, dt, active):
+        stepped = [q + (a - (mu * q if on else 0.0)) * h for q, a, mu in zip(state, row, rates)]
+        state = [min(max(x, 0.0), 1.0) for x in stepped]
+        clamp_events += sum(c != x for c, x in zip(state, stepped))
+        path.append(state)
+    return np.array(path), clamp_events
 
 
 def expected_queue_ode_step(
@@ -206,16 +236,16 @@ def expected_queue_ode_step(
     expected length itself.  The state is clamped to [0, 1] and clamp events
     are counted rather than hidden.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    q = state.lengths
-    rates = np.asarray(state.rates, dtype=float)
-    inflow = np.asarray(routing, dtype=float) * profile_density
-    outflow = rates * q if service_active else np.zeros_like(q)
-    new_q = q + (inflow - outflow) * dt
-    clamped = np.clip(new_q, 0.0, 1.0)
-    events = state.clamp_events + int(np.sum(clamped != new_q))
-    return QueuePairState(clamped, state.rates, events)
+    inflow = [[r * profile_density for r in routing]]
+    lengths = np.asarray(state.lengths, dtype=float).tolist()
+    path, events = _euler_path(lengths, state.rates, inflow, [dt], [service_active])
+    return QueuePairState(path[-1], state.rates, state.clamp_events + events)
+
+
+# step of the grid on which min_density and routing_sum_residual are taken
+_COARSE_STEP = 1e-3
 
 
 def _euler_grid(t_first: float, t_last: float, dt: float) -> np.ndarray:
@@ -224,9 +254,7 @@ def _euler_grid(t_first: float, t_last: float, dt: float) -> np.ndarray:
     return ts[(ts >= t_first) & (ts <= t_last)]
 
 
-def two_user_diagnostics(
-    eq: TwoUserEquilibrium, ode_dt: float = 1e-4, grid_step: float = 1e-3
-) -> TwoUserDiagnostics:
+def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUserDiagnostics:
     """Quantify the closed form's internal consistency.
 
     * normalization_residual: |integral of the density - 1| (exact segment
@@ -234,16 +262,19 @@ def two_user_diagnostics(
     * min_density: infimum of the density over the support;
     * cost_flatness: range of the expected cost along the support, with the
       expected queue lengths obtained by integrating the dynamics under the
-      closed-form strategy (forward Euler, step ``ode_dt``);
+      closed-form strategy (forward Euler, step ``ode_dt``, which must be
+      positive and finite);
     * routing_sum_residual: sup |p_1 + p_2 - 1| over the support interior.
     """
+    if not (ode_dt > 0 and math.isfinite(ode_dt)):
+        raise DomainError(f"ode_dt must be positive and finite, got {ode_dt}")
     pre_mass = eq.gamma * eq.rate_sum * (-eq.t_first)
     f0 = float(eq.density(np.nextafter(0.0, 1.0)))
     fT = float(eq.density(eq.t_last))
     post_mass = 0.5 * (f0 + fT) * eq.t_last
     normalization_residual = abs(pre_mass + post_mass - 1.0)
 
-    coarse = _euler_grid(eq.t_first, eq.t_last, grid_step)
+    coarse = _euler_grid(eq.t_first, eq.t_last, _COARSE_STEP)
     interior = coarse[coarse < eq.t_last]
     min_density = float(np.min(eq.density(coarse)))
 
@@ -252,23 +283,13 @@ def two_user_diagnostics(
     routing_sum_residual = float(np.max(np.abs(p1 + p2 - 1.0)))
 
     ts = _euler_grid(eq.t_first, eq.t_last, ode_dt)
-
-    state = QueuePairState(np.zeros(2), (eq.mu1, eq.mu2))
-    costs = np.empty((ts.size, 2))
-    weight = eq.alpha + eq.beta
-    for idx, t in enumerate(ts):
-        wait = state.lengths / np.array([eq.mu1, eq.mu2]) - min(t, 0.0)
-        costs[idx] = weight * wait + eq.beta * t
-        if idx + 1 < ts.size:
-            step = ts[idx + 1] - t
-            density = float(eq.density(t))
-            routing = (
-                float(eq.routed_density(1, t) / density) if density > 0 else 0.5,
-                float(eq.routed_density(2, t) / density) if density > 0 else 0.5,
-            )
-            state = expected_queue_ode_step(
-                state, float(t), float(step), density, routing, service_active=t >= 0.0
-            )
+    starts = ts[:-1]
+    routing = np.column_stack((eq.routing(1, starts), eq.routing(2, starts)))
+    inflow = routing * eq.density(starts)[:, None]
+    path, _ = _euler_path(
+        [0.0, 0.0], (eq.mu1, eq.mu2), inflow.tolist(), np.diff(ts).tolist(), (starts >= 0.0).tolist()
+    )
+    costs = eq.expected_cost(path, ts)
     cost_flatness = float(np.max(costs.max(axis=0) - costs.min(axis=0)))
 
     return TwoUserDiagnostics(

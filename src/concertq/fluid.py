@@ -85,14 +85,6 @@ class PiecewisePath:
         ts = np.union1d(self.times, np.asarray(extra_times, dtype=float))
         return PiecewisePath(ts, self(ts), extend=self.extend)
 
-    def __add__(self, other: "PiecewisePath") -> "PiecewisePath":
-        ts = np.union1d(self.times, other.times)
-        mode = "const" if (self.extend == "const" and other.extend == "const") else "slope"
-        return PiecewisePath(ts, self(ts) + other(ts), extend=mode)
-
-    def shifted(self, dt: float) -> "PiecewisePath":
-        return PiecewisePath(self.times + dt, self.values, extend=self.extend)
-
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the path over [a, b]."""
         if b < a:

@@ -360,6 +360,9 @@ def optimal_serve_count(l: float, mu: float, tau: float, K: int) -> ServeSetResu
     one-queue-per-population reading breaks down and a warning is issued,
     but the minimizer is still returned.
     """
+    for name, v in (("l", l), ("mu", mu), ("tau", tau)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
     if l < 1:
         raise DomainError(f"need l >= 1, got {l}")
     if K < 1:

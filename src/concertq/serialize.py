@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def fmt(x: float) -> str:
     """17-significant-digit representation of a float (exact round trip)."""
@@ -68,15 +70,20 @@ def to_json(obj) -> str:
     return "".join(out)
 
 
-def csv_rows(header: list[str], rows) -> str:
-    """CSV text; float cells go through fmt, everything else through str."""
+def csv_rows(header: list[str], columns) -> str:
+    """CSV text from equal-length columns.  A float column is checked once
+    for non-finite values and formatted like fmt; other cells go through
+    str.  Cells are formatted row by row, so no column is held as strings."""
+    cells = []
+    for column in columns:
+        arr = np.asarray(column)
+        if arr.dtype.kind == "f":
+            finite = np.isfinite(arr)
+            if not finite.all():
+                raise ValueError(f"cannot serialize non-finite number {arr[~finite][0].item()!r}")
+            cells.append(format(x, ".17g") for x in arr.tolist())
+        else:
+            cells.append(map(str, column))
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(fmt(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     return "\n".join(lines) + "\n"

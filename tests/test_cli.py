@@ -336,3 +336,26 @@ def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
     capsys.readouterr()
     assert main(["verify", "--scenario", str(bad), "--profile", str(profile)]) == 1
     assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eq-two", "--ode-dt", "0"],
+        ["eq-two", "--ode-dt", "nan"],
+        ["eq-two", "--ode-dt", "-1"],
+        ["eq-two", "--trace-points", "-1"],
+        ["serve-count", "--l", "nan", "--mu", "1", "--tau", "0.1"],
+        ["serve-count", "--l", "7", "--mu", "inf", "--tau", "0.1"],
+        ["serve-count", "--l", "7", "--mu", "1", "--tau", "inf"],
+    ],
+)
+def test_out_of_domain_numbers_are_domain_errors(tmp_path, argv):
+    out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+    if argv[0] == "eq-two":
+        argv = [*argv, "--mu1", "1", "--mu2", "2", "--alpha", "1", "--beta", "1",
+                "--trace", str(trace)]
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == 1
+    assert_one_error_line(result.stderr)
+    assert not out.exists() and not trace.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import concertq as cq
-from concertq.exact_two import QueuePairState, expected_queue_ode_step
+from concertq.exact_two import QueuePairState, _euler_grid, _euler_path, expected_queue_ode_step
 
 # Regression pins for the symmetric reference case mu1=mu2=1, alpha=beta=1.
 # The closed form does not normalize: its density integrates to 2 exactly at
@@ -92,6 +92,25 @@ def test_equal_rates_route_evenly():
     assert np.allclose(eq.routing(1, ts), 0.5, atol=1e-12)
 
 
+def test_routing_falls_back_to_rate_share_where_density_vanishes():
+    eq = cq.solve_two_user(1.0, 2.0, 1.0, 1.0)
+    ts = np.array([eq.t_first - 1.0, eq.t_last, eq.t_last + 1.0])
+    assert np.all(eq.density(ts) == 0.0)
+    assert np.array_equal(eq.routing(1, ts), np.full(3, 1.0 / 3.0))
+    assert np.array_equal(eq.routing(2, ts), np.full(3, 2.0 / 3.0))
+
+
+def test_expected_cost_is_flat_under_closed_form_occupancy():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        eq = cq.solve_two_user(*random_params(rng))
+        ts = np.linspace(eq.t_first, eq.t_last, 41)
+        occupied = np.column_stack((eq.queue_occupied_prob(1, ts), eq.queue_occupied_prob(2, ts)))
+        costs = eq.expected_cost(occupied, ts)
+        assert costs.shape == (41, 2)
+        assert np.allclose(costs, eq.cost, rtol=0.0, atol=1e-12)
+
+
 def test_small_beta_shrinks_early_arrivals():
     # the incentive to come early vanishes with the tardiness weight
     t_firsts = [cq.solve_two_user(1, 1, 1, b).t_first for b in (1.0, 0.1, 0.001)]
@@ -142,8 +161,31 @@ def test_ode_step_counts_clamps():
 
 def test_ode_rejects_nonpositive_dt():
     state = QueuePairState(np.zeros(2), (1.0, 1.0))
-    with pytest.raises(cq.DomainError):
-        expected_queue_ode_step(state, 0.0, 0.0, 1.0, (0.5, 0.5), service_active=True)
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(cq.DomainError):
+            expected_queue_ode_step(state, 0.0, dt, 1.0, (0.5, 0.5), service_active=True)
+
+
+def test_ode_steps_reproduce_euler_path():
+    # (1, 2, 1, 1) at dt = 1e-3 drives queue 2 into the clamp 40 times
+    eq = cq.solve_two_user(1.0, 2.0, 1.0, 1.0)
+    ts = _euler_grid(eq.t_first, eq.t_last, 1e-3)
+    starts = ts[:-1]
+    density = eq.density(starts)
+    routing = np.column_stack((eq.routing(1, starts), eq.routing(2, starts)))
+    path, clamp_events = _euler_path(
+        [0.0, 0.0],
+        (eq.mu1, eq.mu2),
+        (routing * density[:, None]).tolist(),
+        np.diff(ts).tolist(),
+        (starts >= 0.0).tolist(),
+    )
+    state = QueuePairState(np.zeros(2), (eq.mu1, eq.mu2))
+    for t, dt, f, r in zip(starts, np.diff(ts), density, routing):
+        state = expected_queue_ode_step(state, float(t), float(dt), float(f), tuple(r), t >= 0.0)
+    assert path.shape == (ts.size, 2)
+    assert np.array_equal(path[-1], state.lengths)
+    assert clamp_events == state.clamp_events == 40
 
 
 def test_symmetric_ode_trajectories_match():
@@ -187,6 +229,29 @@ def test_diagnostics_symmetric_regression_pins():
     assert abs(d.cost_flatness - SYMMETRIC_COST_FLATNESS) <= 1e-6
     assert d.routing_sum_residual <= 1e-12
     assert abs(d.min_density) <= 1e-12
+
+
+# cost_flatness recorded before the Euler pass was restructured; every grid
+# point goes through the same float operations, so the values are exact.
+# (1, 2, 1, 1) has clamps binding; the last case, without clamps, also
+# changes if the order of the Euler update's arithmetic changes.
+@pytest.mark.parametrize(
+    "params, flatness",
+    [
+        ((1.0, 1.0, 1.0, 1.0), 0.00025433534532992574),
+        ((1.0, 2.0, 1.0, 1.0), 0.03923048454132627),
+        ((0.3, 3.0, 4.0, 0.2), 0.0031333952715330016),
+    ],
+)
+def test_diagnostics_cost_flatness_is_bit_exact(params, flatness):
+    eq = cq.solve_two_user(*params)
+    assert cq.two_user_diagnostics(eq, ode_dt=1e-3).cost_flatness == flatness
+
+
+@pytest.mark.parametrize("ode_dt", [0.0, -1e-3, math.nan, math.inf])
+def test_diagnostics_reject_bad_ode_dt(ode_dt):
+    with pytest.raises(cq.DomainError):
+        cq.two_user_diagnostics(symmetric_case(), ode_dt=ode_dt)
 
 
 def test_diagnostics_euler_convergence():

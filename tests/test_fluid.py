@@ -39,14 +39,6 @@ def test_path_eval_slope_extension():
     assert p(2.0) == 4.0
 
 
-def test_path_addition_merges_breakpoints():
-    a = path([0.0, 2.0], [0.0, 2.0])
-    b = path([1.0, 3.0], [1.0, 0.0])
-    c = a + b
-    ts = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
-    assert np.allclose(c(ts), a(ts) + b(ts))
-
-
 def test_path_integral_exact():
     p = path([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     assert p.integral(0.0, 2.0) == pytest.approx(1.0, abs=1e-15)
