@@ -40,6 +40,8 @@ class SolverError(DomainError):
 
 
 _MASS_RTOL = 1e-9
+# largest verifier grid: 64 times the default resolution of 1,025 points
+MAX_GRID_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -315,6 +317,14 @@ def verify_equilibrium(
     an equilibrium when every population's support cost is flat within
     ``tol`` and no off-support (queue, time) pair undercuts it by more than
     ``tol``.
+
+    The work is batched per queue: one wait path, and every population's
+    costs at the queue's B_k wait breakpoints and G grid points as one
+    (N, B_k + G) matrix, so the working set is O(N * (B_k + G)) per queue.
+    Only the support costs are kept across queues (the mean needs them; at
+    most one value per population and point on its support); the off-support
+    side keeps a running minimum.  A grid of more than ``MAX_GRID_POINTS``
+    points is refused with a DomainError before anything is allocated.
     """
     # explicit arguments override the scenario's options; Options validates both
     opts = replace(
@@ -335,43 +345,56 @@ def verify_equilibrium(
     window = (lo - 1.0, hi + 1.0)
     if grid_step is None:
         grid_step = (window[1] - window[0]) / 1024.0
+    if (window[1] - window[0]) / grid_step + 1.0 > MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid step {grid_step:g} puts more than {MAX_GRID_POINTS} points on the "
+            f"window [{window[0]:g}, {window[1]:g}]; use a coarser grid step"
+        )
     grid = np.arange(window[0], window[1] + 0.5 * grid_step, grid_step)
 
     horizon = fluid.default_horizon(profile, s.queues)
     horizon = (min(horizon[0], window[0] - 1.0), max(horizon[1], window[1] + 1.0))
-    # one wait path and one set of evaluation points per queue, shared by
-    # every population's cost curve there
-    per_queue = []
+
+    pops = s.populations
+    cols = profile.columns
+    pop_row = cols.population_positions(pops)  # a row of the cost matrix, or -1
+    support: list[list[np.ndarray]] = [[] for _ in pops]
+    off_min = np.full(len(pops), np.inf)
+    n_points = 0
+
     for q in s.queues:
         wait = fluid.queue_fluid(profile, q, horizon).wait
         ts = np.union1d(wait.times, grid)
-        per_queue.append((q, wait, ts[(ts >= window[0]) & (ts <= window[1])]))
+        ts = ts[(ts >= window[0]) & (ts <= window[1])]
+        n_points += len(pops) * ts.size
+        # the horizon reaches past the window, so ts lies inside wait's span
+        costs = _interp_rows(ts, wait.times, fluid.arrival_costs(pops, wait))
+        # a population's support: the points of ts inside one of its
+        # positive-mass segments at this queue (ts is sorted)
+        rows = cols.queue_rows(q.id)
+        rows = rows[(cols.mass[rows] > 0) & (pop_row[rows] >= 0)]
+        first = np.searchsorted(ts, cols.start[rows], side="left")
+        stop = np.searchsorted(ts, cols.end[rows], side="right")
+        in_support = np.zeros(costs.shape, dtype=bool)
+        for j, i0, i1 in zip(pop_row[rows].tolist(), first.tolist(), stop.tolist()):
+            in_support[j, i0:i1] = True
+        for j in set(pop_row[rows].tolist()):
+            support[j].append(costs[j][in_support[j]])
+        # min(x) - c == min(x - c): rounding is monotone
+        np.copyto(costs, np.inf, where=in_support)
+        off_min = np.minimum(off_min, costs.min(axis=1))
 
     deviations: dict[int, float] = {}
     gaps: dict[int, float] = {}
     support_costs: dict[int, float] = {}
-    n_points = 0
-
-    for pop in s.populations:
-        sup_vals: list[np.ndarray] = []
-        off_vals: list[np.ndarray] = []
-        for q, wait, ts in per_queue:
-            cs = fluid.arrival_cost(pop, wait)(ts)
-            n_points += ts.size
-            in_support = np.zeros(ts.shape, dtype=bool)
-            for seg in profile.pair_segments(pop.id, q.id):
-                if seg.mass > 0:
-                    in_support |= (ts >= seg.start) & (ts <= seg.end)
-            sup_vals.append(cs[in_support])
-            off_vals.append(cs[~in_support])
-        sup_all = np.concatenate(sup_vals) if sup_vals else np.array([])
-        off_all = np.concatenate(off_vals) if off_vals else np.array([])
-        if sup_all.size == 0:
+    for pop, kept, lowest_off in zip(pops, support, off_min.tolist()):
+        if not kept:
             raise DomainError(f"population {pop.id} has no support in the profile")
+        sup_all = np.concatenate(kept)
         c = float(np.mean(sup_all))
         support_costs[pop.id] = c
         deviations[pop.id] = float(np.max(np.abs(sup_all - c)))
-        gaps[pop.id] = float(np.min(off_all - c)) if off_all.size else np.inf
+        gaps[pop.id] = lowest_off - c
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()
@@ -385,3 +408,25 @@ def verify_equilibrium(
         grid_points=n_points,
         window=window,
     )
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, row)`` for every row of ``fp`` at once, bit for bit.
+
+    ``x`` must be sorted and inside [xp[0], xp[-1]], and ``xp`` must hold at
+    least two breakpoints.  Every value comes from np.interp's own formula:
+    the breakpoint value on a breakpoint, else slope * (x - xp[j]) + fp[j]
+    with slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) on the interval
+    [xp[j], xp[j + 1]) holding x.  Sorted points fill each interval in one
+    run, so each slope is spread over its run with np.repeat.
+    """
+    last = xp.size - 1
+    j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
+    left = np.minimum(j, last - 1)
+    runs = np.bincount(left, minlength=last)
+    out = np.repeat(np.diff(fp, axis=1) / np.diff(xp), runs, axis=1)
+    out *= x - xp[left]
+    out += np.repeat(fp[:, :-1], runs, axis=1)
+    on_breakpoint = np.flatnonzero((xp[j] == x) | (j == last))
+    out[:, on_breakpoint] = fp[:, j[on_breakpoint]]
+    return out

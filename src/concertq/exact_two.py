@@ -73,14 +73,15 @@ class TwoUserEquilibrium:
 
     def density(self, t) -> np.ndarray | float:
         """Arrival density: gamma (mu1 + mu2) before opening, affine after,
-        zero outside [t_first, t_last]."""
+        zero before t_first and from t_last on (the affine part vanishes at
+        t_last, where its rounded value can be a stray 1e-16)."""
         tt, scalar = _as_array(t)
         pre = self.gamma * self.rate_sum
         post = (self.gamma - 1.0) * self.rate_sum + self.rate_square_sum * (
             self.cost - self.beta * tt
         ) / (self.alpha + self.beta)
         out = np.where(tt <= 0.0, pre, post)
-        out = np.where((tt < self.t_first) | (tt > self.t_last), 0.0, out)
+        out = np.where((tt < self.t_first) | (tt >= self.t_last), 0.0, out)
         return _maybe_scalar(out, scalar)
 
     def routed_density(self, i: int, t) -> np.ndarray | float:

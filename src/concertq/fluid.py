@@ -44,13 +44,14 @@ class PiecewisePath:
     extend: str = "const"
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
+        # private copies: the caller's arrays must stay writeable
+        t = np.array(self.times, dtype=float, ndmin=1)
+        v = np.array(self.values, dtype=float, ndmin=1)
         if t.ndim != 1 or v.shape != t.shape or t.size == 0:
             raise ValueError("times and values must be matching 1-d arrays")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("breakpoints and values must be finite")
         if self.extend not in _EXTEND_MODES:
             raise ValueError(f"extend must be one of {_EXTEND_MODES}")
@@ -97,7 +98,7 @@ class PiecewisePath:
         return float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts)))
 
     def is_nondecreasing(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.values) >= -tol))
+        return bool((np.diff(self.values) >= -tol).all())
 
     # -- serialization ------------------------------------------------------
 
@@ -158,11 +159,13 @@ def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
     inserted wherever x falls back to a previously attained minimum, which is
     where psi switches from flat to increasing.
     """
-    t, v = x.times, x.values
+    # plain floats: the same IEEE arithmetic as numpy scalars, without their
+    # per-operation overhead
+    t, v = x.times.tolist(), x.values.tolist()
     running = max(0.0, -v[0])
     out_t = [t[0]]
     out_psi = [running]
-    for i in range(1, t.size):
+    for i in range(1, len(t)):
         g0, g1 = -v[i - 1], -v[i]
         if g1 > running:
             if g0 < running:
@@ -178,9 +181,10 @@ def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
         out_t.append(t[i])
         out_psi.append(running)
     psi = PiecewisePath(np.asarray(out_t), np.asarray(out_psi), extend="const")
-    # phi >= 0 exactly; np.maximum only absorbs rounding at binding points
+    # phi >= 0 exactly; np.maximum only absorbs rounding at binding points.
+    # psi's breakpoints lie inside x's span, where x is plain interpolation.
     phi = PiecewisePath(
-        psi.times, np.maximum(x(psi.times) + psi.values, 0.0), extend="const"
+        psi.times, np.maximum(np.interp(psi.times, x.times, x.values) + psi.values, 0.0)
     )
     return phi, psi
 
@@ -209,32 +213,78 @@ class Segment:
         return self.density * (self.end - self.start)
 
 
+@dataclass(frozen=True, eq=False)
+class ProfileColumns:
+    """Columnar view of an arrival profile: one read-only numpy column per
+    segment field, rows in profile order, and each queue's row numbers in
+    profile order (``queue_rows``)."""
+
+    pop: np.ndarray
+    queue: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    density: np.ndarray
+    mass: np.ndarray
+    rows_by_queue: dict[int, np.ndarray]
+
+    @classmethod
+    def build(cls, segments: tuple[Segment, ...]) -> "ProfileColumns":
+        pop = np.array([s.population for s in segments], dtype=np.int64)
+        queue = np.array([s.queue for s in segments], dtype=np.int64)
+        start = np.array([s.start for s in segments], dtype=float)
+        end = np.array([s.end for s in segments], dtype=float)
+        density = np.array([s.density for s in segments], dtype=float)
+        mass = density * (end - start)  # Segment.mass, row by row
+        # a stable sort keeps each queue's rows in profile order
+        order = np.argsort(queue, kind="stable")
+        ids, first = np.unique(queue[order], return_index=True)
+        rows_by_queue = dict(zip(ids.tolist(), np.split(order, first[1:])))
+        for col in (pop, queue, start, end, density, mass, *rows_by_queue.values()):
+            col.flags.writeable = False
+        return cls(pop, queue, start, end, density, mass, rows_by_queue)
+
+    def queue_rows(self, queue: int) -> np.ndarray:
+        """Row numbers of the queue's segments, in profile order."""
+        rows = self.rows_by_queue.get(queue)
+        return np.zeros(0, dtype=np.int64) if rows is None else rows
+
+    def population_positions(self, pops) -> np.ndarray:
+        """Each row's population as its position in ``pops`` (-1 if absent)."""
+        position = {p.id: i for i, p in enumerate(pops)}
+        return np.array([position.get(p, -1) for p in self.pop.tolist()], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class ArrivalProfile:
     """A collection of constant-density segments, one or more per
     (population, queue) pair.  The aggregate per-queue cumulative arrival
-    path is piecewise linear."""
+    path is piecewise linear.  Queries by queue read one columnar view,
+    ``columns``, built on first use."""
 
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
 
+    @cached_property
+    def columns(self) -> ProfileColumns:
+        return ProfileColumns.build(self.segments)
+
     @property
     def queue_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({s.queue for s in self.segments}))
+        return tuple(self.columns.rows_by_queue)
 
     @property
     def total_mass(self) -> float:
         return sum(s.mass for s in self.segments)
 
     def mass(self, population: int | None = None, queue: int | None = None) -> float:
-        return sum(
-            s.mass
-            for s in self.segments
-            if (population is None or s.population == population)
-            and (queue is None or s.queue == queue)
-        )
+        """Routed mass, summed in profile order (as the built-in ``sum`` adds)."""
+        cols = self.columns
+        rows = np.arange(len(self.segments)) if queue is None else cols.queue_rows(queue)
+        if population is not None:
+            rows = rows[cols.pop[rows] == population]
+        return sum(cols.mass[rows].tolist())
 
     def routing_masses(self) -> dict[tuple[int, int], float]:
         out: dict[tuple[int, int], float] = {}
@@ -249,41 +299,35 @@ class ArrivalProfile:
         return min(s.start for s in self.segments), max(s.end for s in self.segments)
 
     def first_arrival(self, queue: int) -> float:
-        starts = [s.start for s in self.segments if s.queue == queue and s.mass > 0]
-        if not starts:
+        rows = self.columns.queue_rows(queue)
+        starts = self.columns.start[rows[self.columns.mass[rows] > 0]]
+        if not starts.size:
             raise DomainError(f"no arrivals at queue {queue}")
-        return min(starts)
+        return float(starts.min())
 
     def queue_segments(self, queue: int) -> tuple[Segment, ...]:
-        return tuple(s for s in self.segments if s.queue == queue)
+        return tuple(self.segments[i] for i in self.columns.queue_rows(queue))
 
     def population_segments(self, population: int) -> tuple[Segment, ...]:
         return tuple(s for s in self.segments if s.population == population)
 
-    @cached_property
-    def _pair_index(self) -> dict[tuple[int, int], list[Segment]]:
-        index: dict[tuple[int, int], list[Segment]] = {}
-        for s in self.segments:
-            index.setdefault((s.population, s.queue), []).append(s)
-        return index
-
     def pair_segments(self, population: int, queue: int) -> tuple[Segment, ...]:
-        """Segments of one (population, queue) pair in profile order, from an
-        index built once in a single pass over the profile."""
-        return tuple(self._pair_index.get((population, queue), ()))
+        """Segments of one (population, queue) pair in profile order."""
+        rows = self.columns.queue_rows(queue)
+        return tuple(self.segments[i] for i in rows[self.columns.pop[rows] == population])
 
     def queue_cdf(self, queue: int) -> PiecewisePath:
         """Aggregate cumulative arrivals F_k at the queue, all populations."""
-        segs = self.queue_segments(queue)
-        if not segs:
+        cols = self.columns
+        rows = cols.queue_rows(queue)
+        if not rows.size:
             return PiecewisePath(np.array([0.0]), np.array([0.0]), extend="const")
-        ts = np.unique(
-            np.concatenate([[s.start for s in segs], [s.end for s in segs]])
-        )
-        vals = np.zeros_like(ts)
-        for s in segs:
-            vals += s.density * (np.clip(ts, s.start, s.end) - s.start)
-        return PiecewisePath(ts, vals, extend="const")
+        a, b = cols.start[rows, None], cols.end[rows, None]
+        ts = np.unique(np.concatenate((a, b), axis=None))
+        # one row per segment; an axis-0 reduce adds the rows one after
+        # another in profile order, starting from 0.0
+        per_segment = cols.density[rows, None] * (np.clip(ts, a, b) - a)
+        return PiecewisePath(ts, np.add.reduce(per_segment, axis=0, initial=0.0), extend="const")
 
     def shifted(self, dt: float) -> "ArrivalProfile":
         return ArrivalProfile(
@@ -385,17 +429,17 @@ def queue_fluid(
     cdf = profile.queue_cdf(q.id)
     x = netflow(cdf, q, horizon)
     phi, psi = reflect(x)
-    reg = psi.refine([q.t_start])
-    busy = np.maximum(reg.times - q.t_start, 0.0) - reg.values / q.mu
-    ql = phi.refine([q.t_start])
-    wait = ql.values / q.mu + np.maximum(q.t_start - ql.times, 0.0)
+    # the opening is a netflow breakpoint, so phi and psi already break there
+    ts = psi.times
+    busy = np.maximum(ts - q.t_start, 0.0) - psi.values / q.mu
+    wait = phi.values / q.mu + np.maximum(q.t_start - ts, 0.0)
     return QueueFluid(
         cdf=cdf,
         netflow=x,
         queue_length=phi,
         regulator=psi,
-        busy=PiecewisePath(reg.times, busy, extend="slope"),
-        wait=PiecewisePath(ql.times, wait, extend="const"),
+        busy=PiecewisePath(ts, busy, extend="slope"),
+        wait=PiecewisePath(ts, wait, extend="const"),
     )
 
 
@@ -428,11 +472,19 @@ def fluid_wait(
     return queue_fluid(profile, q, horizon).wait
 
 
+def arrival_costs(pops, wait: PiecewisePath) -> np.ndarray:
+    """Arrival costs (alpha + beta) * wait + beta * t at the breakpoints of
+    ``wait``, one row per population of ``pops``: every row is an affine map
+    of the one wait path."""
+    weights = np.array([p.weight for p in pops])[:, None]
+    betas = np.array([p.beta for p in pops])[:, None]
+    return weights * wait.values + betas * wait.times
+
+
 def arrival_cost(pop: PopulationSpec, wait: PiecewisePath) -> PiecewisePath:
     """Arrival cost (alpha + beta) * wait + beta * t of the population at a
     queue with virtual waiting time ``wait``."""
-    vals = pop.weight * wait.values + pop.beta * wait.times
-    return PiecewisePath(wait.times, vals, extend="slope")
+    return PiecewisePath(wait.times, arrival_costs([pop], wait)[0], extend="slope")
 
 
 def cost_curve(

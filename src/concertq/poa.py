@@ -80,22 +80,49 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     """Exact integral sum_{j,k} of cost_{j,k}(t) dF_{j,k}(t).
 
     The cost curves are piecewise linear and the densities piecewise
-    constant, so every term is a closed-form segment integral.
+    constant, so every term is a closed-form segment integral.  Each queue's
+    segments are integrated at once on its one wait path, and the terms are
+    added population by population, queue by queue, in profile order.
     """
     if not profile.segments:
         return 0.0
     horizon = fluid.default_horizon(profile, s.queues)
-    waits = {q.id: fluid.queue_fluid(profile, q, horizon).wait for q in s.queues}
+    cols = profile.columns
+    pop_row = cols.population_positions(s.populations)
+    rows, terms = [], []
+    for q in s.queues:
+        wait = fluid.queue_fluid(profile, q, horizon).wait
+        at_q = cols.queue_rows(q.id)
+        at_q = at_q[(cols.mass[at_q] > 0) & (pop_row[at_q] >= 0)]
+        costs = fluid.arrival_costs(s.populations, wait)[pop_row[at_q]]
+        integrals = _segment_integrals(wait.times, costs, cols.start[at_q], cols.end[at_q])
+        rows.append(at_q)
+        terms.append(cols.density[at_q] * integrals)
+    # rows come queue by queue in profile order; a stable sort by population
+    # gives the summation order population, queue, profile order
+    order = np.argsort(pop_row[np.concatenate(rows)], kind="stable")
     total = 0.0
-    for pop in s.populations:
-        for q in s.queues:
-            segs = [seg for seg in profile.pair_segments(pop.id, q.id) if seg.mass > 0]
-            if not segs:
-                continue
-            curve = fluid.arrival_cost(pop, waits[q.id])
-            for seg in segs:
-                total += seg.density * curve.integral(seg.start, seg.end)
+    for term in np.concatenate(terms)[order].tolist():
+        total += term
     return total
+
+
+def _segment_integrals(xp: np.ndarray, fp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integral of the path (xp, fp[r]) over [a[r], b[r]] for every row
+    r, with a < b inside [xp[0], xp[-1]]: the trapezoids between a, the
+    breakpoints strictly inside and b, summed as ``PiecewisePath.integral``
+    sums them (rows with the same number of trapezoids are one matrix)."""
+    first = np.searchsorted(xp, a, side="right")  # first breakpoint > a
+    inner = np.searchsorted(xp, b, side="left") - first  # breakpoints in (a, b)
+    out = np.empty(a.size)
+    for m in set(inner.tolist()):
+        sel = np.flatnonzero(inner == m)
+        ts = np.empty((sel.size, m + 2))
+        ts[:, 0], ts[:, -1] = a[sel], b[sel]
+        ts[:, 1:-1] = xp[first[sel, None] + np.arange(m)]
+        vs = np.array([np.interp(t, xp, f) for t, f in zip(ts, fp[sel])])
+        out[sel] = np.sum(0.5 * (vs[:, 1:] + vs[:, :-1]) * np.diff(ts, axis=1), axis=1)
+    return out
 
 
 def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
@@ -117,16 +144,18 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
     def capacity(t: float) -> float:
         return float(np.sum(mus * np.maximum(t - start_ts, 0.0)))
 
+    # C at every knot, computed once; C is nondecreasing, so the first knot
+    # whose capacity reaches a level is a binary search away
+    knot_caps = np.array([capacity(float(t)) for t in knots])
+
     def invert_capacity(mass: float) -> float:
         # find the knot interval containing the level, then invert linearly
-        idx = 0
-        while idx < knots.size and capacity(float(knots[idx])) < mass:
-            idx += 1
+        idx = int(np.searchsorted(knot_caps, mass))
         if idx == 0:
             return float(knots[0])
         left = float(knots[idx - 1])
         active = float(np.sum(mus[start_ts <= left]))
-        return left + (mass - capacity(left)) / active
+        return left + (mass - float(knot_caps[idx - 1])) / active
 
     boundaries = [float(knots[0])]
     cum = 0.0

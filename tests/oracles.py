@@ -1,0 +1,85 @@
+"""Per-(population, queue) reference forms of the batched verifier and
+social cost.
+
+Each population's cost curve is built as its own ``arrival_cost`` path and
+evaluated, masked and integrated pair by pair.  The library batches the same
+float operations per queue; tests assert that both agree exactly.
+"""
+
+import numpy as np
+
+from concertq import fluid
+from concertq.equilibrium import VerificationReport
+from concertq.model import DomainError
+
+
+def verify_pairwise(s, profile, grid_step=None, tol=None):
+    """``verify_equilibrium`` evaluated pair by pair (no option checks)."""
+    tol = s.options.tol if tol is None else tol
+    grid_step = s.options.grid_step if grid_step is None else grid_step
+    if not profile.segments or profile.total_mass <= 0:
+        raise DomainError("cannot verify an empty profile")
+    strays = [qid for qid in profile.queue_ids if qid not in {q.id for q in s.queues}]
+    if strays:
+        raise DomainError(f"profile routes mass to unknown queues {strays}")
+    lo, hi = profile.support_bounds()
+    window = (lo - 1.0, hi + 1.0)
+    if grid_step is None:
+        grid_step = (window[1] - window[0]) / 1024.0
+    grid = np.arange(window[0], window[1] + 0.5 * grid_step, grid_step)
+    horizon = fluid.default_horizon(profile, s.queues)
+    horizon = (min(horizon[0], window[0] - 1.0), max(horizon[1], window[1] + 1.0))
+    per_queue = []
+    for q in s.queues:
+        wait = fluid.queue_fluid(profile, q, horizon).wait
+        ts = np.union1d(wait.times, grid)
+        per_queue.append((q, wait, ts[(ts >= window[0]) & (ts <= window[1])]))
+
+    deviations, gaps, support_costs = {}, {}, {}
+    n_points = 0
+    for pop in s.populations:
+        sup_vals, off_vals = [], []
+        for q, wait, ts in per_queue:
+            cs = fluid.arrival_cost(pop, wait)(ts)
+            n_points += ts.size
+            in_support = np.zeros(ts.shape, dtype=bool)
+            for seg in profile.pair_segments(pop.id, q.id):
+                if seg.mass > 0:
+                    in_support |= (ts >= seg.start) & (ts <= seg.end)
+            sup_vals.append(cs[in_support])
+            off_vals.append(cs[~in_support])
+        sup_all = np.concatenate(sup_vals)
+        off_all = np.concatenate(off_vals)
+        if sup_all.size == 0:
+            raise DomainError(f"population {pop.id} has no support in the profile")
+        c = float(np.mean(sup_all))
+        support_costs[pop.id] = c
+        deviations[pop.id] = float(np.max(np.abs(sup_all - c)))
+        gaps[pop.id] = float(np.min(off_all - c)) if off_all.size else np.inf
+    ok = all(d <= tol for d in deviations.values()) and all(g >= -tol for g in gaps.values())
+    return VerificationReport(
+        max_support_cost_deviation=deviations,
+        min_off_support_cost_gap=gaps,
+        is_equilibrium=ok,
+        support_costs=support_costs,
+        tol=tol,
+        grid_points=n_points,
+        window=window,
+    )
+
+
+def social_cost_pairwise(s, profile):
+    """``social_cost`` with one ``arrival_cost`` path and one
+    ``PiecewisePath.integral`` per segment."""
+    if not profile.segments:
+        return 0.0
+    horizon = fluid.default_horizon(profile, s.queues)
+    waits = {q.id: fluid.queue_fluid(profile, q, horizon).wait for q in s.queues}
+    total = 0.0
+    for pop in s.populations:
+        for q in s.queues:
+            curve = fluid.arrival_cost(pop, waits[q.id])
+            for seg in profile.pair_segments(pop.id, q.id):
+                if seg.mass > 0:
+                    total += seg.density * curve.integral(seg.start, seg.end)
+    return total

@@ -359,3 +359,27 @@ def test_out_of_domain_numbers_are_domain_errors(tmp_path, argv):
     assert result.returncode == 1
     assert_one_error_line(result.stderr)
     assert not out.exists() and not trace.exists()
+
+
+def test_eq_two_trace_last_row_uses_the_rate_share(tmp_path):
+    # the density rounds to 3.9e-16 at t_last for these rates; routing there
+    # must fall back to the rate share, not divide by the rounding residue
+    trace = tmp_path / "trace.csv"
+    code = main(["eq-two", "--mu1", "0.7", "--mu2", "1.9", "--alpha", "2", "--beta", "0.4",
+                 "--trace", str(trace), "--out", str(tmp_path / "two.json")])
+    assert code == 0
+    last = trace.read_text().splitlines()[-1].split(",")
+    assert float(last[1]) == 0.0
+    assert float(last[2]) == 0.7 / (0.7 + 1.9)  # the rate share, 0.7 / 2.6 up to rounding
+
+
+def test_verify_rejects_a_grid_above_the_point_cap(scenarios):
+    d = scenarios["dir"]
+    profile, out = d / "p_cap.csv", d / "verify_cap.json"
+    main(["eq-single", "--scenario", str(scenarios["two"]), "--format", "csv", "--out", str(profile)])
+    result = run_cli("verify", "--scenario", str(scenarios["two"]), "--profile", str(profile),
+                     "--grid-step", "1e-12", "--out", str(out))
+    assert result.returncode == 1
+    assert_one_error_line(result.stderr)
+    assert "grid step" in result.stderr
+    assert not out.exists()

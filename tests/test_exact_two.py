@@ -64,6 +64,16 @@ def test_density_vanishes_at_last_arrival():
         assert abs(eq.density(eq.t_last)) <= 1e-9
 
 
+def test_density_is_exactly_zero_from_the_last_arrival_on():
+    rng = np.random.default_rng(31)
+    for params in [(0.7, 1.9, 2.0, 0.4)] + [random_params(rng) for _ in range(200)]:
+        eq = cq.solve_two_user(*params)
+        ts = np.array([eq.t_last, np.nextafter(eq.t_last, np.inf), eq.t_last + 1.0])
+        assert np.array_equal(eq.density(ts), np.zeros(3))
+        share = params[0] / (params[0] + params[1])
+        assert eq.routing(1, eq.t_last) == share
+
+
 def test_post_opening_density_affine_decreasing():
     rng = np.random.default_rng(4)
     for _ in range(25):

@@ -26,6 +26,15 @@ def test_path_requires_increasing_breakpoints():
         path([0.0, 0.0], [1.0, 2.0])
 
 
+def test_path_keeps_the_callers_arrays_writeable():
+    a = np.array([0.0, 1.0, 2.0])
+    p = PiecewisePath(a, a)
+    assert a.flags.writeable
+    a[1] = 5.0
+    assert p.times[1] == 1.0 and p.values[1] == 1.0
+    assert not p.times.flags.writeable and not p.values.flags.writeable
+
+
 def test_path_eval_const_extension():
     p = path([0.0, 1.0], [0.0, 2.0])
     assert p(-1.0) == 0.0
