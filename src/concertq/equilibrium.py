@@ -364,7 +364,7 @@ def verify_equilibrium(
 
     for q in s.queues:
         wait = fluid.queue_fluid(profile, q, horizon).wait
-        ts = np.union1d(wait.times, grid)
+        ts = fluid.sorted_unique(wait.times, grid)
         ts = ts[(ts >= window[0]) & (ts <= window[1])]
         n_points += len(pops) * ts.size
         # the horizon reaches past the window, so ts lies inside wait's span

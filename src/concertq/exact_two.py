@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fluid import sorted_unique
 from .model import DomainError
 
 
@@ -251,7 +252,7 @@ _COARSE_STEP = 1e-3
 
 def _euler_grid(t_first: float, t_last: float, dt: float) -> np.ndarray:
     ts = np.arange(t_first, t_last, dt)
-    ts = np.union1d(ts, [0.0, t_last])
+    ts = sorted_unique(ts, [0.0, t_last])
     return ts[(ts >= t_first) & (ts <= t_last)]
 
 

@@ -139,7 +139,7 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
     # cumulative service capacity C(t) = sum_k mu_k (t - t_start_k)_+
     start_ts = np.array([q.t_start for q in queues])
     mus = np.array([q.mu for q in queues])
-    knots = np.unique(start_ts)
+    knots = fluid.sorted_unique(start_ts)
 
     def capacity(t: float) -> float:
         return float(np.sum(mus * np.maximum(t - start_ts, 0.0)))

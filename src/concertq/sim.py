@@ -124,9 +124,7 @@ def sample_arrivals(
     qindex = {qid: j for j, qid in enumerate(queue_ids)}
 
     # interval decomposition of the union of segment supports
-    knots = np.unique(
-        np.concatenate([[s.start for s in segs], [s.end for s in segs]])
-    )
+    knots = fluid.sorted_unique([s.start for s in segs], [s.end for s in segs])
     density = np.zeros((knots.size - 1, len(queue_ids)))
     for s in segs:
         a = np.searchsorted(knots, s.start)

@@ -3,7 +3,11 @@ reference forms in ``oracles.py``, and the fluid bundle against paths
 recorded before the batching: every comparison is exact."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ import concertq as cq
 from concertq import equilibrium, fluid, poa
 from conftest import make_scenario, two_queue_worked_scenario, wide_scenario
 from oracles import social_cost_pairwise, verify_pairwise
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def ragged_scenario():
@@ -121,6 +127,39 @@ def test_interp_rows_is_np_interp_bit_for_bit(first, gaps, fractions, n_rows, se
     got = equilibrium._interp_rows(x, xp, fp)
     for row, values in zip(fp, got):
         assert np.interp(x, xp, row).tobytes() == values.tobytes()
+
+
+@given(
+    st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0),
+                      max_size=12), min_size=1, max_size=3)
+)
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_is_np_union1d(arrays):
+    expected = np.unique(np.concatenate(arrays, axis=None))
+    if len(arrays) == 2:
+        expected = np.union1d(*arrays)
+    got = fluid.sorted_unique(*arrays)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_analytic_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, some 20 ms per command
+    script = (
+        "import sys\n"
+        "from concertq.cli import main\n"
+        f"d = {str(tmp_path)!r}\n"
+        "open(d + '/s.json', 'w').write('{\"queues\":[{\"mu\":1,\"t_start\":0},"
+        "{\"mu\":1,\"t_start\":0.5}],\"populations\":[{\"alpha\":1,\"beta\":1}]}')\n"
+        "for argv in (['eq-single', '--format', 'csv', '--out', d + '/p.csv'],\n"
+        "             ['verify', '--profile', d + '/p.csv', '--out', d + '/v.json'],\n"
+        "             ['poa', '--out', d + '/poa.json'],\n"
+        "             ['fluid', '--profile', d + '/p.csv', '--out', d + '/f.csv']):\n"
+        "    assert main([argv[0], '--scenario', d + '/s.json', *argv[1:]]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
 
 
 # sha256 of every QueueFluid field (times, values, extension mode) of every
