@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import DomainError, ParseError, PopulationSpec, QueueSpec
 
-_EXTEND_MODES = ("const", "slope")
+_EXTEND_MODES = ("const", "slope", "wait")
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,11 @@ class PiecewisePath:
     ``times`` are strictly increasing breakpoints, ``values`` the function
     values there; the path interpolates linearly in between.  Outside the
     breakpoint span it either stays constant (``extend="const"``, the right
-    mode for CDF-like paths) or continues with the boundary segment slope
-    (``extend="slope"``, the right mode for netflow-like paths).
+    mode for CDF-like paths), continues with the boundary segment slope
+    (``extend="slope"``, the right mode for netflow-like paths), or rises by
+    one per unit of time into the past and stays constant into the future
+    (``extend="wait"``, the virtual wait of a queue that is empty and not yet
+    open before its first breakpoint and has drained after its last).
     """
 
     times: np.ndarray
@@ -67,7 +70,10 @@ class PiecewisePath:
         scalar = tt.ndim == 0
         tt = np.atleast_1d(tt)
         out = np.interp(tt, self.times, self.values)
-        if self.extend == "slope" and self.times.size > 1:
+        if self.extend == "wait":
+            left = tt < self.times[0]
+            out[left] = self.values[0] + (self.times[0] - tt[left])
+        elif self.extend == "slope" and self.times.size > 1:
             t0, t1 = self.times[0], self.times[-1]
             sl_left = (self.values[1] - self.values[0]) / (self.times[1] - self.times[0])
             sl_right = (self.values[-1] - self.values[-2]) / (self.times[-1] - self.times[-2])
@@ -105,12 +111,9 @@ class PiecewisePath:
     def to_csv(self) -> str:
         """CSV rows ``t,value`` at breakpoints; a header comment carries the
         extension mode."""
-        from .serialize import fmt
+        from .serialize import csv_rows
 
-        lines = [f"# extend={self.extend}", "t,value"]
-        for t, v in zip(self.times, self.values):
-            lines.append(f"{fmt(t)},{fmt(v)}")
-        return "\n".join(lines) + "\n"
+        return f"# extend={self.extend}\n" + csv_rows(["t", "value"], [self.times, self.values])
 
     @classmethod
     def from_csv(cls, text: str) -> "PiecewisePath":
@@ -215,6 +218,8 @@ class Segment:
     density: float
 
     def __post_init__(self):
+        if any(isinstance(x, bool) for x in (self.start, self.end, self.density)):
+            raise TypeError("bool is not a number here")
         if not (self.end >= self.start):
             raise DomainError(f"segment has end < start: {self}")
         if self.density < 0:
@@ -299,13 +304,6 @@ class ArrivalProfile:
             rows = rows[cols.pop[rows] == population]
         return sum(cols.mass[rows].tolist())
 
-    def routing_masses(self) -> dict[tuple[int, int], float]:
-        out: dict[tuple[int, int], float] = {}
-        for s in self.segments:
-            key = (s.population, s.queue)
-            out[key] = out.get(key, 0.0) + s.mass
-        return out
-
     def support_bounds(self) -> tuple[float, float]:
         if not self.segments:
             raise DomainError("empty profile has no support")
@@ -320,9 +318,6 @@ class ArrivalProfile:
 
     def queue_segments(self, queue: int) -> tuple[Segment, ...]:
         return tuple(self.segments[i] for i in self.columns.queue_rows(queue))
-
-    def population_segments(self, population: int) -> tuple[Segment, ...]:
-        return tuple(s for s in self.segments if s.population == population)
 
     def pair_segments(self, population: int, queue: int) -> tuple[Segment, ...]:
         """Segments of one (population, queue) pair in profile order."""
@@ -353,14 +348,13 @@ class ArrivalProfile:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
-        from .serialize import fmt
+        from .serialize import csv_rows
 
-        lines = ["pop,queue,a,b,density"]
-        for s in self.segments:
-            lines.append(
-                f"{s.population},{s.queue},{fmt(s.start)},{fmt(s.end)},{fmt(s.density)}"
-            )
-        return "\n".join(lines) + "\n"
+        cols = self.columns
+        return csv_rows(
+            ["pop", "queue", "a", "b", "density"],
+            [cols.pop, cols.queue, cols.start, cols.end, cols.density],
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "ArrivalProfile":
@@ -452,7 +446,7 @@ def queue_fluid(
         queue_length=phi,
         regulator=psi,
         busy=PiecewisePath(ts, busy, extend="slope"),
-        wait=PiecewisePath(ts, wait, extend="const"),
+        wait=PiecewisePath(ts, wait, extend="wait"),
     )
 
 

@@ -59,10 +59,6 @@ class QueueSpec:
                 f"queue {self.id}: t_start must be nonnegative and finite, got {self.t_start}"
             )
 
-    @property
-    def mean_service(self) -> float:
-        return 1.0 / self.mu
-
 
 @dataclass(frozen=True)
 class PopulationSpec:

@@ -7,6 +7,7 @@ same inputs produce byte-identical artifacts and round-trip exactly.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -70,20 +71,46 @@ def to_json(obj) -> str:
     return "".join(out)
 
 
+def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:
+    """``format(x, spec)`` of every value, as references to one string per
+    distinct ``key``: keys are sorted, the first of each run of equal keys
+    marks a distinct value, and a scatter of the run numbers maps every cell
+    back to its string.  Each distinct value is formatted once."""
+    order = np.argsort(key)
+    ranked = key[order]
+    new = np.empty(ranked.shape, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    inverse = np.empty(ranked.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    distinct = values[order[new]].tolist()
+    texts = np.array(list(map(format, distinct, repeat(spec, len(distinct)))), dtype=object)
+    return texts[inverse].tolist()
+
+
 def csv_rows(header: list[str], columns) -> str:
     """CSV text from equal-length columns.  A float column is checked once
-    for non-finite values and formatted like fmt; other cells go through
-    str.  Cells are formatted row by row, so no column is held as strings."""
+    for non-finite values and formatted like fmt, an integer column like str,
+    and any other column cell by cell through str.  A numeric column formats
+    each distinct value once (a float keyed on its bit pattern, so -0.0 keeps
+    its own text) and its cells share those strings."""
     cells = []
     for column in columns:
         arr = np.asarray(column)
         if arr.dtype.kind == "f":
+            arr = arr.astype(np.float64, copy=False)
             finite = np.isfinite(arr)
             if not finite.all():
                 raise ValueError(f"cannot serialize non-finite number {arr[~finite][0].item()!r}")
-            cells.append(format(x, ".17g") for x in arr.tolist())
+            cells.append(_distinct_text(arr, arr.view(np.int64), ".17g"))
+        elif arr.dtype.kind in "iu":
+            cells.append(_distinct_text(arr, arr, ""))
         else:
             cells.append(map(str, column))
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells, strict=True)))
-    return "\n".join(lines) + "\n"
+    # the text is the largest object here: let go of the cells before it is
+    # built, and end it with an empty line rather than a second copy + "\n"
+    del cells
+    lines.append("")
+    return "\n".join(lines)

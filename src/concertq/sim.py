@@ -87,22 +87,48 @@ def _route(
     ``density`` is the (I, K) per-interval density table with row sums
     ``total_density``, ``idx`` each draw's interval and ``v`` its uniform
     routing draw.  Draw i joins the first column whose cumulative routing
-    probability in its interval exceeds v[i]: the per-interval table is
-    built once and read column by column, so memory is O(n + I K).  A draw
-    at or above the row's last cumulative value (a rounding tail, the row
-    summing just below 1) joins the row's last queue with positive density.
+    probability in its interval exceeds v[i]: each row of cumulative
+    probabilities is nondecreasing, so one ``searchsorted`` per occupied
+    interval counts the columns at or below v, and memory is O(n + I K).  A
+    draw at or above the row's last cumulative value (a rounding tail, the
+    row summing just below 1) joins the row's last queue with positive
+    density.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         table = np.cumsum(density / total_density[:, None], axis=1)
     width = table.shape[1]
-    choice = np.zeros(v.size, dtype=np.intp)
-    for k in range(width):
-        choice += v >= table[idx, k]
+    # the draws grouped by interval: one sort, then each row's slice
+    by_interval = np.argsort(idx)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=table.shape[0]))))
+    choice = np.empty(v.size, dtype=np.intp)
+    for i in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+        draws = by_interval[bounds[i]:bounds[i + 1]]
+        choice[draws] = np.searchsorted(table[i], v[draws], side="right")
     tail = np.nonzero(choice == width)[0]
     if tail.size:
         last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
         choice[tail] = last_positive[idx[tail]]
     return choice
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys without NaN, from the
+    faster unstable argsort: only the indices inside each run of equal keys
+    are put back in increasing order, by one sort of (run, index) pairs."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if tied.size:
+        # equal keys are adjacent once sorted, so a run starts at each
+        # change of key among the positions that are tied to a neighbour
+        members = fluid.sorted_unique(tied, tied + 1)
+        member_keys = ranked[members]
+        starts = np.empty(members.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(member_keys[1:], member_keys[:-1], out=starts[1:])
+        run = np.cumsum(starts, dtype=np.int64) * keys.size
+        order[members] = np.sort(run + order[members]) - run
+    return order
 
 
 def sample_arrivals(
@@ -146,7 +172,7 @@ def sample_arrivals(
     choice = _route(density, total_density, idx, rng_q.random(n))
     queues = np.asarray(queue_ids, dtype=int)[choice]
 
-    order = np.argsort(times, kind="stable")
+    order = _stable_argsort(times)
     return times[order], queues[order]
 
 
@@ -210,10 +236,6 @@ class QueueRecord:
 
     def busy_time_at(self, grid: np.ndarray) -> np.ndarray:
         return _time_covered(*self._busy_periods(), grid)
-
-    def idle_time_at(self, grid: np.ndarray) -> np.ndarray:
-        """Non-serving time accumulated after the queue opens."""
-        return np.maximum(grid - self.t_start, 0.0) - self.busy_time_at(grid)
 
     def empty_time_at(self, grid: np.ndarray, origin: float) -> np.ndarray:
         """Time with nobody in the system, accumulated from ``origin``."""

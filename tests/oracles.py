@@ -1,9 +1,14 @@
-"""Per-(population, queue) reference forms of the batched verifier and
-social cost.
+"""Reference forms of batched library code.
 
-Each population's cost curve is built as its own ``arrival_cost`` path and
-evaluated, masked and integrated pair by pair.  The library batches the same
-float operations per queue; tests assert that both agree exactly.
+The verifier and the social cost: each population's cost curve is built as
+its own ``arrival_cost`` path and evaluated, masked and integrated pair by
+pair.  The library batches the same float operations per queue.
+
+The sampler: routing counts the cumulative columns one column at a time over
+all draws, and the event order is numpy's stable argsort.  The library
+searches each interval's row once and repairs an unstable argsort.
+
+Tests assert that both forms agree exactly.
 """
 
 import numpy as np
@@ -83,3 +88,24 @@ def social_cost_pairwise(s, profile):
                 if seg.mass > 0:
                     total += seg.density * curve.integral(seg.start, seg.end)
     return total
+
+
+def route_by_columns(density, total_density, idx, v):
+    """``sim._route`` as a count, over the K columns, of the cumulative
+    routing probabilities at or below each draw's v."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.cumsum(density / total_density[:, None], axis=1)
+    width = table.shape[1]
+    choice = np.zeros(v.size, dtype=np.intp)
+    for k in range(width):
+        choice += v >= table[idx, k]
+    tail = np.nonzero(choice == width)[0]
+    if tail.size:
+        last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
+        choice[tail] = last_positive[idx[tail]]
+    return choice
+
+
+def stable_argsort(keys):
+    """The sampler's event order: equal keys keep their index order."""
+    return np.argsort(keys, kind="stable")

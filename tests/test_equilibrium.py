@@ -246,9 +246,9 @@ def test_multi_ordering_and_no_gap_invariants():
             assert segs[-1].end == pytest.approx(eq.terminal_time, abs=1e-9)
         # population windows are disjoint with no holes across the network
         for i, pop in enumerate(s.populations, start=1):
-            psegs = eq.profile.population_segments(pop.id)
-            assert psegs, "every population arrives somewhere"
-            assert max(g.end for g in psegs) == pytest.approx(
+            ends = eq.profile.columns.end[eq.profile.columns.pop == pop.id]
+            assert ends.size, "every population arrives somewhere"
+            assert ends.max() == pytest.approx(
                 eq.arrival_epochs[i], abs=1e-9
             )
         # densities equal gamma * mu on their supports

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import concertq as cq
 from concertq import fluid, poa, sim
 from concertq.fluid import PiecewisePath, default_horizon, queue_fluid
+from concertq.serialize import fmt
 from conftest import make_scenario, two_queue_worked_scenario
 
 
@@ -54,6 +55,20 @@ def test_path_integral_exact():
     assert p.integral(0.5, 1.5) == pytest.approx(0.75, abs=1e-15)
     # integration into the constant extension
     assert p.integral(0.0, 3.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_path_eval_wait_extension():
+    p = path([0.0, 1.0, 2.0], [3.0, 1.0, 0.5], extend="wait")
+    assert p(-2.5) == 5.5
+    assert p(1.5) == 0.75
+    assert p(9.0) == 0.5
+
+
+def test_path_csv_is_the_per_cell_format():
+    p = path([-0.0, 0.5, 2.0], [1.0, -0.25, 1.0 / 3.0], extend="wait")
+    rows = [f"{fmt(t)},{fmt(v)}" for t, v in zip(p.times.tolist(), p.values.tolist())]
+    assert p.to_csv() == "\n".join(["# extend=wait", "t,value", *rows]) + "\n"
+    assert PiecewisePath.from_csv(p.to_csv()).extend == "wait"
 
 
 def test_path_csv_round_trip():
@@ -305,7 +320,8 @@ def test_arrival_profile_cdf_and_masses():
     assert F.is_nondecreasing()
     assert profile.mass(population=1) == pytest.approx(0.5)
     assert profile.first_arrival(1) == 0.0
-    assert profile.routing_masses()[(2, 1)] == pytest.approx(1.0)
+    cols = profile.columns
+    assert cols.mass[(cols.pop == 2) & (cols.queue == 1)].sum() == pytest.approx(1.0)
 
 
 def test_arrival_profile_csv_round_trip():
@@ -314,6 +330,25 @@ def test_arrival_profile_csv_round_trip():
     )
     again = cq.ArrivalProfile.from_csv(profile.to_csv())
     assert again == profile
+
+
+def test_arrival_profile_csv_is_the_per_cell_format():
+    segs = (
+        cq.Segment(2, 7, -0.0, 0.1, 1.0 / 3.0),
+        cq.Segment(1, 3, 1e-300, 0.2, 0),
+        cq.Segment(2, 3, -1.5, -0.0, 2.5),
+    )
+    rows = [f"{g.population},{g.queue},{fmt(g.start)},{fmt(g.end)},{fmt(g.density)}" for g in segs]
+    text = cq.ArrivalProfile(segs).to_csv()
+    assert text == "\n".join(["pop,queue,a,b,density", *rows]) + "\n"
+    assert cq.ArrivalProfile(()).to_csv() == "pop,queue,a,b,density\n"
+
+
+def test_segments_reject_bools_and_csv_rejects_non_finite_values():
+    with pytest.raises(TypeError, match="bool"):
+        cq.Segment(1, 1, 0.0, True, 0.5)
+    with pytest.raises(ValueError, match="cannot serialize non-finite number inf"):
+        cq.ArrivalProfile((cq.Segment(1, 1, 0.0, 1.0, np.inf),)).to_csv()
 
 
 def test_pair_segments_keep_profile_order():
@@ -401,3 +436,17 @@ def test_fluid_reference_reflects_each_queue_once(reflect_calls):
     reference = sim.fluid_reference(s, profile, sim.default_grid(profile, s, points=64))
     assert len(reflect_calls) == s.n_queues
     assert set(reference) == {"arrivals", "queue_length", "busy_time", "virtual_wait"}
+
+
+def test_fluid_wait_left_of_horizon_is_the_pre_opening_ray():
+    # before its horizon a queue is empty and not yet open, so the wait is
+    # t_start - t; past the horizon it has drained and the wait stays 0
+    s = two_queue_worked_scenario()
+    profile = cq.solve_multi(s).profile
+    q = s.queues[1]
+    w = cq.fluid_wait(profile, q)
+    assert w(-5.0) == pytest.approx(5.5, abs=1e-12)
+    wide = cq.fluid_wait(profile, q, (-50.0, 50.0))
+    ts = np.array([-40.0, -5.0, w.times[0] - 1e-3, w.times[-1] + 1e-3, 20.0, 45.0])
+    assert np.allclose(w(ts), wide(ts), rtol=0.0, atol=1e-12)
+    assert np.all(w(ts[3:]) == 0.0)

@@ -192,7 +192,7 @@ def test_validate_flags_gamma_ties():
 def test_scenario_accessors():
     s = make_scenario([(1.0, 0.0), (2.0, 0.5)], [{"alpha": 1, "beta": 1}])
     assert s.queue(2).mu == 2.0
-    assert s.queue(1).mean_service == 1.0
+    assert s.queue(1).mu == 1.0
     assert s.total_rate == 3.0
     with pytest.raises(KeyError):
         s.queue(5)

@@ -163,15 +163,17 @@ def test_analytic_commands_do_not_import_numpy_ma(tmp_path):
 
 
 # sha256 of every QueueFluid field (times, values, extension mode) of every
-# queue of the solver's profile, recorded before the fluid kernel was batched;
+# queue of the solver's profile, recorded before the fluid kernel was batched
+# and again when ``wait`` took the "wait" extension mode (its times and values
+# hashed as before, the mode string "const" reproduced the earlier digests);
 # "queue" gives each queue its own default horizon, "shared" one horizon for all
 QUEUE_FLUID_DIGESTS = {
-    ("wide", "queue"): "33a0fc5d569caa8e0c5acfa672290a36b9fb7d77a617d32bf1878504db853938",
-    ("wide", "shared"): "af3b0cdbdb083fa581cc644debb2dad2d4fac370e483a43c1f42120a0303e1b6",
-    ("worked", "queue"): "f4715070434337a5f1bfc590ea21f7c6b52c9b43a876b6195a5ea46849b712f1",
-    ("worked", "shared"): "6624280bff35acd8de0575509a491fb7cafbd2eec86057607942ea41dae5e0c7",
-    ("ragged", "queue"): "67cad7c8d1e94e748cdb1d67552dc25431701090f1eeae896299a6925b4858f8",
-    ("ragged", "shared"): "1284929f24e07032de086a6999c106c7c8b7585f9220c51c13e4b429a093489d",
+    ("wide", "queue"): "7ebab5e4a5f6be73aa4468e4ad3db6f3307910cd5edeb2228998c6d70f68de0c",
+    ("wide", "shared"): "0d61438e5dbfef81b8eb7b25e3b4c5cd03ba3ba597c9b859923ede6ed51e04a5",
+    ("worked", "queue"): "b7c7c02524e3aa69aa252b2b847a28aaffa2d881fe510fc8e223b6f6f437a4b6",
+    ("worked", "shared"): "9f74c0389b922e6a9e030b3529dbaaf11cf2180b234f596487a68fbcd9bc9a95",
+    ("ragged", "queue"): "b72b78880533ffd383b6bc222f30f3321c6d949cdb6f970930f9b912e21fbe7a",
+    ("ragged", "shared"): "871d616b539c830676d478ef0b135dbda62c74fd53b5f083bb38e7c4b73442ac",
 }
 BUILDERS = {"wide": wide_scenario, "worked": two_queue_worked_scenario, "ragged": ragged_scenario}
 FIELDS = ("cdf", "netflow", "queue_length", "regulator", "busy", "wait")

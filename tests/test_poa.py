@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -84,8 +85,8 @@ def test_optimal_reorders_populations_by_beta():
         [(1.0, 0.0)], [{"alpha": 1.0 / 3.0, "beta": 1.0}, {"alpha": 2, "beta": 2}]
     )
     profile, cost = cq.optimal_profile(s)
-    first_window = min(profile.population_segments(2), key=lambda g: g.start)
-    assert first_window.start == 0.0
+    cols = profile.columns
+    assert cols.start[cols.pop == 2].min() == 0.0
     # swapping the order must cost more: beta-weighted completion times
     swapped = sum(
         p.beta * 0.5 * (b * b - a * a)
@@ -123,6 +124,40 @@ def test_poa_single_queue_is_two():
     assert report.closed_form_eta == 2.0
     assert report.eta == pytest.approx(2.0, abs=1e-12)
     assert report.bound_satisfied
+
+
+@pytest.mark.parametrize(
+    "mu, t_start, alpha, beta, mass",
+    [
+        (1.0, 0.0, 1.0, 1.0, 1.0),
+        (0.7, 0.0, 2.0, 3.0, 1.0),
+        (2.2, 0.0, 0.5, 1.5, 2.5),
+        (4.0, 1.0, 3.0, 1.0, 0.4),
+    ],
+)
+def test_one_queue_is_the_single_queue_concert_game(mu, t_start, alpha, beta, mass):
+    # K=1 is the concert queueing game of Jain, Juneja and Shimkin: arrivals
+    # at density gamma * mu on [T - (T - t_start) / gamma, T], T = t_start + mass / mu,
+    # and a price of anarchy of exactly 2
+    s = make_scenario([(mu, t_start)], [{"alpha": alpha, "beta": beta, "mass": mass}])
+    q, pop = s.queues[0], s.populations[0]
+    T = q.t_start + mass / mu
+    closed = cq.ArrivalProfile(
+        (cq.Segment(pop.id, q.id, T - (T - q.t_start) / pop.gamma, T, pop.gamma * mu),)
+    )
+    assert closed.mass(queue=q.id) == pytest.approx(mu * (T - q.t_start), rel=1e-12)
+    solved = cq.solve_single(s).profile
+    assert len(solved.segments) == 1
+    got, want = (dataclasses.astuple(p.segments[0]) for p in (solved, closed))
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert cq.verify_equilibrium(s, closed).is_equilibrium
+    assert cq.verify_equilibrium(s, solved).is_equilibrium
+    report = cq.poa_single(s)
+    assert report.eta == pytest.approx(2.0, abs=1e-12)
+    assert cq.social_cost(s, closed) / report.j_opt == pytest.approx(2.0, abs=1e-12)
+    if mass == 1.0:
+        assert report.closed_form_eta == 2.0
 
 
 def test_poa_worked_scenario():

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from concertq import serialize
 from concertq.serialize import csv_rows, fmt
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def test_csv_rows_formats_each_column_by_type():
@@ -29,3 +34,33 @@ def test_csv_rows_rejects_non_finite_cells(bad):
 def test_csv_rows_rejects_ragged_columns():
     with pytest.raises(ValueError):
         csv_rows(["q", "x"], [[1, 2], np.array([0.5])])
+
+
+@given(st.lists(_FINITE, max_size=200), st.lists(_FINITE, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_csv_rows_matches_per_cell_format(values, pool):
+    # a free column, one drawn from a few values and a one-value column
+    free = np.asarray(values, dtype=float)
+    few = np.resize(np.asarray(pool, dtype=float), free.size)
+    one = np.full(free.size, pool[0])
+    ids = np.arange(free.size) % 3 - 1
+    text = csv_rows(["i", "x", "y", "z"], [ids, free, few, one])
+    rows = zip(ids.tolist(), free.tolist(), few.tolist(), one.tolist())
+    expected = ["i,x,y,z"] + [
+        f"{i},{format(x, '.17g')},{format(y, '.17g')},{format(z, '.17g')}" for i, x, y, z in rows
+    ]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_csv_rows_keeps_the_sign_of_zero():
+    column = np.array([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324])
+    tiny = "4.9406564584124654e-324"
+    assert csv_rows(["x"], [column]) == f"x\n0\n-0\n0\n-0\n{tiny}\n-{tiny}\n"
+
+
+def test_csv_cells_share_one_string_per_distinct_value():
+    values = np.array([0.5, 0.25, 0.5, -0.0, 0.25, 0.0])
+    cells = serialize._distinct_text(values, values.view(np.int64), ".17g")
+    assert cells == [format(x, ".17g") for x in values.tolist()]
+    assert cells[0] is cells[2] and cells[1] is cells[4]
+    assert cells[3] is not cells[5]
