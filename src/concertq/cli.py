@@ -78,10 +78,17 @@ def _cmd_eq(args, multi: bool) -> int:
     return 0
 
 
+def _load_profile(path: str, s) -> fluid.ArrivalProfile:
+    """The profile CSV at ``path`` in the scenario's shifted time, refused if
+    it routes mass to a queue the scenario does not have."""
+    profile = fluid.ArrivalProfile.from_csv(_read(path, "profile")).shifted(-s.time_origin)
+    profile.require_queues(s.queues)
+    return profile
+
+
 def _cmd_verify(args) -> int:
     s = _load_scenario(args)
-    text = _read(args.profile, "profile")
-    profile = fluid.ArrivalProfile.from_csv(text).shifted(-s.time_origin)
+    profile = _load_profile(args.profile, s)
     report = equilibrium.verify_equilibrium(s, profile)
     _write(args.out, to_json(report.to_dict()))
     _summary(args, f"is_equilibrium={str(report.is_equilibrium).lower()}")
@@ -127,8 +134,7 @@ def _cmd_eq_two(args) -> int:
 def _cmd_fluid(args) -> int:
     s = _load_scenario(args)
     if args.profile:
-        text = _read(args.profile, "profile")
-        profile = fluid.ArrivalProfile.from_csv(text).shifted(-s.time_origin)
+        profile = _load_profile(args.profile, s)
     else:
         s, _ = pruned_scenario(s)
         profile = equilibrium.solve_multi(s).profile

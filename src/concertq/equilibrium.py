@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fluid
-from .fluid import ArrivalProfile, Segment
+from .fluid import ArrivalProfile
 from .model import DomainError, Scenario, no_idling_terminal_time
 
 
@@ -222,7 +222,7 @@ def _solve(s: Scenario) -> EquilibriumProfile:
 
     routing: dict[tuple[int, int], float] = {}
     first_arrivals: dict[int, float] = {}
-    segments: list[Segment] = []
+    rows: list[tuple] = []  # (pop, queue, start, end, density)
     costs: dict[int, float] = {}
 
     for i, pop in enumerate(pops, start=1):
@@ -249,7 +249,7 @@ def _solve(s: Scenario) -> EquilibriumProfile:
             mass_check += p_mass
             if T[i] > first and p_mass > 0:
                 density = p_mass / (T[i] - first)
-                segments.append(Segment(pop.id, q.id, first, T[i], density))
+                rows.append((pop.id, q.id, first, T[i], density))
         if abs(mass_check - pop.mass) > _MASS_RTOL * max(1.0, pop.mass):
             raise SolverError(
                 f"population {pop.id} routes mass {mass_check:.15g} != {pop.mass:.15g}; "
@@ -258,9 +258,8 @@ def _solve(s: Scenario) -> EquilibriumProfile:
         costs[pop.id] = pop.weight * tau_i - pop.alpha * T[i]
 
     T[0] = min(first_arrivals.values())
-    profile = ArrivalProfile(tuple(segments))
     return EquilibriumProfile(
-        profile=profile,
+        profile=ArrivalProfile.from_rows(rows),
         terminal_time=T[N],
         arrival_epochs=tuple(T),
         service_epochs=tuple(taus),
@@ -334,12 +333,9 @@ def verify_equilibrium(
     )
     tol, grid_step = opts.tol, opts.grid_step
 
-    if not profile.segments or profile.total_mass <= 0:
+    if profile.total_mass <= 0:
         raise DomainError("cannot verify an empty profile")
-    known = {q.id for q in s.queues}
-    strays = [qid for qid in profile.queue_ids if qid not in known]
-    if strays:
-        raise DomainError(f"profile routes mass to unknown queues {strays}")
+    profile.require_queues(s.queues)
 
     lo, hi = profile.support_bounds()
     window = (lo - 1.0, hi + 1.0)
@@ -356,8 +352,7 @@ def verify_equilibrium(
     horizon = (min(horizon[0], window[0] - 1.0), max(horizon[1], window[1] + 1.0))
 
     pops = s.populations
-    cols = profile.columns
-    pop_row = cols.population_positions(pops)  # a row of the cost matrix, or -1
+    pop_row = profile.population_positions(pops)  # a row of the cost matrix, or -1
     support: list[list[np.ndarray]] = [[] for _ in pops]
     off_min = np.full(len(pops), np.inf)
     n_points = 0
@@ -371,10 +366,10 @@ def verify_equilibrium(
         costs = _interp_rows(ts, wait.times, fluid.arrival_costs(pops, wait))
         # a population's support: the points of ts inside one of its
         # positive-mass segments at this queue (ts is sorted)
-        rows = cols.queue_rows(q.id)
-        rows = rows[(cols.mass[rows] > 0) & (pop_row[rows] >= 0)]
-        first = np.searchsorted(ts, cols.start[rows], side="left")
-        stop = np.searchsorted(ts, cols.end[rows], side="right")
+        rows = profile.queue_rows(q.id)
+        rows = rows[(profile.row_mass[rows] > 0) & (pop_row[rows] >= 0)]
+        first = np.searchsorted(ts, profile.start[rows], side="left")
+        stop = np.searchsorted(ts, profile.end[rows], side="right")
         in_support = np.zeros(costs.shape, dtype=bool)
         for j, i0, i1 in zip(pop_row[rows].tolist(), first.tolist(), stop.tolist()):
             in_support[j, i0:i1] = True

@@ -161,7 +161,7 @@ def _cells(parts: list[str], kinds: tuple, where: str) -> list:
     except ValueError:
         names = ",".join(kind.__name__ for kind in kinds)
         raise ParseError(f"{where}: expected cells of types {names}") from None
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise ParseError(f"{where}: values must be finite")
     return vals
 
@@ -230,40 +230,70 @@ class Segment:
         return self.density * (self.end - self.start)
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileColumns:
-    """Columnar view of an arrival profile: one read-only numpy column per
-    segment field, rows in profile order, and each queue's row numbers in
-    profile order (``queue_rows``)."""
+class ArrivalProfile:
+    """Constant-density segments, one or more per (population, queue) pair,
+    stored as read-only numpy columns ``pop``, ``queue``, ``start``, ``end``
+    and ``density``, one row per segment in profile order.  Each row's mass
+    (``row_mass``) and each queue's rows are derived once.  Build it from
+    ``Segment`` records or with ``from_rows``; ``segments`` is the rows as
+    records, built on first use."""
 
-    pop: np.ndarray
-    queue: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    density: np.ndarray
-    mass: np.ndarray
-    rows_by_queue: dict[int, np.ndarray]
+    def __init__(self, segments=()):
+        rows = [(s.population, s.queue, s.start, s.end, s.density) for s in segments]
+        self._set_columns(*_transposed(rows))
 
     @classmethod
-    def build(cls, segments: tuple[Segment, ...]) -> "ProfileColumns":
-        pop = np.array([s.population for s in segments], dtype=np.int64)
-        queue = np.array([s.queue for s in segments], dtype=np.int64)
-        start = np.array([s.start for s in segments], dtype=float)
-        end = np.array([s.end for s in segments], dtype=float)
-        density = np.array([s.density for s in segments], dtype=float)
-        mass = density * (end - start)  # Segment.mass, row by row
+    def from_rows(cls, rows, lines=None) -> "ArrivalProfile":
+        """The profile with one row per (pop, queue, start, end, density)
+        tuple.  The DomainError for a row with end < start or negative
+        density names the first such row by its entry in ``lines`` (CSV line
+        numbers, say), else by its position."""
+        return cls.__new__(cls)._set_columns(*_transposed(rows), lines)
+
+    def _set_columns(self, pop, queue, start, end, density, lines=None) -> "ArrivalProfile":
+        self.pop = np.array(pop, dtype=np.int64)
+        self.queue = np.array(queue, dtype=np.int64)
+        self.start = np.array(start, dtype=float)
+        self.end = np.array(end, dtype=float)
+        self.density = np.array(density, dtype=float)
+        # Segment's checks, on every row at once
+        reversed_rows = ~(self.end >= self.start)
+        bad = reversed_rows | (self.density < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "end < start" if reversed_rows[i] else "negative density"
+            raise DomainError(f"profile row {i if lines is None else lines[i]} has {what}")
+        self.row_mass = self.density * (self.end - self.start)  # Segment.mass
         # a stable sort keeps each queue's rows in profile order
-        order = np.argsort(queue, kind="stable")
-        ids = sorted_unique(queue)
-        first = np.searchsorted(queue[order], ids)
-        rows_by_queue = dict(zip(ids.tolist(), np.split(order, first[1:])))
-        for col in (pop, queue, start, end, density, mass, *rows_by_queue.values()):
+        order = np.argsort(self.queue, kind="stable")
+        ids = sorted_unique(self.queue)
+        first = np.searchsorted(self.queue[order], ids)
+        self._rows_by_queue = dict(zip(ids.tolist(), np.split(order, first[1:])))
+        for col in (self.pop, self.queue, self.start, self.end, self.density, self.row_mass,
+                    *self._rows_by_queue.values()):
             col.flags.writeable = False
-        return cls(pop, queue, start, end, density, mass, rows_by_queue)
+        return self
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The rows as ``Segment`` records, in profile order."""
+        cols = (self.pop, self.queue, self.start, self.end, self.density)
+        return tuple(map(Segment, *(col.tolist() for col in cols)))
+
+    def __len__(self) -> int:
+        return self.pop.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArrivalProfile):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("pop", "queue", "start", "end", "density")
+        )
 
     def queue_rows(self, queue: int) -> np.ndarray:
         """Row numbers of the queue's segments, in profile order."""
-        rows = self.rows_by_queue.get(queue)
+        rows = self._rows_by_queue.get(queue)
         return np.zeros(0, dtype=np.int64) if rows is None else rows
 
     def population_positions(self, pops) -> np.ndarray:
@@ -271,94 +301,70 @@ class ProfileColumns:
         position = {p.id: i for i, p in enumerate(pops)}
         return np.array([position.get(p, -1) for p in self.pop.tolist()], dtype=np.int64)
 
-
-@dataclass(frozen=True)
-class ArrivalProfile:
-    """A collection of constant-density segments, one or more per
-    (population, queue) pair.  The aggregate per-queue cumulative arrival
-    path is piecewise linear.  Queries by queue read one columnar view,
-    ``columns``, built on first use."""
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    @cached_property
-    def columns(self) -> ProfileColumns:
-        return ProfileColumns.build(self.segments)
-
     @property
     def queue_ids(self) -> tuple[int, ...]:
-        return tuple(self.columns.rows_by_queue)
+        return tuple(self._rows_by_queue)
 
     @property
     def total_mass(self) -> float:
-        return sum(s.mass for s in self.segments)
+        return self.mass()
 
     def mass(self, population: int | None = None, queue: int | None = None) -> float:
         """Routed mass, summed in profile order (as the built-in ``sum`` adds)."""
-        cols = self.columns
-        rows = np.arange(len(self.segments)) if queue is None else cols.queue_rows(queue)
+        rows = np.arange(len(self)) if queue is None else self.queue_rows(queue)
         if population is not None:
-            rows = rows[cols.pop[rows] == population]
-        return sum(cols.mass[rows].tolist())
+            rows = rows[self.pop[rows] == population]
+        return sum(self.row_mass[rows].tolist())
 
     def support_bounds(self) -> tuple[float, float]:
-        if not self.segments:
+        if not len(self):
             raise DomainError("empty profile has no support")
-        return min(s.start for s in self.segments), max(s.end for s in self.segments)
+        return float(self.start.min()), float(self.end.max())
 
     def first_arrival(self, queue: int) -> float:
-        rows = self.columns.queue_rows(queue)
-        starts = self.columns.start[rows[self.columns.mass[rows] > 0]]
+        rows = self.queue_rows(queue)
+        starts = self.start[rows[self.row_mass[rows] > 0]]
         if not starts.size:
             raise DomainError(f"no arrivals at queue {queue}")
         return float(starts.min())
 
-    def queue_segments(self, queue: int) -> tuple[Segment, ...]:
-        return tuple(self.segments[i] for i in self.columns.queue_rows(queue))
-
-    def pair_segments(self, population: int, queue: int) -> tuple[Segment, ...]:
-        """Segments of one (population, queue) pair in profile order."""
-        rows = self.columns.queue_rows(queue)
-        return tuple(self.segments[i] for i in rows[self.columns.pop[rows] == population])
-
     def queue_cdf(self, queue: int) -> PiecewisePath:
         """Aggregate cumulative arrivals F_k at the queue, all populations."""
-        cols = self.columns
-        rows = cols.queue_rows(queue)
+        rows = self.queue_rows(queue)
         if not rows.size:
             return PiecewisePath(np.array([0.0]), np.array([0.0]), extend="const")
-        a, b = cols.start[rows, None], cols.end[rows, None]
+        a, b = self.start[rows, None], self.end[rows, None]
         ts = sorted_unique(a, b)
         # one row per segment; an axis-0 reduce adds the rows one after
         # another in profile order, starting from 0.0
-        per_segment = cols.density[rows, None] * (np.clip(ts, a, b) - a)
+        per_segment = self.density[rows, None] * (np.clip(ts, a, b) - a)
         return PiecewisePath(ts, np.add.reduce(per_segment, axis=0, initial=0.0), extend="const")
 
     def shifted(self, dt: float) -> "ArrivalProfile":
-        return ArrivalProfile(
-            tuple(
-                Segment(s.population, s.queue, s.start + dt, s.end + dt, s.density)
-                for s in self.segments
-            )
+        return ArrivalProfile.__new__(ArrivalProfile)._set_columns(
+            self.pop, self.queue, self.start + dt, self.end + dt, self.density
         )
+
+    def require_queues(self, queues) -> None:
+        """DomainError unless every row is at one of ``queues``."""
+        known = {q.id for q in queues}
+        strays = [qid for qid in self.queue_ids if qid not in known]
+        if strays:
+            raise DomainError(f"profile routes mass to unknown queues {strays}")
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
         from .serialize import csv_rows
 
-        cols = self.columns
         return csv_rows(
             ["pop", "queue", "a", "b", "density"],
-            [cols.pop, cols.queue, cols.start, cols.end, cols.density],
+            [self.pop, self.queue, self.start, self.end, self.density],
         )
 
     @classmethod
     def from_csv(cls, text: str) -> "ArrivalProfile":
-        segs = []
+        rows, lines = [], []
         for lineno, raw in enumerate(io.StringIO(text), start=1):
             row = raw.strip()
             if not row or row.startswith("#") or row.lower().startswith("pop,"):
@@ -367,9 +373,14 @@ class ArrivalProfile:
             where = f"bad profile row {lineno}: {row!r}"
             if len(parts) != 5:
                 raise ParseError(f"{where}: expected 5 cells")
-            cells = _cells(parts, (int, int, float, float, float), where)
-            segs.append(Segment(*cells))
-        return cls(tuple(segs))
+            rows.append(_cells(parts, (int, int, float, float, float), where))
+            lines.append(lineno)
+        return cls.from_rows(rows, lines)
+
+
+def _transposed(rows) -> list:
+    """The five columns of a list of profile rows."""
+    return list(zip(*rows)) or [()] * 5
 
 
 # -- fluid processes --------------------------------------------------------
@@ -383,7 +394,7 @@ def default_horizon(profile: ArrivalProfile, queues, pad: float = 1.0) -> tuple[
     mass/mu time units.
     """
     starts = [q.t_start for q in queues]
-    if profile.segments:
+    if len(profile):
         lo, hi = profile.support_bounds()
     else:
         lo, hi = min(starts), min(starts)
@@ -444,7 +455,8 @@ def queue_fluid(
         cdf=cdf,
         netflow=x,
         queue_length=phi,
-        regulator=psi,
+        # past the horizon a drained queue idles at rate mu: keep the last slope
+        regulator=PiecewisePath(ts, psi.values, extend="slope"),
         busy=PiecewisePath(ts, busy, extend="slope"),
         wait=PiecewisePath(ts, wait, extend="wait"),
     )

@@ -143,22 +143,6 @@ class Scenario:
     def total_mass(self) -> float:
         return sum(p.mass for p in self.populations)
 
-    @property
-    def total_rate(self) -> float:
-        return sum(q.mu for q in self.queues)
-
-    def queue(self, queue_id: int) -> QueueSpec:
-        for q in self.queues:
-            if q.id == queue_id:
-                return q
-        raise KeyError(f"no queue with id {queue_id}")
-
-    def population(self, pop_id: int) -> PopulationSpec:
-        for p in self.populations:
-            if p.id == pop_id:
-                return p
-        raise KeyError(f"no population with id {pop_id}")
-
     def without_queues(self, queue_ids) -> "Scenario":
         """Copy of the scenario with the given queues removed."""
         drop = set(queue_ids)

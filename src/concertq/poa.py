@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fluid
 from .equilibrium import SolverError, solve_multi, solve_single
-from .fluid import ArrivalProfile, Segment
+from .fluid import ArrivalProfile
 from .model import DomainError, Options, PopulationSpec, QueueSpec, Scenario, validate_scenario
 
 
@@ -84,20 +84,19 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     segments are integrated at once on its one wait path, and the terms are
     added population by population, queue by queue, in profile order.
     """
-    if not profile.segments:
+    if not len(profile):
         return 0.0
     horizon = fluid.default_horizon(profile, s.queues)
-    cols = profile.columns
-    pop_row = cols.population_positions(s.populations)
+    pop_row = profile.population_positions(s.populations)
     rows, terms = [], []
     for q in s.queues:
         wait = fluid.queue_fluid(profile, q, horizon).wait
-        at_q = cols.queue_rows(q.id)
-        at_q = at_q[(cols.mass[at_q] > 0) & (pop_row[at_q] >= 0)]
+        at_q = profile.queue_rows(q.id)
+        at_q = at_q[(profile.row_mass[at_q] > 0) & (pop_row[at_q] >= 0)]
         costs = fluid.arrival_costs(s.populations, wait)[pop_row[at_q]]
-        integrals = _segment_integrals(wait.times, costs, cols.start[at_q], cols.end[at_q])
+        integrals = _segment_integrals(wait.times, costs, profile.start[at_q], profile.end[at_q])
         rows.append(at_q)
-        terms.append(cols.density[at_q] * integrals)
+        terms.append(profile.density[at_q] * integrals)
     # rows come queue by queue in profile order; a stable sort by population
     # gives the summation order population, queue, profile order
     order = np.argsort(pop_row[np.concatenate(rows)], kind="stable")
@@ -163,7 +162,7 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
         cum += pop.mass
         boundaries.append(invert_capacity(cum))
 
-    segments: list[Segment] = []
+    rows: list[tuple] = []  # (pop, queue, start, end, density)
     cost = 0.0
     for i, pop in enumerate(order):
         w0, w1 = boundaries[i], boundaries[i + 1]
@@ -171,9 +170,9 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
             a = max(q.t_start, w0)
             b = w1
             if b > a:
-                segments.append(Segment(pop.id, q.id, a, b, q.mu))
+                rows.append((pop.id, q.id, a, b, q.mu))
                 cost += pop.beta * q.mu * 0.5 * (b * b - a * a)
-    return ArrivalProfile(tuple(segments)), cost
+    return ArrivalProfile.from_rows(rows), cost
 
 
 def _require_unpruned(s: Scenario, what: str) -> None:

@@ -143,19 +143,23 @@ def sample_arrivals(
     (seed, replication).  Memory is O(n + I K) for K queues and I knot
     intervals.
     """
-    segs = [s for s in profile.segments if s.mass > 0]
-    if not segs:
+    live = np.flatnonzero(profile.row_mass > 0)
+    if not live.size:
         raise DomainError("cannot sample from a profile with zero total mass")
     queue_ids = profile.queue_ids
-    qindex = {qid: j for j, qid in enumerate(queue_ids)}
+    start, end = profile.start[live], profile.end[live]
 
-    # interval decomposition of the union of segment supports
-    knots = fluid.sorted_unique([s.start for s in segs], [s.end for s in segs])
+    # interval decomposition of the union of segment supports; each cell
+    # adds its rows' densities in profile order, starting from 0.0
+    knots = fluid.sorted_unique(start, end)
     density = np.zeros((knots.size - 1, len(queue_ids)))
-    for s in segs:
-        a = np.searchsorted(knots, s.start)
-        b = np.searchsorted(knots, s.end)
-        density[a:b, qindex[s.queue]] += s.density
+    for a, b, k, d in zip(
+        np.searchsorted(knots, start).tolist(),
+        np.searchsorted(knots, end).tolist(),
+        np.searchsorted(queue_ids, profile.queue[live]).tolist(),
+        profile.density[live].tolist(),
+    ):
+        density[a:b, k] += d
     total_density = density.sum(axis=1)
     interval_mass = total_density * np.diff(knots)
     cum = np.concatenate(([0.0], np.cumsum(interval_mass)))
@@ -287,8 +291,7 @@ def run_des(
     times, queues = events
     if times.size and not np.all(np.diff(times) >= 0):
         raise DomainError("events must be sorted by time")
-    total_mass = sum(p.mass for p in s.populations)
-    mass_scale = total_mass / cfg.n
+    mass_scale = s.total_mass / cfg.n
 
     starts = [q.t_start for q in s.queues]
     t_origin = float(min(times.min() if times.size else min(starts), min(starts)))

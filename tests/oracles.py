@@ -8,14 +8,27 @@ The sampler: routing counts the cumulative columns one column at a time over
 all draws, and the event order is numpy's stable argsort.  The library
 searches each interval's row once and repairs an unstable argsort.
 
+The arrival profile: CSV rows parsed, shifted and tabulated one ``Segment``
+record at a time.  The library keeps the profile as numpy columns.
+
 Tests assert that both forms agree exactly.
 """
+
+import io
 
 import numpy as np
 
 from concertq import fluid
 from concertq.equilibrium import VerificationReport
-from concertq.model import DomainError
+from concertq.fluid import Segment
+from concertq.model import DomainError, ParseError
+
+
+def pair_segments(profile, population, queue):
+    """The profile's ``Segment`` records of one (population, queue) pair, in
+    profile order."""
+    rows = profile.queue_rows(queue)
+    return [profile.segments[i] for i in rows[profile.pop[rows] == population].tolist()]
 
 
 def verify_pairwise(s, profile, grid_step=None, tol=None):
@@ -48,7 +61,7 @@ def verify_pairwise(s, profile, grid_step=None, tol=None):
             cs = fluid.arrival_cost(pop, wait)(ts)
             n_points += ts.size
             in_support = np.zeros(ts.shape, dtype=bool)
-            for seg in profile.pair_segments(pop.id, q.id):
+            for seg in pair_segments(profile, pop.id, q.id):
                 if seg.mass > 0:
                     in_support |= (ts >= seg.start) & (ts <= seg.end)
             sup_vals.append(cs[in_support])
@@ -84,7 +97,7 @@ def social_cost_pairwise(s, profile):
     for pop in s.populations:
         for q in s.queues:
             curve = fluid.arrival_cost(pop, waits[q.id])
-            for seg in profile.pair_segments(pop.id, q.id):
+            for seg in pair_segments(profile, pop.id, q.id):
                 if seg.mass > 0:
                     total += seg.density * curve.integral(seg.start, seg.end)
     return total
@@ -109,3 +122,49 @@ def route_by_columns(density, total_density, idx, v):
 def stable_argsort(keys):
     """The sampler's event order: equal keys keep their index order."""
     return np.argsort(keys, kind="stable")
+
+
+def profile_segments_from_csv(text):
+    """``ArrivalProfile.from_csv`` one ``Segment`` per row: the same cell
+    checks and ParseError text, and Segment's own domain checks."""
+    segs = []
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        row = raw.strip()
+        if not row or row.startswith("#") or row.lower().startswith("pop,"):
+            continue
+        parts = row.split(",")
+        where = f"bad profile row {lineno}: {row!r}"
+        if len(parts) != 5:
+            raise ParseError(f"{where}: expected 5 cells")
+        segs.append(Segment(*fluid._cells(parts, (int, int, float, float, float), where)))
+    return segs
+
+
+def shifted_segments(segments, dt):
+    """Every segment moved by dt, one record at a time."""
+    return [Segment(g.population, g.queue, g.start + dt, g.end + dt, g.density) for g in segments]
+
+
+def segment_columns(segments):
+    """The five profile columns of the records, in record order."""
+    return (
+        np.array([g.population for g in segments], dtype=np.int64),
+        np.array([g.queue for g in segments], dtype=np.int64),
+        np.array([g.start for g in segments], dtype=float),
+        np.array([g.end for g in segments], dtype=float),
+        np.array([g.density for g in segments], dtype=float),
+    )
+
+
+def density_table_by_segments(profile):
+    """The sampler's (interval, queue) density table, one positive-mass
+    segment at a time in profile order."""
+    segs = [g for g in profile.segments if g.mass > 0]
+    qindex = {qid: j for j, qid in enumerate(profile.queue_ids)}
+    knots = np.union1d([g.start for g in segs], [g.end for g in segs])
+    density = np.zeros((knots.size - 1, len(qindex)))
+    for g in segs:
+        a = np.searchsorted(knots, g.start)
+        b = np.searchsorted(knots, g.end)
+        density[a:b, qindex[g.queue]] += g.density
+    return density

@@ -143,7 +143,8 @@ def test_criterion_4_multi_population():
         invariants_ok &= all(a < b for a, b in zip(taus, taus[1:]))
         invariants_ok &= all(a < b for a, b in zip(epochs, epochs[1:]))
         for q in sm.queues:
-            segs = sorted(eqm.profile.queue_segments(q.id), key=lambda g: g.start)
+            rows = eqm.profile.queue_rows(q.id)
+            segs = sorted((eqm.profile.segments[i] for i in rows), key=lambda g: g.start)
             pops = [g.population for g in segs]
             invariants_ok &= pops == sorted(pops)  # ordered by gamma
             for a, b in zip(segs, segs[1:]):

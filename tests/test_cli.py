@@ -284,14 +284,51 @@ def assert_one_error_line(stderr):
         "1,1,-0.75,0.75,nan",
     ],
 )
-def test_malformed_profile_csv_is_a_parse_error(scenarios, row):
+def test_malformed_profile_csv_is_a_parse_error(scenarios, capsys, row):
     bad = scenarios["dir"] / "bad_profile.csv"
     bad.write_text(f"pop,queue,a,b,density\n1,2,0.25,0.75,0.5\n{row}\n")
     for command in ("verify", "fluid"):
-        result = run_cli(command, "--scenario", str(scenarios["two"]), "--profile", str(bad))
-        assert result.returncode == 2
-        assert_one_error_line(result.stderr)
-        assert "row 3" in result.stderr
+        assert main([command, "--scenario", str(scenarios["two"]), "--profile", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "row 3" in err
+
+
+def test_malformed_profile_csv_exits_2_from_a_fresh_interpreter(scenarios):
+    bad = scenarios["dir"] / "bad_profile.csv"
+    bad.write_text("pop,queue,a,b,density\n1,2,0.25,0.75,0.5\n1,1,abc,0.75,0.5\n")
+    result = run_cli("verify", "--scenario", str(scenarios["two"]), "--profile", str(bad))
+    assert result.returncode == 2
+    assert_one_error_line(result.stderr)
+    assert "row 3" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [("1,1,0.75,-0.75,0.5", "end < start"), ("1,1,-0.75,0.75,-0.5", "negative density")],
+)
+def test_out_of_domain_profile_rows_name_their_row(scenarios, capsys, row, what):
+    bad = scenarios["dir"] / "bad_profile.csv"
+    bad.write_text(f"pop,queue,a,b,density\n1,2,0.25,0.75,0.5\n{row}\n")
+    for command in ("verify", "fluid"):
+        assert main([command, "--scenario", str(scenarios["two"]), "--profile", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "row 3" in err and what in err
+
+
+def test_profile_mass_at_an_unknown_queue_is_refused(scenarios, capsys):
+    # the fluid command used to drop the row's mass and exit 0
+    bad = scenarios["dir"] / "stray_profile.csv"
+    bad.write_text("pop,queue,a,b,density\n1,1,-0.75,0.75,0.5\n1,9,0.25,0.75,0.5\n")
+    out = scenarios["dir"] / "stray.out"
+    for command in ("verify", "fluid"):
+        argv = [command, "--scenario", str(scenarios["two"]), "--profile", str(bad), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "profile routes mass to unknown queues [9]" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -350,15 +387,22 @@ def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
         ["serve-count", "--l", "7", "--mu", "1", "--tau", "inf"],
     ],
 )
-def test_out_of_domain_numbers_are_domain_errors(tmp_path, argv):
+def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
     out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
     if argv[0] == "eq-two":
         argv = [*argv, "--mu1", "1", "--mu2", "2", "--alpha", "1", "--beta", "1",
                 "--trace", str(trace)]
-    result = run_cli(*argv, "--out", str(out))
+    assert main([*argv, "--out", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists() and not trace.exists()
+
+
+def test_out_of_domain_number_exits_1_from_a_fresh_interpreter(tmp_path):
+    out = tmp_path / "out.json"
+    result = run_cli("serve-count", "--l", "nan", "--mu", "1", "--tau", "0.1", "--out", str(out))
     assert result.returncode == 1
     assert_one_error_line(result.stderr)
-    assert not out.exists() and not trace.exists()
+    assert not out.exists()
 
 
 def test_eq_two_trace_last_row_uses_the_rate_share(tmp_path):

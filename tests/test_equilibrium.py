@@ -238,7 +238,8 @@ def test_multi_ordering_and_no_gap_invariants():
         assert all(a < b for a, b in zip(epochs, epochs[1:]))
         # per queue: support pieces are contiguous and ordered by population
         for q in s.queues:
-            segs = sorted(eq.profile.queue_segments(q.id), key=lambda g: g.start)
+            rows = eq.profile.queue_rows(q.id)
+            segs = sorted((eq.profile.segments[i] for i in rows), key=lambda g: g.start)
             pops = [g.population for g in segs]
             assert pops == sorted(pops)
             for a, b in zip(segs, segs[1:]):
@@ -246,15 +247,17 @@ def test_multi_ordering_and_no_gap_invariants():
             assert segs[-1].end == pytest.approx(eq.terminal_time, abs=1e-9)
         # population windows are disjoint with no holes across the network
         for i, pop in enumerate(s.populations, start=1):
-            ends = eq.profile.columns.end[eq.profile.columns.pop == pop.id]
+            ends = eq.profile.end[eq.profile.pop == pop.id]
             assert ends.size, "every population arrives somewhere"
             assert ends.max() == pytest.approx(
                 eq.arrival_epochs[i], abs=1e-9
             )
         # densities equal gamma * mu on their supports
+        pops = {p.id: p for p in s.populations}
+        mus = {q.id: q.mu for q in s.queues}
         for g in eq.profile.segments:
-            pop = s.population(g.population)
-            mu = s.queue(g.queue).mu
+            pop = pops[g.population]
+            mu = mus[g.queue]
             assert g.density == pytest.approx(pop.gamma * mu, rel=1e-9)
 
 

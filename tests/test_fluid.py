@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 import concertq as cq
 from concertq import fluid, poa, sim
 from concertq.fluid import PiecewisePath, default_horizon, queue_fluid
+from concertq.model import ParseError
 from concertq.serialize import fmt
 from conftest import make_scenario, two_queue_worked_scenario
+from oracles import profile_segments_from_csv, segment_columns, shifted_segments
 
 
 def path(ts, vs, extend="const"):
@@ -170,7 +172,7 @@ def piecewise_linear_paths(draw):
 
 
 @given(piecewise_linear_paths())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_reflect_matches_dense_grid_oracle(x):
     _, psi = cq.reflect(x)
     grid = np.linspace(x.times[0], x.times[-1], 2001)
@@ -182,7 +184,7 @@ def test_reflect_matches_dense_grid_oracle(x):
 
 
 @given(piecewise_linear_paths())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_reflect_structural_invariants(x):
     phi, psi = cq.reflect(x)
     assert np.all(phi.values >= 0.0)
@@ -320,8 +322,7 @@ def test_arrival_profile_cdf_and_masses():
     assert F.is_nondecreasing()
     assert profile.mass(population=1) == pytest.approx(0.5)
     assert profile.first_arrival(1) == 0.0
-    cols = profile.columns
-    assert cols.mass[(cols.pop == 2) & (cols.queue == 1)].sum() == pytest.approx(1.0)
+    assert profile.row_mass[(profile.pop == 2) & (profile.queue == 1)].sum() == pytest.approx(1.0)
 
 
 def test_arrival_profile_csv_round_trip():
@@ -360,9 +361,131 @@ def test_pair_segments_keep_profile_order():
         cq.Segment(2, 1, 1.0, 2.0, 0.75),
     )
     profile = cq.ArrivalProfile(segs)
-    assert profile.pair_segments(2, 1) == (segs[0], segs[2], segs[4])
-    assert profile.pair_segments(1, 1) == (segs[1],)
-    assert profile.pair_segments(1, 2) == ()
+
+    def pair_rows(population, queue):
+        rows = profile.queue_rows(queue)
+        return rows[profile.pop[rows] == population].tolist()
+
+    assert pair_rows(2, 1) == [0, 2, 4]
+    assert pair_rows(1, 1) == [1]
+    assert pair_rows(1, 2) == []
+    assert [profile.segments[i] for i in pair_rows(2, 1)] == [segs[0], segs[2], segs[4]]
+
+
+# -- the profile's columns are its storage ---------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300]),
+    st.integers(-1000, 1000).map(float),
+)
+
+
+def _int_text(x):
+    return str(int(x)) if x.is_integer() and abs(x) < 1e15 else repr(x)
+
+
+def _ordered(row):
+    pop, queue, a, b, density = row
+    return (pop, queue, min(a, b), max(a, b), density)
+
+
+# valid profile rows: end >= start, density >= 0 (-0.0 included)
+_PROFILE_ROWS = st.lists(
+    st.tuples(
+        st.integers(-3, 40),
+        st.integers(-3, 40),
+        _FLOATS,
+        _FLOATS,
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1.0]), st.floats(0.0, 1e6)),
+    ).map(_ordered),
+    max_size=12,
+)
+
+
+@st.composite
+def _profile_csv(draw):
+    """CSV text of valid rows, each float written as repr, fmt or an integer."""
+    lines = ["pop,queue,a,b,density"]
+    for pop, queue, *numbers in draw(_PROFILE_ROWS):
+        texts = [draw(st.sampled_from([repr, fmt, _int_text]))(x) for x in numbers]
+        lines.append(",".join([str(pop), str(queue), *texts]))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# note", "   "])))
+    return "\n".join(lines) + "\n"
+
+
+def _same_columns(profile, columns):
+    names = ("pop", "queue", "start", "end", "density")
+    return all(
+        getattr(profile, n).dtype == c.dtype and getattr(profile, n).tobytes() == c.tobytes()
+        for n, c in zip(names, columns)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_profile_csv())
+def test_columnar_csv_parse_is_the_segment_parse(text):
+    profile = cq.ArrivalProfile.from_csv(text)
+    assert _same_columns(profile, segment_columns(profile_segments_from_csv(text)))
+
+
+_CELL = st.text(alphabet="0123456789.-+eEinfa_x ", max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CELL, min_size=4, max_size=6), min_size=1, max_size=4))
+def test_columnar_csv_parse_refuses_what_the_segment_parse_refuses(rows):
+    text = "pop,queue,a,b,density\n" + "\n".join(",".join(r) for r in rows) + "\n"
+    try:
+        segs = profile_segments_from_csv(text)
+    except (ParseError, cq.DomainError) as exc:
+        with pytest.raises(type(exc)) as got:
+            cq.ArrivalProfile.from_csv(text)
+        if isinstance(exc, ParseError):
+            assert str(got.value) == str(exc)
+    else:
+        assert _same_columns(cq.ArrivalProfile.from_csv(text), segment_columns(segs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PROFILE_ROWS, _FLOATS)
+def test_shifted_is_the_per_segment_shift(rows, dt):
+    profile = cq.ArrivalProfile.from_rows(rows)
+    moved = shifted_segments(profile.segments, dt)
+    assert _same_columns(profile.shifted(dt), segment_columns(moved))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PROFILE_ROWS)
+def test_segments_view_rebuilds_the_same_columns(rows):
+    profile = cq.ArrivalProfile.from_rows(rows)
+    again = cq.ArrivalProfile(profile.segments)
+    assert _same_columns(again, segment_columns(profile.segments))
+    assert _same_columns(again, (profile.pop, profile.queue, profile.start, profile.end, profile.density))
+    assert again == profile
+
+
+def test_profile_columns_are_read_only_and_segments_cached():
+    profile = cq.ArrivalProfile.from_rows([(1, 2, 0.0, 1.0, 0.5), (2, 1, -1.0, 0.5, 0.25)])
+    for col in (profile.pop, profile.queue, profile.start, profile.end, profile.density, profile.row_mass):
+        assert not col.flags.writeable
+    assert profile.segments is profile.segments
+    assert profile.segments == (cq.Segment(1, 2, 0.0, 1.0, 0.5), cq.Segment(2, 1, -1.0, 0.5, 0.25))
+    assert len(profile) == 2 and len(cq.ArrivalProfile(())) == 0
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [((1, 1, 0.75, -0.75, 0.5), "end < start"), ((1, 1, -0.75, 0.75, -0.5), "negative density")],
+)
+def test_out_of_domain_rows_are_named(row, what):
+    rows = [(1, 2, 0.25, 0.75, 0.5), row, (1, 1, 0.0, -1.0, -1.0)]
+    with pytest.raises(cq.DomainError, match=f"profile row 1 has {what}"):
+        cq.ArrivalProfile.from_rows(rows)
+    text = "pop,queue,a,b,density\n" + "\n".join(",".join(map(repr, r)) for r in rows) + "\n"
+    with pytest.raises(cq.DomainError, match=f"profile row 3 has {what}"):
+        cq.ArrivalProfile.from_csv(text)
 
 
 # -- one fluid bundle per queue -------------------------------------------------
@@ -450,3 +573,16 @@ def test_fluid_wait_left_of_horizon_is_the_pre_opening_ray():
     ts = np.array([-40.0, -5.0, w.times[0] - 1e-3, w.times[-1] + 1e-3, 20.0, 45.0])
     assert np.allclose(w(ts), wide(ts), rtol=0.0, atol=1e-12)
     assert np.all(w(ts[3:]) == 0.0)
+
+
+def test_fluid_regulator_right_of_horizon_grows_at_the_service_rate():
+    # a drained queue idles at rate mu, so past the horizon the cumulative
+    # idleness keeps its last slope; it read 1.75 (held constant) at t=10
+    s = two_queue_worked_scenario()
+    profile = cq.solve_multi(s).profile
+    ts = np.arange(-20.0, 41.0)
+    for q in s.queues:
+        psi = cq.fluid_regulator(profile, q)
+        wide = cq.fluid_regulator(profile, q, (-50.0, 50.0))
+        assert np.allclose(psi(ts), wide(ts), rtol=0.0, atol=1e-12)
+    assert cq.fluid_regulator(profile, s.queues[0])(10.0) == pytest.approx(9.25, abs=1e-12)

@@ -191,10 +191,10 @@ def test_validate_flags_gamma_ties():
 
 def test_scenario_accessors():
     s = make_scenario([(1.0, 0.0), (2.0, 0.5)], [{"alpha": 1, "beta": 1}])
-    assert s.queue(2).mu == 2.0
-    assert s.queue(1).mu == 1.0
-    assert s.total_rate == 3.0
-    with pytest.raises(KeyError):
-        s.queue(5)
+    queues = {q.id: q for q in s.queues}
+    assert queues[2].mu == 2.0
+    assert queues[1].mu == 1.0
+    assert sum(q.mu for q in s.queues) == 3.0
+    assert 5 not in queues
     smaller = s.without_queues([2])
     assert smaller.n_queues == 1

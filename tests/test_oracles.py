@@ -164,16 +164,17 @@ def test_analytic_commands_do_not_import_numpy_ma(tmp_path):
 
 # sha256 of every QueueFluid field (times, values, extension mode) of every
 # queue of the solver's profile, recorded before the fluid kernel was batched
-# and again when ``wait`` took the "wait" extension mode (its times and values
-# hashed as before, the mode string "const" reproduced the earlier digests);
+# and again when ``wait`` took the "wait" extension mode and ``regulator`` the
+# "slope" mode (times and values hashed as before: with the mode string
+# "const" for each, the new code reproduced the earlier digests);
 # "queue" gives each queue its own default horizon, "shared" one horizon for all
 QUEUE_FLUID_DIGESTS = {
-    ("wide", "queue"): "7ebab5e4a5f6be73aa4468e4ad3db6f3307910cd5edeb2228998c6d70f68de0c",
-    ("wide", "shared"): "0d61438e5dbfef81b8eb7b25e3b4c5cd03ba3ba597c9b859923ede6ed51e04a5",
-    ("worked", "queue"): "b7c7c02524e3aa69aa252b2b847a28aaffa2d881fe510fc8e223b6f6f437a4b6",
-    ("worked", "shared"): "9f74c0389b922e6a9e030b3529dbaaf11cf2180b234f596487a68fbcd9bc9a95",
-    ("ragged", "queue"): "b72b78880533ffd383b6bc222f30f3321c6d949cdb6f970930f9b912e21fbe7a",
-    ("ragged", "shared"): "871d616b539c830676d478ef0b135dbda62c74fd53b5f083bb38e7c4b73442ac",
+    ("wide", "queue"): "5c6ce8b91e9edbf4387a172465dd12496991f65b3d45ad36986d90c04274aeb1",
+    ("wide", "shared"): "75d7ad70dfd0308e5be83605ba865fe7a18c7155433b494f9765ee258c66cb5d",
+    ("worked", "queue"): "abddeb43f702bc526d0d210b8d49ed4955b3c27f0f6297e46b7c4209ee713c50",
+    ("worked", "shared"): "b6444c88033caad9996125d9735b04d601e1751e3494bf4b9ce427c484b2b0a6",
+    ("ragged", "queue"): "0f4c72247ac7303fad431476c605982c3b2ea66854490c60c1810cc3e1c64a9f",
+    ("ragged", "shared"): "0f78eeacdb21865c2ac6eb83c7bf23ee44fd761d030ad057e1b97ba2580a2430",
 }
 BUILDERS = {"wide": wide_scenario, "worked": two_queue_worked_scenario, "ragged": ragged_scenario}
 FIELDS = ("cdf", "netflow", "queue_length", "regulator", "busy", "wait")
@@ -230,9 +231,9 @@ def test_columns_group_rows_by_queue_in_profile_order():
         cq.Segment(2, 3, 2.0, 3.0, 0.25),
         cq.Segment(2, 1, 0.0, 1.0, 1.0),
     )
-    cols = cq.ArrivalProfile(segs).columns
-    assert cols.queue_rows(3).tolist() == [0, 2]
-    assert cols.queue_rows(1).tolist() == [1, 3]
-    assert cols.queue_rows(2).tolist() == []
-    assert np.array_equal(cols.mass, [s.mass for s in segs])
-    assert not cols.start.flags.writeable
+    profile = cq.ArrivalProfile(segs)
+    assert profile.queue_rows(3).tolist() == [0, 2]
+    assert profile.queue_rows(1).tolist() == [1, 3]
+    assert profile.queue_rows(2).tolist() == []
+    assert np.array_equal(profile.row_mass, [s.mass for s in segs])
+    assert not profile.start.flags.writeable

@@ -38,8 +38,9 @@ def test_social_cost_matches_grid_quadrature():
     eq = cq.solve_single(s)
     # midpoint quadrature of cost against density as an independent route
     total = 0.0
+    queues = {q.id: q for q in s.queues}
     for seg in eq.profile.segments:
-        q = s.queue(seg.queue)
+        q = queues[seg.queue]
         curve = cq.cost_curve(s.populations[0], eq.profile, q)
         ts = np.linspace(seg.start, seg.end, 20001)
         mids = 0.5 * (ts[1:] + ts[:-1])
@@ -85,8 +86,7 @@ def test_optimal_reorders_populations_by_beta():
         [(1.0, 0.0)], [{"alpha": 1.0 / 3.0, "beta": 1.0}, {"alpha": 2, "beta": 2}]
     )
     profile, cost = cq.optimal_profile(s)
-    cols = profile.columns
-    assert cols.start[cols.pop == 2].min() == 0.0
+    assert profile.start[profile.pop == 2].min() == 0.0
     # swapping the order must cost more: beta-weighted completion times
     swapped = sum(
         p.beta * 0.5 * (b * b - a * a)

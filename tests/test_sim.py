@@ -14,7 +14,7 @@ from conftest import (
     two_queue_worked_scenario,
     wide_scenario,
 )
-from oracles import route_by_columns, stable_argsort
+from oracles import density_table_by_segments, route_by_columns, stable_argsort
 
 
 def equilibrium_profile(s):
@@ -145,6 +145,40 @@ def test_route_matches_the_column_count_oracle(build, monkeypatch):
     choice = sim._route(density, total_density, idx, v)
     assert np.array_equal(choice, route_by_columns(density, total_density, idx, v))
     assert np.all(density[idx, choice] > 0)
+
+
+# overlapping rows at one queue, rows out of time order, a zero-mass row and
+# a zero-density row: each cell sums several densities in profile order
+_OVERLAPPING = cq.ArrivalProfile.from_rows([
+    (1, 2, 0.1, 0.7, 0.3),
+    (2, 5, -0.4, 0.2, 1.0 / 3.0),
+    (1, 2, 0.0, 0.4, 0.7),
+    (3, 2, 0.2, 0.2, 4.0),
+    (2, 2, -0.4, 0.9, 0.1),
+    (3, 5, 0.3, 0.6, 0.0),
+    (1, 5, 0.05, 0.7, 2.0 / 7.0),
+])
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [_OVERLAPPING, equilibrium_profile(wide_scenario())],
+    ids=["overlapping", "wide"],
+)
+def test_density_table_is_the_per_segment_loop(profile, monkeypatch):
+    tables = []
+
+    def recording(density, total, idx, v):
+        tables.append((density, total))
+        return np.zeros(v.size, dtype=np.intp)
+
+    monkeypatch.setattr(sim, "_route", recording)
+    sim.sample_arrivals(profile, 16, seed=0)
+    density, total = tables[0]
+    expected = density_table_by_segments(profile)
+    assert density.shape == expected.shape
+    assert density.tobytes() == expected.tobytes()
+    assert total.tobytes() == expected.sum(axis=1).tobytes()
 
 
 def _third_tied(keys_and_pool):
