@@ -54,10 +54,6 @@ def _summary(args, text: str) -> None:
     print(text, file=sys.stderr if args.out is None else sys.stdout)
 
 
-def _profile_csv_external(profile: fluid.ArrivalProfile, origin: float) -> str:
-    return profile.shifted(origin).to_csv()
-
-
 def _cmd_eq(args, multi: bool) -> int:
     s = _load_scenario(args)
     s, report = pruned_scenario(s)
@@ -65,11 +61,12 @@ def _cmd_eq(args, multi: bool) -> int:
         print(f"note: {msg}", file=sys.stderr)
     eq = equilibrium.solve_multi(s) if multi else equilibrium.solve_single(s)
     origin = s.time_origin
+    profile_csv = eq.profile.shifted(origin).to_csv()
     if args.format == "csv":
-        _write(args.out, _profile_csv_external(eq.profile, origin))
+        _write(args.out, profile_csv)
     else:
         payload = eq.to_dict(time_origin=origin)
-        payload["profile_csv"] = _profile_csv_external(eq.profile, origin)
+        payload["profile_csv"] = profile_csv
         _write(args.out, to_json(payload))
     costs = ", ".join(
         f"c[{p}]={fmt(c)}" for p, c in sorted(eq.equilibrium_costs.items())
@@ -219,15 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
-    p = sub.add_parser("eq-single", help="single-population equilibrium")
-    common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=lambda a: _cmd_eq(a, multi=False))
-
-    p = sub.add_parser("eq-multi", help="multi-population equilibrium")
-    common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=lambda a: _cmd_eq(a, multi=True))
+    for kind, multi in (("single", False), ("multi", True)):
+        p = sub.add_parser(f"eq-{kind}", help=f"{kind}-population equilibrium")
+        common(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(fn=lambda a, multi=multi: _cmd_eq(a, multi))
 
     p = sub.add_parser("verify", help="best-response check of a profile CSV")
     common(p)
@@ -282,10 +275,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import DomainError, ParseError, PopulationSpec, QueueSpec
 
-_EXTEND_MODES = ("const", "slope", "wait")
+_EXTEND_MODES = ("const", "slope", "wait", "idle")
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,10 @@ class PiecewisePath:
     (``extend="slope"``, the right mode for netflow-like paths), or rises by
     one per unit of time into the past and stays constant into the future
     (``extend="wait"``, the virtual wait of a queue that is empty and not yet
-    open before its first breakpoint and has drained after its last).
+    open before its first breakpoint and has drained after its last), or stays
+    constant into the past and keeps its last slope into the future
+    (``extend="idle"``, the cumulative idleness of a queue: none before it
+    opens, growing at its service rate once it has drained).
     """
 
     times: np.ndarray
@@ -73,13 +76,13 @@ class PiecewisePath:
         if self.extend == "wait":
             left = tt < self.times[0]
             out[left] = self.values[0] + (self.times[0] - tt[left])
-        elif self.extend == "slope" and self.times.size > 1:
+        elif self.extend in ("slope", "idle") and self.times.size > 1:
             t0, t1 = self.times[0], self.times[-1]
             sl_left = (self.values[1] - self.values[0]) / (self.times[1] - self.times[0])
             sl_right = (self.values[-1] - self.values[-2]) / (self.times[-1] - self.times[-2])
             left = tt < t0
             right = tt > t1
-            if np.any(left):
+            if np.any(left) and self.extend == "slope":
                 out[left] = self.values[0] + sl_left * (tt[left] - t0)
             if np.any(right):
                 out[right] = self.values[-1] + sl_right * (tt[right] - t1)
@@ -243,14 +246,13 @@ class ArrivalProfile:
         self._set_columns(*_transposed(rows))
 
     @classmethod
-    def from_rows(cls, rows, lines=None) -> "ArrivalProfile":
+    def from_rows(cls, rows) -> "ArrivalProfile":
         """The profile with one row per (pop, queue, start, end, density)
-        tuple.  The DomainError for a row with end < start or negative
-        density names the first such row by its entry in ``lines`` (CSV line
-        numbers, say), else by its position."""
-        return cls.__new__(cls)._set_columns(*_transposed(rows), lines)
+        tuple; DomainError naming the first row, by position, with end <
+        start or negative density."""
+        return cls.__new__(cls)._set_columns(*_transposed(rows))
 
-    def _set_columns(self, pop, queue, start, end, density, lines=None) -> "ArrivalProfile":
+    def _set_columns(self, pop, queue, start, end, density) -> "ArrivalProfile":
         self.pop = np.array(pop, dtype=np.int64)
         self.queue = np.array(queue, dtype=np.int64)
         self.start = np.array(start, dtype=float)
@@ -262,7 +264,7 @@ class ArrivalProfile:
         if bad.any():
             i = int(np.argmax(bad))
             what = "end < start" if reversed_rows[i] else "negative density"
-            raise DomainError(f"profile row {i if lines is None else lines[i]} has {what}")
+            raise DomainError(f"profile row {i} has {what}")
         self.row_mass = self.density * (self.end - self.start)  # Segment.mass
         # a stable sort keeps each queue's rows in profile order
         order = np.argsort(self.queue, kind="stable")
@@ -273,6 +275,12 @@ class ArrivalProfile:
                     *self._rows_by_queue.values()):
             col.flags.writeable = False
         return self
+
+    def __setattr__(self, name, value):
+        # read-only once built (_set_columns sets _rows_by_queue last)
+        if "_rows_by_queue" in vars(self):
+            raise AttributeError(f"cannot set {name}: ArrivalProfile is read-only")
+        super().__setattr__(name, value)
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
@@ -364,7 +372,7 @@ class ArrivalProfile:
 
     @classmethod
     def from_csv(cls, text: str) -> "ArrivalProfile":
-        rows, lines = [], []
+        rows = []
         for lineno, raw in enumerate(io.StringIO(text), start=1):
             row = raw.strip()
             if not row or row.startswith("#") or row.lower().startswith("pop,"):
@@ -373,9 +381,13 @@ class ArrivalProfile:
             where = f"bad profile row {lineno}: {row!r}"
             if len(parts) != 5:
                 raise ParseError(f"{where}: expected 5 cells")
-            rows.append(_cells(parts, (int, int, float, float, float), where))
-            lines.append(lineno)
-        return cls.from_rows(rows, lines)
+            pop, queue, a, b, density = _cells(parts, (int, int, float, float, float), where)
+            # Segment's checks row by row: the first fault in file order wins
+            if not (b >= a) or density < 0:
+                what = "negative density" if b >= a else "end < start"
+                raise DomainError(f"profile row {lineno} has {what}")
+            rows.append((pop, queue, a, b, density))
+        return cls.from_rows(rows)
 
 
 def _transposed(rows) -> list:
@@ -455,8 +467,7 @@ def queue_fluid(
         cdf=cdf,
         netflow=x,
         queue_length=phi,
-        # past the horizon a drained queue idles at rate mu: keep the last slope
-        regulator=PiecewisePath(ts, psi.values, extend="slope"),
+        regulator=PiecewisePath(ts, psi.values, extend="idle"),
         busy=PiecewisePath(ts, busy, extend="slope"),
         wait=PiecewisePath(ts, wait, extend="wait"),
     )

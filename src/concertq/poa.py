@@ -165,10 +165,9 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
     rows: list[tuple] = []  # (pop, queue, start, end, density)
     cost = 0.0
     for i, pop in enumerate(order):
-        w0, w1 = boundaries[i], boundaries[i + 1]
+        w0, b = boundaries[i], boundaries[i + 1]
         for q in queues:
             a = max(q.t_start, w0)
-            b = w1
             if b > a:
                 rows.append((pop.id, q.id, a, b, q.mu))
                 cost += pop.beta * q.mu * 0.5 * (b * b - a * a)

@@ -317,6 +317,18 @@ def test_out_of_domain_profile_rows_name_their_row(scenarios, capsys, row, what)
         assert "row 3" in err and what in err
 
 
+def test_an_out_of_domain_row_before_a_malformed_row_is_the_error(scenarios, capsys):
+    # the first fault in file order decides the error, as it did when each
+    # row built a Segment as it was read
+    bad = scenarios["dir"] / "bad_profile.csv"
+    bad.write_text("pop,queue,a,b,density\n1,2,0.25,0.75,0.5\n1,1,0.75,-0.75,0.5\n1,1,abc,0.75,0.5\n")
+    for command in ("verify", "fluid"):
+        assert main([command, "--scenario", str(scenarios["two"]), "--profile", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "row 3 has end < start" in err
+
+
 def test_profile_mass_at_an_unknown_queue_is_refused(scenarios, capsys):
     # the fluid command used to drop the row's mass and exit 0
     bad = scenarios["dir"] / "stray_profile.csv"

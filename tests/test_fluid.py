@@ -172,7 +172,7 @@ def piecewise_linear_paths(draw):
 
 
 @given(piecewise_linear_paths())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_reflect_matches_dense_grid_oracle(x):
     _, psi = cq.reflect(x)
     grid = np.linspace(x.times[0], x.times[-1], 2001)
@@ -184,7 +184,7 @@ def test_reflect_matches_dense_grid_oracle(x):
 
 
 @given(piecewise_linear_paths())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_reflect_structural_invariants(x):
     phi, psi = cq.reflect(x)
     assert np.all(phi.values >= 0.0)
@@ -431,10 +431,14 @@ def test_columnar_csv_parse_is_the_segment_parse(text):
 
 
 _CELL = st.text(alphabet="0123456789.-+eEinfa_x ", max_size=5)
+# rows of well-formed cells, often with end < start or a negative density
+_NUMERIC_ROW = st.tuples(
+    *[st.sampled_from(["1", "2"])] * 2, *[st.sampled_from(["1", "-1", "0.5", "-0.0", "1e-300"])] * 3
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_CELL, min_size=4, max_size=6), min_size=1, max_size=4))
+@given(st.lists(st.one_of(st.lists(_CELL, min_size=4, max_size=6), _NUMERIC_ROW), min_size=1, max_size=4))
 def test_columnar_csv_parse_refuses_what_the_segment_parse_refuses(rows):
     text = "pop,queue,a,b,density\n" + "\n".join(",".join(r) for r in rows) + "\n"
     try:
@@ -444,6 +448,9 @@ def test_columnar_csv_parse_refuses_what_the_segment_parse_refuses(rows):
             cq.ArrivalProfile.from_csv(text)
         if isinstance(exc, ParseError):
             assert str(got.value) == str(exc)
+        else:
+            what = "end < start" if "end < start" in str(exc) else "negative density"
+            assert what in str(got.value)
     else:
         assert _same_columns(cq.ArrivalProfile.from_csv(text), segment_columns(segs))
 
@@ -471,6 +478,8 @@ def test_profile_columns_are_read_only_and_segments_cached():
     for col in (profile.pop, profile.queue, profile.start, profile.end, profile.density, profile.row_mass):
         assert not col.flags.writeable
     assert profile.segments is profile.segments
+    with pytest.raises(AttributeError, match="read-only"):
+        profile.start = np.zeros(2)
     assert profile.segments == (cq.Segment(1, 2, 0.0, 1.0, 0.5), cq.Segment(2, 1, -1.0, 0.5, 0.25))
     assert len(profile) == 2 and len(cq.ArrivalProfile(())) == 0
 
@@ -586,3 +595,15 @@ def test_fluid_regulator_right_of_horizon_grows_at_the_service_rate():
         wide = cq.fluid_regulator(profile, q, (-50.0, 50.0))
         assert np.allclose(psi(ts), wide(ts), rtol=0.0, atol=1e-12)
     assert cq.fluid_regulator(profile, s.queues[0])(10.0) == pytest.approx(9.25, abs=1e-12)
+
+
+def test_fluid_regulator_left_of_a_late_window_is_zero():
+    # a window that starts after the opening while the queue idles: the
+    # regulator breaks at the opening, where it is 0, and stays 0 before it
+    q = cq.QueueSpec(id=1, mu=2.0, t_start=0.0)
+    profile = cq.ArrivalProfile.from_rows([(1, 1, 5.0, 10.0, 1.0)])
+    psi = cq.fluid_regulator(profile, q, (2.0, 50.0))
+    wide = cq.fluid_regulator(profile, q, (-50.0, 50.0))
+    ts = np.arange(-20.0, 61.0)
+    assert np.array_equal(psi(ts), wide(ts))
+    assert psi(-3.0) == 0.0 and psi(2.0) == 4.0 and psi(60.0) == 115.0

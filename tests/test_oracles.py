@@ -165,16 +165,16 @@ def test_analytic_commands_do_not_import_numpy_ma(tmp_path):
 # sha256 of every QueueFluid field (times, values, extension mode) of every
 # queue of the solver's profile, recorded before the fluid kernel was batched
 # and again when ``wait`` took the "wait" extension mode and ``regulator`` the
-# "slope" mode (times and values hashed as before: with the mode string
+# "idle" mode (times and values hashed as before: with the mode string
 # "const" for each, the new code reproduced the earlier digests);
 # "queue" gives each queue its own default horizon, "shared" one horizon for all
 QUEUE_FLUID_DIGESTS = {
-    ("wide", "queue"): "5c6ce8b91e9edbf4387a172465dd12496991f65b3d45ad36986d90c04274aeb1",
-    ("wide", "shared"): "75d7ad70dfd0308e5be83605ba865fe7a18c7155433b494f9765ee258c66cb5d",
-    ("worked", "queue"): "abddeb43f702bc526d0d210b8d49ed4955b3c27f0f6297e46b7c4209ee713c50",
-    ("worked", "shared"): "b6444c88033caad9996125d9735b04d601e1751e3494bf4b9ce427c484b2b0a6",
-    ("ragged", "queue"): "0f4c72247ac7303fad431476c605982c3b2ea66854490c60c1810cc3e1c64a9f",
-    ("ragged", "shared"): "0f78eeacdb21865c2ac6eb83c7bf23ee44fd761d030ad057e1b97ba2580a2430",
+    ("wide", "queue"): "68b7b90f3726bdaeef3e75b2de8cd35564e9d315e8df6e57b5128eece20a22b0",
+    ("wide", "shared"): "bd30ccf5fc249f1519dffaa9b8bca41f4fcc15a8769ade8ac6d7f467f4e8017b",
+    ("worked", "queue"): "d430cded750c2f565c92a7cbee491ca0baff332efb8fe1503a98cdb94e58618f",
+    ("worked", "shared"): "aeec8dfc8f20138c8171b8c87fefa437bd9637d942eedba7d790716ccb377716",
+    ("ragged", "queue"): "ae59e26121b63ce20ecce2dad737337466a2855b7190258828b3dd3bc19a46e8",
+    ("ragged", "shared"): "60b04c4dd00dca5bffb66d80ce720cf0bbcf549f4e03ef5e94b521a4ba6f4956",
 }
 BUILDERS = {"wide": wide_scenario, "worked": two_queue_worked_scenario, "ragged": ragged_scenario}
 FIELDS = ("cdf", "netflow", "queue_length", "regulator", "busy", "wait")
