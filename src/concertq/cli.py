@@ -87,7 +87,7 @@ def _cmd_verify(args) -> int:
     s = _load_scenario(args)
     profile = _load_profile(args.profile, s)
     report = equilibrium.verify_equilibrium(s, profile)
-    _write(args.out, to_json(report.to_dict()))
+    _write(args.out, to_json(report.to_dict(time_origin=s.time_origin)))
     _summary(args, f"is_equilibrium={str(report.is_equilibrium).lower()}")
     return 0
 
@@ -95,7 +95,7 @@ def _cmd_verify(args) -> int:
 def _cmd_poa(args) -> int:
     s = _load_scenario(args)
     report = poa.poa_multi(s)
-    _write(args.out, to_json(report.to_dict()))
+    _write(args.out, to_json(report.to_dict(time_origin=s.time_origin)))
     _summary(args, report.summary_line())
     return 0
 

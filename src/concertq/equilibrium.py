@@ -14,9 +14,10 @@ exploits two facts that pin the equilibrium down:
 The service epochs tau_i satisfy
     tau_i = (cumulative mass of populations 1..i
              + sum of mu_k * t_start_k over queues open by tau_i)
-            / (total rate of queues open by tau_i),
-and which queues are "open by tau_i" is itself resolved by a small fixed
-point over serve-set assignments.
+            / (total rate of queues open by tau_i).
+``model.service_windows`` finds them in one pass over the queues in opening
+order: a queue opens in the first population's window whose epoch, without
+it, falls after its opening.  Ties in openings or in gammas are allowed.
 
 ``verify_equilibrium`` is the independent check: it evaluates every
 population's exact cost curve at every queue over a grid plus all curve
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import fluid
 from .fluid import ArrivalProfile
-from .model import DomainError, Scenario, no_idling_terminal_time
+from .model import DomainError, Scenario, service_windows
 
 
 class SolverError(DomainError):
@@ -104,7 +105,8 @@ class VerificationReport:
     grid_points: int
     window: tuple[float, float]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, time_origin: float = 0.0) -> dict:
+        """JSON-ready report; the window is shifted back by ``time_origin``."""
         return {
             "is_equilibrium": self.is_equilibrium,
             "max_support_cost_deviation": {
@@ -116,97 +118,36 @@ class VerificationReport:
             "support_costs": {str(k): v for k, v in sorted(self.support_costs.items())},
             "tol": self.tol,
             "grid_points": self.grid_points,
-            "window": list(self.window),
+            "window": [t + time_origin for t in self.window],
         }
 
 
 # -- construction -----------------------------------------------------------
 
 
-def _service_epochs(s: Scenario, assign: list[int]) -> list[float]:
-    """tau_0..tau_N given, per queue, the population window it opens in."""
-    queues, pops = s.queues, s.populations
-    taus = [queues[0].t_start]
-    cum_mass = 0.0
-    rate = 0.0
-    weighted = 0.0
-    for i, pop in enumerate(pops):
-        cum_mass += pop.mass
-        for q, a in zip(queues, assign):
-            if a == i:
-                rate += q.mu
-                weighted += q.mu * q.t_start
-        taus.append((cum_mass + weighted) / rate)
-    return taus
-
-
-def _assign_serve_sets(s: Scenario) -> tuple[list[int], list[float]]:
-    """Fixed point for serve sets: start with every queue in the first
-    population's window, then reassign each queue to the window containing
-    its opening time until stable.
-
-    A queue opening exactly at a window boundary joins the later population.
-    """
-    K, N = s.n_queues, s.n_populations
-    starts = [q.t_start for q in s.queues]
-    assign = [0] * K
-    sweeps = K * N + 8
-    for _ in range(sweeps):
-        taus = _service_epochs(s, assign)
-        new_assign = []
-        for t0 in starts:
-            for i in range(N):
-                if t0 < taus[i + 1]:
-                    new_assign.append(i)
-                    break
-            else:
-                new_assign.append(N - 1)
-        if new_assign == assign:
-            return assign, taus
-        assign = new_assign
-    raise SolverError(
-        f"serve-set assignment did not stabilize after {sweeps} sweeps; "
-        f"last assignment (queue -> population): "
-        f"{ {q.id: a + 1 for q, a in zip(s.queues, assign)} }"
-    )
-
-
 def _solve(s: Scenario) -> EquilibriumProfile:
     queues, pops = s.queues, s.populations
     N = s.n_populations
 
-    if N > 1:
-        for a, b in zip(pops, pops[1:]):
-            if not (a.gamma < b.gamma):
-                raise SolverError(
-                    f"populations {a.id} and {b.id} have non-increasing gammas "
-                    f"({a.gamma:g} >= {b.gamma:g}); the multi-population construction "
-                    "needs strictly increasing waiting-cost shares"
-                )
-        starts = [q.t_start for q in queues]
-        if len(set(starts)) != len(starts):
-            raise SolverError(
-                "multi-population construction needs distinct queue start times"
-            )
     if pops[0].gamma == 0.0:
         raise SolverError(
             "population with alpha = 0 puts no weight on waiting, so the "
             "uniform-density equilibrium construction does not apply"
         )
 
-    assign, taus = _assign_serve_sets(s)
+    windows, taus = service_windows(queues, [p.mass for p in pops])
+    if len(windows) < len(queues):
+        q = queues[len(windows)]
+        raise SolverError(
+            f"queue {q.id} opens at {q.t_start:g}, at or after the terminal "
+            f"service epoch {taus[N]:g} of its window; prune it first"
+        )
     for i in range(N):
         if not taus[i + 1] > taus[i]:
             raise SolverError(
                 f"service epochs are not increasing (tau_{i}={taus[i]:g}, "
-                f"tau_{i + 1}={taus[i + 1]:g}); scenario is infeasible, "
-                "likely an unpruned late-opening queue"
-            )
-    for q, a in zip(queues, assign):
-        if not q.t_start < taus[a + 1]:
-            raise SolverError(
-                f"queue {q.id} opens at {q.t_start:g}, at or after the terminal "
-                f"service epoch {taus[a + 1]:g} of its window; prune it first"
+                f"tau_{i + 1}={taus[i + 1]:g}); population {pops[i].id}'s mass "
+                "is lost to rounding against the epoch"
             )
 
     # arrival epochs T_N..T_0 by backward recursion; population i's window
@@ -217,7 +158,7 @@ def _solve(s: Scenario) -> EquilibriumProfile:
         T[i - 1] = T[i] - (taus[i] - taus[i - 1]) / pops[i - 1].gamma
 
     serve_sets = tuple(
-        tuple(q.id for q, a in zip(queues, assign) if a == i) for i in range(N)
+        tuple(q.id for q, a in zip(queues, windows) if a == i) for i in range(N)
     )
 
     routing: dict[tuple[int, int], float] = {}
@@ -229,7 +170,7 @@ def _solve(s: Scenario) -> EquilibriumProfile:
         tau_prev, tau_i = taus[i - 1], taus[i]
         gamma = pop.gamma
         mass_check = 0.0
-        for q, a in zip(queues, assign):
+        for q, a in zip(queues, windows):
             if a > i - 1:
                 continue  # queue opens in a later window; this population never sees it
             if a == i - 1:
@@ -286,16 +227,19 @@ def solve_single(s: Scenario) -> EquilibriumProfile:
 def solve_multi(s: Scenario) -> EquilibriumProfile:
     """Equilibrium arrival profile for one or more populations.
 
-    Populations must have strictly increasing gammas and, when N > 1, queue
-    start times must be distinct.  With N = 1 the output is identical to
+    Ties are allowed.  Queues that open together open in the same window.
+    Populations with equal gammas are served in the scenario's order
+    (gamma, then id); any order of them is an equilibrium, because their
+    costs are proportional.  With N = 1 the output is identical to
     ``solve_single`` (same arithmetic).
     """
     return _solve(s)
 
 
 def terminal_time(s: Scenario) -> float:
-    """Common terminal time of the equilibrium (all queues drain together)."""
-    return no_idling_terminal_time(s.total_mass, s.queues)
+    """Common terminal time of the equilibrium: the queues that open drain
+    together then; queues that would see no arrivals do not count."""
+    return service_windows(s.queues, [s.total_mass])[1][-1]
 
 
 # -- verification -----------------------------------------------------------

@@ -32,7 +32,7 @@ _EXTEND_MODES = ("const", "slope", "wait", "idle")
 class PiecewisePath:
     """A piecewise-linear function of time.
 
-    ``times`` are strictly increasing breakpoints, ``values`` the function
+    ``times`` are strictly ascending breakpoints, ``values`` the function
     values there; the path interpolates linearly in between.  Outside the
     breakpoint span it either stays constant (``extend="const"``, the right
     mode for CDF-like paths), continues with the boundary segment slope
@@ -56,7 +56,7 @@ class PiecewisePath:
         if t.ndim != 1 or v.shape != t.shape or t.size == 0:
             raise ValueError("times and values must be matching 1-d arrays")
         if not (t[1:] > t[:-1]).all():
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ValueError("breakpoints must be strictly ascending")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("breakpoints and values must be finite")
         if self.extend not in _EXTEND_MODES:
@@ -109,40 +109,6 @@ class PiecewisePath:
     def is_nondecreasing(self, tol: float = 0.0) -> bool:
         return bool((np.diff(self.values) >= -tol).all())
 
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self) -> str:
-        """CSV rows ``t,value`` at breakpoints; a header comment carries the
-        extension mode."""
-        from .serialize import csv_rows
-
-        return f"# extend={self.extend}\n" + csv_rows(["t", "value"], [self.times, self.values])
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PiecewisePath":
-        extend = "const"
-        ts, vs = [], []
-        for lineno, raw in enumerate(io.StringIO(text), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "extend=" in line:
-                    extend = line.split("extend=", 1)[1].strip()
-                continue
-            if line.lower().startswith("t,"):
-                continue
-            parts = line.split(",")
-            where = f"bad path row {lineno}: {line!r}"
-            if len(parts) != 2:
-                raise ParseError(f"{where}: expected 2 cells")
-            t, v = _cells(parts, (float, float), where)
-            ts.append(t)
-            vs.append(v)
-        if not ts:
-            raise ParseError("empty path document")
-        return cls(np.asarray(ts), np.asarray(vs), extend=extend)
-
 
 def sorted_unique(*arrays) -> np.ndarray:
     """The sorted distinct values of the arrays together: ``np.union1d``, or
@@ -164,8 +130,11 @@ def _cells(parts: list[str], kinds: tuple, where: str) -> list:
     except ValueError:
         names = ",".join(kind.__name__ for kind in kinds)
         raise ParseError(f"{where}: expected cells of types {names}") from None
-    if not all(map(math.isfinite, vals)):
-        raise ParseError(f"{where}: values must be finite")
+    for kind, v in zip(kinds, vals):
+        if kind is int and not -(2**63) <= v < 2**63:
+            raise ParseError(f"{where}: ids must fit in 64 bits")
+        if kind is float and not math.isfinite(v):
+            raise ParseError(f"{where}: values must be finite")
     return vals
 
 
@@ -329,13 +298,6 @@ class ArrivalProfile:
             raise DomainError("empty profile has no support")
         return float(self.start.min()), float(self.end.max())
 
-    def first_arrival(self, queue: int) -> float:
-        rows = self.queue_rows(queue)
-        starts = self.start[rows[self.row_mass[rows] > 0]]
-        if not starts.size:
-            raise DomainError(f"no arrivals at queue {queue}")
-        return float(starts.min())
-
     def queue_cdf(self, queue: int) -> PiecewisePath:
         """Aggregate cumulative arrivals F_k at the queue, all populations."""
         rows = self.queue_rows(queue)
@@ -382,9 +344,11 @@ class ArrivalProfile:
             if len(parts) != 5:
                 raise ParseError(f"{where}: expected 5 cells")
             pop, queue, a, b, density = _cells(parts, (int, int, float, float, float), where)
-            # Segment's checks row by row: the first fault in file order wins
-            if not (b >= a) or density < 0:
-                what = "negative density" if b >= a else "end < start"
+            # Segment's checks row by row, and a finite mass so that no sum
+            # of masses overflows: the first fault in file order wins
+            what = ("end < start" if not b >= a else "negative density" if density < 0
+                    else None if math.isfinite(density * (b - a)) else "non-finite mass")
+            if what:
                 raise DomainError(f"profile row {lineno} has {what}")
             rows.append((pop, queue, a, b, density))
         return cls.from_rows(rows)

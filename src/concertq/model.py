@@ -5,7 +5,9 @@ service start time each) with N user populations (linear waiting / completion
 cost weights and a fluid mass each), plus numeric options shared by the
 solvers.  Parsing normalizes the time origin so that the earliest queue opens
 at time zero; ``Scenario.time_origin`` records the subtracted offset and the
-serializers add it back on output.
+serializers add it back on output.  ``service_windows`` is the one home of
+the capacity epochs: the solvers' serve sets, pruning, the terminal time and
+the optimal profile's windows all come from it.
 
 All model objects are immutable after construction and safe to share across
 workers.
@@ -154,7 +156,6 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    feasible: bool
     pruned_queues: tuple[int, ...]
     messages: tuple[str, ...]
 
@@ -302,52 +303,53 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def no_idling_terminal_time(mass: float, queues) -> float:
-    """Time at which servers that never idle after opening finish ``mass``.
+def service_windows(queues, masses) -> tuple[tuple[int, ...], list[float]]:
+    """Which queues open in which mass step, and the service epochs.
 
-    Solves sum_k mu_k * (T - t_start_k) = mass over the given queues.
+    Every open queue serves at full rate until the common terminal time, so
+    the epoch that serves out the first i masses is where the cumulative
+    capacity sum_k mu_k (t - t_start_k)_+ reaches their sum:
+    (cumulative mass + sum of mu_k t_start_k) / (sum of mu_k) over the
+    queues open by then.  One pass over ``queues``, which must be in opening
+    order: the first queue always opens, and each later one opens in the
+    first step whose epoch, without it, falls after its opening.
+
+    Returns ``windows``, the step each opening queue opens in (for a prefix
+    of ``queues``; the queues past it never open), and ``epochs``, the first
+    opening followed by one epoch per mass.
     """
-    total_rate = sum(q.mu for q in queues)
-    weighted_starts = sum(q.mu * q.t_start for q in queues)
-    return (mass + weighted_starts) / total_rate
+    windows: list[int] = []
+    epochs = [queues[0].t_start]
+    cum = rate = weighted = 0.0
+    for i, mass in enumerate(masses):
+        cum += mass
+        while len(windows) < len(queues) and (
+            not windows or queues[len(windows)].t_start < (cum + weighted) / rate
+        ):
+            q = queues[len(windows)]
+            rate += q.mu
+            weighted += q.mu * q.t_start
+            windows.append(i)
+        epochs.append((cum + weighted) / rate)
+    return tuple(windows), epochs
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
-    """Feasibility report: late-opening queues that would see no arrivals are
-    pruned iteratively, and multi-population gamma ties are flagged.
+    """Pruning report: queues that open at or after the moment the queues
+    opening before them finish all mass would see no arrivals.  They are
+    listed last opening first, one message each.
 
     Never raises for feasibility issues; it only reports.
     """
-    messages: list[str] = []
-    pruned: list[int] = []
-    active = list(s.queues)
-    mass = s.total_mass
-    while len(active) > 1:
-        rest = active[:-1]
-        last = active[-1]
-        t_rest = no_idling_terminal_time(mass, rest)
-        if last.t_start >= t_rest:
-            pruned.append(last.id)
-            messages.append(
-                f"queue {last.id} pruned: starts at {last.t_start:g} but the remaining "
-                f"queues alone finish all mass at {t_rest:g}, so it would see no arrivals"
-            )
-            active = rest
-        else:
-            break
-
-    feasible = True
-    if s.n_populations > 1:
-        for a, b in zip(s.populations, s.populations[1:]):
-            if not (a.gamma < b.gamma):
-                feasible = False
-                messages.append(
-                    f"populations {a.id} and {b.id} share gamma={a.gamma:g}; the "
-                    "multi-population solver needs strictly increasing gammas"
-                )
-                break
+    windows, epochs = service_windows(s.queues, [s.total_mass])
+    late = s.queues[len(windows):][::-1]
     return ValidationReport(
-        feasible=feasible, pruned_queues=tuple(pruned), messages=tuple(messages)
+        pruned_queues=tuple(q.id for q in late),
+        messages=tuple(
+            f"queue {q.id} pruned: starts at {q.t_start:g} but the remaining "
+            f"queues alone finish all mass at {epochs[-1]:g}, so it would see no arrivals"
+            for q in late
+        ),
     )
 
 

@@ -28,7 +28,9 @@ import numpy as np
 from . import fluid
 from .equilibrium import SolverError, solve_multi, solve_single
 from .fluid import ArrivalProfile
-from .model import DomainError, Options, PopulationSpec, QueueSpec, Scenario, validate_scenario
+from .model import (
+    DomainError, Options, PopulationSpec, QueueSpec, Scenario, service_windows, validate_scenario,
+)
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,19 @@ class PoaReport:
     bound_satisfied: bool
     details: dict
 
-    def to_dict(self) -> dict:
+    def to_dict(self, time_origin: float = 0.0) -> dict:
+        """JSON-ready report; the one time in it, the single-population
+        ``details["terminal_time"]``, is shifted back by ``time_origin``."""
+        details = dict(self.details)
+        if "terminal_time" in details:
+            details["terminal_time"] += time_origin
         return {
             "j_eq": self.j_eq,
             "j_opt": self.j_opt,
             "eta": self.eta,
             "closed_form_eta": self.closed_form_eta,
             "bound_satisfied": self.bound_satisfied,
-            "details": self.details,
+            "details": details,
         }
 
     def summary_line(self) -> str:
@@ -129,44 +136,18 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
 
     Users arrive exactly when served: queue k contributes density mu_k from
     its opening until the common terminal time.  Populations are ordered by
-    decreasing beta and occupy consecutive service windows; window boundaries
-    invert the cumulative service capacity at the cumulative scheduled mass.
+    decreasing beta and occupy consecutive service windows; each window ends
+    where the cumulative service capacity reaches the cumulative scheduled
+    mass (``model.service_windows``).
     """
-    queues = s.queues
     order = sorted(s.populations, key=lambda p: (-p.beta, p.id))
-
-    # cumulative service capacity C(t) = sum_k mu_k (t - t_start_k)_+
-    start_ts = np.array([q.t_start for q in queues])
-    mus = np.array([q.mu for q in queues])
-    knots = fluid.sorted_unique(start_ts)
-
-    def capacity(t: float) -> float:
-        return float(np.sum(mus * np.maximum(t - start_ts, 0.0)))
-
-    # C at every knot, computed once; C is nondecreasing, so the first knot
-    # whose capacity reaches a level is a binary search away
-    knot_caps = np.array([capacity(float(t)) for t in knots])
-
-    def invert_capacity(mass: float) -> float:
-        # find the knot interval containing the level, then invert linearly
-        idx = int(np.searchsorted(knot_caps, mass))
-        if idx == 0:
-            return float(knots[0])
-        left = float(knots[idx - 1])
-        active = float(np.sum(mus[start_ts <= left]))
-        return left + (mass - float(knot_caps[idx - 1])) / active
-
-    boundaries = [float(knots[0])]
-    cum = 0.0
-    for pop in order:
-        cum += pop.mass
-        boundaries.append(invert_capacity(cum))
+    _, boundaries = service_windows(s.queues, [p.mass for p in order])
 
     rows: list[tuple] = []  # (pop, queue, start, end, density)
     cost = 0.0
     for i, pop in enumerate(order):
         w0, b = boundaries[i], boundaries[i + 1]
-        for q in queues:
+        for q in s.queues:
             a = max(q.t_start, w0)
             if b > a:
                 rows.append((pop.id, q.id, a, b, q.mu))

@@ -67,7 +67,7 @@ class SimConfig:
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=float)
             if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-                raise DomainError("grid must be a strictly increasing 1-d array")
+                raise DomainError("grid must be a strictly ascending 1-d array")
             g.flags.writeable = False
             object.__setattr__(self, "grid", g)
 
@@ -264,12 +264,6 @@ class SimPaths:
     t_origin: float
     records: dict[int, QueueRecord]
 
-    def total_arrivals_at(self, grid: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(grid, dtype=float)
-        for rec in self.records.values():
-            out += rec.arrivals_at(grid)
-        return out
-
     def first_arrival(self) -> float:
         times = [rec.arrivals[0] for rec in self.records.values() if rec.count]
         if not times:
@@ -333,7 +327,6 @@ class ScaledPaths:
 
     grid: np.ndarray
     arrivals: dict[int, np.ndarray]       # A_k * mass_scale
-    arrivals_total: np.ndarray
     queue_length: dict[int, np.ndarray]   # Q_k * mass_scale
     busy_time: dict[int, np.ndarray]      # unscaled, order one
     virtual_wait: dict[int, np.ndarray]   # unscaled, order one
@@ -349,7 +342,7 @@ def scaled_paths(paths: SimPaths, n: int, grid: np.ndarray) -> ScaledPaths:
         raise DomainError(f"paths were simulated with n={paths.n}, not {n}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
-        raise DomainError("grid must be a strictly increasing 1-d array")
+        raise DomainError("grid must be a strictly ascending 1-d array")
     m = paths.mass_scale
     arrivals = {}
     queue_length = {}
@@ -363,7 +356,6 @@ def scaled_paths(paths: SimPaths, n: int, grid: np.ndarray) -> ScaledPaths:
     return ScaledPaths(
         grid=grid,
         arrivals=arrivals,
-        arrivals_total=paths.total_arrivals_at(grid) * m,
         queue_length=queue_length,
         busy_time=busy,
         virtual_wait=wait,

@@ -11,16 +11,24 @@ searches each interval's row once and repairs an unstable argsort.
 The arrival profile: CSV rows parsed, shifted and tabulated one ``Segment``
 record at a time.  The library keeps the profile as numpy columns.
 
-Tests assert that both forms agree exactly.
+The capacity epochs: the solver's serve sets as a fixed point over
+queue-to-window assignments, pruning as a loop from the last opening, and
+the optimal profile's window boundaries by inverting the cumulative
+capacity between its knots.  The library finds all of them in one pass over
+the queue openings (``model.service_windows``).
+
+Tests assert that both forms agree exactly (the optimal profile's
+boundaries to 1e-12).
 """
 
 import io
+import math
 
 import numpy as np
 
 from concertq import fluid
-from concertq.equilibrium import VerificationReport
-from concertq.fluid import Segment
+from concertq.equilibrium import SolverError, VerificationReport
+from concertq.fluid import ArrivalProfile, Segment
 from concertq.model import DomainError, ParseError
 
 
@@ -126,7 +134,8 @@ def stable_argsort(keys):
 
 def profile_segments_from_csv(text):
     """``ArrivalProfile.from_csv`` one ``Segment`` per row: the same cell
-    checks and ParseError text, and Segment's own domain checks."""
+    checks and ParseError text, Segment's own domain checks and a finite
+    mass."""
     segs = []
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         row = raw.strip()
@@ -137,6 +146,8 @@ def profile_segments_from_csv(text):
         if len(parts) != 5:
             raise ParseError(f"{where}: expected 5 cells")
         segs.append(Segment(*fluid._cells(parts, (int, int, float, float, float), where)))
+        if not math.isfinite(segs[-1].mass):
+            raise DomainError(f"profile row {lineno} has non-finite mass")
     return segs
 
 
@@ -168,3 +179,127 @@ def density_table_by_segments(profile):
         b = np.searchsorted(knots, g.end)
         density[a:b, qindex[g.queue]] += g.density
     return density
+
+
+def _service_epochs(s, assign):
+    """tau_0..tau_N given, per queue, the population window it opens in."""
+    queues, pops = s.queues, s.populations
+    taus = [queues[0].t_start]
+    cum_mass = 0.0
+    rate = 0.0
+    weighted = 0.0
+    for i, pop in enumerate(pops):
+        cum_mass += pop.mass
+        for q, a in zip(queues, assign):
+            if a == i:
+                rate += q.mu
+                weighted += q.mu * q.t_start
+        taus.append((cum_mass + weighted) / rate)
+    return taus
+
+
+def _assign_serve_sets(s):
+    """Fixed point for serve sets: start with every queue in the first
+    population's window, then reassign each queue to the window containing
+    its opening time until stable.
+
+    A queue opening exactly at a window boundary joins the later population.
+    """
+    K, N = s.n_queues, s.n_populations
+    starts = [q.t_start for q in s.queues]
+    assign = [0] * K
+    sweeps = K * N + 8
+    for _ in range(sweeps):
+        taus = _service_epochs(s, assign)
+        new_assign = []
+        for t0 in starts:
+            for i in range(N):
+                if t0 < taus[i + 1]:
+                    new_assign.append(i)
+                    break
+            else:
+                new_assign.append(N - 1)
+        if new_assign == assign:
+            return assign, taus
+        assign = new_assign
+    raise SolverError(
+        f"serve-set assignment did not stabilize after {sweeps} sweeps; "
+        f"last assignment (queue -> population): "
+        f"{ {q.id: a + 1 for q, a in zip(s.queues, assign)} }"
+    )
+
+
+def no_idling_terminal_time(mass, queues):
+    """Time at which servers that never idle after opening finish ``mass``.
+
+    Solves sum_k mu_k * (T - t_start_k) = mass over the given queues.
+    """
+    total_rate = sum(q.mu for q in queues)
+    weighted_starts = sum(q.mu * q.t_start for q in queues)
+    return (mass + weighted_starts) / total_rate
+
+
+def back_pruned(s):
+    """``validate_scenario``'s pruning as a loop from the back: the last
+    opening queue is dropped while the queues before it finish all mass by
+    its opening.  Returns the pruned ids and messages, last opening first."""
+    messages = []
+    pruned = []
+    active = list(s.queues)
+    mass = s.total_mass
+    while len(active) > 1:
+        rest = active[:-1]
+        last = active[-1]
+        t_rest = no_idling_terminal_time(mass, rest)
+        if last.t_start >= t_rest:
+            pruned.append(last.id)
+            messages.append(
+                f"queue {last.id} pruned: starts at {last.t_start:g} but the remaining "
+                f"queues alone finish all mass at {t_rest:g}, so it would see no arrivals"
+            )
+            active = rest
+        else:
+            break
+    return tuple(pruned), tuple(messages)
+
+
+def optimal_profile_by_capacity_inverse(s):
+    """``optimal_profile`` with each window boundary found by inverting the
+    cumulative capacity C(t) = sum_k mu_k (t - t_start_k)_+ on the knot
+    interval that holds the cumulative scheduled mass."""
+    queues = s.queues
+    order = sorted(s.populations, key=lambda p: (-p.beta, p.id))
+
+    start_ts = np.array([q.t_start for q in queues])
+    mus = np.array([q.mu for q in queues])
+    knots = fluid.sorted_unique(start_ts)
+
+    def capacity(t):
+        return float(np.sum(mus * np.maximum(t - start_ts, 0.0)))
+
+    knot_caps = np.array([capacity(float(t)) for t in knots])
+
+    def invert_capacity(mass):
+        idx = int(np.searchsorted(knot_caps, mass))
+        if idx == 0:
+            return float(knots[0])
+        left = float(knots[idx - 1])
+        active = float(np.sum(mus[start_ts <= left]))
+        return left + (mass - float(knot_caps[idx - 1])) / active
+
+    boundaries = [float(knots[0])]
+    cum = 0.0
+    for pop in order:
+        cum += pop.mass
+        boundaries.append(invert_capacity(cum))
+
+    rows = []
+    cost = 0.0
+    for i, pop in enumerate(order):
+        w0, b = boundaries[i], boundaries[i + 1]
+        for q in queues:
+            a = max(q.t_start, w0)
+            if b > a:
+                rows.append((pop.id, q.id, a, b, q.mu))
+                cost += pop.beta * q.mu * 0.5 * (b * b - a * a)
+    return ArrivalProfile.from_rows(rows), cost

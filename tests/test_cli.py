@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,29 @@ def test_verify_solver_output_and_perturbation(scenarios, capsys):
     ])
     assert code == 0
     assert json.loads((d / "verify_bad.json").read_text())["is_equilibrium"] is False
+
+
+def test_verify_and_poa_times_are_in_original_coordinates(tmp_path):
+    # a shift of 4.0 is exact for every time of the worked pair: the verify
+    # window and the poa terminal time move by exactly 4.0, nothing else moves
+    # (costs stay measured from the earliest opening)
+    artifacts = []
+    for shift in (0.0, 4.0):
+        d = tmp_path / f"shift{shift}"
+        d.mkdir()
+        scenario = d / "two.json"
+        queues = [{"mu": 1, "t_start": shift}, {"mu": 1, "t_start": 0.5 + shift}]
+        scenario.write_text(json.dumps({"queues": queues, "populations": [{"alpha": 1, "beta": 1}]}))
+        profile = d / "profile.csv"
+        assert main(["eq-single", "--scenario", str(scenario), "--format", "csv", "--out", str(profile)]) == 0
+        assert main(["verify", "--scenario", str(scenario), "--profile", str(profile), "--out", str(d / "v.json")]) == 0
+        assert main(["poa", "--scenario", str(scenario), "--out", str(d / "poa.json")]) == 0
+        artifacts.append([json.loads((d / name).read_text()) for name in ("v.json", "poa.json")])
+    (verify, poa), (verify4, poa4) = artifacts
+    assert verify4["window"] == [t + 4.0 for t in verify["window"]]
+    assert poa4["details"]["terminal_time"] == poa["details"]["terminal_time"] + 4.0
+    verify4["window"], poa4["details"]["terminal_time"] = verify["window"], poa["details"]["terminal_time"]
+    assert verify4 == verify and poa4 == poa
 
 
 def test_poa_summary_line(scenarios, capsys):
@@ -282,6 +306,8 @@ def assert_one_error_line(stderr):
         "1,1,nan,0.75,0.5",
         "1,1,-0.75,inf,0.5",
         "1,1,-0.75,0.75,nan",
+        pytest.param("99999999999999999999,1,-0.75,0.75,0.5", id="pop-id-beyond-int64"),
+        pytest.param("1," + "9" * 401 + ",-0.75,0.75,0.5", id="queue-id-beyond-float-range"),
     ],
 )
 def test_malformed_profile_csv_is_a_parse_error(scenarios, capsys, row):
@@ -305,13 +331,19 @@ def test_malformed_profile_csv_exits_2_from_a_fresh_interpreter(scenarios):
 
 @pytest.mark.parametrize(
     "row, what",
-    [("1,1,0.75,-0.75,0.5", "end < start"), ("1,1,-0.75,0.75,-0.5", "negative density")],
+    [
+        ("1,1,0.75,-0.75,0.5", "end < start"),
+        ("1,1,-0.75,0.75,-0.5", "negative density"),
+        ("1,1,0,1e9,1e300", "non-finite mass"),
+    ],
 )
 def test_out_of_domain_profile_rows_name_their_row(scenarios, capsys, row, what):
     bad = scenarios["dir"] / "bad_profile.csv"
     bad.write_text(f"pop,queue,a,b,density\n1,2,0.25,0.75,0.5\n{row}\n")
     for command in ("verify", "fluid"):
-        assert main([command, "--scenario", str(scenarios["two"]), "--profile", str(bad)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert main([command, "--scenario", str(scenarios["two"]), "--profile", str(bad)]) == 1
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "row 3" in err and what in err

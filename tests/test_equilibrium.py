@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concertq as cq
 from concertq.equilibrium import SolverError
+from oracles import _service_epochs
 from conftest import (
     make_scenario,
     random_feasible_multi,
@@ -86,6 +89,23 @@ def test_single_rejects_pure_tardiness_population():
         cq.solve_single(s)
 
 
+def test_terminal_time_counts_only_queues_that_open():
+    # queue 2 opens at 2, after queue 1 alone serves the unit mass by 1; the
+    # terminal time used to count it anyway and read 1.5
+    s = make_scenario([(1.0, 0.0), (1.0, 2.0)], [{"alpha": 1, "beta": 1}])
+    assert cq.terminal_time(s) == 1.0
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        K = int(rng.integers(1, 7))
+        starts = np.concatenate(([0.0], rng.uniform(0.0, 3.0, size=K - 1)))
+        s = make_scenario(
+            [(float(m), float(t)) for m, t in zip(rng.uniform(0.2, 5.0, size=K), starts)],
+            [{"alpha": 1, "beta": 1, "mass": float(rng.uniform(0.1, 3.0))}],
+        )
+        pruned, _ = cq.pruned_scenario(s)
+        assert cq.terminal_time(s) == cq.terminal_time(pruned) == cq.solve_single(pruned).terminal_time
+
+
 def test_terminal_time_exceeds_every_surviving_start():
     rng = np.random.default_rng(77)
     for _ in range(50):
@@ -125,8 +145,6 @@ def test_multi_serve_set_fixed_point():
 def _enumerate_assignments(s):
     """Oracle: try every nondecreasing queue-to-population assignment and
     keep those consistent with their own service epochs."""
-    from concertq.equilibrium import _service_epochs
-
     K, N = s.n_queues, s.n_populations
     consistent = []
 
@@ -197,9 +215,7 @@ def test_multi_supports_ragged_masses():
                  "mass": float(rng.uniform(0.2, 3.0))}
             )
         s = make_scenario([(float(m), float(t)) for m, t in zip(mus, starts)], pops)
-        s, report = cq.pruned_scenario(s)
-        if not report.feasible:
-            continue
+        s, _ = cq.pruned_scenario(s)
         checked += 1
         eq = cq.solve_multi(s)
         for pop in s.populations:
@@ -209,22 +225,69 @@ def test_multi_supports_ragged_masses():
         assert min(v.min_off_support_cost_gap.values()) >= -1e-9
 
 
-def test_multi_rejects_gamma_ties():
+def _assert_verified(s, eq):
+    for pop in s.populations:
+        assert eq.profile.mass(population=pop.id) == pytest.approx(pop.mass, rel=1e-12)
+    report = cq.verify_equilibrium(s, eq.profile)
+    assert report.is_equilibrium, report
+
+
+def test_multi_solves_gamma_ties():
+    # equal gammas have proportional costs: served in id order, any order is
+    # an equilibrium
     s = make_scenario(
         [(1.0, 0.0), (1.0, 0.3)],
         [{"alpha": 1, "beta": 1}, {"alpha": 2, "beta": 2}],
     )
-    with pytest.raises(SolverError, match="gamma"):
-        cq.solve_multi(s)
+    eq = cq.solve_multi(s)
+    last_arrival = {p: eq.profile.end[eq.profile.pop == p].max() for p in (1, 2)}
+    assert last_arrival[1] < last_arrival[2]
+    _assert_verified(s, eq)
 
 
-def test_multi_rejects_tied_start_times():
+def test_multi_solves_tied_start_times():
     s = make_scenario(
         [(1.0, 0.0), (1.0, 0.0)],
         [{"alpha": 1, "beta": 3}, {"alpha": 1, "beta": 1}],
     )
-    with pytest.raises(SolverError, match="start times"):
-        cq.solve_multi(s)
+    eq = cq.solve_multi(s)
+    assert eq.serve_sets == ((1, 2), ())
+    _assert_verified(s, eq)
+
+
+def test_multi_tied_openings_join_a_later_window_together():
+    s = make_scenario(
+        [(1.0, 0.0), (2.0, 1.5), (1.0, 1.5)],
+        [{"alpha": 1, "beta": 3}, {"alpha": 1, "beta": 1}],
+    )
+    eq = cq.solve_multi(s)
+    assert eq.serve_sets == ((1,), (2, 3))
+    _assert_verified(s, eq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    openings=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
+    mus=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=4, max_size=4),
+    pops=st.lists(
+        st.tuples(
+            st.sampled_from([0.2, 0.5, 0.8]),  # gamma
+            st.sampled_from([0.5, 1.0, 2.0]),  # beta
+            st.sampled_from([0.5, 1.0]),       # mass
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_tied_scenarios_solve_to_verified_equilibria(openings, mus, pops):
+    # ties in openings or in gammas need no merge step: the construction as
+    # it is passes the independent verifier
+    s = make_scenario(
+        list(zip(mus, openings)),
+        [{"alpha": g / (1 - g) * b, "beta": b, "mass": m} for g, b, m in pops],
+    )
+    s, _ = cq.pruned_scenario(s)
+    _assert_verified(s, cq.solve_multi(s))
 
 
 def test_multi_ordering_and_no_gap_invariants():

@@ -66,27 +66,6 @@ def test_path_eval_wait_extension():
     assert p(9.0) == 0.5
 
 
-def test_path_csv_is_the_per_cell_format():
-    p = path([-0.0, 0.5, 2.0], [1.0, -0.25, 1.0 / 3.0], extend="wait")
-    rows = [f"{fmt(t)},{fmt(v)}" for t, v in zip(p.times.tolist(), p.values.tolist())]
-    assert p.to_csv() == "\n".join(["# extend=wait", "t,value", *rows]) + "\n"
-    assert PiecewisePath.from_csv(p.to_csv()).extend == "wait"
-
-
-def test_path_csv_round_trip():
-    p = path([0.0, 0.5, 2.0], [1.0, -0.25, 1.0 / 3.0], extend="slope")
-    q = PiecewisePath.from_csv(p.to_csv())
-    assert np.array_equal(q.times, p.times)
-    assert np.array_equal(q.values, p.values)
-    assert q.extend == "slope"
-
-
-@pytest.mark.parametrize("row", ["0.5,abc", "nan,1.0", "0.5,inf"])
-def test_path_csv_rejects_bad_cells_with_parse_error(row):
-    with pytest.raises(cq.ParseError, match="row 3"):
-        PiecewisePath.from_csv(f"# extend=const\nt,value\n{row}\n")
-
-
 # -- netflow ------------------------------------------------------------------
 
 
@@ -321,7 +300,7 @@ def test_arrival_profile_cdf_and_masses():
     assert F(1.5) == pytest.approx(1.5)
     assert F.is_nondecreasing()
     assert profile.mass(population=1) == pytest.approx(0.5)
-    assert profile.first_arrival(1) == 0.0
+    assert profile.start[profile.queue_rows(1)].min() == 0.0
     assert profile.row_mass[(profile.pop == 2) & (profile.queue == 1)].sum() == pytest.approx(1.0)
 
 

@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concertq as cq
+from concertq.model import service_windows
 from conftest import make_scenario
+from oracles import _assign_serve_sets, back_pruned
 
 
 def test_parse_minimal_document():
@@ -154,7 +159,7 @@ def test_gamma_of():
 def test_validate_no_pruning_single_queue():
     s = make_scenario([(1.0, 0.0)], [{"alpha": 1, "beta": 1}])
     report = cq.validate_scenario(s)
-    assert report.feasible and report.pruned_queues == ()
+    assert report.pruned_queues == () and report.messages == ()
 
 
 def test_validate_prunes_late_queue():
@@ -180,13 +185,84 @@ def test_validate_is_idempotent():
     assert cq.validate_scenario(pruned).pruned_queues == ()
 
 
-def test_validate_flags_gamma_ties():
+def test_validate_accepts_gamma_ties():
+    # the solvers take tied gammas as they are, so there is nothing to flag
     s = make_scenario(
         [(1.0, 0.0)], [{"alpha": 1, "beta": 1}, {"alpha": 2, "beta": 2}]
     )
     report = cq.validate_scenario(s)
-    assert not report.feasible
-    assert any("gamma" in m for m in report.messages)
+    assert report.pruned_queues == () and report.messages == ()
+
+
+def test_validate_reports_every_pruned_queue_last_opening_first():
+    s = make_scenario(
+        [(1.0, 0.0), (1.0, 3.0), (1.0, 2.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1}]
+    )
+    report = cq.validate_scenario(s)
+    assert report.pruned_queues == (2, 3)
+    assert [m.split(" pruned")[0] for m in report.messages] == ["queue 2", "queue 3"]
+    assert all("finish all mass at 0.75" in m for m in report.messages)
+
+
+# -- service_windows ----------------------------------------------------------
+
+
+def _assert_matches_the_oracles(s):
+    """One pass over the openings gives the pruning loop's queues and, on the
+    pruned scenario, the fixed point's windows and bit-identical epochs."""
+    pruned, _ = back_pruned(s)
+    assert cq.validate_scenario(s).pruned_queues == pruned
+    kept = s.without_queues(pruned) if pruned else s
+    masses = [p.mass for p in s.populations]
+    assign, taus = _assign_serve_sets(kept)
+    assert service_windows(kept.queues, masses) == (tuple(assign), taus)
+    # the queues that never open are the pruned ones
+    assert service_windows(s.queues, masses) == (tuple(assign), taus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    openings=st.lists(st.integers(0, 128), min_size=1, max_size=6, unique=True),
+    rates=st.lists(st.integers(1, 40), min_size=6, max_size=6),
+    masses=st.lists(st.integers(1, 48), min_size=1, max_size=4),
+)
+def test_service_windows_match_the_oracles_on_distinct_openings(openings, rates, masses):
+    # dyadic openings, rates and masses keep every sum exact, so no
+    # comparison sits within rounding of a tie (ties are pinned below)
+    s = make_scenario(
+        [(r / 8, t / 64) for r, t in zip(rates, openings)],
+        [{"alpha": 1, "beta": 1, "mass": m / 16} for m in masses],
+    )
+    _assert_matches_the_oracles(s)
+
+
+def test_service_windows_match_the_oracles_on_random_floats():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        K, N = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        starts = np.concatenate(([0.0], rng.uniform(0.0, 2.0, size=K - 1)))
+        mus = rng.uniform(0.2, 5.0, size=K)
+        s = make_scenario(
+            [(float(m), float(t)) for m, t in zip(mus, starts)],
+            [{"alpha": 1, "beta": 1, "mass": float(m)} for m in rng.uniform(0.1, 3.0, size=N)],
+        )
+        _assert_matches_the_oracles(s)
+
+
+def test_service_windows_pin_exact_ties():
+    # unit-rate queues at 0 and 0.5: mass 0.5 is served out exactly at 0.5,
+    # so the second queue never opens; a second mass of 0.5 opens it
+    queues = make_scenario([(1.0, 0.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1}]).queues
+    assert service_windows(queues, [0.5]) == ((0,), [0.0, 0.5])
+    assert service_windows(queues, [0.5, 0.5]) == ((0, 1), [0.0, 0.5, 0.75])
+    alone = make_scenario([(1.0, 0.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1, "mass": 0.5}])
+    assert cq.validate_scenario(alone).pruned_queues == (2,)
+    pair = make_scenario(
+        [(1.0, 0.0), (1.0, 0.5)],
+        [{"alpha": 1, "beta": 3, "mass": 0.5}, {"alpha": 1, "beta": 1, "mass": 0.5}],
+    )
+    assert cq.validate_scenario(pair).pruned_queues == ()
+    assert cq.solve_multi(pair).serve_sets == ((1,), (2,))
 
 
 def test_scenario_accessors():

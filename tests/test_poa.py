@@ -10,6 +10,7 @@ import pytest
 
 import concertq as cq
 from concertq.equilibrium import SolverError
+from oracles import optimal_profile_by_capacity_inverse
 from conftest import (
     make_scenario,
     random_feasible_multi,
@@ -78,6 +79,29 @@ def test_optimal_profile_has_no_waiting():
         for q in s.queues:
             ql = cq.fluid_queue(profile, q)
             assert np.max(ql.values) <= 1e-9
+
+
+def test_optimal_profile_matches_the_capacity_inverse():
+    # ragged masses, betas in any order and late queues the optimum never
+    # opens; the window boundaries agree to 1e-12
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        K, N = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        starts = np.concatenate(([0.0], rng.uniform(0.0, 3.0, size=K - 1)))
+        s = make_scenario(
+            [(float(m), float(t)) for m, t in zip(rng.uniform(0.2, 5.0, size=K), starts)],
+            [
+                {"alpha": float(a), "beta": float(b), "mass": float(m)}
+                for a, b, m in rng.uniform(0.1, 3.0, size=(N, 3))
+            ],
+        )
+        got, cost = cq.optimal_profile(s)
+        want, want_cost = optimal_profile_by_capacity_inverse(s)
+        for name in ("pop", "queue", "density"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("start", "end"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+        assert cost == pytest.approx(want_cost, rel=1e-12)
 
 
 def test_optimal_reorders_populations_by_beta():

@@ -400,7 +400,7 @@ def test_scaled_arrivals_reach_total_mass():
     paths = sim.run_des(s, events, sim.SimConfig(n=1_000, seed=2))
     grid = np.array([10.0])
     scaled = sim.scaled_paths(paths, 1_000, grid)
-    assert scaled.arrivals_total[0] == pytest.approx(1.0, abs=1e-12)
+    assert sum(a[0] for a in scaled.arrivals.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scaled_paths_validates_inputs():
