@@ -42,6 +42,14 @@ def _load_scenario(args):
     return replace(s, options=replace(s.options, **overrides))
 
 
+def _load_pruned(args):
+    """``_load_scenario`` without the queues that never open, each noted on stderr."""
+    s, report = pruned_scenario(_load_scenario(args))
+    for msg in report.messages:
+        print(f"note: {msg}", file=sys.stderr)
+    return s
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -55,10 +63,7 @@ def _summary(args, text: str) -> None:
 
 
 def _cmd_eq(args, multi: bool) -> int:
-    s = _load_scenario(args)
-    s, report = pruned_scenario(s)
-    for msg in report.messages:
-        print(f"note: {msg}", file=sys.stderr)
+    s = _load_pruned(args)
     eq = equilibrium.solve_multi(s) if multi else equilibrium.solve_single(s)
     origin = s.time_origin
     profile_csv = eq.profile.shifted(origin).to_csv()
@@ -93,7 +98,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poa(args) -> int:
-    s = _load_scenario(args)
+    s = _load_pruned(args)
     report = poa.poa_multi(s)
     _write(args.out, to_json(report.to_dict(time_origin=s.time_origin)))
     _summary(args, report.summary_line())
@@ -129,11 +134,11 @@ def _cmd_eq_two(args) -> int:
 
 
 def _cmd_fluid(args) -> int:
-    s = _load_scenario(args)
     if args.profile:
+        s = _load_scenario(args)
         profile = _load_profile(args.profile, s)
     else:
-        s, _ = pruned_scenario(s)
+        s = _load_pruned(args)
         profile = equilibrium.solve_multi(s).profile
     origin = s.time_origin
     horizon = fluid.default_horizon(profile, s.queues)
@@ -159,10 +164,8 @@ def _cmd_fluid(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    s = _load_scenario(args)
-    s, _ = pruned_scenario(s)
-    eq = equilibrium.solve_multi(s)
-    profile = eq.profile
+    s = _load_pruned(args)
+    profile = equilibrium.solve_multi(s).profile
     grid = sim.default_grid(profile, s, points=args.grid_points)
     cfg = sim.SimConfig(
         n=args.n,
@@ -188,7 +191,7 @@ def _cmd_simulate(args) -> int:
     _write(args.out, csv_rows(header, columns))
     if args.out:
         summary_path = str(Path(args.out).with_suffix(".summary.json"))
-        _write(summary_path, to_json(report.to_dict()))
+        _write(summary_path, to_json(report.to_dict(time_origin=s.time_origin)))
     worst = max(p.mean for p in report.processes.values())
     _summary(
         args,
@@ -213,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="artifact path (default stdout)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
     for kind, multi in (("single", False), ("multi", True)):
         p = sub.add_parser(f"eq-{kind}", help=f"{kind}-population equilibrium")
@@ -226,10 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--profile", required=True, help="profile CSV path")
     p.add_argument("--grid-step", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("poa", help="price of anarchy report")
     common(p)
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.set_defaults(fn=_cmd_poa)
 
     p = sub.add_parser("serve-count", help="optimal integer serve count")
@@ -259,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo convergence run")
     common(p)
     p.add_argument("--n", type=int, required=True, help="number of users")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--reps", type=int, default=1, help="replications")
     p.add_argument("--service", choices=("exponential", "deterministic"), default="exponential")
     p.add_argument("--grid-points", type=int, default=512)
@@ -280,6 +284,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

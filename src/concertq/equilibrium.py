@@ -27,7 +27,7 @@ best-response gap off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,12 +136,6 @@ def _solve(s: Scenario) -> EquilibriumProfile:
         )
 
     windows, taus = service_windows(queues, [p.mass for p in pops])
-    if len(windows) < len(queues):
-        q = queues[len(windows)]
-        raise SolverError(
-            f"queue {q.id} opens at {q.t_start:g}, at or after the terminal "
-            f"service epoch {taus[N]:g} of its window; prune it first"
-        )
     for i in range(N):
         if not taus[i + 1] > taus[i]:
             raise SolverError(
@@ -216,8 +210,8 @@ def solve_single(s: Scenario) -> EquilibriumProfile:
 
     The terminal time T solves sum_k mu_k (T - t_start_k) = mass; queue k
     receives mass mu_k (T - t_start_k) at density gamma * mu_k starting at
-    T - (T - t_start_k) / gamma.  Requires a validated scenario with pruned
-    queues; raises SolverError if a queue opens at or after T.
+    T - (T - t_start_k) / gamma.  Queues that open at or after T get no
+    arrivals: the result equals the solve of the pruned scenario.
     """
     if s.n_populations != 1:
         raise SolverError(f"single-population solver got N={s.n_populations}")
@@ -245,21 +239,17 @@ def terminal_time(s: Scenario) -> float:
 # -- verification -----------------------------------------------------------
 
 
-def verify_equilibrium(
-    s: Scenario,
-    profile: ArrivalProfile,
-    grid_step: float | None = None,
-    tol: float | None = None,
-) -> VerificationReport:
+def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationReport:
     """Best-response check of ``profile`` against the exact cost curves.
 
     For each population the cost is evaluated at every queue on the union of
     a uniform grid over [first support point - 1, last support point + 1]
-    and all cost-curve breakpoints (the curves are piecewise linear, so
-    extrema are attained there; the grid is belt and braces).  The profile is
-    an equilibrium when every population's support cost is flat within
-    ``tol`` and no off-support (queue, time) pair undercuts it by more than
-    ``tol``.
+    (step ``s.options.grid_step``, by default 1/1024 of that window) and all
+    cost-curve breakpoints (the curves are piecewise linear, so extrema are
+    attained there; the grid is belt and braces).  The profile is an
+    equilibrium when every population's support cost is flat within
+    ``s.options.tol`` and no off-support (queue, time) pair undercuts it by
+    more than that.
 
     The work is batched per queue: one wait path, and every population's
     costs at the queue's B_k wait breakpoints and G grid points as one
@@ -269,13 +259,7 @@ def verify_equilibrium(
     side keeps a running minimum.  A grid of more than ``MAX_GRID_POINTS``
     points is refused with a DomainError before anything is allocated.
     """
-    # explicit arguments override the scenario's options; Options validates both
-    opts = replace(
-        s.options,
-        tol=s.options.tol if tol is None else tol,
-        grid_step=s.options.grid_step if grid_step is None else grid_step,
-    )
-    tol, grid_step = opts.tol, opts.grid_step
+    tol, grid_step = s.options.tol, s.options.grid_step
 
     if profile.total_mass <= 0:
         raise DomainError("cannot verify an empty profile")

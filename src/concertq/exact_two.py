@@ -248,6 +248,8 @@ def expected_queue_ode_step(
 
 # step of the grid on which min_density and routing_sum_residual are taken
 _COARSE_STEP = 1e-3
+# largest Euler grid: 2**22 points, a bound on the diagnostics' memory
+MAX_EULER_POINTS = 1 << 22
 
 
 def _euler_grid(t_first: float, t_last: float, dt: float) -> np.ndarray:
@@ -265,11 +267,17 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
     * cost_flatness: range of the expected cost along the support, with the
       expected queue lengths obtained by integrating the dynamics under the
       closed-form strategy (forward Euler, step ``ode_dt``, which must be
-      positive and finite);
+      positive and finite and put at most ``MAX_EULER_POINTS`` points on
+      the support);
     * routing_sum_residual: sup |p_1 + p_2 - 1| over the support interior.
     """
     if not (ode_dt > 0 and math.isfinite(ode_dt)):
         raise DomainError(f"ode_dt must be positive and finite, got {ode_dt}")
+    if (eq.t_last - eq.t_first) / ode_dt + 1.0 > MAX_EULER_POINTS:
+        raise DomainError(
+            f"ode_dt {ode_dt:g} puts more than {MAX_EULER_POINTS} Euler points on the "
+            f"support [{eq.t_first:g}, {eq.t_last:g}]; use a larger step"
+        )
     pre_mass = eq.gamma * eq.rate_sum * (-eq.t_first)
     f0 = float(eq.density(np.nextafter(0.0, 1.0)))
     fT = float(eq.density(eq.t_last))

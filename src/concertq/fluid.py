@@ -106,8 +106,8 @@ class PiecewisePath:
         vs = self(ts)
         return float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts)))
 
-    def is_nondecreasing(self, tol: float = 0.0) -> bool:
-        return bool((np.diff(self.values) >= -tol).all())
+    def is_nondecreasing(self) -> bool:
+        return bool((np.diff(self.values) >= 0.0).all())
 
 
 def sorted_unique(*arrays) -> np.ndarray:
@@ -217,8 +217,8 @@ class ArrivalProfile:
     @classmethod
     def from_rows(cls, rows) -> "ArrivalProfile":
         """The profile with one row per (pop, queue, start, end, density)
-        tuple; DomainError naming the first row, by position, with end <
-        start or negative density."""
+        tuple; DomainError naming the first row, by position, with a
+        non-finite value, end < start, negative density or non-finite mass."""
         return cls.__new__(cls)._set_columns(*_transposed(rows))
 
     def _set_columns(self, pop, queue, start, end, density) -> "ArrivalProfile":
@@ -227,14 +227,21 @@ class ArrivalProfile:
         self.start = np.array(start, dtype=float)
         self.end = np.array(end, dtype=float)
         self.density = np.array(density, dtype=float)
-        # Segment's checks, on every row at once
-        reversed_rows = ~(self.end >= self.start)
-        bad = reversed_rows | (self.density < 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.row_mass = self.density * (self.end - self.start)  # Segment.mass
+        # Segment's checks and finite values and masses, on every row at once,
+        # in from_csv's order
+        checks = (
+            ("a non-finite value", ~np.isfinite([self.start, self.end, self.density]).all(axis=0)),
+            ("end < start", ~(self.end >= self.start)),
+            ("negative density", self.density < 0),
+            ("non-finite mass", ~np.isfinite(self.row_mass)),
+        )
+        bad = np.logical_or.reduce([rows for _, rows in checks])
         if bad.any():
             i = int(np.argmax(bad))
-            what = "end < start" if reversed_rows[i] else "negative density"
+            what = next(what for what, rows in checks if rows[i])
             raise DomainError(f"profile row {i} has {what}")
-        self.row_mass = self.density * (self.end - self.start)  # Segment.mass
         # a stable sort keeps each queue's rows in profile order
         order = np.argsort(self.queue, kind="stable")
         ids = sorted_unique(self.queue)
@@ -389,7 +396,7 @@ def netflow(
     Breakpoints are the union of the CDF's breakpoints, the queue opening
     time, and the horizon endpoints.
     """
-    if not f_k.is_nondecreasing(tol=0.0):
+    if not f_k.is_nondecreasing():
         raise DomainError("cumulative arrival path must be nondecreasing")
     extra = [q.t_start]
     if horizon is not None:

@@ -28,8 +28,7 @@ class ParseError(ValueError):
     """A malformed scenario or profile document (CLI exit code 2)."""
 
 
-DEFAULT_TOL = 1e-9        # closed-form identities
-DEFAULT_GRID_TOL = 1e-6   # grid-based checks
+DEFAULT_TOL = 1e-9  # closed-form identities and the verifier's flatness
 
 
 def gamma_of(alpha: float, beta: float) -> float:
@@ -169,8 +168,6 @@ def _sorted_populations(pops: list[PopulationSpec]) -> tuple[PopulationSpec, ...
 
 
 _TOP_KEYS = {"queues", "populations", "options"}
-_QUEUE_KEYS = {"mu", "t_start"}
-_POP_KEYS = {"alpha", "beta", "mass"}
 _OPTION_KEYS = {"tol", "grid_step", "seed"}
 
 
@@ -183,6 +180,28 @@ def _require_number(value, locus: str) -> float:
     return out
 
 
+def _entries(doc: dict, section: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Each entry of the array ``doc[section]`` as (id, number reader), checked
+    only when it is reached, so that the caller builds each record before
+    the next entry is read.  Ids count from 1 in document order; the reader
+    returns the entry's number under a key, or ``default`` if it is absent."""
+    entries = doc[section]
+    if not isinstance(entries, (list, tuple)):
+        raise ParseError(f"{section}: expected an array")
+    for i, entry in enumerate(entries):
+        locus = f"{section}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{locus}: expected an object")
+        unknown = set(entry) - set(required) - set(optional)
+        if unknown:
+            raise ParseError(f"{locus}: unknown keys {sorted(unknown)}")
+        if not all(key in entry for key in required):
+            raise ParseError(f"{locus}: needs {' and '.join(map(repr, required))}")
+        yield i + 1, lambda key, default=None: _require_number(
+            entry.get(key, default), f"{locus}.{key}"
+        )
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed scenario document (see parse_scenario)."""
     if not isinstance(doc, dict):
@@ -193,43 +212,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "queues" not in doc or "populations" not in doc:
         raise ParseError("scenario document needs 'queues' and 'populations'")
 
-    queues = []
-    for i, entry in enumerate(doc["queues"]):
-        locus = f"queues[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{locus}: expected an object")
-        unknown = set(entry) - _QUEUE_KEYS
-        if unknown:
-            raise ParseError(f"{locus}: unknown keys {sorted(unknown)}")
-        if "mu" not in entry or "t_start" not in entry:
-            raise ParseError(f"{locus}: needs 'mu' and 't_start'")
-        queues.append(
-            QueueSpec(
-                id=i + 1,
-                mu=_require_number(entry["mu"], f"{locus}.mu"),
-                t_start=_require_number(entry["t_start"], f"{locus}.t_start"),
-            )
-        )
-
-    populations = []
-    for i, entry in enumerate(doc["populations"]):
-        locus = f"populations[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{locus}: expected an object")
-        unknown = set(entry) - _POP_KEYS
-        if unknown:
-            raise ParseError(f"{locus}: unknown keys {sorted(unknown)}")
-        if "alpha" not in entry or "beta" not in entry:
-            raise ParseError(f"{locus}: needs 'alpha' and 'beta'")
-        populations.append(
-            PopulationSpec(
-                id=i + 1,
-                alpha=_require_number(entry["alpha"], f"{locus}.alpha"),
-                beta=_require_number(entry["beta"], f"{locus}.beta"),
-                mass=_require_number(entry.get("mass", 1.0), f"{locus}.mass"),
-            )
-        )
-
+    queues = [
+        QueueSpec(id=i, mu=number("mu"), t_start=number("t_start"))
+        for i, number in _entries(doc, "queues", ("mu", "t_start"))
+    ]
+    populations = [
+        PopulationSpec(id=i, alpha=number("alpha"), beta=number("beta"), mass=number("mass", 1.0))
+        for i, number in _entries(doc, "populations", ("alpha", "beta"), optional=("mass",))
+    ]
     if not queues:
         raise ParseError("queues: at least one queue is required")
     if not populations:

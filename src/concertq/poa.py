@@ -29,7 +29,8 @@ from . import fluid
 from .equilibrium import SolverError, solve_multi, solve_single
 from .fluid import ArrivalProfile
 from .model import (
-    DomainError, Options, PopulationSpec, QueueSpec, Scenario, service_windows, validate_scenario,
+    DEFAULT_TOL, DomainError, Options, PopulationSpec, QueueSpec, Scenario, pruned_scenario,
+    service_windows,
 )
 
 
@@ -155,15 +156,6 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
     return ArrivalProfile.from_rows(rows), cost
 
 
-def _require_unpruned(s: Scenario, what: str) -> None:
-    report = validate_scenario(s)
-    if report.pruned_queues:
-        raise SolverError(
-            f"{what} assumes every queue is active, but queues "
-            f"{list(report.pruned_queues)} would see no arrivals; prune them first"
-        )
-
-
 def poa_closed_form(s: Scenario) -> float:
     """Single-population price of anarchy in closed form.
 
@@ -182,12 +174,12 @@ def poa_single(s: Scenario) -> PoaReport:
     """Price of anarchy for a single population.
 
     ``eta`` comes from the integral social costs of the solved equilibrium
-    and the optimal profile; ``closed_form_eta`` from the closed form, which
-    assumes unit mass and no pruned queues.  The bound eta <= 2 is checked.
+    and the optimal profile; ``closed_form_eta`` from the closed form (unit
+    mass only) over the queues that open.  The bound eta <= 2 is checked.
     """
     if s.n_populations != 1:
         raise SolverError(f"single-population report got N={s.n_populations}")
-    _require_unpruned(s, "the single-population closed form")
+    s, _ = pruned_scenario(s)  # the closed form reads every queue of s
     pop = s.populations[0]
 
     eq = solve_single(s)
@@ -213,7 +205,7 @@ def poa_single(s: Scenario) -> PoaReport:
     )
 
 
-def poa_equal_rate_case(K: int, mu: float, tau: float, tol: float = 1e-9) -> float:
+def poa_equal_rate_case(K: int, mu: float, tau: float) -> float:
     """Price of anarchy when K queues share the total rate ``mu`` equally and
     open tau apart: eta = (2 + mu tau (K-1)) /
     (1 + mu tau (K-1) - mu^2 tau^2 (K^2 - 1) / 12).
@@ -244,7 +236,7 @@ def poa_equal_rate_case(K: int, mu: float, tau: float, tol: float = 1e-9) -> flo
         options=Options(),
     )
     general = poa_closed_form(scenario)
-    if abs(general - eta) > tol * max(1.0, abs(eta)):
+    if abs(general - eta) > DEFAULT_TOL * max(1.0, abs(eta)):
         raise AssertionError(
             f"equal-rate special case disagrees with the general closed form: "
             f"{eta!r} vs {general!r}"
@@ -314,7 +306,7 @@ def poa_multi(s: Scenario) -> PoaReport:
     """
     if s.n_populations == 1:
         return poa_single(s)
-    _require_unpruned(s, "the multi-population social cost")
+    s, _ = pruned_scenario(s)  # the equal-rate spacing reads every queue of s
 
     eq = solve_multi(s)
     j_eq = sum(eq.equilibrium_costs[p.id] * p.mass for p in s.populations)

@@ -58,6 +58,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.replications < 1:
             raise DomainError(f"need replications >= 1, got {self.replications}")
         if self.service_dist not in _SERVICE_DISTS:
@@ -399,17 +401,19 @@ class ConvergenceReport:
     grid: np.ndarray
     scaled: tuple[ScaledPaths, ...]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, time_origin: float = 0.0) -> dict:
+        """JSON-ready report; its times are shifted back by ``time_origin``."""
+        o = time_origin
         return {
             "n": self.n,
             "replications": self.replications,
             "processes": {k: v.to_dict() for k, v in sorted(self.processes.items())},
-            "first_arrivals": list(self.first_arrivals),
-            "support_infimum": self.support_infimum,
+            "first_arrivals": [t + o for t in self.first_arrivals],
+            "support_infimum": self.support_infimum + o,
             "grid": {
                 "points": int(self.grid.size),
-                "start": float(self.grid[0]),
-                "end": float(self.grid[-1]),
+                "start": float(self.grid[0]) + o,
+                "end": float(self.grid[-1]) + o,
             },
         }
 

@@ -39,10 +39,9 @@ def pair_segments(profile, population, queue):
     return [profile.segments[i] for i in rows[profile.pop[rows] == population].tolist()]
 
 
-def verify_pairwise(s, profile, grid_step=None, tol=None):
-    """``verify_equilibrium`` evaluated pair by pair (no option checks)."""
-    tol = s.options.tol if tol is None else tol
-    grid_step = s.options.grid_step if grid_step is None else grid_step
+def verify_pairwise(s, profile):
+    """``verify_equilibrium`` evaluated pair by pair (no grid cap)."""
+    tol, grid_step = s.options.tol, s.options.grid_step
     if not profile.segments or profile.total_mass <= 0:
         raise DomainError("cannot verify an empty profile")
     strays = [qid for qid in profile.queue_ids if qid not in {q.id for q in s.queues}]

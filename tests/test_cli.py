@@ -471,3 +471,114 @@ def test_verify_rejects_a_grid_above_the_point_cap(scenarios):
     assert_one_error_line(result.stderr)
     assert "grid step" in result.stderr
     assert not out.exists()
+
+
+def test_flags_belong_to_the_commands_that_read_them(tmp_path, capsys):
+    # --tol is read by verify and poa only, --seed by simulate only
+    two = ["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1",
+           "--out", str(tmp_path / "two.json")]
+    assert main([*two, "--seed", "1"]) == 2
+    assert main([*two, "--tol", "1e-6"]) == 2
+    assert main(["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1", "--seed", "1"]) == 2
+    for command in ("eq-single", "eq-multi", "fluid", "simulate"):
+        assert main([command, "--scenario", "x.json", "--tol", "1e-6"]) == 2
+    for command in ("eq-single", "verify", "poa", "fluid"):
+        assert main([command, "--scenario", "x.json", "--seed", "1"]) == 2
+    assert not (tmp_path / "two.json").exists()
+
+
+def test_a_negative_seed_is_one_error_line(scenarios, capsys):
+    out = scenarios["dir"] / "neg.csv"
+    assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "100",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "seed must be nonnegative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["queues", "populations"])
+@pytest.mark.parametrize("value", ["5", "null", '{"mu":1}', '"abc"'])
+def test_a_section_that_is_not_an_array_is_a_parse_error(tmp_path, capsys, section, value):
+    doc = {"queues": '[{"mu":1,"t_start":0}]', "populations": '[{"alpha":1,"beta":1}]'}
+    doc[section] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"queues":{doc["queues"]},"populations":{doc["populations"]}}}')
+    assert main(["eq-single", "--scenario", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"{section}: expected an array" in err
+
+
+def _pair_opening_at(t0, tmp_path, name):
+    path = tmp_path / name
+    path.write_text(
+        f'{{"queues":[{{"mu":1,"t_start":{t0}}},{{"mu":1,"t_start":{t0 + 0.5}}}],'
+        '"populations":[{"alpha":1,"beta":1}]}'
+    )
+    return path
+
+
+def test_simulate_summary_is_in_the_scenario_time(tmp_path):
+    summaries = []
+    for t0 in (0.0, 4.0):
+        out = tmp_path / f"sim{t0:g}.csv"
+        argv = ["simulate", "--scenario", str(_pair_opening_at(t0, tmp_path, f"s{t0:g}.json")),
+                "--n", "400", "--reps", "2", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        summaries.append(json.loads(out.with_suffix(".summary.json").read_text()))
+        # the summary's grid is the one the t column of sim.csv runs over
+        t_column = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+        assert summaries[-1]["grid"]["start"] == min(t_column)
+    base, shifted = summaries
+    grid = base["grid"]
+    assert shifted == dict(
+        base,
+        first_arrivals=[t + 4.0 for t in base["first_arrivals"]],
+        support_infimum=base["support_infimum"] + 4.0,
+        grid=dict(grid, start=grid["start"] + 4.0, end=grid["end"] + 4.0),
+    )
+
+
+def test_poa_skips_a_queue_that_never_opens(tmp_path, capsys):
+    late = tmp_path / "late.json"
+    late.write_text('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":5}],'
+                    '"populations":[{"alpha":1,"beta":1}]}')
+    alone = tmp_path / "alone.json"
+    alone.write_text('{"queues":[{"mu":1,"t_start":0}],"populations":[{"alpha":1,"beta":1}]}')
+    capsys.readouterr()
+    assert main(["poa", "--scenario", str(late), "--out", str(tmp_path / "late_poa.json")]) == 0
+    notes = capsys.readouterr().err.strip().splitlines()
+    assert len(notes) == 1 and notes[0].startswith("note: queue 2 pruned")
+    assert main(["poa", "--scenario", str(alone), "--out", str(tmp_path / "alone_poa.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "late_poa.json").read_bytes() == (tmp_path / "alone_poa.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", [["fluid"], ["simulate", "--n", "100"], ["eq-multi"]])
+def test_commands_that_solve_note_the_queues_they_skip(tmp_path, capsys, command):
+    late = tmp_path / "late.json"
+    late.write_text('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":5}],'
+                    '"populations":[{"alpha":1,"beta":1}]}')
+    capsys.readouterr()
+    assert main([command[0], "--scenario", str(late), *command[1:],
+                 "--out", str(tmp_path / "out")]) == 0
+    notes = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("note:")]
+    assert len(notes) == 1 and notes[0].startswith("note: queue 2 pruned")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sizes that fail when the first array is allocated, never later
+        ["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-15"],
+        ["simulate", "--n", str(10**12)],
+    ],
+)
+def test_absurd_sizes_are_one_error_line(scenarios, capsys, argv):
+    if argv[0] == "simulate":
+        argv = [*argv, "--scenario", str(scenarios["two"])]
+    out = scenarios["dir"] / "absurd.out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,10 +74,13 @@ def test_high_gamma_arrivals_approach_openings():
     assert eq.first_arrivals[2] == pytest.approx(0.2, abs=1e-8)
 
 
-def test_single_rejects_unpruned_scenario():
+def test_single_gives_no_arrivals_to_a_queue_that_never_opens():
+    # queue 2 opens at 2, after queue 1 alone serves the unit mass by 1
     s = make_scenario([(1.0, 0.0), (1.0, 2.0)], [{"alpha": 1, "beta": 1}])
-    with pytest.raises(SolverError):
-        cq.solve_single(s)
+    eq = cq.solve_single(s)
+    assert eq.profile.queue_ids == (1,)
+    assert eq.first_arrivals.keys() == {1} and eq.serve_sets == ((1,),)
+    assert eq.terminal_time == 1.0
 
 
 def test_single_rejects_multi_population():
@@ -440,9 +445,11 @@ def test_verifier_rejects_unknown_queue():
 
 @pytest.mark.parametrize("kwargs", [{"grid_step": 0.0}, {"grid_step": -0.1}, {"tol": -1.0}])
 def test_verifier_rejects_bad_grid_step_and_tol(kwargs):
+    # the verifier reads its grid step and tolerance from the scenario's
+    # options, which refuse these values when they are set
     s = two_queue_worked_scenario()
     with pytest.raises(cq.DomainError):
-        cq.verify_equilibrium(s, cq.solve_single(s).profile, **kwargs)
+        cq.verify_equilibrium(replace(s, options=replace(s.options, **kwargs)), cq.solve_single(s).profile)
 
 
 def test_profile_to_dict_shifts_times():

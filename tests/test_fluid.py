@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import concertq as cq
 from concertq import fluid, poa, sim
 from concertq.fluid import PiecewisePath, default_horizon, queue_fluid
 from concertq.model import ParseError
-from concertq.serialize import fmt
+from concertq.serialize import csv_rows, fmt
 from conftest import make_scenario, two_queue_worked_scenario
 from oracles import profile_segments_from_csv, segment_columns, shifted_segments
 
@@ -327,8 +329,37 @@ def test_arrival_profile_csv_is_the_per_cell_format():
 def test_segments_reject_bools_and_csv_rejects_non_finite_values():
     with pytest.raises(TypeError, match="bool"):
         cq.Segment(1, 1, 0.0, True, 0.5)
+    # an inf density is refused when the profile is built, so it never
+    # reaches to_csv; the CSV writer still refuses non-finite cells itself
+    with pytest.raises(cq.DomainError, match="row 0 has a non-finite value"):
+        cq.ArrivalProfile((cq.Segment(1, 1, 0.0, 1.0, np.inf),))
     with pytest.raises(ValueError, match="cannot serialize non-finite number inf"):
-        cq.ArrivalProfile((cq.Segment(1, 1, 0.0, 1.0, np.inf),)).to_csv()
+        csv_rows(["density"], [np.array([np.inf])])
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ((1, 1, 0.0, 1.0, np.nan), "a non-finite value"),
+        ((1, 1, 0.0, np.inf, 1.0), "a non-finite value"),
+        ((1, 1, -np.inf, 0.0, 1.0), "a non-finite value"),
+        ((1, 1, 0.0, 1e9, 1e300), "non-finite mass"),
+        ((1, 1, 1.0, 0.0, np.nan), "a non-finite value"),
+        ((1, 1, 1.0, 0.0, 1e300), "end < start"),
+    ],
+)
+def test_profiles_built_in_the_library_refuse_non_finite_rows(row, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
+        with pytest.raises(cq.DomainError, match=f"profile row 1 has {what}$"):
+            cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1.0), row])
+
+
+def test_segment_profiles_and_shifts_refuse_non_finite_values():
+    with pytest.raises(cq.DomainError, match="profile row 0 has a non-finite value"):
+        cq.ArrivalProfile((cq.Segment(1, 1, 0.0, 1.0, np.nan),))
+    with pytest.raises(cq.DomainError, match="profile row 0 has a non-finite value"):
+        cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1.0)]).shifted(np.inf)
 
 
 def test_pair_segments_keep_profile_order():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,12 @@ def ragged_scenario():
     )
 
 
-def assert_same_report(s, profile, **kwargs):
-    assert cq.verify_equilibrium(s, profile, **kwargs) == verify_pairwise(s, profile, **kwargs)
+def with_options(s, **options):
+    return replace(s, options=replace(s.options, **options))
+
+
+def assert_same_report(s, profile):
+    assert cq.verify_equilibrium(s, profile) == verify_pairwise(s, profile)
 
 
 @pytest.mark.parametrize("build", [wide_scenario, two_queue_worked_scenario, ragged_scenario])
@@ -39,7 +44,7 @@ def test_verifier_and_social_cost_match_the_pairwise_oracle(build):
     s = build()
     eq = cq.solve_multi(s)
     assert_same_report(s, eq.profile)
-    assert_same_report(s, eq.profile, grid_step=0.01)
+    assert_same_report(with_options(s, grid_step=0.01), eq.profile)
     assert poa.social_cost(s, eq.profile) == social_cost_pairwise(s, eq.profile)
     optimal, _ = poa.optimal_profile(s)
     assert poa.social_cost(s, optimal) == social_cost_pairwise(s, optimal)
@@ -215,12 +220,13 @@ def test_grid_above_the_cap_is_refused_before_allocation():
     s = two_queue_worked_scenario()
     profile = cq.solve_single(s).profile
     with pytest.raises(cq.DomainError, match="grid step"):
-        cq.verify_equilibrium(s, profile, grid_step=1e-12)
+        cq.verify_equilibrium(with_options(s, grid_step=1e-12), profile)
     with pytest.raises(cq.DomainError, match="grid step"):
-        cq.verify_equilibrium(s, profile, grid_step=5e-324)
+        cq.verify_equilibrium(with_options(s, grid_step=5e-324), profile)
     lo, hi = profile.support_bounds()
     span = hi - lo + 2.0
-    fine = cq.verify_equilibrium(s, profile, grid_step=span / (cq.equilibrium.MAX_GRID_POINTS - 2))
+    fine_step = span / (cq.equilibrium.MAX_GRID_POINTS - 2)
+    fine = cq.verify_equilibrium(with_options(s, grid_step=fine_step), profile)
     assert fine.is_equilibrium
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import concertq as cq
-from concertq.equilibrium import SolverError
 from oracles import optimal_profile_by_capacity_inverse
 from conftest import (
     make_scenario,
@@ -192,10 +191,35 @@ def test_poa_worked_scenario():
     assert report.closed_form_eta == pytest.approx(12.0 / 7.0, abs=1e-12)
 
 
-def test_poa_requires_pruned_scenario():
+def test_poa_skips_a_queue_that_never_opens():
     s = make_scenario([(1.0, 0.0), (1.0, 2.0)], [{"alpha": 1, "beta": 1}])
-    with pytest.raises(SolverError):
-        cq.poa_single(s)
+    alone = make_scenario([(1.0, 0.0)], [{"alpha": 1, "beta": 1}])
+    assert cq.poa_single(s) == cq.poa_single(alone)
+    assert cq.poa_single(s).closed_form_eta == 2.0  # one queue: eta hits the bound
+
+
+def test_solvers_and_reports_equal_those_of_the_pruned_scenario():
+    """Queues that never open change nothing: each solve and report of s
+    equals the same call on the pruned scenario, to the last bit."""
+    rng = np.random.default_rng(2011)
+    checked = {1: 0, 2: 0, 3: 0}
+    while min(checked.values()) < 15:
+        K, N = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        s = make_scenario(
+            [(float(m), float(t)) for m, t in zip(rng.uniform(0.2, 3.0, K), rng.uniform(0.0, 3.0, K))],
+            [{"alpha": float(a), "beta": float(b), "mass": float(m)}
+             for a, b, m in zip(rng.uniform(0.1, 3.0, N), rng.uniform(0.1, 3.0, N), rng.uniform(0.2, 2.0, N))],
+        )
+        pruned, report = cq.pruned_scenario(s)
+        if not report.pruned_queues:
+            continue
+        checked[N] += 1
+        calls = [cq.solve_multi, cq.poa_multi] + ([cq.solve_single, cq.poa_single] if N == 1 else [])
+        for call in calls:
+            got, want = call(s), call(pruned)
+            assert got.to_dict() == want.to_dict()
+            if hasattr(got, "profile"):
+                assert got.profile == want.profile
 
 
 def test_poa_randomized_bounds_and_agreement():
