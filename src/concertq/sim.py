@@ -26,7 +26,7 @@ right-continuous (counts include events at exactly t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,9 @@ _ROUTING_STREAM = 1
 _SERVICE_STREAM_BASE = 16
 
 _SERVICE_DISTS = ("exponential", "deterministic")
+
+# the scaled processes compared with their fluid limits, in sim.csv column order
+PROCESSES = ("arrivals", "queue_length", "busy_time", "virtual_wait")
 
 
 def _stream(seed: int, replication: int, stream: int) -> np.random.Generator:
@@ -261,9 +264,7 @@ class QueueRecord:
 class SimPaths:
     """One replication's event-level output."""
 
-    n: int
     mass_scale: float           # fluid mass carried by one user
-    t_origin: float
     records: dict[int, QueueRecord]
 
     def first_arrival(self) -> float:
@@ -288,9 +289,6 @@ def run_des(
     if times.size and not np.all(np.diff(times) >= 0):
         raise DomainError("events must be sorted by time")
     mass_scale = s.total_mass / cfg.n
-
-    starts = [q.t_start for q in s.queues]
-    t_origin = float(min(times.min() if times.size else min(starts), min(starts)))
 
     # one stable grouping pass keeps each queue's arrivals in time order
     order = np.argsort(queues, kind="stable")
@@ -320,48 +318,27 @@ def run_des(
             services=svc,
             completions=completions,
         )
-    return SimPaths(n=cfg.n, mass_scale=mass_scale, t_origin=t_origin, records=records)
+    return SimPaths(mass_scale=mass_scale, records=records)
 
 
-@dataclass(frozen=True)
-class ScaledPaths:
-    """Simulated trajectories on a grid, in fluid units."""
-
-    grid: np.ndarray
-    arrivals: dict[int, np.ndarray]       # A_k * mass_scale
-    queue_length: dict[int, np.ndarray]   # Q_k * mass_scale
-    busy_time: dict[int, np.ndarray]      # unscaled, order one
-    virtual_wait: dict[int, np.ndarray]   # unscaled, order one
-
-
-def scaled_paths(paths: SimPaths, n: int, grid: np.ndarray) -> ScaledPaths:
-    """Evaluate the scaled step functions on the grid.
+def scaled_paths(paths: SimPaths, grid: np.ndarray) -> dict[str, dict[int, np.ndarray]]:
+    """The simulated processes on the grid, in fluid units, keyed like
+    ``fluid_reference``: ``{process: {queue_id: values}}``.
 
     Arrival and queue-length counts are multiplied by the per-user fluid
     mass; busy time and virtual wait are already order one.
     """
-    if n != paths.n:
-        raise DomainError(f"paths were simulated with n={paths.n}, not {n}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be a strictly ascending 1-d array")
     m = paths.mass_scale
-    arrivals = {}
-    queue_length = {}
-    busy = {}
-    wait = {}
-    for qid, rec in paths.records.items():
-        arrivals[qid] = rec.arrivals_at(grid) * m
-        queue_length[qid] = rec.queue_length_at(grid) * m
-        busy[qid] = rec.busy_time_at(grid)
-        wait[qid] = rec.virtual_wait_at(grid)
-    return ScaledPaths(
-        grid=grid,
-        arrivals=arrivals,
-        queue_length=queue_length,
-        busy_time=busy,
-        virtual_wait=wait,
-    )
+    recs = paths.records
+    return {
+        "arrivals": {qid: rec.arrivals_at(grid) * m for qid, rec in recs.items()},
+        "queue_length": {qid: rec.queue_length_at(grid) * m for qid, rec in recs.items()},
+        "busy_time": {qid: rec.busy_time_at(grid) for qid, rec in recs.items()},
+        "virtual_wait": {qid: rec.virtual_wait_at(grid) for qid, rec in recs.items()},
+    }
 
 
 @dataclass(frozen=True)
@@ -389,8 +366,8 @@ class ProcessErrors:
 class ConvergenceReport:
     """Distances between scaled simulated paths and their fluid limits.
 
-    ``scaled`` holds each replication's grid-evaluated paths, so callers
-    that emit them need not simulate again; ``to_dict`` leaves them out.
+    ``scaled`` holds each replication's ``scaled_paths`` table, so callers
+    that emit the paths need not simulate again; ``to_dict`` leaves them out.
     """
 
     n: int
@@ -399,7 +376,7 @@ class ConvergenceReport:
     first_arrivals: tuple[float, ...]
     support_infimum: float
     grid: np.ndarray
-    scaled: tuple[ScaledPaths, ...]
+    scaled: tuple[dict[str, dict[int, np.ndarray]], ...]
 
     def to_dict(self, time_origin: float = 0.0) -> dict:
         """JSON-ready report; its times are shifted back by ``time_origin``."""
@@ -441,24 +418,18 @@ def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> 
     reference = fluid_reference(s, profile, grid)
     support_inf = profile.support_bounds()[0]
 
-    errors: dict[str, list[float]] = {k: [] for k in reference}
+    errors: dict[str, list[float]] = {name: [] for name in PROCESSES}
     first_arrivals: list[float] = []
-    all_scaled: list[ScaledPaths] = []
+    all_scaled: list[dict[str, dict[int, np.ndarray]]] = []
     for rep in range(cfg.replications):
         events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
         paths = run_des(s, events, cfg, replication=rep)
-        scaled = scaled_paths(paths, cfg.n, grid)
+        scaled = scaled_paths(paths, grid)
         first_arrivals.append(paths.first_arrival())
         all_scaled.append(scaled)
-        sim_values = {
-            "arrivals": scaled.arrivals,
-            "queue_length": scaled.queue_length,
-            "busy_time": scaled.busy_time,
-            "virtual_wait": scaled.virtual_wait,
-        }
-        for name, per_queue in sim_values.items():
+        for name in PROCESSES:
             worst = max(
-                float(np.max(np.abs(per_queue[q.id] - reference[name][q.id])))
+                float(np.max(np.abs(scaled[name][q.id] - reference[name][q.id])))
                 for q in s.queues
             )
             errors[name].append(worst)
@@ -480,14 +451,7 @@ def convergence_study(
     """Convergence reports at n and n * n_factor with shared replication
     seeds, plus the mean-sup-error ratio per process (large over small)."""
     small = convergence_report(s, profile, cfg)
-    big_cfg = SimConfig(
-        n=cfg.n * n_factor,
-        seed=cfg.seed,
-        service_dist=cfg.service_dist,
-        grid=small.grid,
-        replications=cfg.replications,
-    )
-    big = convergence_report(s, profile, big_cfg)
+    big = convergence_report(s, profile, replace(cfg, n=cfg.n * n_factor, grid=small.grid))
     ratios = {
         name: big.processes[name].mean / small.processes[name].mean
         if small.processes[name].mean > 0

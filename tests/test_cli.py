@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import concertq as cq
@@ -159,6 +160,26 @@ def test_simulate_writes_paths_and_summary(scenarios):
     summary = json.loads((d / "paths.summary.json").read_text())
     assert summary["n"] == 500
     assert summary["replications"] == 2
+
+
+def test_sim_csv_columns_follow_the_process_table(scenarios):
+    # scaled_paths and fluid_reference key their tables by sim.PROCESSES, and
+    # the value columns of sim.csv are those processes in that order
+    out = scenarios["dir"] / "table.csv"
+    assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "300",
+                 "--seed", "5", "--grid-points", "16", "--out", str(out)]) == 0
+    s = cq.parse_scenario(scenarios["two"].read_text())
+    profile = cq.solve_multi(s).profile
+    grid = sim.default_grid(profile, s, points=16)
+    cfg = sim.SimConfig(n=300, seed=5, grid=grid)
+    scaled = sim.scaled_paths(sim.run_des(s, sim.sample_arrivals(profile, 300, 5), cfg), grid)
+    assert tuple(scaled) == tuple(sim.fluid_reference(s, profile, grid)) == sim.PROCESSES
+    rows = [row.split(",") for row in out.read_text().splitlines()]
+    assert len(rows[0]) == 3 + len(sim.PROCESSES)
+    for j, name in enumerate(sim.PROCESSES, start=3):
+        for q in s.queues:
+            column = [float(row[j]) for row in rows[1:] if row[2] == str(q.id)]
+            assert np.array_equal(column, scaled[name][q.id])
 
 
 def test_cli_reruns_are_byte_identical(scenarios):
@@ -429,6 +450,10 @@ def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
         ["serve-count", "--l", "nan", "--mu", "1", "--tau", "0.1"],
         ["serve-count", "--l", "7", "--mu", "inf", "--tau", "0.1"],
         ["serve-count", "--l", "7", "--mu", "1", "--tau", "inf"],
+        # 2l/(mu tau) overflows; mu tau underflows to 0; the epochs overflow
+        ["serve-count", "--l", "1e308", "--mu", "1e-10", "--tau", "1"],
+        ["serve-count", "--l", "7", "--mu", "1e-300", "--tau", "1e-300"],
+        ["serve-count", "--l", "1e300", "--mu", "1e-10", "--tau", "1e10"],
     ],
 )
 def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
@@ -570,9 +595,17 @@ def test_commands_that_solve_note_the_queues_they_skip(tmp_path, capsys, command
 @pytest.mark.parametrize(
     "argv",
     [
-        # sizes that fail when the first array is allocated, never later
+        # sizes refused before any allocation, or that fail when the first
+        # array is allocated, never later
         ["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-15"],
+        ["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "5e-6"],
+        ["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1",
+         "--trace-points", str(2**16 + 1)],
+        ["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1", "--k-max", str(2**16 + 1)],
         ["simulate", "--n", str(10**12)],
+        ["simulate", "--n", "100", "--grid-points", "-1"],
+        ["simulate", "--n", "100", "--grid-points", "0"],
+        ["simulate", "--n", "100", "--grid-points", "1"],
     ],
 )
 def test_absurd_sizes_are_one_error_line(scenarios, capsys, argv):

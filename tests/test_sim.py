@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,7 +244,8 @@ def test_no_events_paths_are_zero():
     grid = np.linspace(0.0, 2.0, 5)
     assert np.all(rec.queue_length_at(grid) == 0)
     assert np.all(rec.busy_time_at(grid) == 0)
-    assert np.allclose(rec.empty_time_at(grid, paths.t_origin), grid - paths.t_origin)
+    # with no arrivals, time is counted from the opening
+    assert np.allclose(rec.empty_time_at(grid, rec.t_start), grid - rec.t_start)
 
 
 def test_fifo_order_and_counts():
@@ -289,7 +291,8 @@ def test_empty_vs_idle_gap_shrinks_with_n():
             rec = paths.records[1]
             # idle time: the post-opening clock minus busy time
             idle = np.maximum(t_probe - rec.t_start, 0.0) - rec.busy_time_at(t_probe)
-            gaps.append(abs(idle[0] - rec.empty_time_at(t_probe, paths.t_origin)[0]))
+            origin = min(rec.arrivals[0], rec.t_start)
+            gaps.append(abs(idle[0] - rec.empty_time_at(t_probe, origin)[0]))
         means.append(float(np.mean(gaps)))
     assert means[1] <= means[0] + 1e-12
 
@@ -368,11 +371,12 @@ def test_empty_time_matches_gap_loop(seed, spread):
     times = np.sort(rng.uniform(*spread, size=n))
     paths = sim.run_des(s, (times, np.ones(n, dtype=int)), sim.SimConfig(n=n, seed=seed))
     rec = paths.records[1]
+    first = min(rec.arrivals[0], rec.t_start)
     grid = np.concatenate((
-        np.linspace(-2.0, 5.0, 301), rec.arrivals[:5], rec.completions[-5:], [paths.t_origin],
+        np.linspace(-2.0, 5.0, 301), rec.arrivals[:5], rec.completions[-5:], [first],
     ))
     grid.sort()
-    for origin in (paths.t_origin, paths.t_origin - 0.5):
+    for origin in (first, first - 0.5):
         assert np.allclose(
             rec.empty_time_at(grid, origin), _empty_time_by_loop(rec, grid, origin),
             rtol=0.0, atol=1e-12,
@@ -389,8 +393,8 @@ def test_scaled_single_arrival_is_empirical_cdf():
     events = (np.array([0.25]), np.array([1]))
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     grid = np.array([0.0, 0.25, 0.5])
-    scaled = sim.scaled_paths(paths, 1, grid)
-    assert np.array_equal(scaled.arrivals[1], [0.0, 1.0, 1.0])
+    scaled = sim.scaled_paths(paths, grid)
+    assert np.array_equal(scaled["arrivals"][1], [0.0, 1.0, 1.0])
 
 
 def test_scaled_arrivals_reach_total_mass():
@@ -399,8 +403,8 @@ def test_scaled_arrivals_reach_total_mass():
     events = sim.sample_arrivals(profile, 1_000, seed=2)
     paths = sim.run_des(s, events, sim.SimConfig(n=1_000, seed=2))
     grid = np.array([10.0])
-    scaled = sim.scaled_paths(paths, 1_000, grid)
-    assert sum(a[0] for a in scaled.arrivals.values()) == pytest.approx(1.0, abs=1e-12)
+    scaled = sim.scaled_paths(paths, grid)
+    assert sum(a[0] for a in scaled["arrivals"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scaled_paths_validates_inputs():
@@ -408,9 +412,7 @@ def test_scaled_paths_validates_inputs():
     events = (np.array([0.0]), np.array([1]))
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     with pytest.raises(cq.DomainError):
-        sim.scaled_paths(paths, 2, np.array([0.0, 1.0]))
-    with pytest.raises(cq.DomainError):
-        sim.scaled_paths(paths, 1, np.array([1.0, 0.0]))
+        sim.scaled_paths(paths, np.array([1.0, 0.0]))
 
 
 def test_mass_scaling_with_heavy_population():
@@ -451,6 +453,21 @@ def test_convergence_study_error_shrinks():
     assert big.n == 2_500
     assert ratios["queue_length"] < 1.0
     assert ratios["arrivals"] < 1.0
+
+
+def test_convergence_study_large_run_keeps_every_config_field():
+    # a field dropped from the large config (here service_dist) would change
+    # the large report
+    s = two_queue_worked_scenario()
+    profile = equilibrium_profile(s)
+    cfg = sim.SimConfig(n=60, seed=4, service_dist="deterministic", replications=2)
+    small, big, _ = sim.convergence_study(s, profile, cfg, n_factor=3)
+    direct = sim.convergence_report(s, profile, replace(cfg, n=180, grid=small.grid))
+    assert big.to_dict() == direct.to_dict()
+    for got, want in zip(big.scaled, direct.scaled, strict=True):
+        for name in sim.PROCESSES:
+            for qid, values in want[name].items():
+                assert np.array_equal(got[name][qid], values)
 
 
 def test_first_arrival_approaches_support_infimum():
