@@ -7,6 +7,9 @@ hypothesis error, 2 I/O or parse error.  All randomness flows from --seed.
 
 Times in emitted artifacts are in the scenario's original coordinates (the
 ingestion shift by the earliest opening time is undone on output).
+
+Each command imports the computation modules it runs inside its handler, so
+a process compiles and runs only those (README, "Start-up").
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import equilibrium, exact_two, fluid, poa, sim
+from . import fluid
 from .model import DomainError, ParseError, parse_scenario, pruned_scenario
 from .serialize import csv_rows, fmt, to_json
 
@@ -66,6 +69,8 @@ def _summary(args, text: str) -> None:
 
 
 def _cmd_eq(args, multi: bool) -> int:
+    from . import equilibrium
+
     s = _load_pruned(args)
     eq = equilibrium.solve_multi(s) if multi else equilibrium.solve_single(s)
     origin = s.time_origin
@@ -92,6 +97,8 @@ def _load_profile(path: str, s) -> fluid.ArrivalProfile:
 
 
 def _cmd_verify(args) -> int:
+    from . import equilibrium
+
     s = _load_scenario(args)
     profile = _load_profile(args.profile, s)
     report = equilibrium.verify_equilibrium(s, profile)
@@ -101,6 +108,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poa(args) -> int:
+    from . import poa
+
     s = _load_pruned(args)
     report = poa.poa_multi(s)
     _write(args.out, to_json(report.to_dict(time_origin=s.time_origin)))
@@ -109,6 +118,8 @@ def _cmd_poa(args) -> int:
 
 
 def _cmd_serve_count(args) -> int:
+    from . import poa
+
     result = poa.optimal_serve_count(args.l, args.mu, args.tau, args.k_max)
     _write(args.out, to_json(result.to_dict()))
     _summary(args, f"k_star={result.k_star}, tie={str(result.tie).lower()}")
@@ -116,6 +127,8 @@ def _cmd_serve_count(args) -> int:
 
 
 def _cmd_eq_two(args) -> int:
+    from . import exact_two
+
     if not 1 <= args.trace_points <= MAX_TRACE_POINTS:
         raise DomainError(
             f"--trace-points must be between 1 and {MAX_TRACE_POINTS}, got {args.trace_points}"
@@ -143,6 +156,8 @@ def _cmd_fluid(args) -> int:
         s = _load_scenario(args)
         profile = _load_profile(args.profile, s)
     else:
+        from . import equilibrium
+
         s = _load_pruned(args)
         profile = equilibrium.solve_multi(s).profile
     origin = s.time_origin
@@ -169,6 +184,8 @@ def _cmd_fluid(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import equilibrium, sim
+
     if args.grid_points < 2:
         raise DomainError(f"--grid-points must be at least 2, got {args.grid_points}")
     s = _load_pruned(args)
@@ -268,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo convergence run")
     common(p)
-    p.add_argument("--n", type=int, required=True, help="number of users")
+    p.add_argument("--n", type=int, required=True,
+                   help="number of users: about 80 bytes of peak memory each (140 with --reps 2 "
+                        "or more); an n past the machine's memory exits 1 with one error line")
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--reps", type=int, default=1, help="replications")
     p.add_argument("--service", choices=("exponential", "deterministic"), default="exponential")

@@ -318,6 +318,9 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         support_costs[pop.id] = c
         deviations[pop.id] = float(np.max(np.abs(sup_all - c)))
         gaps[pop.id] = lowest_off - c
+        if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
+            raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
+                              f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()

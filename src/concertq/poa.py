@@ -84,6 +84,7 @@ class ServeSetResult:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a total that overflows is refused below
 def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     """Exact integral sum_{j,k} of cost_{j,k}(t) dF_{j,k}(t).
 
@@ -111,6 +112,8 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     total = 0.0
     for term in np.concatenate(terms)[order].tolist():
         total += term
+    if not math.isfinite(total):
+        raise DomainError(f"social cost is {total!r}: the scenario's times or rates overflow")
     return total
 
 
@@ -170,6 +173,13 @@ def poa_closed_form(s: Scenario) -> float:
     return 2.0 * (1.0 + mt) / (1.0 + cross + 2.0 * mt)
 
 
+def _eta(j_eq: float, j_opt: float) -> float:
+    if not (math.isfinite(j_eq) and 0.0 < j_opt < math.inf):
+        raise DomainError(f"the price of anarchy needs a finite j_eq and a finite j_opt > 0, "
+                          f"got j_eq={j_eq!r}, j_opt={j_opt!r}")
+    return j_eq / j_opt
+
+
 def poa_single(s: Scenario) -> PoaReport:
     """Price of anarchy for a single population.
 
@@ -185,7 +195,7 @@ def poa_single(s: Scenario) -> PoaReport:
     eq = solve_single(s)
     j_eq = social_cost(s, eq.profile)
     opt_profile, j_opt = optimal_profile(s)
-    eta = j_eq / j_opt
+    eta = _eta(j_eq, j_opt)
 
     closed = poa_closed_form(s) if abs(pop.mass - 1.0) <= 1e-12 else None
     bound_ok = eta <= 2.0 + s.options.tol
@@ -312,7 +322,7 @@ def poa_multi(s: Scenario) -> PoaReport:
     j_eq = sum(eq.equilibrium_costs[p.id] * p.mass for p in s.populations)
     j_eq_integral = social_cost(s, eq.profile)
     opt_profile, j_opt = optimal_profile(s)
-    eta = j_eq / j_opt
+    eta = _eta(j_eq, j_opt)
 
     masses_equal = len({p.mass for p in s.populations}) == 1
     unit_masses = masses_equal and abs(s.populations[0].mass - 1.0) <= 1e-12

@@ -440,6 +440,9 @@ def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
     assert_one_error_line(capsys.readouterr().err)
 
 
+TINY_RATE = '{"queues":[{"mu":1e-300,"t_start":0}],"populations":[{"alpha":1,"beta":1}]}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -454,6 +457,12 @@ def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
         ["serve-count", "--l", "1e308", "--mu", "1e-10", "--tau", "1"],
         ["serve-count", "--l", "7", "--mu", "1e-300", "--tau", "1e-300"],
         ["serve-count", "--l", "1e300", "--mu", "1e-10", "--tau", "1e10"],
+        # the social costs overflow to inf; the verifier's costs overflow;
+        # the optimal social cost underflows to 0
+        ["poa", "--scenario", TINY_RATE],
+        ["verify", "--scenario", TINY_RATE],
+        ["poa", "--scenario", '{"queues":[{"mu":1e300,"t_start":0},{"mu":1e300,"t_start":1e-300}],'
+         '"populations":[{"alpha":1,"beta":1}]}'],
     ],
 )
 def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
@@ -461,8 +470,21 @@ def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
     if argv[0] == "eq-two":
         argv = [*argv, "--mu1", "1", "--mu2", "2", "--alpha", "1", "--beta", "1",
                 "--trace", str(trace)]
-    assert main([*argv, "--out", str(out)]) == 1
-    assert_one_error_line(capsys.readouterr().err)
+    if argv[1] == "--scenario":
+        scenario, profile = tmp_path / "s.json", tmp_path / "p.csv"
+        scenario.write_text(argv[2])
+        argv = [argv[0], "--scenario", str(scenario)]
+        if argv[0] == "verify":
+            assert main(["eq-single", *argv[1:], "--format", "csv", "--out", str(profile)]) == 0
+            argv += ["--profile", str(profile)]
+            capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning is not one error line
+        assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if argv[0] == "poa":  # a pruned queue is noted before the error
+        err = "".join(line for line in err.splitlines(True) if not line.startswith("note: "))
+    assert_one_error_line(err)
     assert not out.exists() and not trace.exists()
 
 

@@ -1,0 +1,115 @@
+"""The package namespace: ``import concertq`` loads ``model`` and ``fluid``,
+serves the other modules' names on first access, and each CLI command loads
+only the modules it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import concertq as cq
+from concertq.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+WORKED = '{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],"populations":[{"alpha":1,"beta":1}]}'
+LAZY = ("equilibrium", "exact_two", "poa", "sim")
+
+
+def _loaded(script: str) -> list[set[str]]:
+    """The ``concertq.*`` submodules held after each ``loaded()`` call of
+    ``script``, run in a fresh interpreter."""
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    print('loaded:', *(m for m in sys.modules if m.startswith('concertq.')), flush=True)\n"
+        + script
+    )
+    # one-thread numeric libraries, so the forks below copy no worker threads
+    threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, **threads, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    return [
+        {m.removeprefix("concertq.") for m in line.split()[1:]}
+        for line in result.stdout.splitlines()
+        if line.startswith("loaded:")
+    ]
+
+
+def test_bare_import_loads_model_and_fluid_and_numpy():
+    script = "import concertq\nassert 'numpy' in sys.modules\nloaded()\nconcertq.poa.poa_multi\nloaded()"
+    assert _loaded(script) == [{"model", "fluid"}, {"model", "fluid", "poa", "equilibrium"}]
+
+
+# each command and the modules it loads besides cli, model, fluid and serialize
+FOOTPRINTS = [
+    (["eq-single", "--scenario", "{s}"], {"equilibrium"}),
+    (["eq-multi", "--scenario", "{s}"], {"equilibrium"}),
+    (["verify", "--scenario", "{s}", "--profile", "{p}"], {"equilibrium"}),
+    (["poa", "--scenario", "{s}"], {"poa", "equilibrium"}),
+    (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], {"poa", "equilibrium"}),
+    (["simulate", "--scenario", "{s}", "--n", "200", "--grid-points", "8"], {"sim", "equilibrium"}),
+    (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2"],
+     {"exact_two"}),
+    (["fluid", "--scenario", "{s}", "--profile", "{p}"], set()),
+    (["fluid", "--scenario", "{s}"], {"equilibrium"}),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each command in a fork")
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    scenario, profile = tmp_path / "s.json", tmp_path / "p.csv"
+    scenario.write_text(WORKED)
+    assert main(["eq-single", "--scenario", str(scenario), "--format", "csv", "--out", str(profile)]) == 0
+    runs = [
+        [a.format(s=scenario, p=profile) for a in argv] + ["--out", str(tmp_path / "out")]
+        for argv, _ in FOOTPRINTS
+    ]
+    # every command runs in a fork of one interpreter that has imported only the CLI
+    script = (
+        "import os\n"
+        "from concertq.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    pid = os.fork()\n"
+        "    if pid == 0:\n"
+        "        code = main(argv)\n"
+        "        loaded()\n"
+        "        os._exit(code)\n"
+        "    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0, argv\n"
+    )
+    base = {"cli", "model", "fluid", "serialize"}
+    assert _loaded(script) == [base | loads for _, loads in FOOTPRINTS]
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in cq.__all__:
+        obj = getattr(cq, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert {getattr(cq, n).__module__ for n in cq.__all__} == {
+        f"concertq.{m}" for m in ("model", "fluid", *LAZY)
+    }
+
+
+def test_a_patched_submodule_reaches_the_package_name(monkeypatch):
+    for name in cq.__all__:
+        module = sys.modules[getattr(cq, name).__module__]
+        if module.__name__.removeprefix("concertq.") in LAZY:
+            sentinel = object()
+            monkeypatch.setattr(module, name, sentinel)
+            assert getattr(cq, name) is sentinel, name
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(cq.__all__) | set(LAZY) <= set(dir(cq))
+    namespace = {}
+    exec("from concertq import *", namespace)
+    assert set(cq.__all__) <= set(namespace)
+    assert len(cq.__all__) == len(set(cq.__all__))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cq.no_such_name
+    assert not hasattr(cq, "solve")
