@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo convergence run")
     common(p)
     p.add_argument("--n", type=int, required=True,
-                   help="number of users: about 80 bytes of peak memory each (140 with --reps 2 "
-                        "or more); an n past the machine's memory exits 1 with one error line")
+                   help="number of users: about 80 bytes of peak memory each, at any --reps; "
+                        "an n past the machine's memory exits 1 with one error line")
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--reps", type=int, default=1, help="replications")
     p.add_argument("--service", choices=("exponential", "deterministic"), default="exponential")

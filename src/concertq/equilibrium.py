@@ -276,8 +276,7 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         )
     grid = np.arange(window[0], window[1] + 0.5 * grid_step, grid_step)
 
-    horizon = fluid.default_horizon(profile, s.queues)
-    horizon = (min(horizon[0], window[0] - 1.0), max(horizon[1], window[1] + 1.0))
+    horizon = fluid.default_horizon(profile, s.queues, cover=window)
 
     pops = s.populations
     pop_row = profile.population_positions(pops)  # a row of the cost matrix, or -1

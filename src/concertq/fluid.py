@@ -369,8 +369,11 @@ def _transposed(rows) -> list:
 # -- fluid processes --------------------------------------------------------
 
 
-def default_horizon(profile: ArrivalProfile, queues, pad: float = 1.0) -> tuple[float, float]:
-    """A window on which every fluid object of the profile is fully resolved.
+def default_horizon(
+    profile: ArrivalProfile, queues, pad: float = 1.0, cover: tuple[float, float] | None = None
+) -> tuple[float, float]:
+    """A window on which every fluid object of the profile is fully resolved,
+    reaching ``pad`` past the interval ``cover`` when one is given.
 
     The right edge is past the moment each queue has provably drained: after
     arrivals stop, a queue holding at most its total routed mass empties in
@@ -381,11 +384,13 @@ def default_horizon(profile: ArrivalProfile, queues, pad: float = 1.0) -> tuple[
         lo, hi = profile.support_bounds()
     else:
         lo, hi = min(starts), min(starts)
-    lo = min(lo, min(starts)) - pad
     drain = max(
         max(hi, q.t_start) + profile.mass(queue=q.id) / q.mu for q in queues
     )
-    return lo, max(hi, drain) + pad
+    lo, hi = min(lo, min(starts)), max(hi, drain)
+    if cover is not None:
+        lo, hi = min(lo, cover[0]), max(hi, cover[1])
+    return lo - pad, hi + pad
 
 
 def netflow(
@@ -402,7 +407,11 @@ def netflow(
     if horizon is not None:
         extra.extend(horizon)
     ts = sorted_unique(f_k.times, np.asarray(extra, dtype=float))
-    vals = f_k(ts) - q.mu * np.maximum(ts - q.t_start, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f_k(ts) - q.mu * np.maximum(ts - q.t_start, 0.0)
+    if not np.isfinite(vals).all():
+        raise DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
+                          "on the horizon; the scenario's scale overflows")
     return PiecewisePath(ts, vals, extend="slope")
 
 

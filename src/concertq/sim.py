@@ -4,14 +4,14 @@ FIFO queues, with convergence reporting against the fluid objects.
 n users draw i.i.d. arrival times from an arrival profile by exact inverse
 CDF; the queue joined at a sampled time t is chosen with probability
 proportional to the per-queue densities at t.  Each user carries fluid mass
-M / n (M the profile's total mass), so service times are drawn with mean
-M / (n mu_k): the simulated paths, scaled by M / n, converge uniformly to
-the fluid paths as n grows.  Busy time and virtual waiting time are order
-one and are compared unscaled.
+M / n (M the scenario's total mass, which the profile must carry), so
+service times are drawn with mean M / (n mu_k): the simulated paths, scaled
+by M / n, converge uniformly to the fluid paths as n grows.  Busy time and
+virtual waiting time are order one and are compared unscaled.
 
 Memory is O(n + I K) for n users, K queues and I knot intervals of the
 profile: the sampler routes through one per-interval cumulative table and
-never holds an n x K array.
+never holds an n x K array.  Replications run one at a time.
 
 Randomness is fully reproducible: every stream is a Philox (counter-based)
 generator keyed by SeedSequence([seed, replication, stream index]), with
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fluid
 from .fluid import ArrivalProfile
-from .model import DomainError, Scenario
+from .model import DEFAULT_TOL, DomainError, Scenario
 
 _ARRIVAL_STREAM = 0
 _ROUTING_STREAM = 1
@@ -217,20 +217,6 @@ class QueueRecord:
     def count(self) -> int:
         return int(self.arrivals.size)
 
-    def arrivals_at(self, grid: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.arrivals, grid, side="right").astype(float)
-
-    def departures_at(self, grid: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.completions, grid, side="right").astype(float)
-
-    def queue_length_at(self, grid: np.ndarray) -> np.ndarray:
-        return self.arrivals_at(grid) - self.departures_at(grid)
-
-    def workload_presented_at(self, grid: np.ndarray) -> np.ndarray:
-        """Total service requirement of everyone arrived by t."""
-        prefix = np.concatenate(([0.0], np.cumsum(self.services)))
-        return prefix[np.searchsorted(self.arrivals, grid, side="right")]
-
     def _busy_periods(self) -> tuple[np.ndarray, np.ndarray]:
         if self.count == 0:
             return np.empty(0), np.empty(0)
@@ -243,9 +229,6 @@ class QueueRecord:
         last = np.concatenate((idxs[1:] - 1, [self.count - 1]))
         return period_starts, self.completions[last]
 
-    def busy_time_at(self, grid: np.ndarray) -> np.ndarray:
-        return _time_covered(*self._busy_periods(), grid)
-
     def empty_time_at(self, grid: np.ndarray, origin: float) -> np.ndarray:
         """Time with nobody in the system, accumulated from ``origin``."""
         gap_starts = np.concatenate(([origin], self.completions))
@@ -253,11 +236,6 @@ class QueueRecord:
         # an empty interval needs its completion to precede the next arrival
         keep = gap_ends > gap_starts
         return _time_covered(gap_starts[keep], gap_ends[keep], grid)
-
-    def virtual_wait_at(self, grid: np.ndarray) -> np.ndarray:
-        """Presented workload minus busy time, plus the pre-opening gap."""
-        w = self.workload_presented_at(grid) - self.busy_time_at(grid)
-        return w - np.where(grid <= self.t_start, grid - self.t_start, 0.0)
 
 
 @dataclass(frozen=True)
@@ -326,19 +304,26 @@ def scaled_paths(paths: SimPaths, grid: np.ndarray) -> dict[str, dict[int, np.nd
     ``fluid_reference``: ``{process: {queue_id: values}}``.
 
     Arrival and queue-length counts are multiplied by the per-user fluid
-    mass; busy time and virtual wait are already order one.
+    mass; busy time and virtual wait are already order one.  The virtual
+    wait is the presented workload minus busy time, plus the pre-opening gap.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be a strictly ascending 1-d array")
     m = paths.mass_scale
-    recs = paths.records
-    return {
-        "arrivals": {qid: rec.arrivals_at(grid) * m for qid, rec in recs.items()},
-        "queue_length": {qid: rec.queue_length_at(grid) * m for qid, rec in recs.items()},
-        "busy_time": {qid: rec.busy_time_at(grid) for qid, rec in recs.items()},
-        "virtual_wait": {qid: rec.virtual_wait_at(grid) for qid, rec in recs.items()},
-    }
+    table: dict[str, dict[int, np.ndarray]] = {name: {} for name in PROCESSES}
+    for qid, rec in paths.records.items():
+        arrived = np.searchsorted(rec.arrivals, grid, side="right")
+        counts = arrived.astype(float)
+        departed = np.searchsorted(rec.completions, grid, side="right")
+        busy = _time_covered(*rec._busy_periods(), grid)
+        presented = np.concatenate(([0.0], np.cumsum(rec.services)))[arrived]
+        opening_gap = np.where(grid <= rec.t_start, grid - rec.t_start, 0.0)
+        table["arrivals"][qid] = counts * m
+        table["queue_length"][qid] = (counts - departed) * m
+        table["busy_time"][qid] = busy
+        table["virtual_wait"][qid] = (presented - busy) - opening_gap
+    return table
 
 
 @dataclass(frozen=True)
@@ -399,9 +384,7 @@ def fluid_reference(
     s: Scenario, profile: ArrivalProfile, grid: np.ndarray
 ) -> dict[str, dict[int, np.ndarray]]:
     """Fluid paths evaluated on the grid, keyed like the scaled sim paths."""
-    horizon = (float(grid[0]) - 1.0, float(grid[-1]) + 1.0)
-    hz = fluid.default_horizon(profile, s.queues)
-    horizon = (min(horizon[0], hz[0]), max(horizon[1], hz[1]))
+    horizon = fluid.default_horizon(profile, s.queues, cover=(float(grid[0]), float(grid[-1])))
     bundles = {q.id: fluid.queue_fluid(profile, q, horizon) for q in s.queues}
     return {
         "arrivals": {qid: b.cdf(grid) for qid, b in bundles.items()},
@@ -411,37 +394,40 @@ def fluid_reference(
     }
 
 
+def _replication(s, profile, cfg, grid, reference, rep):
+    """Replication ``rep``'s scaled table, first arrival and per-process sup
+    errors; its events and event records are unreachable once it returns."""
+    events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
+    paths = run_des(s, events, cfg, replication=rep)
+    scaled = scaled_paths(paths, grid)
+    errors = [
+        max(float(np.max(np.abs(scaled[name][q.id] - reference[name][q.id]))) for q in s.queues)
+        for name in PROCESSES
+    ]
+    return scaled, paths.first_arrival(), errors
+
+
 def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> ConvergenceReport:
     """Run ``cfg.replications`` independent simulations and compare each
-    scaled process with its fluid counterpart in sup norm on the grid."""
+    scaled process with its fluid counterpart in sup norm on the grid.  Each
+    user carries ``s.total_mass / cfg.n``, so the profile must route the
+    scenario's total mass (to ``DEFAULT_TOL`` relative) to its queues."""
+    profile.require_queues(s.queues)
+    if not abs(profile.total_mass - s.total_mass) <= DEFAULT_TOL * s.total_mass:
+        raise DomainError(f"profile mass {profile.total_mass!r} is not the scenario's "
+                          f"total mass {s.total_mass!r}")
     grid = cfg.grid if cfg.grid is not None else default_grid(profile, s)
     reference = fluid_reference(s, profile, grid)
-    support_inf = profile.support_bounds()[0]
-
-    errors: dict[str, list[float]] = {name: [] for name in PROCESSES}
-    first_arrivals: list[float] = []
-    all_scaled: list[dict[str, dict[int, np.ndarray]]] = []
-    for rep in range(cfg.replications):
-        events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
-        paths = run_des(s, events, cfg, replication=rep)
-        scaled = scaled_paths(paths, grid)
-        first_arrivals.append(paths.first_arrival())
-        all_scaled.append(scaled)
-        for name in PROCESSES:
-            worst = max(
-                float(np.max(np.abs(scaled[name][q.id] - reference[name][q.id])))
-                for q in s.queues
-            )
-            errors[name].append(worst)
-
+    runs = [_replication(s, profile, cfg, grid, reference, rep) for rep in range(cfg.replications)]
+    scaled, first_arrivals, errors = zip(*runs)
     return ConvergenceReport(
         n=cfg.n,
         replications=cfg.replications,
-        processes={k: ProcessErrors.from_list(v) for k, v in errors.items()},
-        first_arrivals=tuple(first_arrivals),
-        support_infimum=float(support_inf),
+        processes=dict(zip(PROCESSES, map(ProcessErrors.from_list, zip(*errors)))),
+        first_arrivals=first_arrivals,
+        support_infimum=float(profile.support_bounds()[0]),
         grid=grid,
-        scaled=tuple(all_scaled),
+        scaled=scaled,
     )
 
 

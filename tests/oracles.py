@@ -17,6 +17,10 @@ the optimal profile's window boundaries by inverting the cumulative
 capacity between its knots.  The library finds all of them in one pass over
 the queue openings (``model.service_windows``).
 
+The simulator's grid reads: each process of each queue read from its event
+record by its own searches, the busy periods found twice (for busy time and
+again for the virtual wait).  The library reads each queue in one pass.
+
 Tests assert that both forms agree exactly (the optimal profile's
 boundaries to 1e-12).
 """
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 
-from concertq import fluid
+from concertq import fluid, sim
 from concertq.equilibrium import SolverError, VerificationReport
 from concertq.fluid import ArrivalProfile, Segment
 from concertq.model import DomainError, ParseError
@@ -302,3 +306,42 @@ def optimal_profile_by_capacity_inverse(s):
                 rows.append((pop.id, q.id, a, b, q.mu))
                 cost += pop.beta * q.mu * 0.5 * (b * b - a * a)
     return ArrivalProfile.from_rows(rows), cost
+
+
+def arrivals_at(rec, grid):
+    return np.searchsorted(rec.arrivals, grid, side="right").astype(float)
+
+
+def departures_at(rec, grid):
+    return np.searchsorted(rec.completions, grid, side="right").astype(float)
+
+
+def queue_length_at(rec, grid):
+    return arrivals_at(rec, grid) - departures_at(rec, grid)
+
+
+def workload_presented_at(rec, grid):
+    """Total service requirement of everyone arrived by t."""
+    prefix = np.concatenate(([0.0], np.cumsum(rec.services)))
+    return prefix[np.searchsorted(rec.arrivals, grid, side="right")]
+
+
+def busy_time_at(rec, grid):
+    return sim._time_covered(*rec._busy_periods(), grid)
+
+
+def virtual_wait_at(rec, grid):
+    """Presented workload minus busy time, plus the pre-opening gap."""
+    w = workload_presented_at(rec, grid) - busy_time_at(rec, grid)
+    return w - np.where(grid <= rec.t_start, grid - rec.t_start, 0.0)
+
+
+def scaled_paths_by_process(paths, grid):
+    """``sim.scaled_paths`` read process by process, one search per read."""
+    m, recs = paths.mass_scale, paths.records
+    return {
+        "arrivals": {qid: arrivals_at(rec, grid) * m for qid, rec in recs.items()},
+        "queue_length": {qid: queue_length_at(rec, grid) * m for qid, rec in recs.items()},
+        "busy_time": {qid: busy_time_at(rec, grid) for qid, rec in recs.items()},
+        "virtual_wait": {qid: virtual_wait_at(rec, grid) for qid, rec in recs.items()},
+    }

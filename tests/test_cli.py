@@ -441,6 +441,8 @@ def test_verify_rejects_bad_scenario_options(scenarios, capsys, options):
 
 
 TINY_RATE = '{"queues":[{"mu":1e-300,"t_start":0}],"populations":[{"alpha":1,"beta":1}]}'
+HUGE_RATES = ('{"queues":[{"mu":1e300,"t_start":0},{"mu":1e300,"t_start":1e-300}],'
+              '"populations":[{"alpha":1,"beta":1}]}')
 
 
 @pytest.mark.parametrize(
@@ -461,8 +463,10 @@ TINY_RATE = '{"queues":[{"mu":1e-300,"t_start":0}],"populations":[{"alpha":1,"be
         # the optimal social cost underflows to 0
         ["poa", "--scenario", TINY_RATE],
         ["verify", "--scenario", TINY_RATE],
-        ["poa", "--scenario", '{"queues":[{"mu":1e300,"t_start":0},{"mu":1e300,"t_start":1e-300}],'
-         '"populations":[{"alpha":1,"beta":1}]}'],
+        ["poa", "--scenario", HUGE_RATES],
+        # the tiny-rate profile's times times these rates overflow the netflow
+        ["verify", "--scenario", HUGE_RATES, "--profile", TINY_RATE],
+        ["fluid", "--scenario", HUGE_RATES, "--profile", TINY_RATE],
     ],
 )
 def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
@@ -471,11 +475,16 @@ def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
         argv = [*argv, "--mu1", "1", "--mu2", "2", "--alpha", "1", "--beta", "1",
                 "--trace", str(trace)]
     if argv[1] == "--scenario":
-        scenario, profile = tmp_path / "s.json", tmp_path / "p.csv"
+        # a --profile is the eq-single profile of the scenario given after it;
+        # verify's default is the profile of its own scenario
+        profile_of = argv[4] if "--profile" in argv else argv[2] if argv[0] == "verify" else None
+        scenario, source, profile = tmp_path / "s.json", tmp_path / "ps.json", tmp_path / "p.csv"
         scenario.write_text(argv[2])
         argv = [argv[0], "--scenario", str(scenario)]
-        if argv[0] == "verify":
-            assert main(["eq-single", *argv[1:], "--format", "csv", "--out", str(profile)]) == 0
+        if profile_of is not None:
+            source.write_text(profile_of)
+            assert main(["eq-single", "--scenario", str(source), "--format", "csv",
+                         "--out", str(profile)]) == 0
             argv += ["--profile", str(profile)]
             capsys.readouterr()
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,12 @@ from conftest import (
     two_queue_worked_scenario,
     wide_scenario,
 )
-from oracles import density_table_by_segments, route_by_columns, stable_argsort
+from oracles import (
+    density_table_by_segments,
+    route_by_columns,
+    scaled_paths_by_process,
+    stable_argsort,
+)
 
 
 def equilibrium_profile(s):
@@ -230,10 +236,13 @@ def test_single_user_hand_trace():
     # service mean is mass/(n mu) = 1, server opens at 0, so departure at 1
     assert rec.completions[0] == pytest.approx(1.0)
     grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    scaled = sim.scaled_paths(paths, grid)
+    # one user of the unit mass: scaled counts are the counts
+    assert paths.mass_scale == 1.0
     # own work (1) plus time until opening (1)
-    assert rec.virtual_wait_at(grid)[0] == pytest.approx(2.0)
-    assert np.array_equal(rec.queue_length_at(grid), [1, 1, 1, 1, 0, 0])
-    assert np.allclose(rec.busy_time_at(grid), [0, 0, 0, 0.5, 1.0, 1.0])
+    assert scaled["virtual_wait"][1][0] == pytest.approx(2.0)
+    assert np.array_equal(scaled["queue_length"][1], [1, 1, 1, 1, 0, 0])
+    assert np.allclose(scaled["busy_time"][1], [0, 0, 0, 0.5, 1.0, 1.0])
 
 
 def test_no_events_paths_are_zero():
@@ -242,8 +251,9 @@ def test_no_events_paths_are_zero():
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     rec = paths.records[1]
     grid = np.linspace(0.0, 2.0, 5)
-    assert np.all(rec.queue_length_at(grid) == 0)
-    assert np.all(rec.busy_time_at(grid) == 0)
+    scaled = sim.scaled_paths(paths, grid)
+    assert np.all(scaled["queue_length"][1] == 0)
+    assert np.all(scaled["busy_time"][1] == 0)
     # with no arrivals, time is counted from the opening
     assert np.allclose(rec.empty_time_at(grid, rec.t_start), grid - rec.t_start)
 
@@ -253,13 +263,14 @@ def test_fifo_order_and_counts():
     profile = equilibrium_profile(s)
     events = sim.sample_arrivals(profile, 2_000, seed=11)
     paths = sim.run_des(s, events, sim.SimConfig(n=2_000, seed=11))
+    queue_length = sim.scaled_paths(paths, np.linspace(-1.0, 2.0, 64))["queue_length"]
     for rec in paths.records.values():
         # departures keep arrival order and never precede arrival + service
         assert np.all(np.diff(rec.completions) >= 0)
         assert np.all(rec.completions >= rec.arrivals + rec.services - 1e-12)
         assert np.all(rec.completions - rec.services >= rec.t_start - 1e-12)
-        grid = np.linspace(-1.0, 2.0, 64)
-        assert np.all(rec.departures_at(grid) <= rec.arrivals_at(grid))
+        # no more departures than arrivals by any grid time
+        assert np.all(queue_length[rec.queue_id] >= 0)
 
 
 def test_work_conservation_identity():
@@ -269,13 +280,18 @@ def test_work_conservation_identity():
     events = sim.sample_arrivals(profile, 500, seed=3)
     paths = sim.run_des(s, events, sim.SimConfig(n=500, seed=3))
     grid = np.linspace(-1.2, 2.0, 257)
-    for rec in paths.records.values():
+    scaled = sim.scaled_paths(paths, grid)
+    for qid, rec in paths.records.items():
+        busy = scaled["busy_time"][qid]
+        # departures: the scaled arrival count minus the scaled queue length
+        arrived, queued = scaled["arrivals"][qid], scaled["queue_length"][qid]
+        departed = np.rint((arrived - queued) / paths.mass_scale)
         csum = np.cumsum(rec.services)
-        served = np.searchsorted(csum, rec.busy_time_at(grid) * (1 + 1e-12), side="right")
-        assert np.array_equal(served, rec.departures_at(grid).astype(int))
+        served = np.searchsorted(csum, busy * (1 + 1e-12), side="right")
+        assert np.array_equal(served, departed.astype(int))
         # the server is busy for at most the post-opening clock
         opened = np.maximum(grid - rec.t_start, 0.0)
-        assert np.all(rec.busy_time_at(grid) <= opened + 1e-12)
+        assert np.all(busy <= opened + 1e-12)
 
 
 def test_empty_vs_idle_gap_shrinks_with_n():
@@ -290,7 +306,8 @@ def test_empty_vs_idle_gap_shrinks_with_n():
             paths = sim.run_des(s, events, sim.SimConfig(n=n, seed=13), replication=rep)
             rec = paths.records[1]
             # idle time: the post-opening clock minus busy time
-            idle = np.maximum(t_probe - rec.t_start, 0.0) - rec.busy_time_at(t_probe)
+            busy = sim.scaled_paths(paths, t_probe)["busy_time"][1]
+            idle = np.maximum(t_probe - rec.t_start, 0.0) - busy
             origin = min(rec.arrivals[0], rec.t_start)
             gaps.append(abs(idle[0] - rec.empty_time_at(t_probe, origin)[0]))
         means.append(float(np.mean(gaps)))
@@ -388,6 +405,28 @@ def test_empty_time_matches_gap_loop(seed, spread):
 # -- scaled paths ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("service_dist", ["exponential", "deterministic"])
+def test_scaled_paths_is_the_per_process_oracle(service_dist):
+    # queue 2 opens at 0.5, after its first arrivals; queue 3 gets none
+    s = make_scenario([(1.0, 0.0), (1.5, 0.5), (2.0, 0.25)], [{"alpha": 1, "beta": 1}])
+    rng = np.random.default_rng(5)
+    n = 600
+    times, queues = np.sort(rng.uniform(-1.0, 2.0, n)), rng.integers(1, 3, n)
+    paths = sim.run_des(s, (times, queues), sim.SimConfig(n=n, seed=3, service_dist=service_dist))
+    recs = paths.records
+    assert recs[3].count == 0 and recs[2].arrivals[0] < recs[2].t_start
+    # grid points on every arrival, completion and opening time
+    on_events = [np.concatenate((r.arrivals, r.completions, [r.t_start])) for r in recs.values()]
+    grid = np.unique(np.concatenate((np.linspace(-2.0, 6.0, 257), *on_events)))
+    got, want = sim.scaled_paths(paths, grid), scaled_paths_by_process(paths, grid)
+    assert list(got) == list(want) == list(sim.PROCESSES)
+    for name in sim.PROCESSES:
+        assert list(got[name]) == list(want[name])
+        for qid, values in want[name].items():
+            assert got[name][qid].dtype == values.dtype
+            assert got[name][qid].tobytes() == values.tobytes()
+
+
 def test_scaled_single_arrival_is_empirical_cdf():
     s = single_queue_scenario()
     events = (np.array([0.25]), np.array([1]))
@@ -468,6 +507,54 @@ def test_convergence_study_large_run_keeps_every_config_field():
         for name in sim.PROCESSES:
             for qid, values in want[name].items():
                 assert np.array_equal(got[name][qid], values)
+
+
+def test_each_replication_is_released_before_the_next_is_sampled(monkeypatch):
+    s = two_queue_worked_scenario()
+    profile = equilibrium_profile(s)
+    sample, des = sim.sample_arrivals, sim.run_des
+    refs: list[list[weakref.ref]] = []  # per replication: its events and records
+
+    def sampling(profile, n, seed, replication=0):
+        assert all(ref() is None for earlier in refs for ref in earlier), len(refs)
+        return sample(profile, n, seed, replication=replication)
+
+    def simulating(s, events, cfg, replication=0):
+        paths = des(s, events, cfg, replication=replication)
+        arrays = [(r.arrivals, r.services, r.completions) for r in paths.records.values()]
+        refs.append([weakref.ref(x) for x in (paths, *events, *sum(arrays, ()))])
+        return paths
+
+    monkeypatch.setattr(sim, "sample_arrivals", sampling)
+    monkeypatch.setattr(sim, "run_des", simulating)
+    report = sim.convergence_report(s, profile, sim.SimConfig(n=2_000, seed=1, replications=3))
+    assert len(refs) == report.replications == 3
+    assert all(ref() is None for refs_of_one in refs for ref in refs_of_one)
+
+
+def test_convergence_report_refuses_a_profile_of_another_mass():
+    # each user carries the scenario's mass / n, so a profile of twice that
+    # mass would be simulated at half its scale
+    s = single_queue_scenario()
+    profile = equilibrium_profile(s)
+    doubled = cq.ArrivalProfile.from_rows(
+        zip(profile.pop, profile.queue, profile.start, profile.end, 2.0 * profile.density)
+    )
+    cfg = sim.SimConfig(n=1_000, seed=0)
+    with pytest.raises(cq.DomainError, match="total mass"):
+        sim.convergence_report(s, doubled, cfg)
+    # a solved profile's mass differs from the scenario's by rounding only
+    # (K=126: 20.0000000000003 against 20)
+    wide = wide_scenario()
+    wide_profile = equilibrium_profile(wide)
+    assert sim.convergence_report(wide, wide_profile, replace(cfg, n=200)).n == 200
+
+
+def test_convergence_report_refuses_a_profile_at_unknown_queues():
+    # the worked pair's profile has the single queue's unit mass, partly at queue 2
+    profile = equilibrium_profile(two_queue_worked_scenario())
+    with pytest.raises(cq.DomainError, match="unknown queues"):
+        sim.convergence_report(single_queue_scenario(), profile, sim.SimConfig(n=1_000))
 
 
 def test_first_arrival_approaches_support_infimum():
