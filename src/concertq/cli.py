@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,11 +57,26 @@ def _load_pruned(args):
     return s
 
 
-def _write(path: str | None, text: str) -> None:
+@contextmanager
+def _opened(path: str | None):
+    """A text stream to ``path``, or stdout when it is None.  A file that an
+    error interrupts is removed, so a failed command leaves no partial
+    artifact."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        yield sys.stdout
+        return
+    f = open(path, "w", encoding="utf-8")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _write(path: str | None, text: str) -> None:
+    with _opened(path) as out:
+        out.write(text)
 
 
 def _summary(args, text: str) -> None:
@@ -200,19 +216,18 @@ def _cmd_simulate(args) -> int:
     )
     report = sim.convergence_report(s, profile, cfg)
 
-    # one row per (replication, queue, grid point), in that nesting order
+    # one row per (replication, queue, grid point), in that nesting order;
+    # each replication's rows are built, written and dropped before the next
     ids = [q.id for q in s.queues]
-    reps = len(report.scaled)
-    columns = [
-        np.repeat(np.arange(reps), len(ids) * grid.size),
-        np.tile(grid + s.time_origin, reps * len(ids)),
-        np.tile(np.repeat(ids, grid.size), reps),
-    ] + [
-        np.concatenate([scaled[name][i] for scaled in report.scaled for i in ids])
-        for name in sim.PROCESSES
-    ]
+    t, queue = np.tile(grid + s.time_origin, len(ids)), np.repeat(ids, grid.size)
     header = ["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"]
-    _write(args.out, csv_rows(header, columns))
+    skip = len(",".join(header)) + 1  # the header line, written once
+    with _opened(args.out) as out:
+        for rep, scaled in enumerate(report.scaled):
+            columns = [np.full(t.size, rep), t, queue] + [
+                np.concatenate([scaled[name][i] for i in ids]) for name in sim.PROCESSES
+            ]
+            out.write(csv_rows(header, columns)[skip if rep else 0:])
     if args.out:
         summary_path = str(Path(args.out).with_suffix(".summary.json"))
         _write(summary_path, to_json(report.to_dict(time_origin=s.time_origin)))
@@ -286,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo convergence run")
     common(p)
     p.add_argument("--n", type=int, required=True,
-                   help="number of users: about 80 bytes of peak memory each, at any --reps; "
+                   help="number of users: about 70 bytes of peak memory each, at any --reps; "
                         "an n past the machine's memory exits 1 with one error line")
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--reps", type=int, default=1, help="replications")

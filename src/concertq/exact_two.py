@@ -209,17 +209,20 @@ def _euler_path(lengths, rates, inflow, dt, active) -> tuple[np.ndarray, int]:
     outflow is rates[k] times the queue's length when active[j] and zero
     otherwise; each clamp is counted.  Returns the path (the initial
     ``lengths`` first) and the clamp count.  The arguments are Python floats
-    and lists: per-step numpy calls on two-element arrays cost far more than
-    the arithmetic.
+    and lists, and the two queues are scalars of the loop: per-step numpy
+    calls, or per-step lists, cost far more than the arithmetic.
     """
-    state = list(lengths)
-    path = [state]
+    q1, q2 = lengths
+    mu1, mu2 = rates
+    path = [(q1, q2)]
     clamp_events = 0
-    for row, h, on in zip(inflow, dt, active):
-        stepped = [q + (a - (mu * q if on else 0.0)) * h for q, a, mu in zip(state, row, rates)]
-        state = [min(max(x, 0.0), 1.0) for x in stepped]
-        clamp_events += sum(c != x for c, x in zip(state, stepped))
-        path.append(state)
+    for (a1, a2), h, on in zip(inflow, dt, active):
+        x1 = q1 + (a1 - (mu1 * q1 if on else 0.0)) * h
+        x2 = q2 + (a2 - (mu2 * q2 if on else 0.0)) * h
+        q1 = min(max(x1, 0.0), 1.0)
+        q2 = min(max(x2, 0.0), 1.0)
+        clamp_events += (q1 != x1) + (q2 != x2)
+        path.append((q1, q2))
     return np.array(path), clamp_events
 
 

@@ -85,43 +85,53 @@ def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.
 
 
 def _route(
-    density: np.ndarray, total_density: np.ndarray, idx: np.ndarray, v: np.ndarray
+    density: np.ndarray, total_density: np.ndarray, bounds: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """Column of the queue each draw joins.
 
     ``density`` is the (I, K) per-interval density table with row sums
-    ``total_density``, ``idx`` each draw's interval and ``v`` its uniform
-    routing draw.  Draw i joins the first column whose cumulative routing
-    probability in its interval exceeds v[i]: each row of cumulative
-    probabilities is nondecreasing, so one ``searchsorted`` per occupied
-    interval counts the columns at or below v, and memory is O(n + I K).  A
-    draw at or above the row's last cumulative value (a rounding tail, the
-    row summing just below 1) joins the row's last queue with positive
-    density.
+    ``total_density``.  The draws come grouped by interval: interval i's
+    uniform routing draws are ``v[bounds[i]:bounds[i + 1]]``.  Draw j joins
+    the first column whose cumulative routing probability in its interval
+    exceeds v[j]: each row of cumulative probabilities is nondecreasing, so
+    one ``searchsorted`` per occupied interval counts the columns at or below
+    v, and memory is O(n + I K).  A draw at or above the row's last
+    cumulative value (a rounding tail, the row summing just below 1) joins
+    the row's last queue with positive density.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         table = np.cumsum(density / total_density[:, None], axis=1)
     width = table.shape[1]
-    # the draws grouped by interval: one sort, then each row's slice
-    by_interval = np.argsort(idx)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=table.shape[0]))))
+    last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
     choice = np.empty(v.size, dtype=np.intp)
-    for i in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
-        draws = by_interval[bounds[i]:bounds[i + 1]]
-        choice[draws] = np.searchsorted(table[i], v[draws], side="right")
-    tail = np.nonzero(choice == width)[0]
-    if tail.size:
-        last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
-        choice[tail] = last_positive[idx[tail]]
+    for i, a, b in _occupied(bounds):
+        row = choice[a:b]
+        row[:] = np.searchsorted(table[i], v[a:b], side="right")
+        row[row == width] = last_positive[i]
     return choice
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for keys without NaN, from the
-    faster unstable argsort: only the indices inside each run of equal keys
-    are put back in increasing order, by one sort of (run, index) pairs."""
-    order = np.argsort(keys)
-    ranked = keys[order]
+def _occupied(bounds: np.ndarray) -> list[tuple[int, int, int]]:
+    """(interval, first, end) of each interval whose slice is not empty."""
+    edges = bounds.tolist()
+    return [(i, edges[i], edges[i + 1]) for i in np.flatnonzero(np.diff(bounds)).tolist()]
+
+
+def _time_order(keys: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """``np.lexsort((draw, keys))`` for keys without NaN and ``draw`` a
+    permutation of ``range(keys.size)``: the order of increasing key, equal
+    keys (0.0 and -0.0 among them) in increasing draw.
+
+    Keys that are already nondecreasing keep their positions after one O(n)
+    check; others take numpy's (unstable) argsort.  Then only the positions
+    inside each run of equal keys are reordered, by one sort of (run, draw)
+    pairs.
+    """
+    if np.all(keys[1:] >= keys[:-1]):
+        order, ranked = np.arange(keys.size), keys
+    else:
+        order = np.argsort(keys)
+        ranked = keys[order]
     tied = np.flatnonzero(ranked[1:] == ranked[:-1])
     if tied.size:
         # equal keys are adjacent once sorted, so a run starts at each
@@ -132,7 +142,8 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
         starts[:1] = True
         np.not_equal(member_keys[1:], member_keys[:-1], out=starts[1:])
         run = np.cumsum(starts, dtype=np.int64) * keys.size
-        order[members] = np.sort(run + order[members]) - run
+        at = order[members]
+        order[members] = at[np.argsort(run + draw[at])]
     return order
 
 
@@ -145,8 +156,14 @@ def sample_arrivals(
     (renormalized to a probability mixture); queues are then drawn from the
     conditional routing probabilities d_k(t) / d(t).  Events are returned
     sorted by time, ties kept in draw order.  Deterministic given
-    (seed, replication).  Memory is O(n + I K) for K queues and I knot
-    intervals.
+    (seed, replication).
+
+    The draws are sorted once, by their time uniform, so each knot interval
+    holds one slice of them: the inverse CDF and the routing run slice by
+    slice, and the times come out nondecreasing but for rounding at interval
+    edges, which ``_time_order`` repairs.  Memory is O(n + I K) for K queues
+    and I knot intervals; at its peak five n-sized arrays are alive, 40 bytes
+    per user.
     """
     live = np.flatnonzero(profile.row_mass > 0)
     if not live.size:
@@ -170,19 +187,25 @@ def sample_arrivals(
     cum = np.concatenate(([0.0], np.cumsum(interval_mass)))
     total_mass = cum[-1]
 
-    rng_t = _stream(seed, replication, _ARRIVAL_STREAM)
-    rng_q = _stream(seed, replication, _ROUTING_STREAM)
-    u = rng_t.random(n) * total_mass
-    idx = np.searchsorted(cum, u, side="right") - 1
-    idx = np.clip(idx, 0, knots.size - 2)
+    # u becomes the times: sorted, then inverted in place interval by interval
+    u = _stream(seed, replication, _ARRIVAL_STREAM).random(n) * total_mass
+    draw = np.argsort(u)
+    u = u[draw]
+    # interval i holds the u in [cum[i], cum[i + 1]); the last interval also
+    # takes a u that rounds up to the total mass
+    bounds = np.concatenate(([0], np.searchsorted(u, cum[1:-1], side="left"), [n]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        times = knots[idx] + (u - cum[idx]) / total_density[idx]
+        for i, a, b in _occupied(bounds):
+            u[a:b] = knots[i] + (u[a:b] - cum[i]) / total_density[i]
+    # the routing uniforms in the same order, released once routed
+    v = _stream(seed, replication, _ROUTING_STREAM).random(n)[draw]
+    queues = np.asarray(queue_ids, dtype=int)[_route(density, total_density, bounds, v)]
+    del v
 
-    choice = _route(density, total_density, idx, rng_q.random(n))
-    queues = np.asarray(queue_ids, dtype=int)[choice]
-
-    order = _stable_argsort(times)
-    return times[order], queues[order]
+    # one gather at a time, so at most one n-sized copy is alive
+    order = _time_order(u, draw)
+    u = u[order]
+    return u, queues[order]
 
 
 def _time_covered(starts: np.ndarray, ends: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ The verifier and the social cost: each population's cost curve is built as
 its own ``arrival_cost`` path and evaluated, masked and integrated pair by
 pair.  The library batches the same float operations per queue.
 
-The sampler: routing counts the cumulative columns one column at a time over
-all draws, and the event order is numpy's stable argsort.  The library
-searches each interval's row once and repairs an unstable argsort.
+The sampler: each draw's interval is searched in the cumulative masses,
+routing counts the cumulative columns one column at a time over all draws,
+and the event order is numpy's stable argsort of the times.  The library
+sorts the draws once by their time uniform, so each interval's draws are one
+slice, routes and inverts slice by slice, and repairs the order of the
+nearly sorted times.
 
 The arrival profile: CSV rows parsed, shifted and tabulated one ``Segment``
 record at a time.  The library keeps the profile as numpy columns.
@@ -133,6 +136,26 @@ def route_by_columns(density, total_density, idx, v):
 def stable_argsort(keys):
     """The sampler's event order: equal keys keep their index order."""
     return np.argsort(keys, kind="stable")
+
+
+def sample_arrivals_in_draw_order(profile, n, seed, replication=0):
+    """``sim.sample_arrivals`` computed in draw order: the same streams,
+    density table and inverse-CDF float operations, every draw's interval
+    searched in the cumulative masses, routed by ``route_by_columns`` and the
+    events put in ``stable_argsort`` order of their times."""
+    density = density_table_by_segments(profile)
+    segs = [g for g in profile.segments if g.mass > 0]
+    knots = np.union1d([g.start for g in segs], [g.end for g in segs])
+    total_density = density.sum(axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(total_density * np.diff(knots))))
+    u = sim._stream(seed, replication, sim._ARRIVAL_STREAM).random(n) * cum[-1]
+    v = sim._stream(seed, replication, sim._ROUTING_STREAM).random(n)
+    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, knots.size - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times = knots[idx] + (u - cum[idx]) / total_density[idx]
+    queues = np.asarray(profile.queue_ids, dtype=int)[route_by_columns(density, total_density, idx, v)]
+    order = stable_argsort(times)
+    return times[order], queues[order]
 
 
 def profile_segments_from_csv(text):

@@ -162,6 +162,67 @@ def test_simulate_writes_paths_and_summary(scenarios):
     assert summary["replications"] == 2
 
 
+def test_sim_csv_is_written_one_replication_at_a_time(scenarios, monkeypatch, capsys):
+    # three replications: three csv_rows calls of one replication's rows
+    # each, and the text of one call over all of them, to a file or stdout
+    from concertq import cli
+
+    rows = []
+
+    def recording(header, columns):
+        text = csv_rows(header, columns)
+        rows.append(text.count("\n") - 1)
+        return text
+
+    csv_rows = cli.csv_rows
+    monkeypatch.setattr(cli, "csv_rows", recording)
+    argv = ["simulate", "--scenario", str(scenarios["two"]), "--n", "300", "--reps", "3",
+            "--seed", "5", "--grid-points", "16"]
+    out = scenarios["dir"] / "reps.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert rows == [2 * 16] * 3
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+    s = cq.parse_scenario(scenarios["two"].read_text())
+    profile = cq.solve_multi(s).profile
+    grid = sim.default_grid(profile, s, points=16)
+    report = sim.convergence_report(s, profile, sim.SimConfig(n=300, seed=5, grid=grid, replications=3))
+    ids = [q.id for q in s.queues]
+    columns = [
+        np.repeat(np.arange(3), len(ids) * grid.size),
+        np.tile(grid + s.time_origin, 3 * len(ids)),
+        np.tile(np.repeat(ids, grid.size), 3),
+    ] + [
+        np.concatenate([scaled[name][i] for scaled in report.scaled for i in ids])
+        for name in sim.PROCESSES
+    ]
+    whole = csv_rows(["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"], columns)
+    assert out.read_text() == whole
+
+
+def test_simulate_error_while_writing_leaves_no_file(scenarios, monkeypatch, capsys):
+    from concertq import cli
+
+    calls = []
+    csv_rows = cli.csv_rows
+
+    def failing(header, columns):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError
+        return csv_rows(header, columns)
+
+    monkeypatch.setattr(cli, "csv_rows", failing)
+    out = scenarios["dir"] / "broken.csv"
+    assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "300", "--reps", "2",
+                 "--out", str(out)]) == 1
+    assert len(calls) == 2
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+    assert capsys.readouterr().err.startswith("error: out of memory")
+
+
 def test_sim_csv_columns_follow_the_process_table(scenarios):
     # scaled_paths and fluid_reference key their tables by sim.PROCESSES, and
     # the value columns of sim.csv are those processes in that order

@@ -19,6 +19,7 @@ from conftest import (
 from oracles import (
     density_table_by_segments,
     route_by_columns,
+    sample_arrivals_in_draw_order,
     scaled_paths_by_process,
     stable_argsort,
 )
@@ -117,10 +118,17 @@ def test_routing_tail_joins_a_queue_with_density():
     density = np.array([[1.0] + [0.0] * 7, [1.0] * 7 + [0.0]])
     last = np.cumsum(density[1] / density[1].sum())[-1]
     assert last < 1.0
-    v = np.array([np.nextafter(1.0, 0.0), 0.0, 0.5])
-    choice = sim._route(density, density.sum(axis=1), np.array([1, 1, 0]), v)
-    assert density[1, choice[0]] > 0
-    assert choice.tolist() == [6, 0, 0]
+    # one draw in row 0, then two in row 1
+    v = np.array([0.5, np.nextafter(1.0, 0.0), 0.0])
+    choice = sim._route(density, density.sum(axis=1), np.array([0, 1, 3]), v)
+    assert density[1, choice[1]] > 0
+    assert choice.tolist() == [0, 6, 0]
+
+
+def _interval_order(idx, rows):
+    """The draws of each row grouped in row order, and the slice bounds."""
+    order = np.argsort(idx, kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=rows))))
 
 
 @pytest.mark.parametrize("build", [two_queue_worked_scenario, wide_scenario])
@@ -128,8 +136,9 @@ def test_route_matches_the_column_count_oracle(build, monkeypatch):
     # the (density, total_density) table the sampler routes through
     tables = []
 
-    def recording(density, total, idx, v):
+    def recording(density, total, bounds, v):
         tables.append((density, total))
+        idx = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
         return route_by_columns(density, total, idx, v)
 
     monkeypatch.setattr(sim, "_route", recording)
@@ -149,7 +158,9 @@ def test_route_matches_the_column_count_oracle(build, monkeypatch):
     v = np.concatenate(
         (rng.random(20_000), np.zeros(rows), table[on_knot], np.full(rows, np.nextafter(1.0, 0.0)))
     )
-    choice = sim._route(density, total_density, idx, v)
+    order, bounds = _interval_order(idx, rows)
+    idx, v = idx[order], v[order]
+    choice = sim._route(density, total_density, bounds, v)
     assert np.array_equal(choice, route_by_columns(density, total_density, idx, v))
     assert np.all(density[idx, choice] > 0)
 
@@ -175,7 +186,7 @@ _OVERLAPPING = cq.ArrivalProfile.from_rows([
 def test_density_table_is_the_per_segment_loop(profile, monkeypatch):
     tables = []
 
-    def recording(density, total, idx, v):
+    def recording(density, total, bounds, v):
         tables.append((density, total))
         return np.zeros(v.size, dtype=np.intp)
 
@@ -213,7 +224,7 @@ _KEYS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_tie_repaired_order_is_the_stable_argsort(keys):
     keys = np.asarray(keys, dtype=float)
-    assert np.array_equal(sim._stable_argsort(keys), stable_argsort(keys))
+    assert np.array_equal(sim._time_order(keys, np.arange(keys.size)), stable_argsort(keys))
 
 
 def test_tie_repaired_order_on_a_third_tied_draws():
@@ -221,7 +232,60 @@ def test_tie_repaired_order_on_a_third_tied_draws():
     keys = rng.random(30_000)
     keys[::3] = np.round(keys[::3], 2)
     keys[1::7] = -0.0
-    assert np.array_equal(sim._stable_argsort(keys), stable_argsort(keys))
+    assert np.array_equal(sim._time_order(keys, np.arange(keys.size)), stable_argsort(keys))
+
+
+@given(_KEYS, st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_time_order_is_the_lexsort_of_key_and_draw(keys, seed):
+    # the keys as drawn (any order) and nondecreasing (the sampler's case,
+    # where 0.0 and -0.0 may sit in either order), each with its draws shuffled
+    keys = np.asarray(keys, dtype=float)
+    draw = np.random.default_rng(seed).permutation(keys.size)
+    for k in (keys, np.sort(keys)):
+        assert np.array_equal(sim._time_order(k, draw), np.lexsort((draw, k)))
+
+
+# both queues on an interval eight ulps wide: about 200,000 draws share nine
+# distinct times, so nearly every event is tied with another
+_TIED = cq.ArrivalProfile.from_rows([
+    (1, 1, 1.0, 1.0 + 8 * 2.0**-52, 3e14),
+    (1, 2, 1.0, 1.0 + 8 * 2.0**-52, 1e14),
+])
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        equilibrium_profile(two_queue_worked_scenario()),
+        equilibrium_profile(wide_scenario()),
+        _OVERLAPPING,
+        _TIED,
+    ],
+    ids=["worked-pair", "wide", "overlapping", "tied"],
+)
+def test_sampler_is_the_draw_order_oracle(profile):
+    for n, seed, rep in ((1, 0, 0), (2, 3, 1), (17, 7919, 0), (1000, 1, 2), (200_000, 0, 1)):
+        times, queues = sim.sample_arrivals(profile, n, seed, replication=rep)
+        want_times, want_queues = sample_arrivals_in_draw_order(profile, n, seed, replication=rep)
+        assert times.tobytes() == want_times.tobytes()
+        assert queues.tobytes() == want_queues.tobytes()
+
+
+def test_sampler_sorts_the_draws_once(monkeypatch):
+    n = 100_000
+    sizes = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    profile = equilibrium_profile(two_queue_worked_scenario())
+    monkeypatch.setattr(np, "argsort", counting)
+    sim.sample_arrivals(profile, n, seed=0)
+    monkeypatch.undo()
+    assert sizes.count(n) == 1
 
 
 # -- discrete-event core --------------------------------------------------------
