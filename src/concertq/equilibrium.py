@@ -239,6 +239,7 @@ def terminal_time(s: Scenario) -> float:
 # -- verification -----------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # costs that overflow are refused below
 def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationReport:
     """Best-response check of ``profile`` against the exact cost curves.
 

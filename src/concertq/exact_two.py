@@ -219,8 +219,9 @@ def _euler_path(lengths, rates, inflow, dt, active) -> tuple[np.ndarray, int]:
     for (a1, a2), h, on in zip(inflow, dt, active):
         x1 = q1 + (a1 - (mu1 * q1 if on else 0.0)) * h
         x2 = q2 + (a2 - (mu2 * q2 if on else 0.0)) * h
-        q1 = min(max(x1, 0.0), 1.0)
-        q2 = min(max(x2, 0.0), 1.0)
+        # an in-range x is its own clamp; NaN fails the test and takes min(max())
+        q1 = x1 if 0.0 <= x1 <= 1.0 else min(max(x1, 0.0), 1.0)
+        q2 = x2 if 0.0 <= x2 <= 1.0 else min(max(x2, 0.0), 1.0)
         clamp_events += (q1 != x1) + (q2 != x2)
         path.append((q1, q2))
     return np.array(path), clamp_events

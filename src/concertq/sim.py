@@ -117,34 +117,64 @@ def _occupied(bounds: np.ndarray) -> list[tuple[int, int, int]]:
     return [(i, edges[i], edges[i + 1]) for i in np.flatnonzero(np.diff(bounds)).tolist()]
 
 
+def _sort_runs(ranked: np.ndarray, order: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
+    """Reorder ``order`` inside each run of equal values of the sorted
+    ``ranked`` (no NaN) by ``tiebreak[order]``; equal tiebreaks keep their
+    positions.  Only the positions tied to a neighbour are sorted, by one
+    lexsort of (run, tiebreak)."""
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if tied.size:
+        # equal values are adjacent, so a run starts at each change of value
+        # among the positions that are tied to a neighbour
+        members = fluid.sorted_unique(tied, tied + 1)
+        member_keys = ranked[members]
+        starts = np.empty(members.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(member_keys[1:], member_keys[:-1], out=starts[1:])
+        at = order[members]
+        order[members] = at[np.lexsort((tiebreak[at], np.cumsum(starts)))]
+    return order
+
+
 def _time_order(keys: np.ndarray, draw: np.ndarray) -> np.ndarray:
     """``np.lexsort((draw, keys))`` for keys without NaN and ``draw`` a
     permutation of ``range(keys.size)``: the order of increasing key, equal
     keys (0.0 and -0.0 among them) in increasing draw.
 
     Keys that are already nondecreasing keep their positions after one O(n)
-    check; others take numpy's (unstable) argsort.  Then only the positions
-    inside each run of equal keys are reordered, by one sort of (run, draw)
-    pairs.
+    check; others take numpy's (unstable) argsort.  Then ``_sort_runs``
+    reorders the positions inside each run of equal keys by draw.
     """
     if np.all(keys[1:] >= keys[:-1]):
         order, ranked = np.arange(keys.size), keys
     else:
         order = np.argsort(keys)
         ranked = keys[order]
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if tied.size:
-        # equal keys are adjacent once sorted, so a run starts at each
-        # change of key among the positions that are tied to a neighbour
-        members = fluid.sorted_unique(tied, tied + 1)
-        member_keys = ranked[members]
-        starts = np.empty(members.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(member_keys[1:], member_keys[:-1], out=starts[1:])
-        run = np.cumsum(starts, dtype=np.int64) * keys.size
-        at = order[members]
-        order[members] = at[np.argsort(run + draw[at])]
-    return order
+    return _sort_runs(ranked, order, draw)
+
+
+def _uniform_order(r: np.ndarray) -> np.ndarray:
+    """``np.lexsort((np.arange(r.size), r))`` for r in [0, 1): the order of
+    increasing r, equal r in increasing index.
+
+    One value sort of uint64 keys does nearly all of it.  With b the bit
+    length of n - 1, a key holds floor(r 2^53) in its high bits, less its
+    lowest b - 11 bits when b > 11, and the index in its low b bits.  Keys
+    whose high bits tie sit in index order; ``_sort_runs`` reorders those
+    runs by r, about n^2 / 2^(65 - b) pairs of n uniforms.
+    """
+    n = r.size
+    b = max(n - 1, 0).bit_length()
+    key = np.empty(n, dtype=np.uint64)
+    np.multiply(r, 2.0**53, out=key, casting="unsafe")
+    key >>= max(0, b - 11)
+    key <<= b
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    # every index is below 2^63, so its bits read the same as an int64
+    order = (key & ((1 << b) - 1)).view(np.int64)
+    key >>= b
+    return _sort_runs(key, order, r)
 
 
 def sample_arrivals(
@@ -158,12 +188,14 @@ def sample_arrivals(
     sorted by time, ties kept in draw order.  Deterministic given
     (seed, replication).
 
-    The draws are sorted once, by their time uniform, so each knot interval
-    holds one slice of them: the inverse CDF and the routing run slice by
-    slice, and the times come out nondecreasing but for rounding at interval
-    edges, which ``_time_order`` repairs.  Memory is O(n + I K) for K queues
-    and I knot intervals; at its peak five n-sized arrays are alive, 40 bytes
-    per user.
+    The draws are sorted once, by their time uniform (``_uniform_order``:
+    one sort of packed uint64 keys), so each knot interval holds one slice
+    of them: the inverse CDF and the routing run slice by slice, and the
+    times come out nondecreasing but for rounding at interval edges, which
+    ``_time_order`` repairs; times that come out strictly increasing are
+    returned as they are.  Memory is O(n + I K) for K queues and I knot
+    intervals; at its peak five n-sized arrays are alive, 40 bytes per user.
+    A profile whose total mass overflows is refused with a DomainError.
     """
     live = np.flatnonzero(profile.row_mass > 0)
     if not live.size:
@@ -175,22 +207,28 @@ def sample_arrivals(
     # adds its rows' densities in profile order, starting from 0.0
     knots = fluid.sorted_unique(start, end)
     density = np.zeros((knots.size - 1, len(queue_ids)))
-    for a, b, k, d in zip(
-        np.searchsorted(knots, start).tolist(),
-        np.searchsorted(knots, end).tolist(),
-        np.searchsorted(queue_ids, profile.queue[live]).tolist(),
-        profile.density[live].tolist(),
-    ):
-        density[a:b, k] += d
-    total_density = density.sum(axis=1)
-    interval_mass = total_density * np.diff(knots)
-    cum = np.concatenate(([0.0], np.cumsum(interval_mass)))
+    with np.errstate(over="ignore"):  # a mass that overflows is refused below
+        for a, b, k, d in zip(
+            np.searchsorted(knots, start).tolist(),
+            np.searchsorted(knots, end).tolist(),
+            np.searchsorted(queue_ids, profile.queue[live]).tolist(),
+            profile.density[live].tolist(),
+        ):
+            density[a:b, k] += d
+        total_density = density.sum(axis=1)
+        interval_mass = total_density * np.diff(knots)
+        cum = np.concatenate(([0.0], np.cumsum(interval_mass)))
     total_mass = cum[-1]
+    if not np.isfinite(total_mass):
+        raise DomainError("cannot sample from a profile whose total mass overflows")
 
-    # u becomes the times: sorted, then inverted in place interval by interval
-    u = _stream(seed, replication, _ARRIVAL_STREAM).random(n) * total_mass
-    draw = np.argsort(u)
-    u = u[draw]
+    # u becomes the times: the uniforms sorted and scaled to the total mass,
+    # then inverted in place interval by interval
+    r = _stream(seed, replication, _ARRIVAL_STREAM).random(n)
+    draw = _uniform_order(r)
+    u = r[draw]
+    del r
+    u *= total_mass
     # interval i holds the u in [cum[i], cum[i + 1]); the last interval also
     # takes a u that rounds up to the total mass
     bounds = np.concatenate(([0], np.searchsorted(u, cum[1:-1], side="left"), [n]))
@@ -202,6 +240,8 @@ def sample_arrivals(
     queues = np.asarray(queue_ids, dtype=int)[_route(density, total_density, bounds, v)]
     del v
 
+    if np.all(u[1:] > u[:-1]):  # no ties: already the (time, draw) order
+        return u, queues
     # one gather at a time, so at most one n-sized copy is alive
     order = _time_order(u, draw)
     u = u[order]
@@ -285,32 +325,47 @@ def run_des(
     mass_scale / mu_k (acceleration drawn directly at the scaled mean).
     Completion times follow the FIFO recursion
     c_i = max(a_i, t_start, c_{i-1}) + service_i, vectorized via prefix sums.
+
+    The events are grouped by queue in one stable argsort of their labels,
+    shifted to start at 0 and narrowed to the least unsigned type holding
+    them: numpy radix-sorts labels of at most 16 bits.  Events at a label
+    outside the scenario are dropped.
     """
     times, queues = events
     if times.size and not np.all(np.diff(times) >= 0):
         raise DomainError("events must be sorted by time")
     mass_scale = s.total_mass / cfg.n
 
-    # one stable grouping pass keeps each queue's arrivals in time order
-    order = np.argsort(queues, kind="stable")
-    key, grouped = queues[order], times[order]
+    # one stable grouping pass keeps each queue's arrivals in time order; the
+    # label range takes in the scenario's ids, so every id has a label
+    ids = [q.id for q in s.queues]
+    lo = int(queues.min(initial=min(ids)))
+    span = int(queues.max(initial=max(ids))) - lo
+    labels = np.empty(queues.size, dtype=np.min_scalar_type(span))
+    np.subtract(queues, lo, out=labels, casting="unsafe")
+    order = np.argsort(labels, kind="stable")
+    labels, grouped = labels[order], times[order]
+    del order
+    wanted = np.array([i - lo for i in ids], dtype=labels.dtype)
+    first = np.searchsorted(labels, wanted, side="left").tolist()
+    stop = np.searchsorted(labels, wanted, side="right").tolist()
 
     records: dict[int, QueueRecord] = {}
     for qi, q in enumerate(s.queues):
-        arr = grouped[np.searchsorted(key, q.id):np.searchsorted(key, q.id, side="right")]
+        arr = grouped[first[qi]:stop[qi]]
         rng = _stream(cfg.seed, replication, _SERVICE_STREAM_BASE + qi)
         mean = mass_scale / q.mu
         if cfg.service_dist == "exponential":
             svc = rng.exponential(mean, size=arr.size)
         else:
             svc = np.full(arr.size, mean)
-        if arr.size:
-            ready = np.maximum(arr, q.t_start)
-            csum = np.cumsum(svc)
-            offsets = ready - np.concatenate(([0.0], csum[:-1]))
-            completions = csum + np.maximum.accumulate(offsets)
-        else:
-            completions = np.empty(0)
+        # c_i = csum_i + max over j <= i of (ready_j - csum_{j-1}), in one buffer
+        completions = np.maximum(arr, q.t_start)
+        csum = np.cumsum(svc)
+        completions[1:] -= csum[:-1]
+        np.maximum.accumulate(completions, out=completions)
+        completions += csum
+        del csum
         records[q.id] = QueueRecord(
             queue_id=q.id,
             mu=q.mu,
@@ -420,8 +475,10 @@ def fluid_reference(
 def _replication(s, profile, cfg, grid, reference, rep):
     """Replication ``rep``'s scaled table, first arrival and per-process sup
     errors; its events and event records are unreachable once it returns."""
+    # the events are released once run_des has grouped them into its records
     events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
     paths = run_des(s, events, cfg, replication=rep)
+    del events
     scaled = scaled_paths(paths, grid)
     errors = [
         max(float(np.max(np.abs(scaled[name][q.id] - reference[name][q.id]))) for q in s.queues)

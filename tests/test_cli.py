@@ -558,6 +558,20 @@ def test_out_of_domain_numbers_are_domain_errors(tmp_path, capsys, argv):
     assert not out.exists() and not trace.exists()
 
 
+def test_verify_of_an_overflowing_profile_prints_only_its_error(tmp_path):
+    # every row's mass is finite, but the costs at both queues overflow: the
+    # refusal is the one line on stderr, with no numpy warning before it
+    scenario, profile = tmp_path / "s.json", tmp_path / "p.csv"
+    scenario.write_text('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0}],'
+                        '"populations":[{"alpha":1,"beta":1}]}')
+    profile.write_text("pop,queue,a,b,density\n1,1,0,1,1e308\n1,2,0,1,1e308\n")
+    result = run_cli("verify", "--scenario", str(scenario), "--profile", str(profile),
+                     "--out", str(tmp_path / "v.json"))
+    assert result.returncode == 1
+    assert_one_error_line(result.stderr)
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_out_of_domain_number_exits_1_from_a_fresh_interpreter(tmp_path):
     out = tmp_path / "out.json"
     result = run_cli("serve-count", "--l", "nan", "--mu", "1", "--tau", "0.1", "--out", str(out))

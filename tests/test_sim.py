@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -78,6 +79,15 @@ def test_sampling_skips_interior_gaps():
 def test_sampling_rejects_empty_profile():
     with pytest.raises(cq.DomainError):
         sim.sample_arrivals(cq.ArrivalProfile(()), 10, seed=0)
+
+
+def test_sampling_rejects_a_profile_whose_mass_overflows():
+    # each row's mass is finite, their sum is not: no NaN times, no warning
+    profile = cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1e308), (1, 2, 0.0, 1.0, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cq.DomainError, match="overflows"):
+            sim.sample_arrivals(profile, 5, seed=0)
 
 
 def _stream_digest(profile, n, seed):
@@ -272,20 +282,62 @@ def test_sampler_is_the_draw_order_oracle(profile):
         assert queues.tobytes() == want_queues.tobytes()
 
 
+def _uniform_ties(n, seed, kinds):
+    """n uniforms in [0, 1), each drawn from one of ``kinds``: plain draws,
+    draws rounded down to a few decimals, zeros, neighbours a few ulps apart
+    (at 0.5, and just below 1) and values too small to reach the key."""
+    rng = np.random.default_rng(seed)
+    ulp, scale = 2.0**-53, 10.0 ** rng.integers(1, 4)
+    pools = {
+        "plain": rng.random(n),
+        "rounded": np.floor(rng.random(n) * scale) / scale,
+        "zero": np.zeros(n),
+        "ulps": 0.5 + rng.integers(0, 16, n) * ulp,
+        "below_one": 1.0 - rng.integers(1, 16, n) * ulp,
+        "tiny": rng.random(n) * 2.0**-60,
+    }
+    pick = rng.integers(0, len(kinds), n)
+    return np.choose(pick, [pools[k] for k in kinds])
+
+
+@given(
+    st.one_of(st.integers(0, 40), st.sampled_from([2047, 2048, 2049, 2050, 4096, 4097])),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["plain", "rounded", "zero", "ulps", "below_one", "tiny"]),
+             min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_uniform_order_is_the_lexsort_of_value_and_index(n, seed, kinds):
+    # n on both sides of 2^11, where the key starts to drop low bits of r
+    r = _uniform_ties(n, seed, kinds)
+    assert np.array_equal(sim._uniform_order(r), np.lexsort((np.arange(n), r)))
+
+
 def test_sampler_sorts_the_draws_once(monkeypatch):
+    # one n-sized value sort, of packed keys in _uniform_order; no n-sized
+    # argsort or lexsort
     n = 100_000
-    sizes = []
-    argsort = np.argsort
+    sizes, ordered = [], []
 
-    def counting(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return argsort(a, *args, **kwargs)
+    def counting(sort):
+        def wrapped(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])  # lexsort's keys are (k, n)
+            return sort(a, *args, **kwargs)
+        return wrapped
 
+    def recording(r):
+        ordered.append(r.size)
+        return uniform_order(r)
+
+    uniform_order = sim._uniform_order
     profile = equilibrium_profile(two_queue_worked_scenario())
-    monkeypatch.setattr(np, "argsort", counting)
+    monkeypatch.setattr(np, "argsort", counting(np.argsort))
+    monkeypatch.setattr(np, "lexsort", counting(np.lexsort))
+    monkeypatch.setattr(sim, "_uniform_order", recording)
     sim.sample_arrivals(profile, n, seed=0)
     monkeypatch.undo()
-    assert sizes.count(n) == 1
+    assert ordered == [n]
+    assert n not in sizes
 
 
 # -- discrete-event core --------------------------------------------------------
@@ -408,16 +460,29 @@ def _run_des_by_masks(s, events, cfg):
     return out
 
 
-@pytest.mark.parametrize("foreign_id", [None, 999, 70_000])
-def test_grouping_pass_matches_per_queue_masks(foreign_id):
+@pytest.mark.parametrize("foreign_id", [None, 999, 70_000, -5, 2**40])
+def test_grouping_pass_matches_per_queue_masks(foreign_id, monkeypatch):
     s = wide_scenario()
     cfg = sim.SimConfig(n=20_000, seed=0)
     times, queues = sim.sample_arrivals(equilibrium_profile(s), cfg.n, cfg.seed)
     if foreign_id is not None:
-        # events for a queue outside the scenario are dropped
+        # events for a queue outside the scenario are dropped; labels below the
+        # scenario's ids shift the label range, and 2^40 widens it to 64 bits
         queues = queues.copy()
         queues[::7] = foreign_id
+    dtypes = []
+    argsort = np.argsort
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
     paths = sim.run_des(s, (times, queues), cfg)
+    monkeypatch.undo()
+    # one sort of the narrowest unsigned labels: numpy radix-sorts 8 and 16 bits
+    width = {None: 1, 999: 2, 70_000: 4, -5: 1, 2**40: 8}[foreign_id]
+    assert [(d.kind, d.itemsize) for d in dtypes] == [("u", width)]
     expected = _run_des_by_masks(s, (times, queues), cfg)
     assert set(paths.records) == set(expected)
     for qid, (arr, svc, completions) in expected.items():
