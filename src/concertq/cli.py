@@ -178,22 +178,29 @@ def _cmd_fluid(args) -> int:
         profile = equilibrium.solve_multi(s).profile
     origin = s.time_origin
     horizon = fluid.default_horizon(profile, s.queues)
-    ids, names, times, values = [], [], [], []
-    for q in s.queues:
-        qf = fluid.queue_fluid(profile, q, horizon)
-        paths = {
-            "cumulative_arrivals": qf.cdf.refine(list(horizon)),
-            "netflow": qf.netflow,
-            "queue_length": qf.queue_length,
-            "busy_time": qf.busy,
-            "virtual_wait": qf.wait,
-        }
-        for name, path in paths.items():
-            ids += [q.id] * path.times.size
-            names += [name] * path.times.size
-            times.append(path.times + origin)
-            values.append(path.values)
-    columns = [ids, names, np.concatenate(times), np.concatenate(values)]
+    table = fluid.fluid_table(profile, s.queues, horizon)
+    # the cumulative arrivals are F_k refined with the horizon's ends: the
+    # netflow's breakpoints but the openings that are neither
+    refined = table.refined
+    net = np.repeat(np.arange(s.n_queues), np.diff(table.netflow_bounds))
+    rest = np.repeat(np.arange(s.n_queues), np.diff(table.bounds))
+    names, of_queue, times, values = zip(
+        ("cumulative_arrivals", net[refined], table.netflow_times[refined], table.arrivals[refined]),
+        ("netflow", net, table.netflow_times, table.netflow_values),
+        ("queue_length", rest, table.times, table.queue_length),
+        ("busy_time", rest, table.times, table.busy),
+        ("virtual_wait", rest, table.times, table.wait),
+    )
+    of_name = np.repeat(np.arange(len(names)), [rows.size for rows in of_queue])
+    of_queue = np.concatenate(of_queue)
+    # queue by queue, process by process: a stable sort keeps each path's order
+    order = np.lexsort((of_name, of_queue))
+    columns = [
+        np.array([q.id for q in s.queues])[of_queue[order]],
+        np.array(names, dtype=object)[of_name[order]],  # shared strings, not one per row
+        np.concatenate(times)[order] + origin,
+        np.concatenate(values)[order],
+    ]
     _write(args.out, csv_rows(["queue", "process", "t", "value"], columns))
     _summary(args, f"queues={s.n_queues}, window=[{fmt(horizon[0] + origin)}, {fmt(horizon[1] + origin)}]")
     return 0

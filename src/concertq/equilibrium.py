@@ -252,9 +252,10 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     ``s.options.tol`` and no off-support (queue, time) pair undercuts it by
     more than that.
 
-    The work is batched per queue: one wait path, and every population's
-    costs at the queue's B_k wait breakpoints and G grid points as one
-    (N, B_k + G) matrix, so the working set is O(N * (B_k + G)) per queue.
+    Every queue's wait path is a row of one ``fluid.fluid_table``.  The
+    costs are batched per queue: every population's costs at the queue's B_k
+    wait breakpoints and G grid points as one (N, B_k + G) matrix, so the
+    working set is O(N * (B_k + G)) per queue beside the table.
     Only the support costs are kept across queues (the mean needs them; at
     most one value per population and point on its support); the off-support
     side keeps a running minimum.  A grid of more than ``MAX_GRID_POINTS``
@@ -285,13 +286,16 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     off_min = np.full(len(pops), np.inf)
     n_points = 0
 
-    for q in s.queues:
-        wait = fluid.queue_fluid(profile, q, horizon).wait
-        ts = fluid.sorted_unique(wait.times, grid)
+    table = fluid.fluid_table(profile, s.queues, horizon)
+    columns = fluid.cost_columns(pops)
+    for k, q in enumerate(s.queues):
+        row = slice(*table.bounds[k:k + 2].tolist())
+        times, wait = table.times[row], table.wait[row]
+        ts = fluid.sorted_unique(times, grid)
         ts = ts[(ts >= window[0]) & (ts <= window[1])]
         n_points += len(pops) * ts.size
         # the horizon reaches past the window, so ts lies inside wait's span
-        costs = _interp_rows(ts, wait.times, fluid.arrival_costs(pops, wait))
+        costs = _interp_rows(ts, times, fluid.arrival_costs(columns, times, wait))
         # a population's support: the points of ts inside one of its
         # positive-mass segments at this queue (ts is sorted)
         rows = profile.queue_rows(q.id)
@@ -337,22 +341,7 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, row)`` for every row of ``fp`` at once, bit for bit.
-
-    ``x`` must be sorted and inside [xp[0], xp[-1]], and ``xp`` must hold at
-    least two breakpoints.  Every value comes from np.interp's own formula:
-    the breakpoint value on a breakpoint, else slope * (x - xp[j]) + fp[j]
-    with slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) on the interval
-    [xp[j], xp[j + 1]) holding x.  Sorted points fill each interval in one
-    run, so each slope is spread over its run with np.repeat.
-    """
-    last = xp.size - 1
+    """``np.interp(x, xp, row)`` for every row of ``fp`` at once, bit for bit
+    (``fluid.interp_at``); ``x`` must be sorted and inside [xp[0], xp[-1]]."""
     j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
-    left = np.minimum(j, last - 1)
-    runs = np.bincount(left, minlength=last)
-    out = np.repeat(np.diff(fp, axis=1) / np.diff(xp), runs, axis=1)
-    out *= x - xp[left]
-    out += np.repeat(fp[:, :-1], runs, axis=1)
-    on_breakpoint = np.flatnonzero((xp[j] == x) | (j == last))
-    out[:, on_breakpoint] = fp[:, j[on_breakpoint]]
-    return out
+    return fluid.interp_at(x, xp, fp, j, j == xp.size - 1)

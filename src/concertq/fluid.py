@@ -12,6 +12,12 @@ taken from the first breakpoint of X; the reflected path Phi = X + Psi is
 the fluid queue length.  For piecewise-linear X the regulator is again
 piecewise linear, with extra breakpoints only where X drops back to a
 previously attained minimum.
+
+``fluid_table`` builds every path of every queue in one pass, each kind of
+path laid end to end in flat arrays (row k in ``bounds[k]:bounds[k + 1]``):
+the row kernels ``_cdf_rows``, ``_union_rows``, ``_netflow_rows`` and
+``_reflect_rows`` run on all queues at once, and ``queue_fluid``,
+``queue_cdf``, ``netflow`` and ``reflect`` are their one-row calls.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,11 +97,6 @@ class PiecewisePath:
 
     # -- algebra ------------------------------------------------------------
 
-    def refine(self, extra_times) -> "PiecewisePath":
-        """Same path with additional breakpoints inserted (exact)."""
-        ts = sorted_unique(self.times, np.asarray(extra_times, dtype=float))
-        return PiecewisePath(ts, self(ts), extend=self.extend)
-
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the path over [a, b]."""
         if b < a:
@@ -144,36 +146,10 @@ def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
     Returns (phi, psi) with psi(t) = running max of (-x)^+ from the first
     breakpoint of x, and phi = x + psi >= 0.  Both are exact: a breakpoint is
     inserted wherever x falls back to a previously attained minimum, which is
-    where psi switches from flat to increasing.
+    where psi switches from flat to increasing (``_reflect_rows`` on one row).
     """
-    # plain floats: the same IEEE arithmetic as numpy scalars, without their
-    # per-operation overhead
-    t, v = x.times.tolist(), x.values.tolist()
-    running = max(0.0, -v[0])
-    out_t = [t[0]]
-    out_psi = [running]
-    for i in range(1, len(t)):
-        g0, g1 = -v[i - 1], -v[i]
-        if g1 > running:
-            if g0 < running:
-                # -x crosses the old maximum inside this segment; the stored
-                # crossing time is rounded, so re-evaluate -x there to keep
-                # the regulator exact at every stored breakpoint
-                frac = (running - g0) / (g1 - g0)
-                cross = t[i - 1] + frac * (t[i] - t[i - 1])
-                if cross > out_t[-1] and cross < t[i]:
-                    out_t.append(cross)
-                    out_psi.append(max(running, g0 + (g1 - g0) * (cross - t[i - 1]) / (t[i] - t[i - 1])))
-            running = g1
-        out_t.append(t[i])
-        out_psi.append(running)
-    psi = PiecewisePath(np.asarray(out_t), np.asarray(out_psi), extend="const")
-    # phi >= 0 exactly; np.maximum only absorbs rounding at binding points.
-    # psi's breakpoints lie inside x's span, where x is plain interpolation.
-    phi = PiecewisePath(
-        psi.times, np.maximum(np.interp(psi.times, x.times, x.values) + psi.values, 0.0)
-    )
-    return phi, psi
+    ts, psi, phi, _ = _reflect_rows(x.times, x.values, np.array([0, x.times.size]))
+    return PiecewisePath(ts, phi), PiecewisePath(ts, psi, extend="const")
 
 
 # -- arrival profiles -------------------------------------------------------
@@ -306,16 +282,10 @@ class ArrivalProfile:
         return float(self.start.min()), float(self.end.max())
 
     def queue_cdf(self, queue: int) -> PiecewisePath:
-        """Aggregate cumulative arrivals F_k at the queue, all populations."""
-        rows = self.queue_rows(queue)
-        if not rows.size:
-            return PiecewisePath(np.array([0.0]), np.array([0.0]), extend="const")
-        a, b = self.start[rows, None], self.end[rows, None]
-        ts = sorted_unique(a, b)
-        # one row per segment; an axis-0 reduce adds the rows one after
-        # another in profile order, starting from 0.0
-        per_segment = self.density[rows, None] * (np.clip(ts, a, b) - a)
-        return PiecewisePath(ts, np.add.reduce(per_segment, axis=0, initial=0.0), extend="const")
+        """Aggregate cumulative arrivals F_k at the queue, all populations
+        (``_cdf_rows`` on one row)."""
+        ts, values, _ = _cdf_rows(self, [queue])
+        return PiecewisePath(ts, values, extend="const")
 
     def shifted(self, dt: float) -> "ArrivalProfile":
         return ArrivalProfile.__new__(ArrivalProfile)._set_columns(
@@ -341,24 +311,46 @@ class ArrivalProfile:
 
     @classmethod
     def from_csv(cls, text: str) -> "ArrivalProfile":
-        rows = []
-        for lineno, raw in enumerate(io.StringIO(text), start=1):
-            row = raw.strip()
-            if not row or row.startswith("#") or row.lower().startswith("pop,"):
-                continue
-            parts = row.split(",")
-            where = f"bad profile row {lineno}: {row!r}"
-            if len(parts) != 5:
-                raise ParseError(f"{where}: expected 5 cells")
-            pop, queue, a, b, density = _cells(parts, (int, int, float, float, float), where)
-            # Segment's checks row by row, and a finite mass so that no sum
-            # of masses overflows: the first fault in file order wins
-            what = ("end < start" if not b >= a else "negative density" if density < 0
-                    else None if math.isfinite(density * (b - a)) else "non-finite mass")
-            if what:
-                raise DomainError(f"profile row {lineno} has {what}")
-            rows.append((pop, queue, a, b, density))
-        return cls.from_rows(rows)
+        """The profile of CSV rows ``pop,queue,a,b,density``, converted with no
+        per-row checks and checked as columns; only a file with a fault is
+        read again row by row, to name its first fault in file order."""
+        columns = pop, queue, a, b, density = ([], [], [], [], [])
+        try:
+            for _, row in _data_rows(text):
+                p, q, x, y, d = row.split(",")
+                pop.append(int(p))
+                queue.append(int(q))
+                a.append(float(x))
+                b.append(float(y))
+                density.append(float(d))
+            return cls.__new__(cls)._set_columns(*columns)
+        except (ValueError, OverflowError, DomainError):
+            for lineno, row in _data_rows(text):
+                _check_csv_row(lineno, row)
+            raise
+
+
+def _data_rows(text: str):
+    """(line number, stripped row) of each CSV row that is not blank, a
+    comment or the header."""
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        row = raw.strip()
+        if row and not row.startswith("#") and not row.lower().startswith("pop,"):
+            yield lineno, row
+
+
+def _check_csv_row(lineno: int, row: str) -> None:
+    """ParseError or DomainError naming the CSV row's first fault, if any."""
+    parts = row.split(",")
+    where = f"bad profile row {lineno}: {row!r}"
+    if len(parts) != 5:
+        raise ParseError(f"{where}: expected 5 cells")
+    pop, queue, a, b, density = _cells(parts, (int, int, float, float, float), where)
+    # Segment's checks, and a finite mass so that no sum of masses overflows
+    what = ("end < start" if not b >= a else "negative density" if density < 0
+            else None if math.isfinite(density * (b - a)) else "non-finite mass")
+    if what:
+        raise DomainError(f"profile row {lineno} has {what}")
 
 
 def _transposed(rows) -> list:
@@ -399,20 +391,14 @@ def netflow(
     """Netflow X_k = F_k - mu_k (t - t_start)_+ as an exact path.
 
     Breakpoints are the union of the CDF's breakpoints, the queue opening
-    time, and the horizon endpoints.
+    time, and the horizon endpoints (``_netflow_rows`` on one row).
     """
     if not f_k.is_nondecreasing():
         raise DomainError("cumulative arrival path must be nondecreasing")
-    extra = [q.t_start]
-    if horizon is not None:
-        extra.extend(horizon)
-    ts = sorted_unique(f_k.times, np.asarray(extra, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = f_k(ts) - q.mu * np.maximum(ts - q.t_start, 0.0)
-    if not np.isfinite(vals).all():
-        raise DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
-                          "on the horizon; the scenario's scale overflows")
-    return PiecewisePath(ts, vals, extend="slope")
+    ends = np.concatenate((f_k.times, [q.t_start], horizon or ()))
+    ts, bounds = _union_rows(ends, np.zeros(ends.size, dtype=np.int64), 1)
+    values = _netflow_rows(ts, f_k(ts), bounds, [q])
+    return PiecewisePath(ts, values, extend="slope")
 
 
 @dataclass(frozen=True)
@@ -429,28 +415,254 @@ class QueueFluid:
     wait: PiecewisePath
 
 
+class FluidTable(NamedTuple):
+    """Every fluid path of ``queues``, row k for queue k, each kind laid end
+    to end: F_k is ``cdf_times`` and ``cdf_values`` in ``cdf_bounds[k]:
+    cdf_bounds[k + 1]``; the netflow is ``netflow_times`` and
+    ``netflow_values`` (F_k there: ``arrivals``) in ``netflow_bounds``; the
+    queue length, regulator, busy time and wait share the reflection's
+    ``times`` in ``bounds``.  ``refined`` marks the netflow breakpoints that
+    are F_k's or the horizon's ends (all but a lone opening)."""
+
+    queues: tuple[QueueSpec, ...]
+    cdf_times: np.ndarray
+    cdf_values: np.ndarray
+    cdf_bounds: np.ndarray
+    netflow_times: np.ndarray
+    arrivals: np.ndarray
+    netflow_values: np.ndarray
+    refined: np.ndarray
+    netflow_bounds: np.ndarray
+    times: np.ndarray
+    queue_length: np.ndarray
+    regulator: np.ndarray
+    busy: np.ndarray
+    wait: np.ndarray
+    bounds: np.ndarray
+
+    def row(self, k: int) -> QueueFluid:
+        """Queue k's six paths."""
+        c, n, p = (slice(*b[k:k + 2].tolist()) for b in
+                   (self.cdf_bounds, self.netflow_bounds, self.bounds))
+        ts = self.times[p]
+        return QueueFluid(
+            cdf=PiecewisePath(self.cdf_times[c], self.cdf_values[c], extend="const"),
+            netflow=PiecewisePath(self.netflow_times[n], self.netflow_values[n], extend="slope"),
+            queue_length=PiecewisePath(ts, self.queue_length[p]),
+            regulator=PiecewisePath(ts, self.regulator[p], extend="idle"),
+            busy=PiecewisePath(ts, self.busy[p], extend="slope"),
+            wait=PiecewisePath(ts, self.wait[p], extend="wait"),
+        )
+
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Every queue's arrivals, queue length, busy time and wait at the
+        points ``grid``, one (4, K, G) array: np.interp of each row, the
+        paths' own values on a grid inside the table's horizon."""
+        out = np.empty((4, len(self.queues), grid.size))
+        for k in range(len(self.queues)):
+            c, p = (slice(*b[k:k + 2].tolist()) for b in (self.cdf_bounds, self.bounds))
+            out[0, k] = np.interp(grid, self.cdf_times[c], self.cdf_values[c])
+            for i, values in enumerate((self.queue_length, self.busy, self.wait), start=1):
+                out[i, k] = np.interp(grid, self.times[p], values[p])
+        return out
+
+
+def fluid_table(
+    profile: ArrivalProfile, queues, horizon: tuple[float, float] | None = None
+) -> FluidTable:
+    """Every fluid path of every queue of ``queues`` in one pass (see
+    ``FluidTable``) on the horizon, by default ``default_horizon``.  Each
+    step runs on all queues at once, value for value the per-queue step of
+    ``queue_cdf``, ``netflow`` (on F_k's breakpoints, the opening and the
+    horizon's ends), ``reflect``, ``fluid_busy`` and ``fluid_wait``.
+    DomainError for the first queue, in order, whose netflow overflows.
+    """
+    queues = tuple(queues)
+    if horizon is None:
+        horizon = default_horizon(profile, queues)
+    k = len(queues)
+    cdf_times, cdf_values, cdf_bounds = _cdf_rows(profile, [q.id for q in queues])
+    ts, net_bounds = _union_rows(
+        np.concatenate((cdf_times, [q.t_start for q in queues], np.repeat(horizon, k))),
+        np.concatenate((_groups(cdf_bounds), np.tile(np.arange(k), 3))), k,
+    )
+    of_t = _groups(net_bounds)
+    j = last_at_or_before(cdf_times, cdf_bounds, ts, of_t)
+    arrivals = interp_at(ts, cdf_times, cdf_values, j, j == cdf_bounds[of_t + 1] - 1)
+    # F_k is nondecreasing (each row adds a nondecreasing term); arrivals
+    # that overflow make the netflow infinite
+    net_values = _netflow_rows(ts, arrivals, net_bounds, queues)
+    times, psi, phi, bounds = _reflect_rows(ts, net_values, net_bounds)
+    t_start, mu = _queue_columns(queues, bounds)
+    return FluidTable(
+        queues=queues,
+        cdf_times=cdf_times,
+        cdf_values=cdf_values,
+        cdf_bounds=cdf_bounds,
+        netflow_times=ts,
+        arrivals=arrivals,
+        netflow_values=net_values,
+        refined=(cdf_times[j] == ts) | (ts == horizon[0]) | (ts == horizon[1]),
+        netflow_bounds=net_bounds,
+        times=times,
+        queue_length=phi,
+        regulator=psi,
+        busy=np.maximum(times - t_start, 0.0) - psi / mu,
+        wait=phi / mu + np.maximum(t_start - times, 0.0),
+        bounds=bounds,
+    )
+
+
 def queue_fluid(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> QueueFluid:
-    """The queue's fluid paths from one CDF, one netflow and one reflection
+    """The queue's fluid paths: the one row of its ``fluid_table``
     (``fluid_busy`` and ``fluid_wait`` define busy time and virtual wait)."""
-    if horizon is None:
-        horizon = default_horizon(profile, [q])
-    cdf = profile.queue_cdf(q.id)
-    x = netflow(cdf, q, horizon)
-    phi, psi = reflect(x)
-    # the opening is a netflow breakpoint, so phi and psi already break there
-    ts = psi.times
-    busy = np.maximum(ts - q.t_start, 0.0) - psi.values / q.mu
-    wait = phi.values / q.mu + np.maximum(q.t_start - ts, 0.0)
-    return QueueFluid(
-        cdf=cdf,
-        netflow=x,
-        queue_length=phi,
-        regulator=PiecewisePath(ts, psi.values, extend="idle"),
-        busy=PiecewisePath(ts, busy, extend="slope"),
-        wait=PiecewisePath(ts, wait, extend="wait"),
+    return fluid_table(profile, [q], horizon).row(0)
+
+
+# -- row kernels: several paths end to end, row k in bounds[k]:bounds[k + 1] --
+
+
+def _groups(bounds: np.ndarray) -> np.ndarray:
+    """The row of every entry of rows laid end to end in ``bounds``."""
+    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+
+
+def _queue_columns(queues, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's queue opening and service rate, row k being queue k."""
+    of = _groups(bounds)
+    return np.array([q.t_start for q in queues])[of], np.array([q.mu for q in queues])[of]
+
+
+def _union_rows(values: np.ndarray, of: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sorted_unique`` of the values of each row ``of``, and the bounds,
+    from one stable lexsort: of equal values the first in input order stays."""
+    order = np.lexsort((values, of))
+    values, of = values[order], of[order]
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = (values[1:] != values[:-1]) | (of[1:] != of[:-1])
+    return values[keep], np.searchsorted(of[keep], np.arange(n_rows + 1))
+
+
+def _cdf_rows(profile: ArrivalProfile, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F_k of the queues ``ids``: breakpoints (its rows' ends, [0.0] with no
+    row), values and bounds.  The values add each row's density *
+    (clip(t, a, b) - a) to 0.0 in profile order, one rank at every queue
+    per vector step."""
+    per_queue = [profile.queue_rows(i) for i in ids]
+    counts = np.array([rows.size for rows in per_queue], dtype=np.int64)
+    rows = np.concatenate([np.zeros(0, dtype=np.int64), *per_queue])
+    of_row, empty = np.repeat(np.arange(counts.size), counts), np.flatnonzero(counts == 0)
+    ts, bounds = _union_rows(
+        np.concatenate((profile.start[rows], profile.end[rows], np.zeros(empty.size))),
+        np.concatenate((of_row, of_row, empty)), counts.size,
     )
+    of_t, first_row = _groups(bounds), np.cumsum(counts) - counts
+    values = np.zeros(ts.size)
+    with np.errstate(over="ignore"):  # the netflow of arrivals that overflow is refused
+        for rank in range(counts.max(initial=0)):
+            at = np.flatnonzero(counts[of_t] > rank)
+            r = rows[first_row[of_t[at]] + rank]
+            a = profile.start[r]
+            values[at] += profile.density[r] * (np.clip(ts[at], a, profile.end[r]) - a)
+    return ts, values, bounds
+
+
+def _netflow_rows(ts, arrivals, bounds, queues) -> np.ndarray:
+    """Netflow arrivals - mu (t - t_start)_+ of each queue at its
+    breakpoints; DomainError for the first queue whose netflow is not finite."""
+    t_start, mu = _queue_columns(queues, bounds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = arrivals - mu * np.maximum(ts - t_start, 0.0)
+    overflowed = _groups(bounds)[~np.isfinite(values)]
+    if overflowed.size:
+        q = queues[overflowed[0]]
+        raise DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
+                          "on the horizon; the scenario's scale overflows")
+    return values
+
+
+def _reflect_rows(t, v, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``reflect`` of every row (none empty): breakpoints, regulator psi,
+    reflected path phi and the new bounds.
+
+    psi is the running maximum of -v from max(-v[first], 0): one
+    np.maximum.accumulate of exact integer keys (row, rank of the value),
+    and ``+ 0.0`` turns a maximum of signed zeros into the 0.0 that
+    max(0.0, .) and ``>`` keep.  Where -v climbs through the maximum inside
+    a segment, the crossing comes from the segment loop's own formulas,
+    elementwise; -v is re-evaluated at the rounded crossing time.
+    """
+    n = t.size
+    of_t = _groups(bounds)
+    g = -v
+    seed = g.copy()
+    seed[bounds[:-1]] = np.maximum(seed[bounds[:-1]], 0.0)
+    order = np.argsort(seed, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    offset = of_t * n
+    running = seed[order[np.maximum.accumulate(offset + rank) - offset]] + 0.0
+
+    r, g0, g1, t0, t1 = running[:-1], g[:-1], g[1:], t[:-1], t[1:]
+    seg = np.flatnonzero((of_t[1:] == of_t[:-1]) & (g1 > r) & (g0 < r))
+    cross = t0[seg] + (r[seg] - g0[seg]) / (g1[seg] - g0[seg]) * (t1[seg] - t0[seg])
+    inside = (cross > t0[seg]) & (cross < t1[seg])
+    seg, cross = seg[inside], cross[inside]
+    r, g0, g1, t0, t1 = r[seg], g0[seg], g1[seg], t0[seg], t1[seg]
+    climb = g0 + (g1 - g0) * (cross - t0) / (t1 - t0)
+
+    # every breakpoint moves right by the crossings before it
+    step = np.zeros(n, dtype=np.int64)
+    step[seg + 1] = 1
+    at = np.arange(n) + np.cumsum(step)
+    before = at[seg + 1] - 1
+    size = n + seg.size
+    ts, psi, x = np.empty(size), np.empty(size), np.empty(size)
+    ts[at], ts[before] = t, cross
+    psi[at], psi[before] = running, np.where(climb > r, climb, r)
+    x[at], x[before] = v, interp_at(cross, t, v, seg, np.zeros(seg.size, dtype=bool))
+    # phi >= 0 exactly; np.maximum only absorbs rounding at binding points
+    return ts, psi, np.maximum(x + psi, 0.0), np.append(at, size)[bounds]
+
+
+def last_at_or_before(xp, bounds, x, of_x) -> np.ndarray:
+    """The last breakpoint of row ``of_x`` of ``xp`` at or before each point
+    (the row's first for a point left of it): ``np.searchsorted(row, x,
+    "right") - 1`` in every row at once, on exact integer keys (row, number
+    of all breakpoints at or before the value)."""
+    everywhere = np.sort(xp)
+    width = xp.size + 1
+    keys = _groups(bounds) * width + np.searchsorted(everywhere, xp, side="right")
+    at_x = of_x * width + np.searchsorted(everywhere, x, side="right")
+    return np.maximum(np.searchsorted(keys, at_x, side="right") - 1, bounds[of_x])
+
+
+def interp_at(x, xp, fp, j, end) -> np.ndarray:
+    """``np.interp`` at the points ``x``, bit for bit, on breakpoints ``xp``
+    and values ``fp`` (one row, or rows along its last axis).  ``xp`` may be
+    several paths end to end: ``j`` (nondecreasing) is each point's
+    breakpoint of its own path at or before it (the first for a point left
+    of the path), and ``end`` marks the points whose ``j`` is their path's
+    last.  Those and the points at or left of xp[j] take fp[j]; the others
+    take numpy's own slope * (x - xp[j]) + fp[j], slope = (fp[j + 1] -
+    fp[j]) / (xp[j + 1] - xp[j]), spread over each interval's run of points.
+    """
+    if xp.size < 2:
+        return fp[..., j]
+    left = np.minimum(j, xp.size - 2)
+    runs = np.bincount(left, minlength=xp.size - 1)
+    # np.interp raises no floating-point warnings, and the slopes between
+    # two paths are never read
+    with np.errstate(all="ignore"):
+        out = np.repeat(np.diff(fp) / np.diff(xp), runs, axis=-1)
+        out *= x - xp[left]
+        out += np.repeat(fp[..., :-1], runs, axis=-1)
+    at = np.flatnonzero(end | (xp[j] >= x))
+    out[..., at] = fp[..., j[at]]
+    return out
 
 
 def fluid_queue(
@@ -482,19 +694,24 @@ def fluid_wait(
     return queue_fluid(profile, q, horizon).wait
 
 
-def arrival_costs(pops, wait: PiecewisePath) -> np.ndarray:
-    """Arrival costs (alpha + beta) * wait + beta * t at the breakpoints of
-    ``wait``, one row per population of ``pops``: every row is an affine map
-    of the one wait path."""
-    weights = np.array([p.weight for p in pops])[:, None]
-    betas = np.array([p.beta for p in pops])[:, None]
-    return weights * wait.values + betas * wait.times
+def cost_columns(pops) -> tuple[np.ndarray, np.ndarray]:
+    """Each population's weight alpha + beta and its beta, as (N, 1) columns."""
+    return np.array([p.weight for p in pops])[:, None], np.array([p.beta for p in pops])[:, None]
+
+
+def arrival_costs(columns, times: np.ndarray, wait: np.ndarray) -> np.ndarray:
+    """Arrival costs (alpha + beta) * wait + beta * t at the breakpoints
+    ``times`` of a wait path with values ``wait``, one row per population of
+    ``cost_columns``: every row is an affine map of the one wait path."""
+    weights, betas = columns
+    return weights * wait + betas * times
 
 
 def arrival_cost(pop: PopulationSpec, wait: PiecewisePath) -> PiecewisePath:
     """Arrival cost (alpha + beta) * wait + beta * t of the population at a
     queue with virtual waiting time ``wait``."""
-    return PiecewisePath(wait.times, arrival_costs([pop], wait)[0], extend="slope")
+    costs = arrival_costs(cost_columns([pop]), wait.times, wait.values)
+    return PiecewisePath(wait.times, costs[0], extend="slope")
 
 
 def cost_curve(

@@ -89,48 +89,63 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     """Exact integral sum_{j,k} of cost_{j,k}(t) dF_{j,k}(t).
 
     The cost curves are piecewise linear and the densities piecewise
-    constant, so every term is a closed-form segment integral.  Each queue's
-    segments are integrated at once on its one wait path, and the terms are
-    added population by population, queue by queue, in profile order.
+    constant, so every term is a closed-form segment integral.  Every
+    segment is integrated at once on its queue's wait path, a row of one
+    fluid table, and the terms are added population by population, queue by
+    queue, in profile order.
     """
     if not len(profile):
         return 0.0
-    horizon = fluid.default_horizon(profile, s.queues)
+    table = fluid.fluid_table(profile, s.queues, fluid.default_horizon(profile, s.queues))
     pop_row = profile.population_positions(s.populations)
-    rows, terms = [], []
-    for q in s.queues:
-        wait = fluid.queue_fluid(profile, q, horizon).wait
-        at_q = profile.queue_rows(q.id)
-        at_q = at_q[(profile.row_mass[at_q] > 0) & (pop_row[at_q] >= 0)]
-        costs = fluid.arrival_costs(s.populations, wait)[pop_row[at_q]]
-        integrals = _segment_integrals(wait.times, costs, profile.start[at_q], profile.end[at_q])
-        rows.append(at_q)
-        terms.append(profile.density[at_q] * integrals)
-    # rows come queue by queue in profile order; a stable sort by population
-    # gives the summation order population, queue, profile order
-    order = np.argsort(pop_row[np.concatenate(rows)], kind="stable")
+    # the rows queue by queue, in profile order at each queue
+    per_queue = [profile.queue_rows(q.id) for q in s.queues]
+    rows = np.concatenate(per_queue)
+    of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
+    kept = (profile.row_mass[rows] > 0) & (pop_row[rows] >= 0)
+    rows, of_row = rows[kept], of_row[kept]
+    weights, betas = (c[pop_row[rows], 0] for c in fluid.cost_columns(s.populations))
+    integrals = _segment_integrals(table, of_row, weights, betas, profile.start[rows], profile.end[rows])
+    # a stable sort by population gives the summation order population,
+    # queue, profile order
+    order = np.argsort(pop_row[rows], kind="stable")
     total = 0.0
-    for term in np.concatenate(terms)[order].tolist():
+    for term in (profile.density[rows] * integrals)[order].tolist():
         total += term
     if not math.isfinite(total):
         raise DomainError(f"social cost is {total!r}: the scenario's times or rates overflow")
     return total
 
 
-def _segment_integrals(xp: np.ndarray, fp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integral of the path (xp, fp[r]) over [a[r], b[r]] for every row
-    r, with a < b inside [xp[0], xp[-1]]: the trapezoids between a, the
-    breakpoints strictly inside and b, summed as ``PiecewisePath.integral``
-    sums them (rows with the same number of trapezoids are one matrix)."""
-    first = np.searchsorted(xp, a, side="right")  # first breakpoint > a
-    inner = np.searchsorted(xp, b, side="left") - first  # breakpoints in (a, b)
+def _segment_integrals(table, of_row, weight, beta, a, b) -> np.ndarray:
+    """Exact integral over [a[r], b[r]] of the arrival cost weight[r] * wait
+    + beta[r] * t on the wait path of queue ``of_row[r]`` of ``table``, for
+    every row r at once, with a < b inside the table's horizon.  The
+    trapezoids between a, the breakpoints strictly inside and b are summed
+    as ``PiecewisePath.integral`` sums them: a breakpoint takes the cost
+    there, a and b take np.interp's value between the breakpoints around
+    them, and rows with the same number of trapezoids are one matrix."""
+    t, wait = table.times, table.wait
+
+    def cost_at(x, j):
+        # np.interp on each point's two-breakpoint path (t[j], t[j + 1])
+        pair = np.stack((j, np.minimum(j + 1, t.size - 1)), axis=1).ravel()
+        fp = np.repeat(weight, 2) * wait[pair] + np.repeat(beta, 2) * t[pair]
+        return fluid.interp_at(x, t[pair], fp, 2 * np.arange(x.size), np.zeros(x.size, dtype=bool))
+
+    at_a = fluid.last_at_or_before(t, table.bounds, a, of_row)
+    at_b = fluid.last_at_or_before(t, table.bounds, b, of_row)
+    first = at_a + 1  # the breakpoints in (a, b) are first, ..., first + inner - 1
+    inner = at_b + (t[at_b] < b) - first
+    ends = (cost_at(a, at_a), cost_at(b, at_b))
     out = np.empty(a.size)
     for m in set(inner.tolist()):
         sel = np.flatnonzero(inner == m)
-        ts = np.empty((sel.size, m + 2))
-        ts[:, 0], ts[:, -1] = a[sel], b[sel]
-        ts[:, 1:-1] = xp[first[sel, None] + np.arange(m)]
-        vs = np.array([np.interp(t, xp, f) for t, f in zip(ts, fp[sel])])
+        at = first[sel, None] + np.arange(m)
+        ts, vs = np.empty((2, sel.size, m + 2))
+        ts[:, 0], ts[:, -1], ts[:, 1:-1] = a[sel], b[sel], t[at]
+        vs[:, 0], vs[:, -1] = ends[0][sel], ends[1][sel]
+        vs[:, 1:-1] = weight[sel, None] * wait[at] + beta[sel, None] * t[at]
         out[sel] = np.sum(0.5 * (vs[:, 1:] + vs[:, :-1]) * np.diff(ts, axis=1), axis=1)
     return out
 

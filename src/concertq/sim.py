@@ -461,15 +461,12 @@ class ConvergenceReport:
 def fluid_reference(
     s: Scenario, profile: ArrivalProfile, grid: np.ndarray
 ) -> dict[str, dict[int, np.ndarray]]:
-    """Fluid paths evaluated on the grid, keyed like the scaled sim paths."""
+    """Fluid paths evaluated on the grid, keyed like the scaled sim paths:
+    every queue's row of one fluid table, read at the grid at once."""
     horizon = fluid.default_horizon(profile, s.queues, cover=(float(grid[0]), float(grid[-1])))
-    bundles = {q.id: fluid.queue_fluid(profile, q, horizon) for q in s.queues}
-    return {
-        "arrivals": {qid: b.cdf(grid) for qid, b in bundles.items()},
-        "queue_length": {qid: b.queue_length(grid) for qid, b in bundles.items()},
-        "busy_time": {qid: b.busy(grid) for qid, b in bundles.items()},
-        "virtual_wait": {qid: b.wait(grid) for qid, b in bundles.items()},
-    }
+    values = fluid.fluid_table(profile, s.queues, horizon).on_grid(grid)
+    ids = [q.id for q in s.queues]
+    return {name: dict(zip(ids, rows)) for name, rows in zip(PROCESSES, values)}
 
 
 def _replication(s, profile, cfg, grid, reference, rep):

@@ -20,6 +20,11 @@ the optimal profile's window boundaries by inverting the cumulative
 capacity between its knots.  The library finds all of them in one pass over
 the queue openings (``model.service_windows``).
 
+The fluid kernel: each queue's CDF as one row-by-breakpoint matrix, its
+netflow, and its reflection as a loop over the netflow's segments, queue by
+queue (``queue_fluid_per_queue``).  The library builds every queue's paths
+in one table (``fluid.fluid_table``).
+
 The simulator's grid reads: each process of each queue read from its event
 record by its own searches, the busy periods found twice (for busy time and
 again for the virtual wait).  The library reads each queue in one pass.
@@ -35,8 +40,85 @@ import numpy as np
 
 from concertq import fluid, sim
 from concertq.equilibrium import SolverError, VerificationReport
-from concertq.fluid import ArrivalProfile, Segment
+from concertq.fluid import ArrivalProfile, PiecewisePath, Segment
 from concertq.model import DomainError, ParseError
+
+
+def reflect_by_loop(x):
+    """``fluid.reflect`` as a loop over the segments of x."""
+    # plain floats: the same IEEE arithmetic as numpy scalars
+    t, v = x.times.tolist(), x.values.tolist()
+    running = max(0.0, -v[0])
+    out_t = [t[0]]
+    out_psi = [running]
+    for i in range(1, len(t)):
+        g0, g1 = -v[i - 1], -v[i]
+        if g1 > running:
+            if g0 < running:
+                # -x crosses the old maximum inside this segment; the stored
+                # crossing time is rounded, so re-evaluate -x there to keep
+                # the regulator exact at every stored breakpoint
+                frac = (running - g0) / (g1 - g0)
+                cross = t[i - 1] + frac * (t[i] - t[i - 1])
+                if cross > out_t[-1] and cross < t[i]:
+                    out_t.append(cross)
+                    out_psi.append(max(running, g0 + (g1 - g0) * (cross - t[i - 1]) / (t[i] - t[i - 1])))
+            running = g1
+        out_t.append(t[i])
+        out_psi.append(running)
+    psi = PiecewisePath(np.asarray(out_t), np.asarray(out_psi), extend="const")
+    phi = PiecewisePath(
+        psi.times, np.maximum(np.interp(psi.times, x.times, x.values) + psi.values, 0.0)
+    )
+    return phi, psi
+
+
+def queue_cdf_by_matrix(profile, queue):
+    """``ArrivalProfile.queue_cdf`` as one (rows, breakpoints) matrix."""
+    rows = profile.queue_rows(queue)
+    if not rows.size:
+        return PiecewisePath(np.array([0.0]), np.array([0.0]), extend="const")
+    a, b = profile.start[rows, None], profile.end[rows, None]
+    ts = fluid.sorted_unique(a, b)
+    # an axis-0 reduce adds the rows one after another in profile order
+    per_segment = profile.density[rows, None] * (np.clip(ts, a, b) - a)
+    return PiecewisePath(ts, np.add.reduce(per_segment, axis=0, initial=0.0), extend="const")
+
+
+def netflow_of_path(f_k, q, horizon=None):
+    """``fluid.netflow`` on the ``sorted_unique`` union of breakpoints."""
+    if not f_k.is_nondecreasing():
+        raise DomainError("cumulative arrival path must be nondecreasing")
+    extra = [q.t_start]
+    if horizon is not None:
+        extra.extend(horizon)
+    ts = fluid.sorted_unique(f_k.times, np.asarray(extra, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f_k(ts) - q.mu * np.maximum(ts - q.t_start, 0.0)
+    if not np.isfinite(vals).all():
+        raise DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
+                          "on the horizon; the scenario's scale overflows")
+    return PiecewisePath(ts, vals, extend="slope")
+
+
+def queue_fluid_per_queue(profile, q, horizon=None):
+    """``fluid.queue_fluid`` composed of the per-queue forms above."""
+    if horizon is None:
+        horizon = fluid.default_horizon(profile, [q])
+    cdf = queue_cdf_by_matrix(profile, q.id)
+    x = netflow_of_path(cdf, q, horizon)
+    phi, psi = reflect_by_loop(x)
+    ts = psi.times
+    busy = np.maximum(ts - q.t_start, 0.0) - psi.values / q.mu
+    wait = phi.values / q.mu + np.maximum(q.t_start - ts, 0.0)
+    return fluid.QueueFluid(
+        cdf=cdf,
+        netflow=x,
+        queue_length=phi,
+        regulator=PiecewisePath(ts, psi.values, extend="idle"),
+        busy=PiecewisePath(ts, busy, extend="slope"),
+        wait=PiecewisePath(ts, wait, extend="wait"),
+    )
 
 
 def pair_segments(profile, population, queue):
@@ -63,7 +145,7 @@ def verify_pairwise(s, profile):
     horizon = (min(horizon[0], window[0] - 1.0), max(horizon[1], window[1] + 1.0))
     per_queue = []
     for q in s.queues:
-        wait = fluid.queue_fluid(profile, q, horizon).wait
+        wait = queue_fluid_per_queue(profile, q, horizon).wait
         ts = np.union1d(wait.times, grid)
         per_queue.append((q, wait, ts[(ts >= window[0]) & (ts <= window[1])]))
 
@@ -106,7 +188,7 @@ def social_cost_pairwise(s, profile):
     if not profile.segments:
         return 0.0
     horizon = fluid.default_horizon(profile, s.queues)
-    waits = {q.id: fluid.queue_fluid(profile, q, horizon).wait for q in s.queues}
+    waits = {q.id: queue_fluid_per_queue(profile, q, horizon).wait for q in s.queues}
     total = 0.0
     for pop in s.populations:
         for q in s.queues:

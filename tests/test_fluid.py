@@ -546,37 +546,42 @@ def test_queue_fluid_matches_every_accessor(build, explicit_horizon):
 
 
 @pytest.fixture()
-def reflect_calls(monkeypatch):
+def table_calls(monkeypatch):
+    """The queue ids of every ``fluid.fluid_table`` call."""
     calls = []
-    original = fluid.reflect
+    original = fluid.fluid_table
 
-    def counting(x):
-        calls.append(x)
-        return original(x)
+    def counting(profile, queues, horizon=None):
+        calls.append([q.id for q in queues])
+        return original(profile, queues, horizon)
 
-    monkeypatch.setattr(fluid, "reflect", counting)
+    monkeypatch.setattr(fluid, "fluid_table", counting)
     return calls
 
 
-def test_verifier_reflects_each_queue_once(reflect_calls):
+def all_queues(s):
+    return [[q.id for q in s.queues]]
+
+
+def test_verifier_reflects_each_queue_once(table_calls):
     s = ragged_multi_scenario()
     profile = cq.solve_multi(s).profile
     assert cq.verify_equilibrium(s, profile).is_equilibrium
-    assert len(reflect_calls) == s.n_queues
+    assert table_calls == all_queues(s)
 
 
-def test_social_cost_reflects_each_queue_once(reflect_calls):
+def test_social_cost_reflects_each_queue_once(table_calls):
     s = ragged_multi_scenario()
     profile = cq.solve_multi(s).profile
     poa.social_cost(s, profile)
-    assert len(reflect_calls) == s.n_queues
+    assert table_calls == all_queues(s)
 
 
-def test_fluid_reference_reflects_each_queue_once(reflect_calls):
+def test_fluid_reference_reflects_each_queue_once(table_calls):
     s = ragged_multi_scenario()
     profile = cq.solve_multi(s).profile
     reference = sim.fluid_reference(s, profile, sim.default_grid(profile, s, points=64))
-    assert len(reflect_calls) == s.n_queues
+    assert table_calls == all_queues(s)
     assert set(reference) == {"arrivals", "queue_length", "busy_time", "virtual_wait"}
 
 

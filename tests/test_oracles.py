@@ -1,9 +1,11 @@
-"""The per-queue batched analytic layer against its per-(population, queue)
-reference forms in ``oracles.py``, and the fluid bundle against paths
-recorded before the batching: every comparison is exact."""
+"""The batched analytic layer against its per-(population, queue)
+reference forms in ``oracles.py``, the all-queues fluid table against the
+per-queue kernel there, and the fluid bundle against paths recorded before
+the batching: every comparison is exact."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 import concertq as cq
 from concertq import equilibrium, fluid, poa
 from conftest import make_scenario, two_queue_worked_scenario, wide_scenario
-from oracles import social_cost_pairwise, verify_pairwise
+from oracles import (
+    netflow_of_path, queue_fluid_per_queue, reflect_by_loop, social_cost_pairwise, verify_pairwise,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -199,6 +203,103 @@ def test_queue_fluid_fields_match_recorded_paths(name, horizon):
             digest.update(path.values.tobytes())
             digest.update(path.extend.encode())
     assert digest.hexdigest() == QUEUE_FLUID_DIGESTS[name, horizon]
+
+
+def path_bytes(path):
+    return path.times.tobytes(), path.values.tobytes(), path.extend
+
+
+def same_path(a, b):
+    return path_bytes(a) == path_bytes(b)
+
+
+@st.composite
+def profiles_with_queues(draw):
+    """Up to five queues, openings often tied, and up to twelve rows on a
+    coarse time lattice (shared ends, gaps that make the netflow fall back
+    to an earlier minimum) or anywhere: zero densities and zero lengths,
+    queues with no rows and rows at a queue outside the table.  The horizon
+    is the default one or an explicit one, often inside the support."""
+    k = draw(st.integers(1, 5))
+    queues = [
+        cq.QueueSpec(id=i + 1, mu=draw(st.sampled_from([1.0, 2.0]) | st.floats(0.2, 4.0)),
+                     t_start=draw(st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.5)))
+        for i in range(k)
+    ]
+    # no time is -0.0: of a tie of 0.0 and -0.0, which one stays was np.sort's choice
+    times = (st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(-1.0, 2.0)).map(lambda t: t + 0.0)
+    rows = draw(st.lists(st.tuples(
+        st.integers(1, 3), st.integers(1, k + 1), times,
+        st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.5),
+        st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.01, 3.0),
+    ), max_size=12))
+    profile = cq.ArrivalProfile.from_rows([(p, q, a, a + length, d) for p, q, a, length, d in rows])
+    horizon = fluid.default_horizon(profile, queues)
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1.0, 1.5)) + 0.0
+        horizon = (lo, lo + draw(st.floats(0.05, 2.0)))
+    return profile, queues, horizon
+
+
+@given(profiles_with_queues())
+@settings(max_examples=150, deadline=None)
+def test_fluid_table_is_the_per_queue_kernel(case):
+    profile, queues, horizon = case
+    table = fluid.fluid_table(profile, queues, horizon)
+    grid = np.linspace(*horizon, 33)
+    at_grid = table.on_grid(grid)
+    for k, q in enumerate(queues):
+        got, want = table.row(k), queue_fluid_per_queue(profile, q, horizon)
+        for name in ("cdf", "netflow", "queue_length", "regulator", "busy", "wait"):
+            assert same_path(getattr(got, name), getattr(want, name)), name
+        n = slice(*table.netflow_bounds[k:k + 2].tolist())
+        refined = table.refined[n]
+        refined_times = fluid.sorted_unique(want.cdf.times, horizon)  # the ``fluid`` command's arrivals
+        assert table.netflow_times[n][refined].tobytes() == refined_times.tobytes()
+        assert table.arrivals[n][refined].tobytes() == want.cdf(refined_times).tobytes()
+        for name, values in zip(("cdf", "queue_length", "busy", "wait"), at_grid):
+            assert values[k].tobytes() == getattr(want, name)(grid).tobytes(), name
+
+
+@pytest.mark.parametrize("rows, mu, kernel_error", [
+    # three rows of density 1e308 at queue 2: its arrivals reach inf at t=1,
+    # which the per-queue kernel's CDF path refused with a ValueError
+    ([(1, 2, 0.0, 1.0, 1e308), (1, 2, 0.0, 1.0, 1e308), (1, 2, 1.0, 2.0, 1e308)], 1.0, ValueError),
+    ([(1, 2, 0.0, 1e10, 1.0), (1, 3, 0.0, 1.0, 1.0)], 1e300, cq.DomainError),
+])
+def test_fluid_table_refuses_the_first_queue_whose_netflow_overflows(rows, mu, kernel_error):
+    profile = cq.ArrivalProfile.from_rows(rows)
+    queues = [cq.QueueSpec(id=i, mu=mu, t_start=0.0) for i in (1, 2, 3)]
+    horizon = (-1.0, 3.0)
+    with pytest.raises(cq.DomainError, match=re.escape(f"queue 2: the netflow at rate {mu!r} is not finite")) as got:
+        fluid.fluid_table(profile, queues, horizon)
+    with pytest.raises(kernel_error) as want, np.errstate(over="ignore"):
+        for q in queues:
+            queue_fluid_per_queue(profile, q, horizon)
+    assert kernel_error is ValueError or str(got.value) == str(want.value)
+
+
+@st.composite
+def netflow_paths(draw):
+    """Paths whose values start at 0.0 or -0.0 and revisit both, with
+    re-attained minima and runs of equal values."""
+    n = draw(st.integers(1, 12))
+    times = np.cumsum([draw(st.floats(-1.0, 1.0)) + 0.0] + draw(st.lists(
+        st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1)))
+    value = st.sampled_from([0.0, -0.0, 0.5, -0.5, -1.0]) | st.floats(-3.0, 3.0)
+    values = [draw(st.sampled_from([0.0, -0.0]) | value)] + draw(st.lists(value, min_size=n - 1, max_size=n - 1))
+    return fluid.PiecewisePath(times, values, extend=draw(st.sampled_from(["const", "slope"])))
+
+
+@given(netflow_paths(), st.floats(0.2, 4.0), st.floats(0.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_reflect_and_netflow_are_the_per_queue_kernel(x, mu, t_start):
+    for got, want in zip(fluid.reflect(x), reflect_by_loop(x)):
+        assert path_bytes(got) == path_bytes(want)
+    q = cq.QueueSpec(id=1, mu=mu, t_start=t_start)
+    for horizon in (None, (t_start - 1.0, t_start + 2.0)):
+        assert outcome(lambda: path_bytes(fluid.netflow(x, q, horizon))) \
+            == outcome(lambda: path_bytes(netflow_of_path(x, q, horizon)))
 
 
 def test_verifier_memory_is_bounded_per_queue():
