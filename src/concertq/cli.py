@@ -28,6 +28,8 @@ from .serialize import csv_rows, fmt, to_json
 
 # largest eq-two trace: 2**16 points, about 70 MB peak RSS at the cap
 MAX_TRACE_POINTS = 1 << 16
+# largest simulate grid: 2**16 points (its memory at the cap: --help)
+MAX_SIM_GRID_POINTS = 1 << 16
 
 
 def _read(path: str, what: str) -> str:
@@ -209,8 +211,10 @@ def _cmd_fluid(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import equilibrium, sim
 
-    if args.grid_points < 2:
-        raise DomainError(f"--grid-points must be at least 2, got {args.grid_points}")
+    if not 2 <= args.grid_points <= MAX_SIM_GRID_POINTS:
+        raise DomainError(
+            f"--grid-points must be between 2 and {MAX_SIM_GRID_POINTS}, got {args.grid_points}"
+        )
     s = _load_pruned(args)
     profile = equilibrium.solve_multi(s).profile
     grid = sim.default_grid(profile, s, points=args.grid_points)
@@ -231,9 +235,7 @@ def _cmd_simulate(args) -> int:
     skip = len(",".join(header)) + 1  # the header line, written once
     with _opened(args.out) as out:
         for rep, scaled in enumerate(report.scaled):
-            columns = [np.full(t.size, rep), t, queue] + [
-                np.concatenate([scaled[name][i] for i in ids]) for name in sim.PROCESSES
-            ]
+            columns = [np.full(t.size, rep), t, queue, *scaled.reshape(len(sim.PROCESSES), -1)]
             out.write(csv_rows(header, columns)[skip if rep else 0:])
     if args.out:
         summary_path = str(Path(args.out).with_suffix(".summary.json"))
@@ -313,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--reps", type=int, default=1, help="replications")
     p.add_argument("--service", choices=("exponential", "deterministic"), default="exponential")
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--grid-points", type=int, default=512,
+                   help="grid points, 2 to 2**16: at the cap about 87 MB peak RSS on two queues, "
+                        "12 MB more per further queue and 3 MB per queue per replication")
     p.set_defaults(fn=_cmd_simulate)
 
     return parser

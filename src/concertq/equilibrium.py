@@ -125,6 +125,20 @@ class VerificationReport:
 # -- construction -----------------------------------------------------------
 
 
+def arrival_epochs(pops, taus) -> tuple[list[float], list[float]]:
+    """Arrival epochs T_1..T_N of populations served in order over the
+    service epochs ``taus`` (tau_0..tau_N), by backward recursion from T_N =
+    tau_N: population i's window has length (tau_i - tau_{i-1}) / gamma_i.
+    T_0 is left 0.0 for the caller.  Also each population's cost
+    (alpha_i + beta_i) tau_i - alpha_i T_i."""
+    n = len(pops)
+    T = [0.0] * (n + 1)
+    T[n] = taus[n]
+    for i in range(n, 1, -1):
+        T[i - 1] = T[i] - (taus[i] - taus[i - 1]) / pops[i - 1].gamma
+    return T, [p.weight * taus[i] - p.alpha * T[i] for i, p in enumerate(pops, start=1)]
+
+
 def _solve(s: Scenario) -> EquilibriumProfile:
     queues, pops = s.queues, s.populations
     N = s.n_populations
@@ -144,12 +158,8 @@ def _solve(s: Scenario) -> EquilibriumProfile:
                 "is lost to rounding against the epoch"
             )
 
-    # arrival epochs T_N..T_0 by backward recursion; population i's window
-    # has length (tau_i - tau_{i-1}) / gamma_i
-    T = [0.0] * (N + 1)
-    T[N] = taus[N]
-    for i in range(N, 1, -1):
-        T[i - 1] = T[i] - (taus[i] - taus[i - 1]) / pops[i - 1].gamma
+    T, pop_costs = arrival_epochs(pops, taus)
+    costs = {pop.id: c for pop, c in zip(pops, pop_costs)}
 
     serve_sets = tuple(
         tuple(q.id for q, a in zip(queues, windows) if a == i) for i in range(N)
@@ -158,7 +168,6 @@ def _solve(s: Scenario) -> EquilibriumProfile:
     routing: dict[tuple[int, int], float] = {}
     first_arrivals: dict[int, float] = {}
     rows: list[tuple] = []  # (pop, queue, start, end, density)
-    costs: dict[int, float] = {}
 
     for i, pop in enumerate(pops, start=1):
         tau_prev, tau_i = taus[i - 1], taus[i]
@@ -190,7 +199,6 @@ def _solve(s: Scenario) -> EquilibriumProfile:
                 f"population {pop.id} routes mass {mass_check:.15g} != {pop.mass:.15g}; "
                 "scenario is infeasible"
             )
-        costs[pop.id] = pop.weight * tau_i - pop.alpha * T[i]
 
     T[0] = min(first_arrivals.values())
     return EquilibriumProfile(

@@ -16,8 +16,9 @@ previously attained minimum.
 ``fluid_table`` builds every path of every queue in one pass, each kind of
 path laid end to end in flat arrays (row k in ``bounds[k]:bounds[k + 1]``):
 the row kernels ``_cdf_rows``, ``_union_rows``, ``_netflow_rows`` and
-``_reflect_rows`` run on all queues at once, and ``queue_fluid``,
-``queue_cdf``, ``netflow`` and ``reflect`` are their one-row calls.
+``_reflect_rows`` run on all queues at once.  ``queue_cdf``, ``netflow``,
+``reflect`` and the per-queue accessors (``fluid_queue`` ... ``cost_curve``)
+are their one-row calls.
 """
 
 from __future__ import annotations
@@ -369,17 +370,19 @@ def default_horizon(
 
     The right edge is past the moment each queue has provably drained: after
     arrivals stop, a queue holding at most its total routed mass empties in
-    mass/mu time units.
+    mass/mu time units.  DomainError for the first queue whose drain time is
+    not finite.
     """
     starts = [q.t_start for q in queues]
     if len(profile):
         lo, hi = profile.support_bounds()
     else:
         lo, hi = min(starts), min(starts)
-    drain = max(
-        max(hi, q.t_start) + profile.mass(queue=q.id) / q.mu for q in queues
-    )
-    lo, hi = min(lo, min(starts)), max(hi, drain)
+    drains = [max(hi, q.t_start) + profile.mass(queue=q.id) / q.mu for q in queues]
+    for q, drain in zip(queues, drains):
+        if not math.isfinite(drain):
+            raise _overflow(q)
+    lo, hi = min(lo, min(starts)), max(hi, *drains)
     if cover is not None:
         lo, hi = min(lo, cover[0]), max(hi, cover[1])
     return lo - pad, hi + pad
@@ -399,20 +402,6 @@ def netflow(
     ts, bounds = _union_rows(ends, np.zeros(ends.size, dtype=np.int64), 1)
     values = _netflow_rows(ts, f_k(ts), bounds, [q])
     return PiecewisePath(ts, values, extend="slope")
-
-
-@dataclass(frozen=True)
-class QueueFluid:
-    """Every fluid path of one queue, all from one reflection of its netflow.
-    None depends on a population: each population's arrival cost at the
-    queue is an affine map of ``wait`` (see ``arrival_cost``)."""
-
-    cdf: PiecewisePath
-    netflow: PiecewisePath
-    queue_length: PiecewisePath
-    regulator: PiecewisePath
-    busy: PiecewisePath
-    wait: PiecewisePath
 
 
 class FluidTable(NamedTuple):
@@ -439,20 +428,6 @@ class FluidTable(NamedTuple):
     busy: np.ndarray
     wait: np.ndarray
     bounds: np.ndarray
-
-    def row(self, k: int) -> QueueFluid:
-        """Queue k's six paths."""
-        c, n, p = (slice(*b[k:k + 2].tolist()) for b in
-                   (self.cdf_bounds, self.netflow_bounds, self.bounds))
-        ts = self.times[p]
-        return QueueFluid(
-            cdf=PiecewisePath(self.cdf_times[c], self.cdf_values[c], extend="const"),
-            netflow=PiecewisePath(self.netflow_times[n], self.netflow_values[n], extend="slope"),
-            queue_length=PiecewisePath(ts, self.queue_length[p]),
-            regulator=PiecewisePath(ts, self.regulator[p], extend="idle"),
-            busy=PiecewisePath(ts, self.busy[p], extend="slope"),
-            wait=PiecewisePath(ts, self.wait[p], extend="wait"),
-        )
 
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Every queue's arrivals, queue length, busy time and wait at the
@@ -513,14 +488,6 @@ def fluid_table(
     )
 
 
-def queue_fluid(
-    profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
-) -> QueueFluid:
-    """The queue's fluid paths: the one row of its ``fluid_table``
-    (``fluid_busy`` and ``fluid_wait`` define busy time and virtual wait)."""
-    return fluid_table(profile, [q], horizon).row(0)
-
-
 # -- row kernels: several paths end to end, row k in bounds[k]:bounds[k + 1] --
 
 
@@ -578,10 +545,13 @@ def _netflow_rows(ts, arrivals, bounds, queues) -> np.ndarray:
         values = arrivals - mu * np.maximum(ts - t_start, 0.0)
     overflowed = _groups(bounds)[~np.isfinite(values)]
     if overflowed.size:
-        q = queues[overflowed[0]]
-        raise DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
-                          "on the horizon; the scenario's scale overflows")
+        raise _overflow(queues[overflowed[0]])
     return values
+
+
+def _overflow(q: QueueSpec) -> DomainError:
+    return DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
+                       "on the horizon; the scenario's scale overflows")
 
 
 def _reflect_rows(t, v, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -669,21 +639,24 @@ def fluid_queue(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> PiecewisePath:
     """Fluid queue length: the reflection of the queue's netflow."""
-    return queue_fluid(profile, q, horizon).queue_length
+    table = fluid_table(profile, [q], horizon)
+    return PiecewisePath(table.times, table.queue_length)
 
 
 def fluid_regulator(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> PiecewisePath:
     """Cumulative idleness regulator of the queue's netflow."""
-    return queue_fluid(profile, q, horizon).regulator
+    table = fluid_table(profile, [q], horizon)
+    return PiecewisePath(table.times, table.regulator, extend="idle")
 
 
 def fluid_busy(
     profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
 ) -> PiecewisePath:
     """Busy time (t - t_start)_+ - regulator / mu; nondecreasing."""
-    return queue_fluid(profile, q, horizon).busy
+    table = fluid_table(profile, [q], horizon)
+    return PiecewisePath(table.times, table.busy, extend="slope")
 
 
 def fluid_wait(
@@ -691,7 +664,8 @@ def fluid_wait(
 ) -> PiecewisePath:
     """Virtual waiting time: queue length / mu, plus the time left until the
     queue opens for arrivals that land before t_start."""
-    return queue_fluid(profile, q, horizon).wait
+    table = fluid_table(profile, [q], horizon)
+    return PiecewisePath(table.times, table.wait, extend="wait")
 
 
 def cost_columns(pops) -> tuple[np.ndarray, np.ndarray]:
@@ -707,13 +681,6 @@ def arrival_costs(columns, times: np.ndarray, wait: np.ndarray) -> np.ndarray:
     return weights * wait + betas * times
 
 
-def arrival_cost(pop: PopulationSpec, wait: PiecewisePath) -> PiecewisePath:
-    """Arrival cost (alpha + beta) * wait + beta * t of the population at a
-    queue with virtual waiting time ``wait``."""
-    costs = arrival_costs(cost_columns([pop]), wait.times, wait.values)
-    return PiecewisePath(wait.times, costs[0], extend="slope")
-
-
 def cost_curve(
     pop: PopulationSpec,
     profile: ArrivalProfile,
@@ -722,4 +689,6 @@ def cost_curve(
 ) -> PiecewisePath:
     """Arrival cost (alpha + beta) * wait + beta * t for the population at the
     queue, exact on the horizon."""
-    return arrival_cost(pop, fluid_wait(profile, q, horizon))
+    table = fluid_table(profile, [q], horizon)
+    costs = arrival_costs(cost_columns([pop]), table.times, table.wait)
+    return PiecewisePath(table.times, costs[0], extend="slope")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid
-from .equilibrium import SolverError, solve_multi, solve_single
+from .equilibrium import SolverError, arrival_epochs, solve_multi, solve_single
 from .fluid import ArrivalProfile
 from .model import (
     DEFAULT_TOL, DomainError, Options, PopulationSpec, QueueSpec, Scenario, pruned_scenario,
@@ -288,13 +288,7 @@ def equal_rate_multi_eta(s: Scenario, mu: float, tau: float) -> float:
     pops = s.populations
     n = len(pops)
     taus = [0.0] + [math.sqrt(2.0 * l * tau / mu) - 0.5 * tau for l in range(1, n + 1)]
-    T = [0.0] * (n + 1)
-    T[n] = taus[n]
-    for i in range(n, 1, -1):
-        T[i - 1] = T[i] - (taus[i] - taus[i - 1]) / pops[i - 1].gamma
-    j_eq = sum(
-        pops[i - 1].weight * taus[i] - pops[i - 1].alpha * T[i] for i in range(1, n + 1)
-    )
+    j_eq = sum(arrival_epochs(pops, taus)[1])
 
     betas_desc = sorted((p.beta for p in pops), reverse=True)
     cube = lambda l: l * math.sqrt(l)

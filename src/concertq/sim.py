@@ -308,12 +308,6 @@ class SimPaths:
     mass_scale: float           # fluid mass carried by one user
     records: dict[int, QueueRecord]
 
-    def first_arrival(self) -> float:
-        times = [rec.arrivals[0] for rec in self.records.values() if rec.count]
-        if not times:
-            raise DomainError("no arrivals were simulated")
-        return float(min(times))
-
 
 def run_des(
     s: Scenario, events: tuple[np.ndarray, np.ndarray], cfg: SimConfig, replication: int = 0
@@ -377,9 +371,10 @@ def run_des(
     return SimPaths(mass_scale=mass_scale, records=records)
 
 
-def scaled_paths(paths: SimPaths, grid: np.ndarray) -> dict[str, dict[int, np.ndarray]]:
-    """The simulated processes on the grid, in fluid units, keyed like
-    ``fluid_reference``: ``{process: {queue_id: values}}``.
+def scaled_paths(paths: SimPaths, grid: np.ndarray) -> np.ndarray:
+    """The simulated processes on the grid, in fluid units, shaped like
+    ``fluid_reference``: one (process in ``PROCESSES`` order, queue in
+    record order, grid point) array.
 
     Arrival and queue-length counts are multiplied by the per-user fluid
     mass; busy time and virtual wait are already order one.  The virtual
@@ -389,18 +384,15 @@ def scaled_paths(paths: SimPaths, grid: np.ndarray) -> dict[str, dict[int, np.nd
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise DomainError("grid must be a strictly ascending 1-d array")
     m = paths.mass_scale
-    table: dict[str, dict[int, np.ndarray]] = {name: {} for name in PROCESSES}
-    for qid, rec in paths.records.items():
+    table = np.empty((len(PROCESSES), len(paths.records), grid.size))
+    for k, rec in enumerate(paths.records.values()):
         arrived = np.searchsorted(rec.arrivals, grid, side="right")
         counts = arrived.astype(float)
         departed = np.searchsorted(rec.completions, grid, side="right")
         busy = _time_covered(*rec._busy_periods(), grid)
         presented = np.concatenate(([0.0], np.cumsum(rec.services)))[arrived]
         opening_gap = np.where(grid <= rec.t_start, grid - rec.t_start, 0.0)
-        table["arrivals"][qid] = counts * m
-        table["queue_length"][qid] = (counts - departed) * m
-        table["busy_time"][qid] = busy
-        table["virtual_wait"][qid] = (presented - busy) - opening_gap
+        table[:, k] = counts * m, (counts - departed) * m, busy, (presented - busy) - opening_gap
     return table
 
 
@@ -431,6 +423,7 @@ class ConvergenceReport:
 
     ``scaled`` holds each replication's ``scaled_paths`` table, so callers
     that emit the paths need not simulate again; ``to_dict`` leaves them out.
+    ``first_arrivals`` is each replication's earliest sampled time.
     """
 
     n: int
@@ -439,7 +432,7 @@ class ConvergenceReport:
     first_arrivals: tuple[float, ...]
     support_infimum: float
     grid: np.ndarray
-    scaled: tuple[dict[str, dict[int, np.ndarray]], ...]
+    scaled: tuple[np.ndarray, ...]
 
     def to_dict(self, time_origin: float = 0.0) -> dict:
         """JSON-ready report; its times are shifted back by ``time_origin``."""
@@ -458,15 +451,12 @@ class ConvergenceReport:
         }
 
 
-def fluid_reference(
-    s: Scenario, profile: ArrivalProfile, grid: np.ndarray
-) -> dict[str, dict[int, np.ndarray]]:
-    """Fluid paths evaluated on the grid, keyed like the scaled sim paths:
-    every queue's row of one fluid table, read at the grid at once."""
+def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> np.ndarray:
+    """Fluid paths evaluated on the grid, shaped like the scaled sim paths
+    (process, queue in scenario order, grid point): every queue's row of one
+    fluid table, read at the grid at once."""
     horizon = fluid.default_horizon(profile, s.queues, cover=(float(grid[0]), float(grid[-1])))
-    values = fluid.fluid_table(profile, s.queues, horizon).on_grid(grid)
-    ids = [q.id for q in s.queues]
-    return {name: dict(zip(ids, rows)) for name, rows in zip(PROCESSES, values)}
+    return fluid.fluid_table(profile, s.queues, horizon).on_grid(grid)
 
 
 def _replication(s, profile, cfg, grid, reference, rep):
@@ -474,14 +464,12 @@ def _replication(s, profile, cfg, grid, reference, rep):
     errors; its events and event records are unreachable once it returns."""
     # the events are released once run_des has grouped them into its records
     events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
+    first = float(events[0][0])  # the events are sorted by time, and n >= 1
     paths = run_des(s, events, cfg, replication=rep)
     del events
     scaled = scaled_paths(paths, grid)
-    errors = [
-        max(float(np.max(np.abs(scaled[name][q.id] - reference[name][q.id]))) for q in s.queues)
-        for name in PROCESSES
-    ]
-    return scaled, paths.first_arrival(), errors
+    gaps = scaled - reference  # the one (process, queue, point) temporary
+    return scaled, first, np.abs(gaps, out=gaps).max(axis=(1, 2)).tolist()
 
 
 def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> ConvergenceReport:

@@ -35,6 +35,7 @@ boundaries to 1e-12).
 
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +102,19 @@ def netflow_of_path(f_k, q, horizon=None):
     return PiecewisePath(ts, vals, extend="slope")
 
 
+class QueueFluid(NamedTuple):
+    """Every fluid path of one queue, all from one reflection of its netflow."""
+
+    cdf: PiecewisePath
+    netflow: PiecewisePath
+    queue_length: PiecewisePath
+    regulator: PiecewisePath
+    busy: PiecewisePath
+    wait: PiecewisePath
+
+
 def queue_fluid_per_queue(profile, q, horizon=None):
-    """``fluid.queue_fluid`` composed of the per-queue forms above."""
+    """One row of ``fluid.fluid_table`` composed of the per-queue forms above."""
     if horizon is None:
         horizon = fluid.default_horizon(profile, [q])
     cdf = queue_cdf_by_matrix(profile, q.id)
@@ -111,7 +123,7 @@ def queue_fluid_per_queue(profile, q, horizon=None):
     ts = psi.times
     busy = np.maximum(ts - q.t_start, 0.0) - psi.values / q.mu
     wait = phi.values / q.mu + np.maximum(q.t_start - ts, 0.0)
-    return fluid.QueueFluid(
+    return QueueFluid(
         cdf=cdf,
         netflow=x,
         queue_length=phi,
@@ -119,6 +131,12 @@ def queue_fluid_per_queue(profile, q, horizon=None):
         busy=PiecewisePath(ts, busy, extend="slope"),
         wait=PiecewisePath(ts, wait, extend="wait"),
     )
+
+
+def arrival_cost(pop, wait):
+    """The population's arrival cost (alpha + beta) * wait + beta * t at a
+    queue with virtual waiting time ``wait``, as one path."""
+    return PiecewisePath(wait.times, pop.weight * wait.values + pop.beta * wait.times, extend="slope")
 
 
 def pair_segments(profile, population, queue):
@@ -154,7 +172,7 @@ def verify_pairwise(s, profile):
     for pop in s.populations:
         sup_vals, off_vals = [], []
         for q, wait, ts in per_queue:
-            cs = fluid.arrival_cost(pop, wait)(ts)
+            cs = arrival_cost(pop, wait)(ts)
             n_points += ts.size
             in_support = np.zeros(ts.shape, dtype=bool)
             for seg in pair_segments(profile, pop.id, q.id):
@@ -192,7 +210,7 @@ def social_cost_pairwise(s, profile):
     total = 0.0
     for pop in s.populations:
         for q in s.queues:
-            curve = fluid.arrival_cost(pop, waits[q.id])
+            curve = arrival_cost(pop, waits[q.id])
             for seg in pair_segments(profile, pop.id, q.id):
                 if seg.mass > 0:
                     total += seg.density * curve.integral(seg.start, seg.end)
@@ -443,10 +461,10 @@ def virtual_wait_at(rec, grid):
 
 def scaled_paths_by_process(paths, grid):
     """``sim.scaled_paths`` read process by process, one search per read."""
-    m, recs = paths.mass_scale, paths.records
-    return {
-        "arrivals": {qid: arrivals_at(rec, grid) * m for qid, rec in recs.items()},
-        "queue_length": {qid: queue_length_at(rec, grid) * m for qid, rec in recs.items()},
-        "busy_time": {qid: busy_time_at(rec, grid) for qid, rec in recs.items()},
-        "virtual_wait": {qid: virtual_wait_at(rec, grid) for qid, rec in recs.items()},
-    }
+    m, recs = paths.mass_scale, paths.records.values()
+    return np.array([
+        [arrivals_at(rec, grid) * m for rec in recs],
+        [queue_length_at(rec, grid) * m for rec in recs],
+        [busy_time_at(rec, grid) for rec in recs],
+        [virtual_wait_at(rec, grid) for rec in recs],
+    ])

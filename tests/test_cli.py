@@ -194,9 +194,8 @@ def test_sim_csv_is_written_one_replication_at_a_time(scenarios, monkeypatch, ca
         np.repeat(np.arange(3), len(ids) * grid.size),
         np.tile(grid + s.time_origin, 3 * len(ids)),
         np.tile(np.repeat(ids, grid.size), 3),
-    ] + [
-        np.concatenate([scaled[name][i] for scaled in report.scaled for i in ids])
-        for name in sim.PROCESSES
+        # each process's rows: replication by replication, queue by queue
+        *np.concatenate(report.scaled, axis=1).reshape(len(sim.PROCESSES), -1),
     ]
     whole = csv_rows(["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"], columns)
     assert out.read_text() == whole
@@ -224,8 +223,8 @@ def test_simulate_error_while_writing_leaves_no_file(scenarios, monkeypatch, cap
 
 
 def test_sim_csv_columns_follow_the_process_table(scenarios):
-    # scaled_paths and fluid_reference key their tables by sim.PROCESSES, and
-    # the value columns of sim.csv are those processes in that order
+    # scaled_paths and fluid_reference lay their tables out by sim.PROCESSES,
+    # and the value columns of sim.csv are those processes in that order
     out = scenarios["dir"] / "table.csv"
     assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "300",
                  "--seed", "5", "--grid-points", "16", "--out", str(out)]) == 0
@@ -234,13 +233,14 @@ def test_sim_csv_columns_follow_the_process_table(scenarios):
     grid = sim.default_grid(profile, s, points=16)
     cfg = sim.SimConfig(n=300, seed=5, grid=grid)
     scaled = sim.scaled_paths(sim.run_des(s, sim.sample_arrivals(profile, 300, 5), cfg), grid)
-    assert tuple(scaled) == tuple(sim.fluid_reference(s, profile, grid)) == sim.PROCESSES
+    shape = (len(sim.PROCESSES), s.n_queues, grid.size)
+    assert scaled.shape == sim.fluid_reference(s, profile, grid).shape == shape
     rows = [row.split(",") for row in out.read_text().splitlines()]
     assert len(rows[0]) == 3 + len(sim.PROCESSES)
-    for j, name in enumerate(sim.PROCESSES, start=3):
-        for q in s.queues:
+    for j, process in enumerate(scaled, start=3):
+        for q, values in zip(s.queues, process):
             column = [float(row[j]) for row in rows[1:] if row[2] == str(q.id)]
-            assert np.array_equal(column, scaled[name][q.id])
+            assert np.array_equal(column, values)
 
 
 def test_cli_reruns_are_byte_identical(scenarios):
@@ -572,6 +572,24 @@ def test_verify_of_an_overflowing_profile_prints_only_its_error(tmp_path):
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "fluid"])
+def test_an_overflowing_routed_mass_names_its_queue(tmp_path, capsys, command):
+    # queue 2's routed mass overflows, so its drain time is not finite: the
+    # refusal names queue 2, not the first queue an infinite horizon breaks
+    scenario, profile, out = tmp_path / "s.json", tmp_path / "p.csv", tmp_path / "out"
+    scenario.write_text('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],'
+                        '"populations":[{"alpha":1,"beta":1}]}')
+    profile.write_text("pop,queue,a,b,density\n1,2,0,1,1e308\n1,2,0,1,1e308\n1,2,1,2,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning is not one error line
+        assert main([command, "--scenario", str(scenario), "--profile", str(profile),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: queue 2: the netflow at rate 1.0 is not finite")
+    assert not out.exists()
+
+
 def test_out_of_domain_number_exits_1_from_a_fresh_interpreter(tmp_path):
     out = tmp_path / "out.json"
     result = run_cli("serve-count", "--l", "nan", "--mu", "1", "--tau", "0.1", "--out", str(out))
@@ -720,4 +738,21 @@ def test_absurd_sizes_are_one_error_line(scenarios, capsys, argv):
     out = scenarios["dir"] / "absurd.out"
     assert main([*argv, "--out", str(out)]) == 1
     assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_grid_above_the_cap_before_solving(scenarios, capsys, monkeypatch):
+    from concertq import equilibrium
+
+    def solving(s):
+        raise AssertionError("solved before the grid size was checked")
+
+    # the refusal comes before the solve, so nothing is allocated
+    monkeypatch.setattr(equilibrium, "solve_multi", solving)
+    out = scenarios["dir"] / "grid.csv"
+    assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "10",
+                 "--grid-points", str(2**16 + 1), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "--grid-points" in err
     assert not out.exists()

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import concertq as cq
@@ -15,6 +15,7 @@ from conftest import (
     single_queue_scenario,
     two_population_single_queue_scenario,
     two_queue_worked_scenario,
+    wide_scenario,
 )
 
 
@@ -458,3 +459,58 @@ def test_profile_to_dict_shifts_times():
     out = eq.to_dict(time_origin=s.time_origin)
     assert out["terminal_time"] == pytest.approx(3.0)
     assert out["first_arrivals"]["1"] == pytest.approx(1.0)
+
+
+# -- relabelling ----------------------------------------------------------------
+
+
+def relabelling_invariants(doc):
+    """The verifier's verdict on the solved profile, the multiset of its
+    support costs and the price of anarchy of the scenario document."""
+    s = cq.scenario_from_dict(doc)
+    report = cq.verify_equilibrium(s, cq.solve_multi(s).profile)
+    return report.is_equilibrium, sorted(report.support_costs.values()), cq.poa_multi(s).eta
+
+
+def relabelled(doc, queue_order, population_order):
+    """The document with its queues and populations listed in other orders,
+    which gives every queue and population another id."""
+    return {**doc, "queues": [doc["queues"][i] for i in queue_order],
+            "populations": [doc["populations"][i] for i in population_order]}
+
+
+@st.composite
+def relabelled_documents(draw):
+    """A scenario document with distinct openings and gammas that needs no
+    pruning, and orders to list its queues and populations in."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    openings = draw(st.lists(st.floats(0.0, 1.5), min_size=k, max_size=k, unique=True))
+    gammas = draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n, unique=True))
+    betas = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    doc = {
+        "queues": [{"mu": draw(st.floats(0.3, 3.0)), "t_start": t} for t in openings],
+        "populations": [{"alpha": g / (1 - g) * b, "beta": b} for g, b in zip(gammas, betas)],
+    }
+    s = cq.scenario_from_dict(doc)
+    assume(len({p.gamma for p in s.populations}) == n and not cq.validate_scenario(s).pruned_queues)
+    return doc, draw(st.permutations(range(k))), draw(st.permutations(range(n)))
+
+
+@given(relabelled_documents())
+@settings(max_examples=60, deadline=None)
+def test_relabelling_leaves_verdict_support_costs_and_eta_unchanged(case):
+    doc, queue_order, population_order = case
+    assert relabelling_invariants(relabelled(doc, queue_order, population_order)) \
+        == relabelling_invariants(doc)
+
+
+@pytest.mark.parametrize("build", [wide_scenario, two_queue_worked_scenario])
+def test_relabelling_the_pinned_scenarios_changes_nothing(build):
+    doc = cq.scenario_to_dict(build())
+    want = relabelling_invariants(doc)
+    assert want[0]
+    rng = np.random.default_rng(2011)
+    for _ in range(3):
+        queue_order = rng.permutation(len(doc["queues"])).tolist()
+        population_order = rng.permutation(len(doc["populations"])).tolist()
+        assert relabelling_invariants(relabelled(doc, queue_order, population_order)) == want

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import concertq as cq
 from concertq import fluid, poa, sim
-from concertq.fluid import PiecewisePath, default_horizon, queue_fluid
+from concertq.fluid import PiecewisePath, default_horizon
 from concertq.model import ParseError
 from concertq.serialize import csv_rows, fmt
 from conftest import make_scenario, two_queue_worked_scenario
-from oracles import profile_segments_from_csv, segment_columns, shifted_segments
+from oracles import arrival_cost, profile_segments_from_csv, segment_columns, shifted_segments
 
 
 def path(ts, vs, extend="const"):
@@ -527,22 +527,24 @@ def assert_same_path(a, b):
 @pytest.mark.parametrize("build", [two_queue_worked_scenario, ragged_multi_scenario])
 @pytest.mark.parametrize("explicit_horizon", [False, True])
 def test_queue_fluid_matches_every_accessor(build, explicit_horizon):
+    # each per-queue path is the queue's one-row fluid table, in its extend mode
     s = build()
     profile = cq.solve_multi(s).profile
     for q in s.queues:
         horizon = default_horizon(profile, s.queues) if explicit_horizon else None
-        qf = queue_fluid(profile, q, horizon)
-        assert_same_path(qf.cdf, profile.queue_cdf(q.id))
+        table = fluid.fluid_table(profile, [q], horizon)
+        assert_same_path(path(table.cdf_times, table.cdf_values), profile.queue_cdf(q.id))
         netflow_horizon = horizon if explicit_horizon else default_horizon(profile, [q])
-        assert_same_path(qf.netflow, cq.netflow(profile.queue_cdf(q.id), q, netflow_horizon))
-        assert_same_path(qf.queue_length, cq.fluid_queue(profile, q, horizon))
-        assert_same_path(qf.regulator, cq.fluid_regulator(profile, q, horizon))
-        assert_same_path(qf.busy, cq.fluid_busy(profile, q, horizon))
-        assert_same_path(qf.wait, cq.fluid_wait(profile, q, horizon))
+        assert_same_path(path(table.netflow_times, table.netflow_values, "slope"),
+                         cq.netflow(profile.queue_cdf(q.id), q, netflow_horizon))
+        assert_same_path(path(table.times, table.queue_length), cq.fluid_queue(profile, q, horizon))
+        assert_same_path(path(table.times, table.regulator, "idle"),
+                         cq.fluid_regulator(profile, q, horizon))
+        assert_same_path(path(table.times, table.busy, "slope"), cq.fluid_busy(profile, q, horizon))
+        wait = path(table.times, table.wait, "wait")
+        assert_same_path(wait, cq.fluid_wait(profile, q, horizon))
         for pop in s.populations:
-            assert_same_path(
-                fluid.arrival_cost(pop, qf.wait), cq.cost_curve(pop, profile, q, horizon)
-            )
+            assert_same_path(arrival_cost(pop, wait), cq.cost_curve(pop, profile, q, horizon))
 
 
 @pytest.fixture()
@@ -582,7 +584,7 @@ def test_fluid_reference_reflects_each_queue_once(table_calls):
     profile = cq.solve_multi(s).profile
     reference = sim.fluid_reference(s, profile, sim.default_grid(profile, s, points=64))
     assert table_calls == all_queues(s)
-    assert set(reference) == {"arrivals", "queue_length", "busy_time", "virtual_wait"}
+    assert reference.shape == (len(sim.PROCESSES), s.n_queues, 64)
 
 
 def test_fluid_wait_left_of_horizon_is_the_pre_opening_ray():

@@ -171,8 +171,9 @@ def test_analytic_commands_do_not_import_numpy_ma(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-# sha256 of every QueueFluid field (times, values, extension mode) of every
-# queue of the solver's profile, recorded before the fluid kernel was batched
+# sha256 of every fluid path (times, values, extension mode) of every queue
+# of the solver's profile, in the order cdf, netflow, queue length,
+# regulator, busy time, wait, recorded before the fluid kernel was batched
 # and again when ``wait`` took the "wait" extension mode and ``regulator`` the
 # "idle" mode (times and values hashed as before: with the mode string
 # "const" for each, the new code reproduced the earlier digests);
@@ -186,7 +187,7 @@ QUEUE_FLUID_DIGESTS = {
     ("ragged", "shared"): "60b04c4dd00dca5bffb66d80ce720cf0bbcf549f4e03ef5e94b521a4ba6f4956",
 }
 BUILDERS = {"wide": wide_scenario, "worked": two_queue_worked_scenario, "ragged": ragged_scenario}
-FIELDS = ("cdf", "netflow", "queue_length", "regulator", "busy", "wait")
+ACCESSORS = (cq.fluid_queue, cq.fluid_regulator, cq.fluid_busy, cq.fluid_wait)
 
 
 @pytest.mark.parametrize("name, horizon", sorted(QUEUE_FLUID_DIGESTS))
@@ -196,9 +197,9 @@ def test_queue_fluid_fields_match_recorded_paths(name, horizon):
     shared = fluid.default_horizon(profile, s.queues) if horizon == "shared" else None
     digest = hashlib.sha256()
     for q in s.queues:
-        qf = fluid.queue_fluid(profile, q, shared)
-        for field in FIELDS:
-            path = getattr(qf, field)
+        cdf = profile.queue_cdf(q.id)
+        netflow = fluid.netflow(cdf, q, shared or fluid.default_horizon(profile, [q]))
+        for path in (cdf, netflow, *(accessor(profile, q, shared) for accessor in ACCESSORS)):
             digest.update(path.times.tobytes())
             digest.update(path.values.tobytes())
             digest.update(path.extend.encode())
@@ -207,10 +208,6 @@ def test_queue_fluid_fields_match_recorded_paths(name, horizon):
 
 def path_bytes(path):
     return path.times.tobytes(), path.values.tobytes(), path.extend
-
-
-def same_path(a, b):
-    return path_bytes(a) == path_bytes(b)
 
 
 @st.composite
@@ -249,10 +246,17 @@ def test_fluid_table_is_the_per_queue_kernel(case):
     grid = np.linspace(*horizon, 33)
     at_grid = table.on_grid(grid)
     for k, q in enumerate(queues):
-        got, want = table.row(k), queue_fluid_per_queue(profile, q, horizon)
-        for name in ("cdf", "netflow", "queue_length", "regulator", "busy", "wait"):
-            assert same_path(getattr(got, name), getattr(want, name)), name
-        n = slice(*table.netflow_bounds[k:k + 2].tolist())
+        want = queue_fluid_per_queue(profile, q, horizon)
+        c, n, p = (slice(*b[k:k + 2].tolist())
+                   for b in (table.cdf_bounds, table.netflow_bounds, table.bounds))
+        got = {
+            "cdf": (table.cdf_times[c], table.cdf_values[c]),
+            "netflow": (table.netflow_times[n], table.netflow_values[n]),
+            **{name: (table.times[p], getattr(table, name)[p])
+               for name in ("queue_length", "regulator", "busy", "wait")},
+        }
+        for name, (times, values) in got.items():
+            assert path_bytes(getattr(want, name))[:2] == (times.tobytes(), values.tobytes()), name
         refined = table.refined[n]
         refined_times = fluid.sorted_unique(want.cdf.times, horizon)  # the ``fluid`` command's arrivals
         assert table.netflow_times[n][refined].tobytes() == refined_times.tobytes()

@@ -352,13 +352,13 @@ def test_single_user_hand_trace():
     # service mean is mass/(n mu) = 1, server opens at 0, so departure at 1
     assert rec.completions[0] == pytest.approx(1.0)
     grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    scaled = sim.scaled_paths(paths, grid)
+    _, (queue_length,), (busy,), (wait,) = sim.scaled_paths(paths, grid)
     # one user of the unit mass: scaled counts are the counts
     assert paths.mass_scale == 1.0
     # own work (1) plus time until opening (1)
-    assert scaled["virtual_wait"][1][0] == pytest.approx(2.0)
-    assert np.array_equal(scaled["queue_length"][1], [1, 1, 1, 1, 0, 0])
-    assert np.allclose(scaled["busy_time"][1], [0, 0, 0, 0.5, 1.0, 1.0])
+    assert wait[0] == pytest.approx(2.0)
+    assert np.array_equal(queue_length, [1, 1, 1, 1, 0, 0])
+    assert np.allclose(busy, [0, 0, 0, 0.5, 1.0, 1.0])
 
 
 def test_no_events_paths_are_zero():
@@ -367,9 +367,9 @@ def test_no_events_paths_are_zero():
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     rec = paths.records[1]
     grid = np.linspace(0.0, 2.0, 5)
-    scaled = sim.scaled_paths(paths, grid)
-    assert np.all(scaled["queue_length"][1] == 0)
-    assert np.all(scaled["busy_time"][1] == 0)
+    _, queue_length, busy, _ = sim.scaled_paths(paths, grid)
+    assert np.all(queue_length == 0)
+    assert np.all(busy == 0)
     # with no arrivals, time is counted from the opening
     assert np.allclose(rec.empty_time_at(grid, rec.t_start), grid - rec.t_start)
 
@@ -379,14 +379,14 @@ def test_fifo_order_and_counts():
     profile = equilibrium_profile(s)
     events = sim.sample_arrivals(profile, 2_000, seed=11)
     paths = sim.run_des(s, events, sim.SimConfig(n=2_000, seed=11))
-    queue_length = sim.scaled_paths(paths, np.linspace(-1.0, 2.0, 64))["queue_length"]
-    for rec in paths.records.values():
+    _, queue_length, _, _ = sim.scaled_paths(paths, np.linspace(-1.0, 2.0, 64))
+    for k, rec in enumerate(paths.records.values()):
         # departures keep arrival order and never precede arrival + service
         assert np.all(np.diff(rec.completions) >= 0)
         assert np.all(rec.completions >= rec.arrivals + rec.services - 1e-12)
         assert np.all(rec.completions - rec.services >= rec.t_start - 1e-12)
         # no more departures than arrivals by any grid time
-        assert np.all(queue_length[rec.queue_id] >= 0)
+        assert np.all(queue_length[k] >= 0)
 
 
 def test_work_conservation_identity():
@@ -396,11 +396,11 @@ def test_work_conservation_identity():
     events = sim.sample_arrivals(profile, 500, seed=3)
     paths = sim.run_des(s, events, sim.SimConfig(n=500, seed=3))
     grid = np.linspace(-1.2, 2.0, 257)
-    scaled = sim.scaled_paths(paths, grid)
-    for qid, rec in paths.records.items():
-        busy = scaled["busy_time"][qid]
+    arrivals, queue_length, busy_time, _ = sim.scaled_paths(paths, grid)
+    for k, rec in enumerate(paths.records.values()):
+        busy = busy_time[k]
         # departures: the scaled arrival count minus the scaled queue length
-        arrived, queued = scaled["arrivals"][qid], scaled["queue_length"][qid]
+        arrived, queued = arrivals[k], queue_length[k]
         departed = np.rint((arrived - queued) / paths.mass_scale)
         csum = np.cumsum(rec.services)
         served = np.searchsorted(csum, busy * (1 + 1e-12), side="right")
@@ -422,7 +422,7 @@ def test_empty_vs_idle_gap_shrinks_with_n():
             paths = sim.run_des(s, events, sim.SimConfig(n=n, seed=13), replication=rep)
             rec = paths.records[1]
             # idle time: the post-opening clock minus busy time
-            busy = sim.scaled_paths(paths, t_probe)["busy_time"][1]
+            _, _, (busy,), _ = sim.scaled_paths(paths, t_probe)
             idle = np.maximum(t_probe - rec.t_start, 0.0) - busy
             origin = min(rec.arrivals[0], rec.t_start)
             gaps.append(abs(idle[0] - rec.empty_time_at(t_probe, origin)[0]))
@@ -548,12 +548,9 @@ def test_scaled_paths_is_the_per_process_oracle(service_dist):
     on_events = [np.concatenate((r.arrivals, r.completions, [r.t_start])) for r in recs.values()]
     grid = np.unique(np.concatenate((np.linspace(-2.0, 6.0, 257), *on_events)))
     got, want = sim.scaled_paths(paths, grid), scaled_paths_by_process(paths, grid)
-    assert list(got) == list(want) == list(sim.PROCESSES)
-    for name in sim.PROCESSES:
-        assert list(got[name]) == list(want[name])
-        for qid, values in want[name].items():
-            assert got[name][qid].dtype == values.dtype
-            assert got[name][qid].tobytes() == values.tobytes()
+    assert got.shape == want.shape == (len(sim.PROCESSES), len(recs), grid.size)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_scaled_single_arrival_is_empirical_cdf():
@@ -561,8 +558,8 @@ def test_scaled_single_arrival_is_empirical_cdf():
     events = (np.array([0.25]), np.array([1]))
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     grid = np.array([0.0, 0.25, 0.5])
-    scaled = sim.scaled_paths(paths, grid)
-    assert np.array_equal(scaled["arrivals"][1], [0.0, 1.0, 1.0])
+    (arrivals,), *_ = sim.scaled_paths(paths, grid)
+    assert np.array_equal(arrivals, [0.0, 1.0, 1.0])
 
 
 def test_scaled_arrivals_reach_total_mass():
@@ -571,8 +568,8 @@ def test_scaled_arrivals_reach_total_mass():
     events = sim.sample_arrivals(profile, 1_000, seed=2)
     paths = sim.run_des(s, events, sim.SimConfig(n=1_000, seed=2))
     grid = np.array([10.0])
-    scaled = sim.scaled_paths(paths, grid)
-    assert sum(a[0] for a in scaled["arrivals"].values()) == pytest.approx(1.0, abs=1e-12)
+    arrivals, *_ = sim.scaled_paths(paths, grid)
+    assert sum(a[0] for a in arrivals) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scaled_paths_validates_inputs():
@@ -613,6 +610,22 @@ def test_convergence_report_shapes():
     assert all(f >= -1.0 for f in report.first_arrivals)
 
 
+def test_sup_errors_compare_each_queue_with_its_own_reference():
+    # unequal rates, so the queues' reference rows differ; the sup errors and
+    # first arrivals as the per-queue loop and the sampler give them
+    s = make_scenario([(1.0, 0.0), (2.0, 0.5)], [{"alpha": 1, "beta": 1}])
+    profile = equilibrium_profile(s)
+    cfg = sim.SimConfig(n=300, seed=8, grid=sim.default_grid(profile, s, points=64), replications=2)
+    report = sim.convergence_report(s, profile, cfg)
+    reference = sim.fluid_reference(s, profile, cfg.grid)
+    for rep, scaled in enumerate(report.scaled):
+        for j, name in enumerate(sim.PROCESSES):
+            want = max(float(np.max(np.abs(scaled[j, k] - reference[j, k]))) for k in range(s.n_queues))
+            assert report.processes[name].per_replication[rep] == want
+        times, _ = sim.sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
+        assert report.first_arrivals[rep] == times.min()
+
+
 def test_convergence_study_error_shrinks():
     s = single_queue_scenario()
     profile = equilibrium_profile(s)
@@ -633,9 +646,7 @@ def test_convergence_study_large_run_keeps_every_config_field():
     direct = sim.convergence_report(s, profile, replace(cfg, n=180, grid=small.grid))
     assert big.to_dict() == direct.to_dict()
     for got, want in zip(big.scaled, direct.scaled, strict=True):
-        for name in sim.PROCESSES:
-            for qid, values in want[name].items():
-                assert np.array_equal(got[name][qid], values)
+        assert np.array_equal(got, want)
 
 
 def test_each_replication_is_released_before_the_next_is_sampled(monkeypatch):
