@@ -18,13 +18,14 @@ import argparse
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
 from . import fluid
 from .model import DomainError, ParseError, parse_scenario, pruned_scenario
-from .serialize import csv_rows, fmt, to_json
+from .serialize import fmt, to_json, write_csv
 
 # largest eq-two trace: 2**16 points, about 70 MB peak RSS at the cap
 MAX_TRACE_POINTS = 1 << 16
@@ -160,7 +161,8 @@ def _cmd_eq_two(args) -> int:
         ts = np.linspace(eq.t_first, eq.t_last, args.trace_points)
         occupied = np.column_stack((eq.queue_occupied_prob(1, ts), eq.queue_occupied_prob(2, ts)))
         columns = [ts, eq.density(ts), eq.routing(1, ts), *occupied.T, eq.expected_cost(occupied, ts)[:, 0]]
-        _write(args.trace, csv_rows(["t", "f", "p1", "P11", "P21", "cost"], columns))
+        with _opened(args.trace) as out:
+            write_csv(out, ["t", "f", "p1", "P11", "P21", "cost"], columns)
     _summary(
         args,
         f"t_first={fmt(eq.t_first)}, t_last={fmt(eq.t_last)}, cost={fmt(eq.cost)}, "
@@ -203,7 +205,8 @@ def _cmd_fluid(args) -> int:
         np.concatenate(times)[order] + origin,
         np.concatenate(values)[order],
     ]
-    _write(args.out, csv_rows(["queue", "process", "t", "value"], columns))
+    with _opened(args.out) as out:
+        write_csv(out, ["queue", "process", "t", "value"], columns)
     _summary(args, f"queues={s.n_queues}, window=[{fmt(horizon[0] + origin)}, {fmt(horizon[1] + origin)}]")
     return 0
 
@@ -225,18 +228,21 @@ def _cmd_simulate(args) -> int:
         grid=grid,
         replications=args.reps,
     )
-    report = sim.convergence_report(s, profile, cfg)
 
     # one row per (replication, queue, grid point), in that nesting order;
-    # each replication's rows are built, written and dropped before the next
+    # each replication's table is written, in row blocks, and dropped before
+    # the next replication runs
     ids = [q.id for q in s.queues]
     t, queue = np.tile(grid + s.time_origin, len(ids)), np.repeat(ids, grid.size)
     header = ["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"]
-    skip = len(",".join(header)) + 1  # the header line, written once
     with _opened(args.out) as out:
-        for rep, scaled in enumerate(report.scaled):
-            columns = [np.full(t.size, rep), t, queue, *scaled.reshape(len(sim.PROCESSES), -1)]
-            out.write(csv_rows(header, columns)[skip if rep else 0:])
+        def written(rep, run):
+            values = run.scaled.reshape(len(sim.PROCESSES), -1)
+            write_csv(out, header, [np.full(t.size, rep), t, queue, *values], with_header=rep == 0)
+            return run
+
+        runs = map(written, count(), sim.replications(s, profile, cfg))
+        report = sim.convergence_report(s, profile, cfg, runs=runs)
     if args.out:
         summary_path = str(Path(args.out).with_suffix(".summary.json"))
         _write(summary_path, to_json(report.to_dict(time_origin=s.time_origin)))
@@ -316,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1, help="replications")
     p.add_argument("--service", choices=("exponential", "deterministic"), default="exponential")
     p.add_argument("--grid-points", type=int, default=512,
-                   help="grid points, 2 to 2**16: at the cap about 87 MB peak RSS on two queues, "
-                        "12 MB more per further queue and 3 MB per queue per replication")
+                   help="grid points, 2 to 2**16: at the cap about 54 MB peak RSS on two queues, "
+                        "6 MB more per further queue and under 1 MB per queue per replication")
     p.set_defaults(fn=_cmd_simulate)
 
     return parser

@@ -95,6 +95,12 @@ class VerificationReport:
     ``min_off_support_cost_gap`` is the minimum of cost - mean support cost
     over all (queue, time) pairs off the support.  A profitable deviation
     exists exactly when that gap is negative beyond tolerance.
+
+    ``worst_support_deviation_at`` and ``min_off_support_gap_at`` are the
+    witnesses, as (population id, queue id, t) with t in the scenario's
+    shifted time: where the largest support deviation and the most negative
+    off-support gap over all populations are attained (the first such point
+    in population, queue and time order).  ``to_dict`` leaves them out.
     """
 
     max_support_cost_deviation: dict[int, float]
@@ -104,6 +110,8 @@ class VerificationReport:
     tol: float
     grid_points: int
     window: tuple[float, float]
+    worst_support_deviation_at: tuple[int, int, float]
+    min_off_support_gap_at: tuple[int, int, float]
 
     def to_dict(self, time_origin: float = 0.0) -> dict:
         """JSON-ready report; the window is shifted back by ``time_origin``."""
@@ -264,10 +272,11 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     costs are batched per queue: every population's costs at the queue's B_k
     wait breakpoints and G grid points as one (N, B_k + G) matrix, so the
     working set is O(N * (B_k + G)) per queue beside the table.
-    Only the support costs are kept across queues (the mean needs them; at
-    most one value per population and point on its support); the off-support
-    side keeps a running minimum.  A grid of more than ``MAX_GRID_POINTS``
-    points is refused with a DomainError before anything is allocated.
+    Only the support costs and their points are kept across queues (the
+    mean needs them; at most one value per population and point on its
+    support); the off-support side keeps a running minimum and where it was
+    attained.  A grid of more than ``MAX_GRID_POINTS`` points is refused with
+    a DomainError before anything is allocated.
     """
     tol, grid_step = s.options.tol, s.options.grid_step
 
@@ -290,8 +299,10 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
 
     pops = s.populations
     pop_row = profile.population_positions(pops)  # a row of the cost matrix, or -1
-    support: list[list[np.ndarray]] = [[] for _ in pops]
+    # per population: (queue id, times, costs) of its support at each queue
+    support: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in pops]
     off_min = np.full(len(pops), np.inf)
+    off_at: list[tuple[int, float] | None] = [None] * len(pops)
     n_points = 0
 
     table = fluid.fluid_table(profile, s.queues, horizon)
@@ -314,25 +325,39 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         for j, i0, i1 in zip(pop_row[rows].tolist(), first.tolist(), stop.tolist()):
             in_support[j, i0:i1] = True
         for j in set(pop_row[rows].tolist()):
-            support[j].append(costs[j][in_support[j]])
+            support[j].append((q.id, ts[in_support[j]], costs[j][in_support[j]]))
         # min(x) - c == min(x - c): rounding is monotone
         np.copyto(costs, np.inf, where=in_support)
-        off_min = np.minimum(off_min, costs.min(axis=1))
+        at = costs.argmin(axis=1)
+        lowest = costs[np.arange(len(pops)), at]
+        for j in np.flatnonzero(lowest < off_min).tolist():
+            off_at[j] = (q.id, float(ts[at[j]]))
+        off_min = np.minimum(off_min, lowest)
 
     deviations: dict[int, float] = {}
     gaps: dict[int, float] = {}
     support_costs: dict[int, float] = {}
-    for pop, kept, lowest_off in zip(pops, support, off_min.tolist()):
+    # witnesses per population: (population id, queue id, t)
+    deviation_at: dict[int, tuple[int, int, float]] = {}
+    gap_at: dict[int, tuple[int, int, float]] = {}
+    for pop, kept, lowest_off, lowest_at in zip(pops, support, off_min.tolist(), off_at):
         if not kept:
             raise DomainError(f"population {pop.id} has no support in the profile")
-        sup_all = np.concatenate(kept)
+        queue_ids, times, values = zip(*kept)
+        sup_all = np.concatenate(values)
         c = float(np.mean(sup_all))
         support_costs[pop.id] = c
-        deviations[pop.id] = float(np.max(np.abs(sup_all - c)))
+        spread = np.abs(sup_all - c)
+        i = int(spread.argmax())
+        deviations[pop.id] = float(spread[i])
+        deviation_at[pop.id] = (
+            pop.id, int(np.repeat(queue_ids, [t.size for t in times])[i]), float(np.concatenate(times)[i])
+        )
         gaps[pop.id] = lowest_off - c
         if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
             raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
                               f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
+        gap_at[pop.id] = (pop.id, *lowest_at)
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()
@@ -345,6 +370,8 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         tol=tol,
         grid_points=n_points,
         window=window,
+        worst_support_deviation_at=deviation_at[max(deviations, key=deviations.get)],
+        min_off_support_gap_at=gap_at[min(gaps, key=gaps.get)],
     )
 
 

@@ -11,6 +11,9 @@ from itertools import repeat
 
 import numpy as np
 
+# rows per csv_rows call of write_csv, which bounds the text built at once
+CSV_BLOCK_ROWS = 8192
+
 
 def fmt(x: float) -> str:
     """17-significant-digit representation of a float (exact round trip)."""
@@ -88,6 +91,16 @@ def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:
     return texts[inverse].tolist()
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """A float column as float64, refused if it holds a non-finite value
+    (the error names its first one)."""
+    arr = arr.astype(np.float64, copy=False)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite number {arr[~finite][0].item()!r}")
+    return arr
+
+
 def csv_rows(header: list[str], columns) -> str:
     """CSV text from equal-length columns.  A float column is checked once
     for non-finite values and formatted like fmt, an integer column like str,
@@ -98,10 +111,7 @@ def csv_rows(header: list[str], columns) -> str:
     for column in columns:
         arr = np.asarray(column)
         if arr.dtype.kind == "f":
-            arr = arr.astype(np.float64, copy=False)
-            finite = np.isfinite(arr)
-            if not finite.all():
-                raise ValueError(f"cannot serialize non-finite number {arr[~finite][0].item()!r}")
+            arr = _finite(arr)
             cells.append(_distinct_text(arr, arr.view(np.int64), ".17g"))
         elif arr.dtype.kind in "iu":
             cells.append(_distinct_text(arr, arr, ""))
@@ -114,3 +124,25 @@ def csv_rows(header: list[str], columns) -> str:
     del cells
     lines.append("")
     return "\n".join(lines)
+
+
+def write_csv(out, header: list[str], columns, with_header: bool = True) -> None:
+    """Write the text of ``csv_rows(header, columns)`` to the stream ``out``,
+    without its header line unless ``with_header``.  The rows are formatted
+    in blocks of at most ``CSV_BLOCK_ROWS``, each written before the next is
+    built.  Every float column's values, then the columns' lengths, are
+    checked before the first block, so a table that csv_rows refuses writes
+    nothing (and a non-finite value is named as csv_rows names it)."""
+    arrays = [np.asarray(column) for column in columns]
+    for arr in arrays:
+        if arr.dtype.kind == "f":
+            _finite(arr)
+    rows = len(arrays[0]) if arrays else 0
+    if any(len(arr) != rows for arr in arrays):
+        raise ValueError(f"columns of unequal lengths {[len(arr) for arr in arrays]}")
+    # every block's text starts with the header line; only the first keeps it
+    skip = len(",".join(header)) + 1
+    cut = 0 if with_header else skip
+    for start in range(0, max(rows, 1), CSV_BLOCK_ROWS):
+        out.write(csv_rows(header, [arr[start:start + CSV_BLOCK_ROWS] for arr in arrays])[cut:])
+        cut = skip

@@ -26,7 +26,9 @@ right-continuous (counts include events at exactly t).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -421,9 +423,8 @@ class ProcessErrors:
 class ConvergenceReport:
     """Distances between scaled simulated paths and their fluid limits.
 
-    ``scaled`` holds each replication's ``scaled_paths`` table, so callers
-    that emit the paths need not simulate again; ``to_dict`` leaves them out.
-    ``first_arrivals`` is each replication's earliest sampled time.
+    ``first_arrivals`` is each replication's earliest sampled time.  The
+    scaled tables themselves are not kept: ``replications`` yields them.
     """
 
     n: int
@@ -432,7 +433,6 @@ class ConvergenceReport:
     first_arrivals: tuple[float, ...]
     support_infimum: float
     grid: np.ndarray
-    scaled: tuple[np.ndarray, ...]
 
     def to_dict(self, time_origin: float = 0.0) -> dict:
         """JSON-ready report; its times are shifted back by ``time_origin``."""
@@ -451,6 +451,17 @@ class ConvergenceReport:
         }
 
 
+@dataclass(frozen=True)
+class Replication:
+    """One replication's ``scaled_paths`` table, earliest sampled time and
+    sup-norm distance to the fluid reference per process (``PROCESSES``
+    order)."""
+
+    scaled: np.ndarray
+    first_arrival: float
+    sup_errors: tuple[float, ...]
+
+
 def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> np.ndarray:
     """Fluid paths evaluated on the grid, shaped like the scaled sim paths
     (process, queue in scenario order, grid point): every queue's row of one
@@ -459,9 +470,20 @@ def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> n
     return fluid.fluid_table(profile, s.queues, horizon).on_grid(grid)
 
 
-def _replication(s, profile, cfg, grid, reference, rep):
-    """Replication ``rep``'s scaled table, first arrival and per-process sup
-    errors; its events and event records are unreachable once it returns."""
+def _checked_grid(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> np.ndarray:
+    """``cfg.grid`` (the default grid when it has none), once the profile is
+    known to route the scenario's total mass (to ``DEFAULT_TOL`` relative) to
+    the scenario's queues: each user carries ``s.total_mass / cfg.n``."""
+    profile.require_queues(s.queues)
+    if not abs(profile.total_mass - s.total_mass) <= DEFAULT_TOL * s.total_mass:
+        raise DomainError(f"profile mass {profile.total_mass!r} is not the scenario's "
+                          f"total mass {s.total_mass!r}")
+    return cfg.grid if cfg.grid is not None else default_grid(profile, s)
+
+
+def _replication(s, profile, cfg, grid, reference, rep) -> Replication:
+    """Replication ``rep``; its events and event records are unreachable
+    once it returns."""
     # the events are released once run_des has grouped them into its records
     events = sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
     first = float(events[0][0])  # the events are sorted by time, and n >= 1
@@ -469,22 +491,41 @@ def _replication(s, profile, cfg, grid, reference, rep):
     del events
     scaled = scaled_paths(paths, grid)
     gaps = scaled - reference  # the one (process, queue, point) temporary
-    return scaled, first, np.abs(gaps, out=gaps).max(axis=(1, 2)).tolist()
+    return Replication(scaled, first, tuple(np.abs(gaps, out=gaps).max(axis=(1, 2)).tolist()))
 
 
-def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> ConvergenceReport:
+def _replications(s, profile, cfg, grid) -> Iterator[Replication]:
+    reference = fluid_reference(s, profile, grid)
+    for rep in range(cfg.replications):
+        yield _replication(s, profile, cfg, grid, reference, rep)
+
+
+def replications(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> Iterator[Replication]:
+    """``cfg.replications`` independent simulations, run one at a time as
+    they are asked for, so a caller that lets go of each before asking for
+    the next holds one scaled table at a time.  The profile is checked at
+    once (``convergence_report``'s refusals); the fluid reference is built
+    when the first replication is asked for."""
+    return _replications(s, profile, cfg, _checked_grid(s, profile, cfg))
+
+
+def convergence_report(
+    s: Scenario, profile: ArrivalProfile, cfg: SimConfig, runs: Iterable[Replication] | None = None
+) -> ConvergenceReport:
     """Run ``cfg.replications`` independent simulations and compare each
     scaled process with its fluid counterpart in sup norm on the grid.  Each
     user carries ``s.total_mass / cfg.n``, so the profile must route the
-    scenario's total mass (to ``DEFAULT_TOL`` relative) to its queues."""
-    profile.require_queues(s.queues)
-    if not abs(profile.total_mass - s.total_mass) <= DEFAULT_TOL * s.total_mass:
-        raise DomainError(f"profile mass {profile.total_mass!r} is not the scenario's "
-                          f"total mass {s.total_mass!r}")
-    grid = cfg.grid if cfg.grid is not None else default_grid(profile, s)
-    reference = fluid_reference(s, profile, grid)
-    runs = [_replication(s, profile, cfg, grid, reference, rep) for rep in range(cfg.replications)]
-    scaled, first_arrivals, errors = zip(*runs)
+    scenario's total mass (to ``DEFAULT_TOL`` relative) to its queues.
+
+    ``runs`` stands in for the simulations: ``replications(s, profile,
+    cfg)``, passed through by a caller that uses each table (the CLI writes
+    it) before handing it on."""
+    grid = _checked_grid(s, profile, cfg)
+    if runs is None:
+        runs = _replications(s, profile, cfg, grid)
+    # map lets go of each replication before it asks for the next, so no
+    # table outlives its turn
+    first_arrivals, errors = zip(*map(attrgetter("first_arrival", "sup_errors"), runs))
     return ConvergenceReport(
         n=cfg.n,
         replications=cfg.replications,
@@ -492,7 +533,6 @@ def convergence_report(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> 
         first_arrivals=first_arrivals,
         support_infimum=float(profile.support_bounds()[0]),
         grid=grid,
-        scaled=scaled,
     )
 
 

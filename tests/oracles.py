@@ -167,10 +167,11 @@ def verify_pairwise(s, profile):
         ts = np.union1d(wait.times, grid)
         per_queue.append((q, wait, ts[(ts >= window[0]) & (ts <= window[1])]))
 
-    deviations, gaps, support_costs = {}, {}, {}
+    deviations, gaps, support_costs, deviation_at, gap_at = {}, {}, {}, {}, {}
     n_points = 0
     for pop in s.populations:
         sup_vals, off_vals = [], []
+        sup_ids, sup_ts, off_ids, off_ts = [], [], [], []  # where each value is
         for q, wait, ts in per_queue:
             cs = arrival_cost(pop, wait)(ts)
             n_points += ts.size
@@ -180,6 +181,9 @@ def verify_pairwise(s, profile):
                     in_support |= (ts >= seg.start) & (ts <= seg.end)
             sup_vals.append(cs[in_support])
             off_vals.append(cs[~in_support])
+            for ids, times, where in ((sup_ids, sup_ts, in_support), (off_ids, off_ts, ~in_support)):
+                ids.append(np.full(where.sum(), q.id))
+                times.append(ts[where])
         sup_all = np.concatenate(sup_vals)
         off_all = np.concatenate(off_vals)
         if sup_all.size == 0:
@@ -188,6 +192,11 @@ def verify_pairwise(s, profile):
         support_costs[pop.id] = c
         deviations[pop.id] = float(np.max(np.abs(sup_all - c)))
         gaps[pop.id] = float(np.min(off_all - c)) if off_all.size else np.inf
+        i = int(np.argmax(np.abs(sup_all - c)))
+        deviation_at[pop.id] = (pop.id, int(np.concatenate(sup_ids)[i]), float(np.concatenate(sup_ts)[i]))
+        if off_all.size:
+            j = int(np.argmin(off_all))
+            gap_at[pop.id] = (pop.id, int(np.concatenate(off_ids)[j]), float(np.concatenate(off_ts)[j]))
     ok = all(d <= tol for d in deviations.values()) and all(g >= -tol for g in gaps.values())
     return VerificationReport(
         max_support_cost_deviation=deviations,
@@ -197,6 +206,8 @@ def verify_pairwise(s, profile):
         tol=tol,
         grid_points=n_points,
         window=window,
+        worst_support_deviation_at=deviation_at[max(deviations, key=deviations.get)],
+        min_off_support_gap_at=gap_at.get(min(gaps, key=gaps.get)),
     )
 
 

@@ -162,20 +162,45 @@ def test_simulate_writes_paths_and_summary(scenarios):
     assert summary["replications"] == 2
 
 
-def test_sim_csv_is_written_one_replication_at_a_time(scenarios, monkeypatch, capsys):
-    # three replications: three csv_rows calls of one replication's rows
-    # each, and the text of one call over all of them, to a file or stdout
-    from concertq import cli
+def _recorded_csv_rows(monkeypatch) -> list[int]:
+    """The row count of every serialize.csv_rows call from here on."""
+    from concertq import serialize
 
     rows = []
+    csv_rows = serialize.csv_rows
 
     def recording(header, columns):
         text = csv_rows(header, columns)
         rows.append(text.count("\n") - 1)
         return text
 
-    csv_rows = cli.csv_rows
-    monkeypatch.setattr(cli, "csv_rows", recording)
+    monkeypatch.setattr(serialize, "csv_rows", recording)
+    return rows
+
+
+def _whole_sim_csv(path, n, seed, points, reps) -> str:
+    """sim.csv as one csv_rows call over every replication's table."""
+    from concertq.serialize import csv_rows
+
+    s = cq.parse_scenario(path.read_text())
+    profile = cq.solve_multi(s).profile
+    grid = sim.default_grid(profile, s, points=points)
+    runs = sim.replications(s, profile, sim.SimConfig(n=n, seed=seed, grid=grid, replications=reps))
+    ids = [q.id for q in s.queues]
+    columns = [
+        np.repeat(np.arange(reps), len(ids) * grid.size),
+        np.tile(grid + s.time_origin, reps * len(ids)),
+        np.tile(np.repeat(ids, grid.size), reps),
+        # each process's rows: replication by replication, queue by queue
+        *np.concatenate([run.scaled for run in runs], axis=1).reshape(len(sim.PROCESSES), -1),
+    ]
+    return csv_rows(["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"], columns)
+
+
+def test_sim_csv_is_written_one_replication_at_a_time(scenarios, monkeypatch, capsys):
+    # three replications: three csv_rows calls of one replication's rows
+    # each, and the text of one call over all of them, to a file or stdout
+    rows = _recorded_csv_rows(monkeypatch)
     argv = ["simulate", "--scenario", str(scenarios["two"]), "--n", "300", "--reps", "3",
             "--seed", "5", "--grid-points", "16"]
     out = scenarios["dir"] / "reps.csv"
@@ -184,28 +209,106 @@ def test_sim_csv_is_written_one_replication_at_a_time(scenarios, monkeypatch, ca
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == out.read_text()
+    assert out.read_text() == _whole_sim_csv(scenarios["two"], 300, 5, 16, 3)
 
-    s = cq.parse_scenario(scenarios["two"].read_text())
-    profile = cq.solve_multi(s).profile
-    grid = sim.default_grid(profile, s, points=16)
-    report = sim.convergence_report(s, profile, sim.SimConfig(n=300, seed=5, grid=grid, replications=3))
-    ids = [q.id for q in s.queues]
-    columns = [
-        np.repeat(np.arange(3), len(ids) * grid.size),
-        np.tile(grid + s.time_origin, 3 * len(ids)),
-        np.tile(np.repeat(ids, grid.size), 3),
-        # each process's rows: replication by replication, queue by queue
-        *np.concatenate(report.scaled, axis=1).reshape(len(sim.PROCESSES), -1),
-    ]
-    whole = csv_rows(["rep", "t", "queue", "A_scaled", "Q_scaled", "B", "W"], columns)
-    assert out.read_text() == whole
+
+def test_csv_artifacts_are_written_in_blocks_of_at_most_the_block_rows(scenarios, monkeypatch):
+    from concertq import serialize
+
+    d = scenarios["dir"]
+    simulate = ["simulate", "--scenario", str(scenarios["two"]), "--n", "300", "--reps", "3",
+                "--seed", "5", "--grid-points", "16"]
+    fluid = ["fluid", "--scenario", str(scenarios["two"])]
+    rows = _recorded_csv_rows(monkeypatch)
+    assert main(fluid + ["--out", str(d / "fluid-whole.csv")]) == 0
+    assert len(rows) == 1  # at the default block size, one csv_rows call
+    wholes = [_whole_sim_csv(scenarios["two"], 300, 5, 16, 3), (d / "fluid-whole.csv").read_text()]
+
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
+    for argv, whole in zip((simulate, fluid), wholes, strict=True):
+        rows.clear()
+        out = d / "blocks.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == whole
+        assert text.count(whole.split("\n", 1)[0] + "\n") == 1  # the header, once
+        assert max(rows) == 5 and sum(rows) == whole.count("\n") - 1
+
+
+def test_fluid_refuses_a_non_finite_value_before_writing(scenarios, monkeypatch, capsys):
+    # a non-finite t in the last block and a non-finite value in the first:
+    # the t column's value is named, as one csv_rows call names it, and
+    # nothing reaches stdout
+    from concertq import fluid, serialize
+
+    table = fluid.fluid_table
+
+    def spoiled(*args, **kwargs):
+        t = table(*args, **kwargs)
+        times, arrivals = t.times.copy(), t.arrivals.copy()
+        times[-1], arrivals[0] = np.inf, np.nan
+        return t._replace(times=times, arrivals=arrivals)
+
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(fluid, "fluid_table", spoiled)
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="non-finite number inf"):
+        main(["fluid", "--scenario", str(scenarios["two"])])
+    assert capsys.readouterr().out == ""
+
+
+def test_eq_two_trace_refuses_a_non_finite_value_before_writing(tmp_path, monkeypatch):
+    # a non-finite density (column 2) in a later block than a non-finite cost
+    # (column 6): the density is named and no trace file is left
+    from concertq import exact_two, serialize
+
+    cls = exact_two.TwoUserEquilibrium
+    density, expected_cost = cls.density, cls.expected_cost
+
+    def spoil(method, row, value):
+        def spoiled(self, *args):  # only at the trace's 23 points
+            out = method(self, *args)
+            if np.shape(out)[:1] == (23,):
+                out = np.array(out, dtype=float)
+                out[row] = value
+            return out
+        return spoiled
+
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(cls, "density", spoil(density, 12, -np.inf))
+    monkeypatch.setattr(cls, "expected_cost", spoil(expected_cost, 1, np.nan))
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="non-finite number -inf"):
+        main(["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1",
+              "--trace-points", "23", "--trace", str(trace), "--out", str(tmp_path / "two.json")])
+    assert not trace.exists()
+
+
+def test_simulate_memory_does_not_grow_with_the_replications(scenarios):
+    # each replication's (4, K, G) table is written and dropped before the
+    # next runs, so three replications peak within one table of one
+    import tracemalloc
+
+    points = 1 << 13
+    table = len(sim.PROCESSES) * 2 * points * 8
+    peaks = {}
+    for reps in (1, 1, 3):  # the first run imports what simulate loads
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "1000",
+                         "--reps", str(reps), "--grid-points", str(points),
+                         "--out", str(scenarios["dir"] / "mem.csv")]) == 0
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] - peaks[1] < table
 
 
 def test_simulate_error_while_writing_leaves_no_file(scenarios, monkeypatch, capsys):
-    from concertq import cli
+    from concertq import serialize
 
     calls = []
-    csv_rows = cli.csv_rows
+    csv_rows = serialize.csv_rows
 
     def failing(header, columns):
         calls.append(1)
@@ -213,7 +316,7 @@ def test_simulate_error_while_writing_leaves_no_file(scenarios, monkeypatch, cap
             raise MemoryError
         return csv_rows(header, columns)
 
-    monkeypatch.setattr(cli, "csv_rows", failing)
+    monkeypatch.setattr(serialize, "csv_rows", failing)
     out = scenarios["dir"] / "broken.csv"
     assert main(["simulate", "--scenario", str(scenarios["two"]), "--n", "300", "--reps", "2",
                  "--out", str(out)]) == 1

@@ -408,6 +408,28 @@ def test_verifier_rejects_density_perturbation():
     assert not report.is_equilibrium
 
 
+def test_verifier_names_its_witnesses():
+    # queue 1's density raised by 1e-4: the support cost deviates most at the
+    # end of population 1's window at queue 1, where the perturbed mass has
+    # built up the most wait; the lowest off-support cost lies just past it
+    s = two_queue_worked_scenario()
+    eq = cq.solve_single(s)
+    segs = [replace(g, density=g.density * (1 + 1e-4)) if g.queue == 1 else g
+            for g in eq.profile.segments]
+    report = cq.verify_equilibrium(s, cq.ArrivalProfile(tuple(segs)))
+    assert not report.is_equilibrium
+    pop, queue, t = report.worst_support_deviation_at
+    assert any(g.population == pop and g.queue == queue and g.start <= t <= g.end for g in segs)
+    assert report.worst_support_deviation_at == (1, 1, 0.75)
+    assert report.min_off_support_gap_at == (1, 1, 0.750075)
+    assert "worst_support_deviation_at" not in report.to_dict()
+    # at the equilibrium itself the deviation is 0 everywhere: the first
+    # support point is the witness
+    exact = cq.verify_equilibrium(s, eq.profile)
+    assert exact.max_support_cost_deviation == {1: 0.0}
+    assert exact.worst_support_deviation_at == (1, 1, -0.75)
+
+
 def test_verifier_rejects_multi_population_perturbation():
     s = two_population_single_queue_scenario()
     eq = cq.solve_multi(s)
@@ -421,6 +443,10 @@ def test_verifier_rejects_multi_population_perturbation():
             segs.append(g)
     report = cq.verify_equilibrium(s, cq.ArrivalProfile(tuple(segs)))
     assert not report.is_equilibrium
+    # both witnesses name the tilted population, just before its window
+    # for the gap
+    assert report.worst_support_deviation_at == (2, 1, 1.0)
+    assert report.min_off_support_gap_at == (2, 1, -0.0078125)
 
 
 def test_verifier_per_population_on_multi():

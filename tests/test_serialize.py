@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -64,3 +65,42 @@ def test_csv_cells_share_one_string_per_distinct_value():
     assert cells == [format(x, ".17g") for x in values.tolist()]
     assert cells[0] is cells[2] and cells[1] is cells[4]
     assert cells[3] is not cells[5]
+
+
+def test_write_csv_writes_the_text_of_one_csv_rows_call_in_blocks(monkeypatch):
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
+    header = ["i", "s", "x"]
+    columns = [np.arange(12), np.array(list("abcdefghijkl"), dtype=object), np.linspace(0.0, 1.0, 12)]
+    whole = csv_rows(header, columns)
+    for with_header, want in ((True, whole), (False, whole.removeprefix("i,s,x\n"))):
+        out = io.StringIO()
+        serialize.write_csv(out, header, columns, with_header=with_header)
+        assert out.getvalue() == want
+    out = io.StringIO()
+    serialize.write_csv(out, ["t", "v"], [np.array([]), np.array([])])
+    assert out.getvalue() == "t,v\n"
+
+
+def test_write_csv_refuses_a_non_finite_value_before_the_first_block(monkeypatch):
+    # a bad value in a later block of an earlier column than another bad value
+    # in the first block: csv_rows of the whole table names the first column's
+    # value, and so must the writer, with nothing written
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
+    x, y = np.linspace(0.0, 1.0, 12), np.linspace(1.0, 2.0, 12)
+    x[8], y[1] = math.inf, math.nan
+    header, columns = ["i", "x", "y"], [np.arange(12), x, y]
+    with pytest.raises(ValueError) as whole:
+        csv_rows(header, columns)
+    out = io.StringIO()
+    with pytest.raises(ValueError) as blocks:
+        serialize.write_csv(out, header, columns)
+    assert str(blocks.value) == str(whole.value) == "cannot serialize non-finite number inf"
+    assert out.getvalue() == ""
+
+
+def test_write_csv_refuses_ragged_columns_before_the_first_block(monkeypatch):
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        serialize.write_csv(out, ["q", "x"], [np.arange(12), np.zeros(11)])
+    assert out.getvalue() == ""

@@ -618,7 +618,9 @@ def test_sup_errors_compare_each_queue_with_its_own_reference():
     cfg = sim.SimConfig(n=300, seed=8, grid=sim.default_grid(profile, s, points=64), replications=2)
     report = sim.convergence_report(s, profile, cfg)
     reference = sim.fluid_reference(s, profile, cfg.grid)
-    for rep, scaled in enumerate(report.scaled):
+    for rep, run in enumerate(sim.replications(s, profile, cfg)):
+        scaled = run.scaled
+        assert run.sup_errors == tuple(report.processes[name].per_replication[rep] for name in sim.PROCESSES)
         for j, name in enumerate(sim.PROCESSES):
             want = max(float(np.max(np.abs(scaled[j, k] - reference[j, k]))) for k in range(s.n_queues))
             assert report.processes[name].per_replication[rep] == want
@@ -645,8 +647,6 @@ def test_convergence_study_large_run_keeps_every_config_field():
     small, big, _ = sim.convergence_study(s, profile, cfg, n_factor=3)
     direct = sim.convergence_report(s, profile, replace(cfg, n=180, grid=small.grid))
     assert big.to_dict() == direct.to_dict()
-    for got, want in zip(big.scaled, direct.scaled, strict=True):
-        assert np.array_equal(got, want)
 
 
 def test_each_replication_is_released_before_the_next_is_sampled(monkeypatch):
