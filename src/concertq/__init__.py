@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "equilibrium": (
         "EquilibriumProfile", "SolverError", "VerificationReport", "solve_multi",
-        "solve_single", "terminal_time", "verify_equilibrium",
+        "solve_single", "verify_equilibrium",
     ),
     "exact_two": (
         "QueuePairState", "TwoUserDiagnostics", "TwoUserEquilibrium",

@@ -246,12 +246,6 @@ def solve_multi(s: Scenario) -> EquilibriumProfile:
     return _solve(s)
 
 
-def terminal_time(s: Scenario) -> float:
-    """Common terminal time of the equilibrium: the queues that open drain
-    together then; queues that would see no arrivals do not count."""
-    return service_windows(s.queues, [s.total_mass])[1][-1]
-
-
 # -- verification -----------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ regression-pinned in the tests, and never silently clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,12 +137,7 @@ class TwoUserEquilibrium:
 
     def to_dict(self) -> dict:
         return {
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "t_first": self.t_first,
-            "t_last": self.t_last,
+            **asdict(self),
             "gamma": self.gamma,
             "cost": self.cost,
             "pre_opening_density": self.gamma * self.rate_sum,
@@ -165,20 +160,15 @@ class TwoUserDiagnostics:
     ode_dt: float
 
     def to_dict(self) -> dict:
-        return {
-            "normalization_residual": self.normalization_residual,
-            "min_density": self.min_density,
-            "cost_flatness": self.cost_flatness,
-            "routing_sum_residual": self.routing_sum_residual,
-            "ode_dt": self.ode_dt,
-        }
+        return asdict(self)
 
 
 def solve_two_user(mu1: float, mu2: float, alpha: float, beta: float) -> TwoUserEquilibrium:
     """Evaluate the closed-form two-user equilibrium.
 
     No equilibrium property is asserted here; run ``two_user_diagnostics``
-    to quantify the internal consistency of the formulas.
+    to quantify the internal consistency of the formulas.  Inputs whose
+    support is not finite around 0 in floating point raise DomainError.
     """
     for name, v in (("mu1", mu1), ("mu2", mu2), ("alpha", alpha), ("beta", beta)):
         if not (v > 0 and math.isfinite(v)):
@@ -187,6 +177,9 @@ def solve_two_user(mu1: float, mu2: float, alpha: float, beta: float) -> TwoUser
     r = beta / alpha
     t_first = -ratio * math.sqrt((2.0 + r) * r)
     t_last = ratio * (math.sqrt(2.0 * alpha / beta + 1.0) - 1.0)
+    if not -math.inf < t_first < 0.0 < t_last < math.inf:
+        raise DomainError(f"the support [{t_first:g}, {t_last:g}] of these rates and weights is "
+                          "not a finite interval around 0: the closed form underflows or overflows")
     return TwoUserEquilibrium(
         mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, t_first=t_first, t_last=t_last
     )

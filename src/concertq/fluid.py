@@ -5,7 +5,8 @@ Everything here is computed on exact piecewise-linear paths, with no
 discretization: cumulative arrivals F_k, the netflow X_k = F_k - mu_k
 (t - t_start)_+, the reflection pair (queue length, cumulative regulator),
 busy time, virtual waiting time, and per-population arrival cost curves.
-Grids appear only in test oracles.
+A grid enters only where a caller reads the exact paths at its points:
+``FluidTable.on_grid`` (the simulator's reference) and the verifier.
 
 The regulator of a path X is Psi(t) = sup over s <= t of max(-X(s), 0),
 taken from the first breakpoint of X; the reflected path Phi = X + Psi is

@@ -144,27 +144,11 @@ class Scenario:
     def total_mass(self) -> float:
         return sum(p.mass for p in self.populations)
 
-    def without_queues(self, queue_ids) -> "Scenario":
-        """Copy of the scenario with the given queues removed."""
-        drop = set(queue_ids)
-        kept = tuple(q for q in self.queues if q.id not in drop)
-        if not kept:
-            raise DomainError("cannot drop every queue")
-        return replace(self, queues=kept)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     pruned_queues: tuple[int, ...]
     messages: tuple[str, ...]
-
-
-def _sorted_queues(queues: list[QueueSpec]) -> tuple[QueueSpec, ...]:
-    return tuple(sorted(queues, key=lambda q: (q.t_start, q.id)))
-
-
-def _sorted_populations(pops: list[PopulationSpec]) -> tuple[PopulationSpec, ...]:
-    return tuple(sorted(pops, key=lambda p: (p.gamma, p.id)))
 
 
 _TOP_KEYS = {"queues", "populations", "options"}
@@ -174,7 +158,10 @@ _OPTION_KEYS = {"tol", "grid_step", "seed"}
 def _require_number(value, locus: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{locus}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ParseError(f"{locus}: integer too large for a float") from None
     if not math.isfinite(out):
         raise ParseError(f"{locus}: value must be finite, got {value!r}")
     return out
@@ -241,7 +228,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         seed=seed,
     )
 
-    sorted_queues = _sorted_queues(queues)
+    sorted_queues = tuple(sorted(queues, key=lambda q: (q.t_start, q.id)))
     origin = sorted_queues[0].t_start
     if origin != 0.0:
         sorted_queues = tuple(
@@ -249,7 +236,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
     return Scenario(
         queues=sorted_queues,
-        populations=_sorted_populations(populations),
+        populations=tuple(sorted(populations, key=lambda p: (p.gamma, p.id))),
         options=options,
         time_origin=origin,
     )
@@ -268,6 +255,10 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("scenario document is nested too deeply to parse") from None
+    except ValueError:  # int() refuses a literal past its digit limit
+        raise ParseError("scenario document holds an integer literal too long to read") from None
     return scenario_from_dict(doc)
 
 
@@ -344,8 +335,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
 
 
 def pruned_scenario(s: Scenario) -> tuple[Scenario, ValidationReport]:
-    """Validate and return the scenario with pruned queues removed."""
+    """Validate and return the scenario with pruned queues removed: they
+    are the last queues in opening order."""
     report = validate_scenario(s)
     if report.pruned_queues:
-        return s.without_queues(report.pruned_queues), report
+        return replace(s, queues=s.queues[:-len(report.pruned_queues)]), report
     return s, report

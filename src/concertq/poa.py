@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,17 +46,10 @@ class PoaReport:
     def to_dict(self, time_origin: float = 0.0) -> dict:
         """JSON-ready report; the one time in it, the single-population
         ``details["terminal_time"]``, is shifted back by ``time_origin``."""
-        details = dict(self.details)
-        if "terminal_time" in details:
-            details["terminal_time"] += time_origin
-        return {
-            "j_eq": self.j_eq,
-            "j_opt": self.j_opt,
-            "eta": self.eta,
-            "closed_form_eta": self.closed_form_eta,
-            "bound_satisfied": self.bound_satisfied,
-            "details": details,
-        }
+        out = asdict(self)
+        if "terminal_time" in out["details"]:
+            out["details"]["terminal_time"] += time_origin
+        return out
 
     def summary_line(self) -> str:
         cf = "n/a" if self.closed_form_eta is None else f"{self.closed_form_eta:.12g}"
@@ -68,20 +61,17 @@ class PoaReport:
 
 @dataclass(frozen=True)
 class ServeSetResult:
-    """Integer serve-count optimization for the equal-rate, equally-spaced case."""
+    """Integer serve-count optimization for the equal-rate, equally-spaced
+    case.  The fields are in the key order of the JSON report; ``t_l_at_k``
+    holds the epochs in increasing k."""
 
     l: float
     k_star: int
-    t_l_at_k: dict[int, float]
     tie: bool
+    t_l_at_k: dict[int, float]
 
     def to_dict(self) -> dict:
-        return {
-            "l": float(self.l),
-            "k_star": self.k_star,
-            "tie": self.tie,
-            "t_l_at_k": {str(k): v for k, v in sorted(self.t_l_at_k.items())},
-        }
+        return asdict(self)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a total that overflows is refused below
@@ -189,9 +179,9 @@ def poa_closed_form(s: Scenario) -> float:
 
 
 def _eta(j_eq: float, j_opt: float) -> float:
-    if not (math.isfinite(j_eq) and 0.0 < j_opt < math.inf):
-        raise DomainError(f"the price of anarchy needs a finite j_eq and a finite j_opt > 0, "
-                          f"got j_eq={j_eq!r}, j_opt={j_opt!r}")
+    if not (0.0 < j_eq < math.inf and 0.0 < j_opt < math.inf):
+        raise DomainError(f"the price of anarchy needs finite j_eq > 0 and j_opt > 0, got "
+                          f"j_eq={j_eq!r}, j_opt={j_opt!r}: a social cost underflows or overflows")
     return j_eq / j_opt
 
 
@@ -420,4 +410,4 @@ def optimal_serve_count(l: float, mu: float, tau: float, K: int) -> ServeSetResu
         # the formula and the exhaustive search must agree; ties aside this
         # would indicate a numerical problem
         k_star = minimizers[0]
-    return ServeSetResult(l=l, k_star=k_star, t_l_at_k=epochs, tie=len(minimizers) > 1)
+    return ServeSetResult(l=float(l), k_star=k_star, tie=len(minimizers) > 1, t_l_at_k=epochs)

@@ -27,7 +27,7 @@ right-continuous (counts include events at exactly t).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -400,23 +400,19 @@ def scaled_paths(paths: SimPaths, grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessErrors:
-    """Sup-norm distances to the fluid path, per replication."""
+    """Sup-norm distances to the fluid path, in the JSON report's key order."""
 
-    per_replication: tuple[float, ...]
     mean: float
     max: float
+    per_replication: tuple[float, ...]
 
     @classmethod
     def from_list(cls, values) -> "ProcessErrors":
         vals = tuple(float(v) for v in values)
-        return cls(per_replication=vals, mean=float(np.mean(vals)), max=float(np.max(vals)))
+        return cls(mean=float(np.mean(vals)), max=float(np.max(vals)), per_replication=vals)
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "max": self.max,
-            "per_replication": list(self.per_replication),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -470,17 +466,6 @@ def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> n
     return fluid.fluid_table(profile, s.queues, horizon).on_grid(grid)
 
 
-def _checked_grid(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> np.ndarray:
-    """``cfg.grid`` (the default grid when it has none), once the profile is
-    known to route the scenario's total mass (to ``DEFAULT_TOL`` relative) to
-    the scenario's queues: each user carries ``s.total_mass / cfg.n``."""
-    profile.require_queues(s.queues)
-    if not abs(profile.total_mass - s.total_mass) <= DEFAULT_TOL * s.total_mass:
-        raise DomainError(f"profile mass {profile.total_mass!r} is not the scenario's "
-                          f"total mass {s.total_mass!r}")
-    return cfg.grid if cfg.grid is not None else default_grid(profile, s)
-
-
 def _replication(s, profile, cfg, grid, reference, rep) -> Replication:
     """Replication ``rep``; its events and event records are unreachable
     once it returns."""
@@ -494,35 +479,36 @@ def _replication(s, profile, cfg, grid, reference, rep) -> Replication:
     return Replication(scaled, first, tuple(np.abs(gaps, out=gaps).max(axis=(1, 2)).tolist()))
 
 
-def _replications(s, profile, cfg, grid) -> Iterator[Replication]:
-    reference = fluid_reference(s, profile, grid)
-    for rep in range(cfg.replications):
-        yield _replication(s, profile, cfg, grid, reference, rep)
-
-
 def replications(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> Iterator[Replication]:
-    """``cfg.replications`` independent simulations, run one at a time as
-    they are asked for, so a caller that lets go of each before asking for
-    the next holds one scaled table at a time.  The profile is checked at
-    once (``convergence_report``'s refusals); the fluid reference is built
-    when the first replication is asked for."""
-    return _replications(s, profile, cfg, _checked_grid(s, profile, cfg))
+    """``cfg.replications`` independent simulations on ``cfg.grid`` (or the
+    default grid), run one at a time as they are asked for: a caller that
+    lets go of each before asking for the next holds one scaled table at a
+    time.  Each user carries ``s.total_mass / cfg.n``, so the profile must
+    route the scenario's total mass (to ``DEFAULT_TOL`` relative) to its
+    queues.  The profile is checked and the fluid reference built on this
+    call, before any replication runs."""
+    profile.require_queues(s.queues)
+    if not abs(profile.total_mass - s.total_mass) <= DEFAULT_TOL * s.total_mass:
+        raise DomainError(f"profile mass {profile.total_mass!r} is not the scenario's "
+                          f"total mass {s.total_mass!r}")
+    grid = cfg.grid if cfg.grid is not None else default_grid(profile, s)
+    reference = fluid_reference(s, profile, grid)
+    return (_replication(s, profile, cfg, grid, reference, rep) for rep in range(cfg.replications))
 
 
 def convergence_report(
     s: Scenario, profile: ArrivalProfile, cfg: SimConfig, runs: Iterable[Replication] | None = None
 ) -> ConvergenceReport:
-    """Run ``cfg.replications`` independent simulations and compare each
-    scaled process with its fluid counterpart in sup norm on the grid.  Each
-    user carries ``s.total_mass / cfg.n``, so the profile must route the
-    scenario's total mass (to ``DEFAULT_TOL`` relative) to its queues.
+    """Run ``cfg.replications`` independent simulations (``replications``,
+    with its refusals) and compare each scaled process with its fluid
+    counterpart in sup norm on the grid.
 
     ``runs`` stands in for the simulations: ``replications(s, profile,
     cfg)``, passed through by a caller that uses each table (the CLI writes
-    it) before handing it on."""
-    grid = _checked_grid(s, profile, cfg)
+    it) before handing it on.  They are not checked again here."""
+    grid = cfg.grid if cfg.grid is not None else default_grid(profile, s)
     if runs is None:
-        runs = _replications(s, profile, cfg, grid)
+        runs = replications(s, profile, replace(cfg, grid=grid))
     # map lets go of each replication before it asks for the next, so no
     # table outlives its turn
     first_arrivals, errors = zip(*map(attrgetter("first_arrival", "sup_errors"), runs))

@@ -160,6 +160,10 @@ def test_simulate_writes_paths_and_summary(scenarios):
     summary = json.loads((d / "paths.summary.json").read_text())
     assert summary["n"] == 500
     assert summary["replications"] == 2
+    # ProcessErrors' field order is the key order of each process's entry
+    assert list(summary["processes"]) == sorted(sim.PROCESSES)
+    for entry in summary["processes"].values():
+        assert list(entry) == ["mean", "max", "per_replication"]
 
 
 def _recorded_csv_rows(monkeypatch) -> list[int]:
@@ -858,4 +862,52 @@ def test_simulate_refuses_a_grid_above_the_cap_before_solving(scenarios, capsys,
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "--grid-points" in err
+    assert not out.exists()
+
+
+WORKED_PAIR = ('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],'
+               '"populations":[{"alpha":1,"beta":1}]}')
+WORKED_PROFILE = "pop,queue,a,b,density\n1,1,-0.75,0.75,0.5\n1,2,0.25,0.75,0.5\n"
+# a --scenario or --profile value below is the document's text
+REFUSALS = {
+    # the closed form's support rounds to [-0, 0], [-inf, 0] and [-0, inf]
+    "eq-two-rate-overflow": (["eq-two", "--mu1", "1e300", "--mu2", "1", "--alpha", "1",
+                              "--beta", "1"], "not a finite interval"),
+    "eq-two-tiny-alpha": (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1e-300",
+                           "--beta", "1e300"], "not a finite interval"),
+    "eq-two-tiny-beta": (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1e300",
+                          "--beta", "1e-300"], "not a finite interval"),
+    "poa-social-cost-underflow": (["poa", "--scenario", '{"queues":[{"mu":1e-308,"t_start":0}],'
+                                   '"populations":[{"alpha":1e-300,"beta":1,"mass":1e-300}]}'],
+                                  "underflows"),
+    "integer-past-float-range": (["eq-single", "--scenario", WORKED_PAIR.replace(
+        '"mu":1,', '"mu":1' + "0" * 400 + ",", 1)], "queues[0].mu"),
+    "integer-past-digit-limit": (["eq-single", "--scenario", WORKED_PAIR.replace(
+        '"mu":1,', '"mu":1' + "0" * 5000 + ",", 1)], "scenario document"),
+    "nested-100000-deep": (["eq-single", "--scenario", "[" * 100_000 + "]" * 100_000],
+                           "scenario document"),
+    "empty-profile": (["verify", "--scenario", WORKED_PAIR, "--profile",
+                       "pop,queue,a,b,density\n"], "empty profile"),
+    "n-zero": (["simulate", "--scenario", WORKED_PAIR, "--n", "0"], "n >= 1"),
+    "grid-step-zero": (["verify", "--scenario", WORKED_PAIR, "--profile", WORKED_PROFILE,
+                        "--grid-step", "0"], "grid_step"),
+    "tol-nan": (["verify", "--scenario", WORKED_PAIR, "--profile", WORKED_PROFILE,
+                 "--tol", "nan"], "tol"),
+}
+
+
+@pytest.mark.parametrize("argv, names", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_exit_with_one_error_line(tmp_path, capsys, argv, names):
+    argv = list(argv)
+    for flag in ("--scenario", "--profile"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            path = tmp_path / flag.strip("-")
+            path.write_text(argv[i])
+            argv[i] = str(path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) in (1, 2)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert names in err
     assert not out.exists()

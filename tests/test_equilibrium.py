@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import concertq as cq
 from concertq.equilibrium import SolverError
+from concertq.model import service_windows
 from oracles import _service_epochs
 from conftest import (
     make_scenario,
@@ -99,7 +100,7 @@ def test_terminal_time_counts_only_queues_that_open():
     # queue 2 opens at 2, after queue 1 alone serves the unit mass by 1; the
     # terminal time used to count it anyway and read 1.5
     s = make_scenario([(1.0, 0.0), (1.0, 2.0)], [{"alpha": 1, "beta": 1}])
-    assert cq.terminal_time(s) == 1.0
+    assert cq.solve_single(s).terminal_time == 1.0
     rng = np.random.default_rng(19)
     for _ in range(100):
         K = int(rng.integers(1, 7))
@@ -109,7 +110,11 @@ def test_terminal_time_counts_only_queues_that_open():
             [{"alpha": 1, "beta": 1, "mass": float(rng.uniform(0.1, 3.0))}],
         )
         pruned, _ = cq.pruned_scenario(s)
-        assert cq.terminal_time(s) == cq.terminal_time(pruned) == cq.solve_single(pruned).terminal_time
+        T = cq.solve_single(pruned).terminal_time
+        assert cq.solve_single(s).terminal_time == T
+        # the last service epoch, with and without the queues that never open
+        for x in (s, pruned):
+            assert service_windows(x.queues, [x.total_mass])[1][-1] == T
 
 
 def test_terminal_time_exceeds_every_surviving_start():

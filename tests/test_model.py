@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def _assert_matches_the_oracles(s):
     pruned scenario, the fixed point's windows and bit-identical epochs."""
     pruned, _ = back_pruned(s)
     assert cq.validate_scenario(s).pruned_queues == pruned
-    kept = s.without_queues(pruned) if pruned else s
+    kept = replace(s, queues=tuple(q for q in s.queues if q.id not in pruned))
+    assert cq.pruned_scenario(s)[0] == kept
     masses = [p.mass for p in s.populations]
     assign, taus = _assign_serve_sets(kept)
     assert service_windows(kept.queues, masses) == (tuple(assign), taus)
@@ -272,5 +274,5 @@ def test_scenario_accessors():
     assert queues[1].mu == 1.0
     assert sum(q.mu for q in s.queues) == 3.0
     assert 5 not in queues
-    smaller = s.without_queues([2])
-    assert smaller.n_queues == 1
+    assert s.n_queues == 2
+    assert replace(s, queues=s.queues[:1]).n_queues == 1

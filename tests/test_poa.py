@@ -65,7 +65,7 @@ def test_optimal_worked_scenario():
     # independent route: integrate the cost curves under the optimal profile
     assert cq.social_cost(s, profile) == pytest.approx(cost, abs=1e-12)
     # matches the single-population closed form (beta/2)(T^2 sum mu - sum mu t^2)
-    T = cq.terminal_time(s)
+    T = cq.solve_single(s).terminal_time
     closed = 0.5 * (T * T * 2.0 - 1.0 * 0.5**2)
     assert cost == pytest.approx(closed, abs=1e-15)
 
