@@ -2,47 +2,21 @@
 closed-form equilibria, price of anarchy, and a Monte Carlo simulator.
 
 ``import concertq`` loads only ``model`` and ``fluid`` (and numpy), the types
-every command reads.  The modules ``equilibrium``, ``poa``, ``sim`` and
-``exact_two`` and their names are served on first access (PEP 562):
-``concertq.solve_multi`` imports ``concertq.equilibrium`` and returns its
-attribute, so a command pays only for the modules it runs.  Every name is
-looked up in its module on each access, so ``concertq.X is
-concertq.<module>.X`` holds even after a test patches the module.
+every command reads.  One table, ``_NAMES``, lists every public name by its
+module, and they are all served on access (PEP 562): ``concertq.solve_multi``
+imports ``concertq.equilibrium`` and returns its attribute, so a command
+pays only for the modules it runs.  Every name is looked up in its module on
+each access, so ``concertq.X is concertq.<module>.X`` holds even after a
+test patches the module.
 """
 
 import importlib
 
-from .fluid import (
-    ArrivalProfile,
-    PiecewisePath,
-    Segment,
-    cost_curve,
-    fluid_busy,
-    fluid_queue,
-    fluid_regulator,
-    fluid_wait,
-    netflow,
-    reflect,
-)
-from .model import (
-    DomainError,
-    Options,
-    ParseError,
-    PopulationSpec,
-    QueueSpec,
-    Scenario,
-    ValidationReport,
-    gamma_of,
-    parse_scenario,
-    pruned_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    validate_scenario,
-)
+from . import fluid, model
 
 __version__ = "0.1.0"
 
-_LAZY = {
+_NAMES = {
     "equilibrium": (
         "EquilibriumProfile", "SolverError", "VerificationReport", "solve_multi",
         "solve_single", "verify_equilibrium",
@@ -50,6 +24,15 @@ _LAZY = {
     "exact_two": (
         "QueuePairState", "TwoUserDiagnostics", "TwoUserEquilibrium",
         "expected_queue_ode_step", "solve_two_user", "two_user_diagnostics",
+    ),
+    "fluid": (
+        "ArrivalProfile", "PiecewisePath", "Segment", "cost_curve", "fluid_busy", "fluid_queue",
+        "fluid_regulator", "fluid_wait", "netflow", "reflect",
+    ),
+    "model": (
+        "DomainError", "Options", "ParseError", "PopulationSpec", "QueueSpec", "Scenario",
+        "ValidationReport", "gamma_of", "parse_scenario", "pruned_scenario",
+        "scenario_from_dict", "scenario_to_dict",
     ),
     "poa": (
         "PoaReport", "ServeSetResult", "equal_rate_multi_eta", "optimal_profile",
@@ -61,20 +44,13 @@ _LAZY = {
         "convergence_study", "default_grid", "run_des", "sample_arrivals", "scaled_paths",
     ),
 }
-_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
-__all__ = sorted([
-    "ArrivalProfile", "PiecewisePath", "Segment", "cost_curve", "fluid_busy", "fluid_queue",
-    "fluid_regulator", "fluid_wait", "netflow", "reflect",
-    "DomainError", "Options", "ParseError", "PopulationSpec", "QueueSpec", "Scenario",
-    "ValidationReport", "gamma_of", "parse_scenario", "pruned_scenario",
-    "scenario_from_dict", "scenario_to_dict", "validate_scenario",
-    *_MODULE_OF,
-])
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _LAZY:  # ``concertq.sim`` works without ``import concertq.sim``
+    if name in _NAMES:  # ``concertq.sim`` works without ``import concertq.sim``
         return importlib.import_module(f".{name}", __name__)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -82,4 +58,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_LAZY})
+    return sorted({*globals(), *__all__, *_NAMES})

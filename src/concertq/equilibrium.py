@@ -27,6 +27,7 @@ best-response gap off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,15 +159,17 @@ def _solve(s: Scenario) -> EquilibriumProfile:
         )
 
     windows, taus = service_windows(queues, [p.mass for p in pops])
-    for i in range(N):
+    T, pop_costs = arrival_epochs(pops, taus)
+    for i, (pop, cost) in enumerate(zip(pops, pop_costs)):
+        if not all(map(math.isfinite, (taus[i + 1], T[i + 1], cost))):
+            raise SolverError(f"population {pop.id}: epochs {taus[i + 1]!r}, {T[i + 1]!r} and cost "
+                              f"{cost!r} are not all finite; the scenario's scale overflows")
         if not taus[i + 1] > taus[i]:
             raise SolverError(
                 f"service epochs are not increasing (tau_{i}={taus[i]:g}, "
-                f"tau_{i + 1}={taus[i + 1]:g}); population {pops[i].id}'s mass "
+                f"tau_{i + 1}={taus[i + 1]:g}); population {pop.id}'s mass "
                 "is lost to rounding against the epoch"
             )
-
-    T, pop_costs = arrival_epochs(pops, taus)
     costs = {pop.id: c for pop, c in zip(pops, pop_costs)}
 
     serve_sets = tuple(
@@ -308,7 +311,8 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         ts = ts[(ts >= window[0]) & (ts <= window[1])]
         n_points += len(pops) * ts.size
         # the horizon reaches past the window, so ts lies inside wait's span
-        costs = _interp_rows(ts, times, fluid.arrival_costs(columns, times, wait))
+        j = np.searchsorted(times, ts, side="right") - 1  # times[j] <= ts < times[j + 1]
+        costs = fluid.interp_at(ts, times, fluid.arrival_costs(columns, times, wait), j, j == times.size - 1)
         # a population's support: the points of ts inside one of its
         # positive-mass segments at this queue (ts is sorted)
         rows = profile.queue_rows(q.id)
@@ -368,9 +372,3 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         min_off_support_gap_at=gap_at[min(gaps, key=gaps.get)],
     )
 
-
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, row)`` for every row of ``fp`` at once, bit for bit
-    (``fluid.interp_at``); ``x`` must be sorted and inside [xp[0], xp[-1]]."""
-    j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
-    return fluid.interp_at(x, xp, fp, j, j == xp.size - 1)

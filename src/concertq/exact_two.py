@@ -173,7 +173,11 @@ def solve_two_user(mu1: float, mu2: float, alpha: float, beta: float) -> TwoUser
     for name, v in (("mu1", mu1), ("mu2", mu2), ("alpha", alpha), ("beta", beta)):
         if not (v > 0 and math.isfinite(v)):
             raise DomainError(f"{name} must be positive and finite, got {v}")
-    ratio = (mu1 + mu2) / (mu1 * mu1 + mu2 * mu2)
+    square_sum = mu1 * mu1 + mu2 * mu2
+    if square_sum == 0.0:
+        raise DomainError(f"the square sum {mu1:g}^2 + {mu2:g}^2 of these rates rounds to 0: "
+                          "the closed form underflows")
+    ratio = (mu1 + mu2) / square_sum
     r = beta / alpha
     t_first = -ratio * math.sqrt((2.0 + r) * r)
     t_last = ratio * (math.sqrt(2.0 * alpha / beta + 1.0) - 1.0)
@@ -243,7 +247,7 @@ def expected_queue_ode_step(
     return QueuePairState(path[-1], state.rates, state.clamp_events + events)
 
 
-# step of the grid on which min_density and routing_sum_residual are taken
+# step of the min_density and routing_sum_residual grid, or ode_dt if coarser
 _COARSE_STEP = 1e-3
 # largest Euler grid: 2**18 points, a bound on the diagnostics' memory
 # (about 140 MB peak RSS at the cap)
@@ -261,13 +265,14 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
 
     * normalization_residual: |integral of the density - 1| (exact segment
       integrals: the density is constant then affine);
-    * min_density: infimum of the density over the support;
+    * min_density: infimum of the density over the support, on a grid of
+      step max(1e-3, ``ode_dt``), so at most ``MAX_EULER_POINTS`` points;
     * cost_flatness: range of the expected cost along the support, with the
       expected queue lengths obtained by integrating the dynamics under the
       closed-form strategy (forward Euler, step ``ode_dt``, which must be
       positive and finite and put at most ``MAX_EULER_POINTS`` points on
       the support);
-    * routing_sum_residual: sup |p_1 + p_2 - 1| over the support interior.
+    * routing_sum_residual: sup |p_1 + p_2 - 1| over the support interior, on that grid.
     """
     if not (ode_dt > 0 and math.isfinite(ode_dt)):
         raise DomainError(f"ode_dt must be positive and finite, got {ode_dt}")
@@ -282,7 +287,7 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
     post_mass = 0.5 * (f0 + fT) * eq.t_last
     normalization_residual = abs(pre_mass + post_mass - 1.0)
 
-    coarse = _euler_grid(eq.t_first, eq.t_last, _COARSE_STEP)
+    coarse = _euler_grid(eq.t_first, eq.t_last, max(_COARSE_STEP, ode_dt))
     interior = coarse[coarse < eq.t_last]
     min_density = float(np.min(eq.density(coarse)))
 

@@ -289,6 +289,7 @@ class ArrivalProfile:
         ts, values, _ = _cdf_rows(self, [queue])
         return PiecewisePath(ts, values, extend="const")
 
+    @np.errstate(over="ignore")  # a time that overflows is refused as a non-finite value
     def shifted(self, dt: float) -> "ArrivalProfile":
         return ArrivalProfile.__new__(ArrivalProfile)._set_columns(
             self.pop, self.queue, self.start + dt, self.end + dt, self.density
@@ -327,8 +328,17 @@ class ArrivalProfile:
                 density.append(float(d))
             return cls.__new__(cls)._set_columns(*columns)
         except (ValueError, OverflowError, DomainError):
-            for lineno, row in _data_rows(text):
-                _check_csv_row(lineno, row)
+            for lineno, row in _data_rows(text):  # raise on the first faulty row
+                parts = row.split(",")
+                where = f"bad profile row {lineno}: {row!r}"
+                if len(parts) != 5:
+                    raise ParseError(f"{where}: expected 5 cells")
+                _, _, x, y, d = _cells(parts, (int, int, float, float, float), where)
+                # Segment's checks, and a finite mass so that no sum of masses overflows
+                what = ("end < start" if not y >= x else "negative density" if d < 0
+                        else None if math.isfinite(d * (y - x)) else "non-finite mass")
+                if what:
+                    raise DomainError(f"profile row {lineno} has {what}")
             raise
 
 
@@ -339,20 +349,6 @@ def _data_rows(text: str):
         row = raw.strip()
         if row and not row.startswith("#") and not row.lower().startswith("pop,"):
             yield lineno, row
-
-
-def _check_csv_row(lineno: int, row: str) -> None:
-    """ParseError or DomainError naming the CSV row's first fault, if any."""
-    parts = row.split(",")
-    where = f"bad profile row {lineno}: {row!r}"
-    if len(parts) != 5:
-        raise ParseError(f"{where}: expected 5 cells")
-    pop, queue, a, b, density = _cells(parts, (int, int, float, float, float), where)
-    # Segment's checks, and a finite mass so that no sum of masses overflows
-    what = ("end < start" if not b >= a else "negative density" if density < 0
-            else None if math.isfinite(density * (b - a)) else "non-finite mass")
-    if what:
-        raise DomainError(f"profile row {lineno} has {what}")
 
 
 def _transposed(rows) -> list:

@@ -84,6 +84,8 @@ class PopulationSpec:
             raise DomainError(
                 f"population {self.id}: mass must be positive and finite, got {self.mass}"
             )
+        if not math.isfinite(self.weight):
+            raise DomainError(f"population {self.id}: alpha + beta overflows to {self.weight}")
 
     @property
     def gamma(self) -> float:
@@ -315,16 +317,16 @@ def service_windows(queues, masses) -> tuple[tuple[int, ...], list[float]]:
     return tuple(windows), epochs
 
 
-def validate_scenario(s: Scenario) -> ValidationReport:
-    """Pruning report: queues that open at or after the moment the queues
-    opening before them finish all mass would see no arrivals.  They are
-    listed last opening first, one message each.
-
-    Never raises for feasibility issues; it only reports.
-    """
+def pruned_scenario(s: Scenario) -> tuple[Scenario, ValidationReport]:
+    """The scenario without the queues that would see no arrivals, and the
+    report naming them.  A queue is pruned when it opens at or after the
+    moment the queues opening before it finish all mass; those are the last
+    queues in opening order, listed last opening first with one message
+    each.  ``s`` itself comes back when nothing is pruned.  Never raises for
+    feasibility issues; it only reports."""
     windows, epochs = service_windows(s.queues, [s.total_mass])
     late = s.queues[len(windows):][::-1]
-    return ValidationReport(
+    report = ValidationReport(
         pruned_queues=tuple(q.id for q in late),
         messages=tuple(
             f"queue {q.id} pruned: starts at {q.t_start:g} but the remaining "
@@ -332,12 +334,4 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             for q in late
         ),
     )
-
-
-def pruned_scenario(s: Scenario) -> tuple[Scenario, ValidationReport]:
-    """Validate and return the scenario with pruned queues removed: they
-    are the last queues in opening order."""
-    report = validate_scenario(s)
-    if report.pruned_queues:
-        return replace(s, queues=s.queues[:-len(report.pruned_queues)]), report
-    return s, report
+    return (replace(s, queues=s.queues[:len(windows)]) if late else s), report

@@ -120,7 +120,7 @@ def _segment_integrals(table, of_row, weight, beta, a, b) -> np.ndarray:
     def cost_at(x, j):
         # np.interp on each point's two-breakpoint path (t[j], t[j + 1])
         pair = np.stack((j, np.minimum(j + 1, t.size - 1)), axis=1).ravel()
-        fp = np.repeat(weight, 2) * wait[pair] + np.repeat(beta, 2) * t[pair]
+        fp = fluid.arrival_costs((np.repeat(weight, 2), np.repeat(beta, 2)), t[pair], wait[pair])
         return fluid.interp_at(x, t[pair], fp, 2 * np.arange(x.size), np.zeros(x.size, dtype=bool))
 
     at_a = fluid.last_at_or_before(t, table.bounds, a, of_row)
@@ -135,7 +135,7 @@ def _segment_integrals(table, of_row, weight, beta, a, b) -> np.ndarray:
         ts, vs = np.empty((2, sel.size, m + 2))
         ts[:, 0], ts[:, -1], ts[:, 1:-1] = a[sel], b[sel], t[at]
         vs[:, 0], vs[:, -1] = ends[0][sel], ends[1][sel]
-        vs[:, 1:-1] = weight[sel, None] * wait[at] + beta[sel, None] * t[at]
+        vs[:, 1:-1] = fluid.arrival_costs((weight[sel, None], beta[sel, None]), t[at], wait[at])
         out[sel] = np.sum(0.5 * (vs[:, 1:] + vs[:, :-1]) * np.diff(ts, axis=1), axis=1)
     return out
 
@@ -164,24 +164,29 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
     return ArrivalProfile.from_rows(rows), cost
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sums that overflow are refused below
 def poa_closed_form(s: Scenario) -> float:
     """Single-population price of anarchy in closed form.
 
     eta = 2 (1 + sum mu_k t_k) / (1 + sum_{k,l} mu_k mu_l t_l (t_k - t_l)
           + 2 sum mu_k t_k), with start times t_k measured from the first
-    opening and unit total mass.
+    opening and unit total mass.  Raises DomainError if a sum or eta is
+    not finite.
     """
     mus = np.array([q.mu for q in s.queues])
     ts = np.array([q.t_start for q in s.queues])
     mt = float(np.sum(mus * ts))
     cross = float(np.sum(np.outer(mus, mus) * ts[None, :] * (ts[:, None] - ts[None, :])))
-    return 2.0 * (1.0 + mt) / (1.0 + cross + 2.0 * mt)
+    eta = 2.0 * (1.0 + mt) / (1.0 + cross + 2.0 * mt)
+    if not all(map(math.isfinite, (mt, cross, eta))):
+        raise DomainError(f"the closed-form price of anarchy is {eta!r}: the scenario's scale overflows")
+    return eta
 
 
 def _eta(j_eq: float, j_opt: float) -> float:
-    if not (0.0 < j_eq < math.inf and 0.0 < j_opt < math.inf):
-        raise DomainError(f"the price of anarchy needs finite j_eq > 0 and j_opt > 0, got "
-                          f"j_eq={j_eq!r}, j_opt={j_opt!r}: a social cost underflows or overflows")
+    if not (0.0 < j_eq < math.inf and 0.0 < j_opt < math.inf and 0.0 < j_eq / j_opt < math.inf):
+        raise DomainError(f"the price of anarchy needs finite positive j_eq, j_opt and j_eq / j_opt, got "
+                          f"j_eq={j_eq!r}, j_opt={j_opt!r}: a cost or the ratio underflows or overflows")
     return j_eq / j_opt
 
 
@@ -282,11 +287,17 @@ def equal_rate_multi_eta(s: Scenario, mu: float, tau: float) -> float:
 
     betas_desc = sorted((p.beta for p in pops), reverse=True)
     cube = lambda l: l * math.sqrt(l)
-    j_opt = sum(
-        b * (mu / (3.0 * tau) * (2.0 * tau / mu) ** 1.5 * (cube(l) - cube(l - 1)) - 0.5 * tau)
-        for l, b in enumerate(betas_desc, start=1)
-    )
-    return j_eq / j_opt
+    try:
+        eta = j_eq / sum(
+            b * (mu / (3.0 * tau) * (2.0 * tau / mu) ** 1.5 * (cube(l) - cube(l - 1)) - 0.5 * tau)
+            for l, b in enumerate(betas_desc, start=1)
+        )
+    except (OverflowError, ZeroDivisionError):  # ** overflows, or the optimal cost underflows
+        eta = math.nan
+    if not math.isfinite(eta):
+        raise DomainError(f"the equal-rate closed-form price of anarchy is {eta!r}: the scenario's "
+                          "scale overflows")
+    return eta
 
 
 def _equal_rate_spacing(s: Scenario) -> tuple[float, float] | None:

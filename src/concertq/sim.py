@@ -72,11 +72,18 @@ class SimConfig:
                 f"service_dist must be one of {_SERVICE_DISTS}, got {self.service_dist!r}"
             )
         if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-                raise DomainError("grid must be a strictly ascending 1-d array")
+            g = _checked_grid(self.grid, min_points=2)
             g.flags.writeable = False
             object.__setattr__(self, "grid", g)
+
+
+def _checked_grid(grid, min_points: int) -> np.ndarray:
+    """``grid`` as floats, refused unless it is a finite, strictly ascending
+    1-d array of at least ``min_points`` points."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size < min_points or not (np.isfinite(g).all() and (np.diff(g) > 0).all()):
+        raise DomainError("grid must be a finite, strictly ascending 1-d array")
+    return g
 
 
 def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.ndarray:
@@ -382,9 +389,7 @@ def scaled_paths(paths: SimPaths, grid: np.ndarray) -> np.ndarray:
     mass; busy time and virtual wait are already order one.  The virtual
     wait is the presented workload minus busy time, plus the pre-opening gap.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
-        raise DomainError("grid must be a strictly ascending 1-d array")
+    grid = _checked_grid(grid, min_points=1)
     m = paths.mass_scale
     table = np.empty((len(PROCESSES), len(paths.records), grid.size))
     for k, rec in enumerate(paths.records.values()):
@@ -405,11 +410,6 @@ class ProcessErrors:
     mean: float
     max: float
     per_replication: tuple[float, ...]
-
-    @classmethod
-    def from_list(cls, values) -> "ProcessErrors":
-        vals = tuple(float(v) for v in values)
-        return cls(mean=float(np.mean(vals)), max=float(np.max(vals)), per_replication=vals)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -515,7 +515,8 @@ def convergence_report(
     return ConvergenceReport(
         n=cfg.n,
         replications=cfg.replications,
-        processes=dict(zip(PROCESSES, map(ProcessErrors.from_list, zip(*errors)))),
+        processes={name: ProcessErrors(float(np.mean(v)), float(np.max(v)), v)
+                   for name, v in zip(PROCESSES, zip(*errors))},
         first_arrivals=first_arrivals,
         support_infimum=float(profile.support_bounds()[0]),
         grid=grid,

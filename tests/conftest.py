@@ -50,7 +50,7 @@ def random_feasible_single(rng: np.random.Generator):
             [(float(m), float(t)) for m, t in zip(mus, starts)],
             [{"alpha": float(rng.uniform(0.1, 4.0)), "beta": float(rng.uniform(0.1, 4.0))}],
         )
-        if not cq.validate_scenario(s).pruned_queues:
+        if not cq.pruned_scenario(s)[1].pruned_queues:
             return s
 
 
@@ -73,6 +73,6 @@ def random_feasible_multi(rng: np.random.Generator, max_populations: int = 4):
             alpha = float(g / (1 - g) * beta)
             pops.append({"alpha": alpha, "beta": beta})
         s = make_scenario([(float(m), float(t)) for m, t in zip(mus, starts)], pops)
-        if cq.validate_scenario(s).pruned_queues:
+        if cq.pruned_scenario(s)[1].pruned_queues:
             continue
         return s

@@ -377,7 +377,7 @@ def no_idling_terminal_time(mass, queues):
 
 
 def back_pruned(s):
-    """``validate_scenario``'s pruning as a loop from the back: the last
+    """``pruned_scenario``'s pruning as a loop from the back: the last
     opening queue is dropped while the queues before it finish all mass by
     its opening.  Returns the pruned ids and messages, last opening first."""
     messages = []

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concertq as cq
 from concertq import sim
@@ -705,6 +710,15 @@ def test_out_of_domain_number_exits_1_from_a_fresh_interpreter(tmp_path):
     assert not out.exists()
 
 
+def test_eq_two_with_a_step_far_above_the_coarse_grid_runs(tmp_path):
+    # a support of about 2.5e150 at step 1e146: the density and routing
+    # grid takes the Euler step instead of 1e-3
+    out = tmp_path / "two.json"
+    assert main(["eq-two", "--mu1", "1e-150", "--mu2", "1e-150", "--alpha", "1", "--beta", "1",
+                 "--ode-dt", "1e146", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["diagnostics"]["ode_dt"] == 1e146
+
+
 def test_eq_two_trace_last_row_uses_the_rate_share(tmp_path):
     # the density rounds to 3.9e-16 at t_last for these rates; routing there
     # must fall back to the rate share, not divide by the rounding residue
@@ -868,6 +882,16 @@ def test_simulate_refuses_a_grid_above_the_cap_before_solving(scenarios, capsys,
 WORKED_PAIR = ('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],'
                '"populations":[{"alpha":1,"beta":1}]}')
 WORKED_PROFILE = "pop,queue,a,b,density\n1,1,-0.75,0.75,0.5\n1,2,0.25,0.75,0.5\n"
+COST_OVERFLOW = '{"queues":[{"mu":1e-300,"t_start":0}],"populations":[{"alpha":1e300,"beta":1e300}]}'
+TINY_BETAS = [{"alpha": 1e-300, "beta": 1e-300}, {"alpha": 1, "beta": 1e-300}]
+
+
+def _equal_rate_pair(mu, tau, populations):
+    """Two queues of rate ``mu`` opening ``tau`` apart, as scenario text."""
+    return json.dumps({"queues": [{"mu": mu, "t_start": 0}, {"mu": mu, "t_start": tau}],
+                       "populations": populations})
+
+
 # a --scenario or --profile value below is the document's text
 REFUSALS = {
     # the closed form's support rounds to [-0, 0], [-inf, 0] and [-0, inf]
@@ -877,6 +901,36 @@ REFUSALS = {
                            "--beta", "1e300"], "not a finite interval"),
     "eq-two-tiny-beta": (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1e300",
                           "--beta", "1e-300"], "not a finite interval"),
+    # mu1^2 + mu2^2 rounds to 0
+    "eq-two-rate-square-underflow": (["eq-two", "--mu1", "1e-200", "--mu2", "1e-200", "--alpha",
+                                      "0.5", "--beta", "0.5"], "rounds to 0"),
+    # the equilibrium cost is inf - inf
+    **{"-".join(a.strip("-") for a in argv) + "-cost-overflow":
+       ([argv[0], "--scenario", COST_OVERFLOW, *argv[1:]], "population 1:")
+       for argv in (["eq-single"], ["eq-single", "--format", "csv"], ["eq-multi"], ["fluid"],
+                    ["simulate", "--n", "10"])},
+    # alpha + beta overflows, so gamma would read 0
+    "weight-overflow": (["eq-single", "--scenario", COST_OVERFLOW.replace("1e300", "1e308")],
+                        "population 1: alpha + beta"),
+    # a unit population on two queues of rate 1e155: mu_k mu_l overflows
+    "poa-closed-form-overflow": (["poa", "--scenario", '{"queues":[{"mu":1e155,"t_start":1},'
+                                  '{"mu":1,"t_start":1}],"populations":[{"alpha":1,"beta":1}]}'],
+                                 "closed-form price of anarchy"),
+    # finite social costs whose ratio overflows
+    "poa-ratio-overflow": (["poa", "--scenario", '{"queues":[{"mu":0.1,"t_start":1},{"mu":0.1,'
+                            '"t_start":0.1}],"populations":[{"alpha":1e17,"beta":1e-308}]}'],
+                           "the ratio underflows or overflows"),
+    # the equal-rate closed form: an optimal cost of 0, a NaN, and ** past the float range
+    "poa-equal-rate-zero-optimum": (["poa", "--scenario", _equal_rate_pair(1e-10, 1e-300, TINY_BETAS)],
+                                    "equal-rate closed-form price of anarchy"),
+    "poa-equal-rate-nan": (["poa", "--scenario", _equal_rate_pair(1e10, 1e-300, TINY_BETAS)],
+                           "equal-rate closed-form price of anarchy"),
+    "poa-equal-rate-power-overflow": (["poa", "--scenario", _equal_rate_pair(1e-150, 1e150, [
+        {"alpha": 1, "beta": 1}, {"alpha": 1, "beta": 2}])], "equal-rate closed-form price of anarchy"),
+    # the profile's times overflow when shifted back by the time origin 1e308
+    "eq-single-shift-overflow": (["eq-single", "--scenario", '{"queues":[{"mu":1,"t_start":1e308}],'
+                                  '"populations":[{"alpha":1,"beta":0.1,"mass":1e308}]}'],
+                                 "non-finite value"),
     "poa-social-cost-underflow": (["poa", "--scenario", '{"queues":[{"mu":1e-308,"t_start":0}],'
                                    '"populations":[{"alpha":1e-300,"beta":1,"mass":1e-300}]}'],
                                   "underflows"),
@@ -911,3 +965,31 @@ def test_refusals_exit_with_one_error_line(tmp_path, capsys, argv, names):
     assert_one_error_line(err)
     assert names in err
     assert not out.exists()
+
+
+POWERS_OF_TEN = st.integers(-308, 308).map(lambda e: float(f"1e{e}"))
+
+
+@given(
+    st.lists(st.fixed_dictionaries({"mu": POWERS_OF_TEN, "t_start": POWERS_OF_TEN}),
+             min_size=1, max_size=3),
+    st.lists(st.fixed_dictionaries({"alpha": POWERS_OF_TEN, "beta": POWERS_OF_TEN,
+                                    "mass": POWERS_OF_TEN}), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_scenarios_at_any_scale_exit_without_a_traceback(queues, populations):
+    # every number a power of ten in the float range: each command solves,
+    # or refuses with one error line after any notes of pruned queues
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "s.json"
+        scenario.write_text(json.dumps({"queues": queues, "populations": populations}))
+        for command in ("eq-multi", "poa"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--scenario", str(scenario), "--out", str(Path(tmp) / command)])
+            assert code in (0, 1, 2)
+            lines = [line for line in err.getvalue().splitlines() if not line.startswith("note: ")]
+            if code:
+                assert_one_error_line("\n".join(lines))
+            else:
+                assert not lines

@@ -523,7 +523,7 @@ def relabelled_documents(draw):
         "populations": [{"alpha": g / (1 - g) * b, "beta": b} for g, b in zip(gammas, betas)],
     }
     s = cq.scenario_from_dict(doc)
-    assume(len({p.gamma for p in s.populations}) == n and not cq.validate_scenario(s).pruned_queues)
+    assume(len({p.gamma for p in s.populations}) == n and not cq.pruned_scenario(s)[1].pruned_queues)
     return doc, draw(st.permutations(range(k))), draw(st.permutations(range(n)))
 
 

@@ -264,6 +264,23 @@ def test_diagnostics_reject_bad_ode_dt(ode_dt):
         cq.two_user_diagnostics(symmetric_case(), ode_dt=ode_dt)
 
 
+@pytest.mark.parametrize("ode_dt", [5e-4, 1e-3, 0.1])
+def test_diagnostics_grids_are_no_finer_than_the_euler_step(monkeypatch, ode_dt):
+    # the density and routing grid steps 1e-3, or ode_dt when that is
+    # coarser, so no grid of the diagnostics outgrows the Euler grid
+    from concertq import exact_two
+
+    steps = []
+
+    def recorded(t_first, t_last, dt):
+        steps.append(dt)
+        return _euler_grid(t_first, t_last, dt)
+
+    monkeypatch.setattr(exact_two, "_euler_grid", recorded)
+    cq.two_user_diagnostics(symmetric_case(), ode_dt=ode_dt)
+    assert steps == [max(1e-3, ode_dt), ode_dt]
+
+
 def test_diagnostics_euler_convergence():
     eq = symmetric_case()
     coarse = cq.two_user_diagnostics(eq, ode_dt=1e-3).cost_flatness

@@ -159,14 +159,14 @@ def test_gamma_of():
 
 def test_validate_no_pruning_single_queue():
     s = make_scenario([(1.0, 0.0)], [{"alpha": 1, "beta": 1}])
-    report = cq.validate_scenario(s)
+    report = cq.pruned_scenario(s)[1]
     assert report.pruned_queues == () and report.messages == ()
 
 
 def test_validate_prunes_late_queue():
     # remaining queue alone finishes at (1+0)/1 = 1 < 2, so queue 2 is useless
     s = make_scenario([(1.0, 0.0), (1.0, 2.0)], [{"alpha": 1, "beta": 1}])
-    report = cq.validate_scenario(s)
+    report = cq.pruned_scenario(s)[1]
     assert report.pruned_queues == (2,)
     assert report.messages
 
@@ -174,7 +174,7 @@ def test_validate_prunes_late_queue():
 def test_validate_keeps_reachable_queue():
     # terminal time 0.75 > 0.5
     s = make_scenario([(1.0, 0.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1}])
-    assert cq.validate_scenario(s).pruned_queues == ()
+    assert cq.pruned_scenario(s)[1].pruned_queues == ()
 
 
 def test_validate_is_idempotent():
@@ -183,7 +183,7 @@ def test_validate_is_idempotent():
     )
     pruned, report = cq.pruned_scenario(s)
     assert report.pruned_queues
-    assert cq.validate_scenario(pruned).pruned_queues == ()
+    assert cq.pruned_scenario(pruned)[1].pruned_queues == ()
 
 
 def test_validate_accepts_gamma_ties():
@@ -191,7 +191,7 @@ def test_validate_accepts_gamma_ties():
     s = make_scenario(
         [(1.0, 0.0)], [{"alpha": 1, "beta": 1}, {"alpha": 2, "beta": 2}]
     )
-    report = cq.validate_scenario(s)
+    report = cq.pruned_scenario(s)[1]
     assert report.pruned_queues == () and report.messages == ()
 
 
@@ -199,7 +199,7 @@ def test_validate_reports_every_pruned_queue_last_opening_first():
     s = make_scenario(
         [(1.0, 0.0), (1.0, 3.0), (1.0, 2.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1}]
     )
-    report = cq.validate_scenario(s)
+    report = cq.pruned_scenario(s)[1]
     assert report.pruned_queues == (2, 3)
     assert [m.split(" pruned")[0] for m in report.messages] == ["queue 2", "queue 3"]
     assert all("finish all mass at 0.75" in m for m in report.messages)
@@ -212,7 +212,7 @@ def _assert_matches_the_oracles(s):
     """One pass over the openings gives the pruning loop's queues and, on the
     pruned scenario, the fixed point's windows and bit-identical epochs."""
     pruned, _ = back_pruned(s)
-    assert cq.validate_scenario(s).pruned_queues == pruned
+    assert cq.pruned_scenario(s)[1].pruned_queues == pruned
     kept = replace(s, queues=tuple(q for q in s.queues if q.id not in pruned))
     assert cq.pruned_scenario(s)[0] == kept
     masses = [p.mass for p in s.populations]
@@ -258,12 +258,12 @@ def test_service_windows_pin_exact_ties():
     assert service_windows(queues, [0.5]) == ((0,), [0.0, 0.5])
     assert service_windows(queues, [0.5, 0.5]) == ((0, 1), [0.0, 0.5, 0.75])
     alone = make_scenario([(1.0, 0.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1, "mass": 0.5}])
-    assert cq.validate_scenario(alone).pruned_queues == (2,)
+    assert cq.pruned_scenario(alone)[1].pruned_queues == (2,)
     pair = make_scenario(
         [(1.0, 0.0), (1.0, 0.5)],
         [{"alpha": 1, "beta": 3, "mass": 0.5}, {"alpha": 1, "beta": 1, "mass": 0.5}],
     )
-    assert cq.validate_scenario(pair).pruned_queues == ()
+    assert cq.pruned_scenario(pair)[1].pruned_queues == ()
     assert cq.solve_multi(pair).serve_sets == ((1,), (2,))
 
 

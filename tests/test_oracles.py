@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concertq as cq
-from concertq import equilibrium, fluid, poa
+from concertq import fluid, poa
 from conftest import make_scenario, two_queue_worked_scenario, wide_scenario
 from oracles import (
     netflow_of_path, queue_fluid_per_queue, reflect_by_loop, social_cost_pairwise, verify_pairwise,
@@ -128,12 +128,13 @@ def test_batched_forms_match_the_oracle_on_generated_profiles(case):
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_interp_rows_is_np_interp_bit_for_bit(first, gaps, fractions, n_rows, seed):
+def test_interp_at_is_np_interp_bit_for_bit(first, gaps, fractions, n_rows, seed):
     xp = first + np.concatenate(([0.0], np.cumsum(gaps)))
     fp = np.random.default_rng(seed).standard_normal((n_rows, xp.size)) * 10.0 ** (seed % 7 - 3)
     # breakpoints themselves, both ends included, plus points in between
     x = np.sort(np.concatenate((xp, xp[0] + np.asarray(fractions) * (xp[-1] - xp[0]))))
-    got = equilibrium._interp_rows(x, xp, fp)
+    j = np.searchsorted(xp, x, side="right") - 1  # xp[j] <= x < xp[j + 1]
+    got = fluid.interp_at(x, xp, fp, j, j == xp.size - 1)
     for row, values in zip(fp, got):
         assert np.interp(x, xp, row).tobytes() == values.tobytes()
 

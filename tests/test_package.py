@@ -1,6 +1,6 @@
 """The package namespace: ``import concertq`` loads ``model`` and ``fluid``,
-serves the other modules' names on first access, and each CLI command loads
-only the modules it runs."""
+serves every public name from its module on access (the other modules on
+first access), and each CLI command loads only the modules it runs."""
 
 import os
 import subprocess
@@ -95,10 +95,9 @@ def test_every_public_name_is_its_modules_object():
 def test_a_patched_submodule_reaches_the_package_name(monkeypatch):
     for name in cq.__all__:
         module = sys.modules[getattr(cq, name).__module__]
-        if module.__name__.removeprefix("concertq.") in LAZY:
-            sentinel = object()
-            monkeypatch.setattr(module, name, sentinel)
-            assert getattr(cq, name) is sentinel, name
+        sentinel = object()
+        monkeypatch.setattr(module, name, sentinel)
+        assert getattr(cq, name) is sentinel, name
 
 
 def test_dir_and_star_import_cover_all():

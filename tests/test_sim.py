@@ -578,6 +578,9 @@ def test_scaled_paths_validates_inputs():
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     with pytest.raises(cq.DomainError):
         sim.scaled_paths(paths, np.array([1.0, 0.0]))
+    for grid in ([-np.inf, 0.0], [0.0, np.inf], [np.nan]):
+        with pytest.raises(cq.DomainError, match="grid must be a finite"):
+            sim.scaled_paths(paths, np.array(grid))
 
 
 def test_mass_scaling_with_heavy_population():
@@ -722,3 +725,6 @@ def test_config_validation():
         sim.SimConfig(n=1, service_dist="uniform")
     with pytest.raises(cq.DomainError):
         sim.SimConfig(n=1, grid=np.array([1.0, 0.5]))
+    for grid in ([-np.inf, 0.0], [0.0, np.inf], [0.0, np.nan]):
+        with pytest.raises(cq.DomainError, match="grid must be a finite"):
+            sim.SimConfig(n=10, grid=np.array(grid))
