@@ -447,7 +447,8 @@ def fluid_table(
     step runs on all queues at once, value for value the per-queue step of
     ``queue_cdf``, ``netflow`` (on F_k's breakpoints, the opening and the
     horizon's ends), ``reflect``, ``fluid_busy`` and ``fluid_wait``.
-    DomainError for the first queue, in order, whose netflow overflows.
+    DomainError for the first queue, in order, whose netflow, or else whose
+    queue length, regulator, busy time or wait, is not finite.
     """
     queues = tuple(queues)
     if horizon is None:
@@ -464,8 +465,16 @@ def fluid_table(
     # F_k is nondecreasing (each row adds a nondecreasing term); arrivals
     # that overflow make the netflow infinite
     net_values = _netflow_rows(ts, arrivals, net_bounds, queues)
-    times, psi, phi, bounds = _reflect_rows(ts, net_values, net_bounds)
-    t_start, mu = _queue_columns(queues, bounds)
+    # a reflection crossing or psi / mu that overflows is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, psi, phi, bounds = _reflect_rows(ts, net_values, net_bounds)
+        t_start, mu = _queue_columns(queues, bounds)
+        busy = np.maximum(times - t_start, 0.0) - psi / mu
+        wait = phi / mu + np.maximum(t_start - times, 0.0)
+    finite = np.isfinite(phi) & np.isfinite(psi) & np.isfinite(busy) & np.isfinite(wait)
+    overflowed = _groups(bounds)[~finite]
+    if overflowed.size:
+        raise _overflow(queues[overflowed[0]], "queue length, regulator, busy time or wait")
     return FluidTable(
         queues=queues,
         cdf_times=cdf_times,
@@ -479,8 +488,8 @@ def fluid_table(
         times=times,
         queue_length=phi,
         regulator=psi,
-        busy=np.maximum(times - t_start, 0.0) - psi / mu,
-        wait=phi / mu + np.maximum(t_start - times, 0.0),
+        busy=busy,
+        wait=wait,
         bounds=bounds,
     )
 
@@ -546,8 +555,8 @@ def _netflow_rows(ts, arrivals, bounds, queues) -> np.ndarray:
     return values
 
 
-def _overflow(q: QueueSpec) -> DomainError:
-    return DomainError(f"queue {q.id}: the netflow at rate {q.mu!r} is not finite "
+def _overflow(q: QueueSpec, path: str = "netflow") -> DomainError:
+    return DomainError(f"queue {q.id}: the {path} at rate {q.mu!r} is not finite "
                        "on the horizon; the scenario's scale overflows")
 
 

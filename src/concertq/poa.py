@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fluid
-from .equilibrium import SolverError, arrival_epochs, solve_multi, solve_single
+from .equilibrium import SolverError, arrival_epochs, solve_multi
 from .fluid import ArrivalProfile
 from .model import (
     DEFAULT_TOL, DomainError, Options, PopulationSpec, QueueSpec, Scenario, pruned_scenario,
@@ -86,7 +86,7 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     """
     if not len(profile):
         return 0.0
-    table = fluid.fluid_table(profile, s.queues, fluid.default_horizon(profile, s.queues))
+    table = fluid.fluid_table(profile, s.queues)
     pop_row = profile.population_positions(s.populations)
     # the rows queue by queue, in profile order at each queue
     per_queue = [profile.queue_rows(q.id) for q in s.queues]
@@ -183,46 +183,12 @@ def poa_closed_form(s: Scenario) -> float:
     return eta
 
 
-def _eta(j_eq: float, j_opt: float) -> float:
-    if not (0.0 < j_eq < math.inf and 0.0 < j_opt < math.inf and 0.0 < j_eq / j_opt < math.inf):
-        raise DomainError(f"the price of anarchy needs finite positive j_eq, j_opt and j_eq / j_opt, got "
-                          f"j_eq={j_eq!r}, j_opt={j_opt!r}: a cost or the ratio underflows or overflows")
-    return j_eq / j_opt
-
-
 def poa_single(s: Scenario) -> PoaReport:
-    """Price of anarchy for a single population.
-
-    ``eta`` comes from the integral social costs of the solved equilibrium
-    and the optimal profile; ``closed_form_eta`` from the closed form (unit
-    mass only) over the queues that open.  The bound eta <= 2 is checked.
-    """
+    """Price of anarchy for a single population: ``poa_multi`` after the N
+    check.  Here eta lies in (1, 2]."""
     if s.n_populations != 1:
         raise SolverError(f"single-population report got N={s.n_populations}")
-    s, _ = pruned_scenario(s)  # the closed form reads every queue of s
-    pop = s.populations[0]
-
-    eq = solve_single(s)
-    j_eq = social_cost(s, eq.profile)
-    opt_profile, j_opt = optimal_profile(s)
-    eta = _eta(j_eq, j_opt)
-
-    closed = poa_closed_form(s) if abs(pop.mass - 1.0) <= 1e-12 else None
-    bound_ok = eta <= 2.0 + s.options.tol
-    details = {
-        "terminal_time": eq.terminal_time,
-        "equilibrium_cost": eq.equilibrium_costs[pop.id],
-        "j_eq_closed_form": pop.beta * eq.terminal_time * pop.mass,
-        "j_opt_integral_check": social_cost(s, opt_profile),
-    }
-    return PoaReport(
-        j_eq=j_eq,
-        j_opt=j_opt,
-        eta=eta,
-        closed_form_eta=closed,
-        bound_satisfied=bound_ok,
-        details=details,
-    )
+    return poa_multi(s)
 
 
 def poa_equal_rate_case(K: int, mu: float, tau: float) -> float:
@@ -316,45 +282,59 @@ def _equal_rate_spacing(s: Scenario) -> tuple[float, float] | None:
 
 
 def poa_multi(s: Scenario) -> PoaReport:
-    """Price of anarchy for multiple populations.
+    """Price of anarchy for one or more populations.
 
-    ``j_eq`` sums each population's constant equilibrium cost times its mass
-    (cross-checked against the social-cost integral), ``j_opt`` comes from the
-    optimal profile.  On equal-rate, equally-spaced scenarios with unit
-    masses the relaxed closed form is evaluated alongside as
-    ``closed_form_eta``; it is an approximation by construction.
+    ``j_opt`` comes from the optimal profile.  With one population ``j_eq``
+    is the social-cost integral of the solved equilibrium and
+    ``closed_form_eta`` the closed form (unit mass only) over the queues
+    that open.  With several, ``j_eq`` sums each population's constant
+    equilibrium cost times its mass (the integral is kept as a check), and
+    on equal-rate, equally-spaced scenarios with unit masses the relaxed
+    closed form is evaluated alongside as ``closed_form_eta``; it is an
+    approximation by construction.  The bound eta <= 2 is reported, not
+    asserted: it holds for one population only.
     """
-    if s.n_populations == 1:
-        return poa_single(s)
-    s, _ = pruned_scenario(s)  # the equal-rate spacing reads every queue of s
+    s, _ = pruned_scenario(s)  # the closed forms read every queue of s
+    pops = s.populations
+    single = len(pops) == 1
 
     eq = solve_multi(s)
-    j_eq = sum(eq.equilibrium_costs[p.id] * p.mass for p in s.populations)
     j_eq_integral = social_cost(s, eq.profile)
+    j_eq = j_eq_integral if single else sum(eq.equilibrium_costs[p.id] * p.mass for p in pops)
     opt_profile, j_opt = optimal_profile(s)
-    eta = _eta(j_eq, j_opt)
+    if not (0.0 < j_eq < math.inf and 0.0 < j_opt < math.inf and 0.0 < j_eq / j_opt < math.inf):
+        raise DomainError(f"the price of anarchy needs finite positive j_eq, j_opt and j_eq / j_opt, got "
+                          f"j_eq={j_eq!r}, j_opt={j_opt!r}: a cost or the ratio underflows or overflows")
+    eta = j_eq / j_opt
 
-    masses_equal = len({p.mass for p in s.populations}) == 1
-    unit_masses = masses_equal and abs(s.populations[0].mass - 1.0) <= 1e-12
     closed = None
-    notes = []
-    if not masses_equal:
-        notes.append(
-            "closed forms skipped: populations have unequal masses, so the "
-            "decreasing-beta reordering does not preserve the service windows"
-        )
+    unit_mass = abs(pops[0].mass - 1.0) <= 1e-12
+    if single:
+        pop = pops[0]
+        if unit_mass:
+            closed = poa_closed_form(s)
+        details = {
+            "terminal_time": eq.terminal_time,
+            "equilibrium_cost": eq.equilibrium_costs[pop.id],
+            "j_eq_closed_form": pop.beta * eq.terminal_time * pop.mass,
+        }
     else:
-        spacing = _equal_rate_spacing(s)
-        if spacing is not None and unit_masses:
-            mu, tau = spacing
-            closed = equal_rate_multi_eta(s, mu, tau)
-
-    details = {
-        "equilibrium_costs": {str(p.id): eq.equilibrium_costs[p.id] for p in s.populations},
-        "j_eq_integral_check": j_eq_integral,
-        "j_opt_integral_check": social_cost(s, opt_profile),
-        "notes": notes,
-    }
+        notes, spacing = [], _equal_rate_spacing(s)
+        if len({p.mass for p in pops}) > 1:
+            notes.append(
+                "closed forms skipped: populations have unequal masses, so the "
+                "decreasing-beta reordering does not preserve the service windows"
+            )
+        elif unit_mass and spacing is not None:
+            closed = equal_rate_multi_eta(s, *spacing)
+        # the optimal integral is filled in last, after the closed form; its key keeps its place
+        details = {
+            "equilibrium_costs": {str(p.id): eq.equilibrium_costs[p.id] for p in pops},
+            "j_eq_integral_check": j_eq_integral,
+            "j_opt_integral_check": None,
+            "notes": notes,
+        }
+    details["j_opt_integral_check"] = social_cost(s, opt_profile)
     return PoaReport(
         j_eq=j_eq,
         j_opt=j_opt,

@@ -260,18 +260,12 @@ def sample_arrivals(
 def _time_covered(starts: np.ndarray, ends: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Length of the union of the sorted disjoint intervals [starts, ends]
     lying left of each grid point."""
-    if starts.size == 0:
-        return np.zeros_like(grid)
     lengths = ends - starts
     cum = np.concatenate(([0.0], np.cumsum(lengths)))
     idx = np.searchsorted(ends, grid, side="right")
-    out = cum[idx]
-    active = idx < starts.size
-    partial = np.where(
-        active, np.clip(grid - starts[np.minimum(idx, starts.size - 1)], 0.0, None), 0.0
-    )
-    partial = np.where(active, np.minimum(partial, lengths[np.minimum(idx, starts.size - 1)]), 0.0)
-    return out + partial
+    # one empty interval at +inf: every grid point has an interval at or after it
+    starts, lengths = np.append(starts, np.inf), np.append(lengths, 0.0)
+    return cum[idx] + np.clip(grid - starts[idx], 0.0, lengths[idx])
 
 
 @dataclass(frozen=True)

@@ -884,6 +884,10 @@ WORKED_PAIR = ('{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],'
 WORKED_PROFILE = "pop,queue,a,b,density\n1,1,-0.75,0.75,0.5\n1,2,0.25,0.75,0.5\n"
 COST_OVERFLOW = '{"queues":[{"mu":1e-300,"t_start":0}],"populations":[{"alpha":1e300,"beta":1e300}]}'
 TINY_BETAS = [{"alpha": 1e-300, "beta": 1e-300}, {"alpha": 1, "beta": 1e-300}]
+EXTREME_SCALE = ('{"queues":[{"mu":1,"t_start":1e217},{"mu":1e-68,"t_start":1}],'
+                 '"populations":[{"alpha":1,"beta":1e-4,"mass":1e108}]}')
+# the scenario's profile as `eq-multi --format csv` writes it
+EXTREME_PROFILE = "pop,queue,a,b,density\n1,2,-9.9999999999968396e+171,1e+176,9.9990000999900023e-69\n"
 
 
 def _equal_rate_pair(mu, tau, populations):
@@ -947,6 +951,9 @@ REFUSALS = {
                         "--grid-step", "0"], "grid_step"),
     "tol-nan": (["verify", "--scenario", WORKED_PAIR, "--profile", WORKED_PROFILE,
                  "--tol", "nan"], "tol"),
+    # finite arrivals and netflow, but queue 2's reflection crossing and psi / mu overflow
+    "fluid-path-overflow": (["fluid", "--scenario", EXTREME_SCALE, "--profile", EXTREME_PROFILE],
+                            "queue 2:"),
 }
 
 
@@ -979,17 +986,30 @@ POWERS_OF_TEN = st.integers(-308, 308).map(lambda e: float(f"1e{e}"))
 @settings(max_examples=200, deadline=None)
 def test_scenarios_at_any_scale_exit_without_a_traceback(queues, populations):
     # every number a power of ten in the float range: each command solves,
-    # or refuses with one error line after any notes of pruned queues
+    # or refuses with one error line after any notes of pruned queues; the
+    # profile commands read the scenario's own `eq-multi --format csv` profile
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "s.json"
         scenario.write_text(json.dumps({"queues": queues, "populations": populations}))
+        profile = Path(tmp) / "profile.csv"
         for command in ("eq-multi", "poa"):
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main([command, "--scenario", str(scenario), "--out", str(Path(tmp) / command)])
-            assert code in (0, 1, 2)
-            lines = [line for line in err.getvalue().splitlines() if not line.startswith("note: ")]
-            if code:
-                assert_one_error_line("\n".join(lines))
-            else:
-                assert not lines
+            _exits_without_a_traceback([command, "--scenario", str(scenario), "--out",
+                                        str(Path(tmp) / command)])
+        if _exits_without_a_traceback(["eq-multi", "--scenario", str(scenario), "--format", "csv",
+                                       "--out", str(profile)]) == 0:
+            for command in ("verify", "fluid"):
+                _exits_without_a_traceback([command, "--scenario", str(scenario), "--profile",
+                                            str(profile), "--out", str(Path(tmp) / command)])
+
+
+def _exits_without_a_traceback(argv) -> int:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("note: ")]
+    if code:
+        assert_one_error_line("\n".join(lines))
+    else:
+        assert not lines
+    return code
