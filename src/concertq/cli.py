@@ -122,7 +122,14 @@ def _cmd_verify(args) -> int:
     profile = _load_profile(args.profile, s)
     report = equilibrium.verify_equilibrium(s, profile)
     _write(args.out, to_json(report.to_dict(time_origin=s.time_origin)))
-    _summary(args, f"is_equilibrium={str(report.is_equilibrium).lower()}")
+
+    def where(witness) -> str:
+        pop, queue, t = witness
+        return f"({pop}, {queue}, {fmt(t + s.time_origin)})"
+
+    _summary(args, f"is_equilibrium={str(report.is_equilibrium).lower()}, "
+                   f"worst_support_deviation_at={where(report.worst_support_deviation_at)}, "
+                   f"min_off_support_gap_at={where(report.min_off_support_gap_at)}")
     return 0
 
 

@@ -19,10 +19,13 @@ The service epochs tau_i satisfy
 order: a queue opens in the first population's window whose epoch, without
 it, falls after its opening.  Ties in openings or in gammas are allowed.
 
-``verify_equilibrium`` is the independent check: it evaluates every
-population's exact cost curve at every queue over a grid plus all curve
-breakpoints, and reports the cost flatness on the profile's support and the
-best-response gap off it.
+``verify_equilibrium`` is the independent check: it reports the cost
+flatness on the profile's support and the best-response gap off it, as
+every population's exact cost curve at every queue reads them on a grid
+plus the curve's breakpoints.  It evaluates only the points that decide that
+report: the support points, the breakpoints, and the two end grid points of
+each off-support stretch between two breakpoints, where the interpolated
+cost is monotone.
 """
 
 from __future__ import annotations
@@ -258,22 +261,28 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
 
     For each population the cost is evaluated at every queue on the union of
     a uniform grid over [first support point - 1, last support point + 1]
-    (step ``s.options.grid_step``, by default 1/1024 of that window) and all
-    cost-curve breakpoints (the curves are piecewise linear, so extrema are
-    attained there; the grid is belt and braces).  The profile is an
-    equilibrium when every population's support cost is flat within
-    ``s.options.tol`` and no off-support (queue, time) pair undercuts it by
-    more than that.
+    (step ``s.options.grid_step``, by default 1/1024 of that window) and the
+    queue's wait breakpoints in that window.  The profile is an equilibrium
+    when every population's support cost is flat within ``s.options.tol``
+    and no off-support (queue, time) pair undercuts it by more than that.
+    A grid of more than ``MAX_GRID_POINTS`` points is refused with a
+    DomainError before anything is allocated.
 
-    Every queue's wait path is a row of one ``fluid.fluid_table``.  The
-    costs are batched per queue: every population's costs at the queue's B_k
-    wait breakpoints and G grid points as one (N, B_k + G) matrix, so the
-    working set is O(N * (B_k + G)) per queue beside the table.
-    Only the support costs and their points are kept across queues (the
-    mean needs them; at most one value per population and point on its
-    support); the off-support side keeps a running minimum and where it was
-    attained.  A grid of more than ``MAX_GRID_POINTS`` points is refused with
-    a DomainError before anything is allocated.
+    The report is the one that evaluating all those points gives, but only
+    the points that decide it are evaluated, in one pass over the flat
+    arrays of one ``fluid.fluid_table`` of all queues.  Every profile row's
+    ends are breakpoints of its queue's wait path, so a population's support
+    holds either all or none of the grid points strictly between two
+    breakpoints.  There the cost is np.interp's slope * (t - t_b) + cost_b,
+    which stays monotone in t because rounding is monotone, so the lowest
+    cost of such a run of off-support grid points is at its first or its
+    last point.  Population by population, the verifier evaluates every
+    support point (the mean needs each, in queue and time order), every
+    breakpoint in the window and the two end grid points of each
+    off-support interval; the gap's witness comes from re-evaluating the one
+    queue that holds it, for the one population that has it.  Beside the
+    table the working set is O(B + S_j + G): B breakpoints of all queues,
+    population j's S_j support points and G grid points.
     """
     tol, grid_step = s.options.tol, s.options.grid_step
 
@@ -290,76 +299,98 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
             f"grid step {grid_step:g} puts more than {MAX_GRID_POINTS} points on the "
             f"window [{window[0]:g}, {window[1]:g}]; use a coarser grid step"
         )
-    grid = np.arange(window[0], window[1] + 0.5 * grid_step, grid_step)
+    grid = fluid.sorted_unique(np.arange(window[0], window[1] + 0.5 * grid_step, grid_step))
+    grid = grid[(grid >= window[0]) & (grid <= window[1])]
 
     horizon = fluid.default_horizon(profile, s.queues, cover=window)
+    table = fluid.fluid_table(profile, s.queues, horizon)
+    t, wait, bounds = table.times, table.wait, table.bounds
+    of_t = np.repeat(np.arange(len(s.queues)), np.diff(bounds))
+    # interval b runs from t[b] to t[b + 1] in one row, with the grid points
+    # grid[after[b]:after[b] + inner[b]] strictly inside; the horizon reaches
+    # past the window, so every grid point is a breakpoint or in an interval
+    after = np.searchsorted(grid, t, side="right")
+    inner = np.append(np.searchsorted(grid, t[1:], side="left") - after[:-1], 0)
+    inner[bounds[1:] - 1] = 0
+    in_window = (t >= window[0]) & (t <= window[1])
+    n_points = len(s.populations) * (int(np.count_nonzero(in_window)) + int(inner.sum()))
+    # the intervals that hold grid points, with their first and last
+    held = np.flatnonzero(inner)
+    ends = (grid[after[held]], grid[after[held] + inner[held] - 1])
 
     pops = s.populations
-    pop_row = profile.population_positions(pops)  # a row of the cost matrix, or -1
-    # per population: (queue id, times, costs) of its support at each queue
-    support: list[list[tuple[int, np.ndarray, np.ndarray]]] = [[] for _ in pops]
-    off_min = np.full(len(pops), np.inf)
-    off_at: list[tuple[int, float] | None] = [None] * len(pops)
-    n_points = 0
+    pop_row = profile.population_positions(pops)
+    per_queue = [profile.queue_rows(q.id) for q in s.queues]
+    rows = np.concatenate(per_queue)
+    of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
+    kept = (profile.row_mass[rows] > 0) & (pop_row[rows] >= 0)
+    rows, of_row = rows[kept], of_row[kept]
+    # each support row's ends, as breakpoint numbers
+    owner = pop_row[rows]
+    first = fluid.last_at_or_before(t, bounds, profile.start[rows], of_row)
+    last = fluid.last_at_or_before(t, bounds, profile.end[rows], of_row)
 
-    table = fluid.fluid_table(profile, s.queues, horizon)
-    columns = fluid.cost_columns(pops)
-    for k, q in enumerate(s.queues):
-        row = slice(*table.bounds[k:k + 2].tolist())
-        times, wait = table.times[row], table.wait[row]
-        ts = fluid.sorted_unique(times, grid)
-        ts = ts[(ts >= window[0]) & (ts <= window[1])]
-        n_points += len(pops) * ts.size
-        # the horizon reaches past the window, so ts lies inside wait's span
-        j = np.searchsorted(times, ts, side="right") - 1  # times[j] <= ts < times[j + 1]
-        costs = fluid.interp_at(ts, times, fluid.arrival_costs(columns, times, wait), j, j == times.size - 1)
-        # a population's support: the points of ts inside one of its
-        # positive-mass segments at this queue (ts is sorted)
-        rows = profile.queue_rows(q.id)
-        rows = rows[(profile.row_mass[rows] > 0) & (pop_row[rows] >= 0)]
-        first = np.searchsorted(ts, profile.start[rows], side="left")
-        stop = np.searchsorted(ts, profile.end[rows], side="right")
-        in_support = np.zeros(costs.shape, dtype=bool)
-        for j, i0, i1 in zip(pop_row[rows].tolist(), first.tolist(), stop.tolist()):
-            in_support[j, i0:i1] = True
-        for j in set(pop_row[rows].tolist()):
-            support[j].append((q.id, ts[in_support[j]], costs[j][in_support[j]]))
-        # min(x) - c == min(x - c): rounding is monotone
-        np.copyto(costs, np.inf, where=in_support)
-        at = costs.argmin(axis=1)
-        lowest = costs[np.arange(len(pops)), at]
-        for j in np.flatnonzero(lowest < off_min).tolist():
-            off_at[j] = (q.id, float(ts[at[j]]))
-        off_min = np.minimum(off_min, lowest)
+    def on_support(j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Population j's support: its breakpoints and its intervals."""
+        mine = owner == j
+        starts = np.bincount(first[mine], minlength=t.size + 1)
+        return tuple(
+            np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
+            for stops in (last[mine] + 1, last[mine])
+        )
 
     deviations: dict[int, float] = {}
     gaps: dict[int, float] = {}
     support_costs: dict[int, float] = {}
-    # witnesses per population: (population id, queue id, t)
+    # witnesses per population: (population id, queue id, t), and the gap's
+    # population and queue positions until its t is found
     deviation_at: dict[int, tuple[int, int, float]] = {}
-    gap_at: dict[int, tuple[int, int, float]] = {}
-    for pop, kept, lowest_off, lowest_at in zip(pops, support, off_min.tolist(), off_at):
-        if not kept:
+    gap_at: dict[int, tuple[int, int]] = {}
+    for j, pop in enumerate(pops):
+        on_point, on_inner = on_support(j)
+        costs = fluid.arrival_costs((pop.weight, pop.beta), t, wait)
+        # the support points in queue and time order, each with the
+        # breakpoint at or before it: breakpoint b, then interval b's grid points
+        count = on_point + np.where(on_inner, inner, 0)
+        if not count.any():
             raise DomainError(f"population {pop.id} has no support in the profile")
-        queue_ids, times, values = zip(*kept)
-        sup_all = np.concatenate(values)
-        c = float(np.mean(sup_all))
+        at = np.repeat(np.arange(t.size), count)
+        rank = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+        points = np.where(on_point[at] & (rank == 0), t[at], grid[after[at] + rank - on_point[at]])
+        values = fluid.interp_at(points, t, costs, at, np.zeros(at.size, dtype=bool))
+        c = float(np.mean(values))
         support_costs[pop.id] = c
-        spread = np.abs(sup_all - c)
+        spread = np.abs(values - c)
         i = int(spread.argmax())
         deviations[pop.id] = float(spread[i])
-        deviation_at[pop.id] = (
-            pop.id, int(np.repeat(queue_ids, [t.size for t in times])[i]), float(np.concatenate(times)[i])
-        )
-        gaps[pop.id] = lowest_off - c
+        deviation_at[pop.id] = (pop.id, s.queues[of_t[at[i]]].id, float(points[i]))
+        # off the support: the breakpoints in the window, and for each
+        # interval the lower of its first and last grid point
+        off = np.full((t.size, 2), np.inf)
+        off[:, 0] = np.where(on_point | ~in_window, np.inf, costs)
+        lower = np.minimum(*(fluid.interp_at(x, t, costs, held, np.zeros(held.size, dtype=bool)) for x in ends))
+        off[held, 1] = np.where(on_inner[held], np.inf, lower)
+        k = int(off.argmin())
+        gaps[pop.id] = float(off.flat[k]) - c
+        gap_at[pop.id] = (j, int(of_t[k // 2]))
         if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
             raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
                               f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
-        gap_at[pop.id] = (pop.id, *lowest_at)
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()
     )
+    # the gap's witness: the first lowest off-support point of its queue's
+    # points, evaluated as a whole
+    lowest = min(gaps, key=gaps.get)
+    j, k = gap_at[lowest]
+    row = slice(*bounds[k:k + 2].tolist())
+    ts = fluid.sorted_unique(t[row][in_window[row]], grid)
+    at = row.start + np.searchsorted(t[row], ts, side="right") - 1
+    costs = fluid.interp_at(ts, t, fluid.arrival_costs((pops[j].weight, pops[j].beta), t, wait),
+                            at, at == row.stop - 1)
+    on_point, on_inner = on_support(j)
+    costs[np.where(t[at] == ts, on_point[at], on_inner[at])] = np.inf
     return VerificationReport(
         max_support_cost_deviation=deviations,
         min_off_support_cost_gap=gaps,
@@ -369,6 +400,5 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         grid_points=n_points,
         window=window,
         worst_support_deviation_at=deviation_at[max(deviations, key=deviations.get)],
-        min_off_support_gap_at=gap_at[min(gaps, key=gaps.get)],
+        min_off_support_gap_at=(lowest, s.queues[k].id, float(ts[costs.argmin()])),
     )
-

@@ -107,6 +107,32 @@ def test_verify_and_poa_times_are_in_original_coordinates(tmp_path):
     assert verify4 == verify and poa4 == poa
 
 
+@pytest.mark.parametrize("shift, t_deviation, t_gap", [
+    (0.0, "0.75", "0.75007500000000005"), (4.0, "4.75", "4.7500749999999998"),
+])
+def test_verify_summary_names_both_witnesses(tmp_path, capsys, shift, t_deviation, t_gap):
+    # the worked pair with queue 1's density raised by 1e-4: the library's
+    # witnesses (1, 1, 0.75) and (1, 1, 0.750075), t back in the scenario's
+    # own time; the summary is the only new output, and it goes to stdout
+    scenario = tmp_path / "two.json"
+    queues = [{"mu": 1, "t_start": shift}, {"mu": 1, "t_start": 0.5 + shift}]
+    scenario.write_text(json.dumps({"queues": queues, "populations": [{"alpha": 1, "beta": 1}]}))
+    profile = tmp_path / "profile.csv"
+    assert main(["eq-single", "--scenario", str(scenario), "--format", "csv", "--out", str(profile)]) == 0
+    segs = cq.ArrivalProfile.from_csv(profile.read_text()).segments
+    tilted = [cq.Segment(g.population, g.queue, g.start, g.end, g.density * (1 + 1e-4)) if g.queue == 1 else g
+              for g in segs]
+    profile.write_text(cq.ArrivalProfile(tuple(tilted)).to_csv())
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(scenario), "--profile", str(profile),
+                 "--out", str(tmp_path / "verify.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (f"is_equilibrium=false, worst_support_deviation_at=(1, 1, {t_deviation}), "
+                            f"min_off_support_gap_at=(1, 1, {t_gap})\n")
+    assert captured.err == ""
+    assert "worst_support_deviation_at" not in (tmp_path / "verify.json").read_text()
+
+
 def test_poa_summary_line(scenarios, capsys):
     code = main(["poa", "--scenario", str(scenarios["one"]), "--out", str(scenarios["dir"] / "poa.json")])
     assert code == 0

@@ -120,6 +120,67 @@ def test_batched_forms_match_the_oracle_on_generated_profiles(case):
     assert poa.social_cost(s, profile) == social_cost_pairwise(s, profile)
 
 
+@st.composite
+def verifier_cases(draw):
+    """A scenario, a profile and a grid step that test the verifier's
+    shortcuts.  The step is the default, coarse, dyadic (every opening and
+    segment end on the grid) or within a few points of the cap.  alpha = 0
+    keeps a cost flat until its queue opens, zero-density rows add
+    off-support breakpoints, and densities of gamma * mu hold another
+    population's cost flat off its support, so off-support costs tie.
+    Densities below and above the flat one make costs fall and rise."""
+    unit = 2.0 ** -draw(st.integers(0, 4))
+    ticks = st.integers(0, 12).map(lambda i: i * unit)
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    queues = [(draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.3, 3.0)), draw(ticks)) for _ in range(k)]
+    pops = [{"alpha": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.1, 3.0)),
+             "beta": draw(st.sampled_from([1.0]) | st.floats(0.1, 3.0)),
+             "mass": draw(st.floats(0.2, 2.0))} for _ in range(n)]
+    s = make_scenario(queues, pops)
+    gammas = [p.gamma for p in s.populations]
+    profile = None
+    if draw(st.booleans()):
+        try:
+            segs = cq.solve_multi(cq.pruned_scenario(s)[0]).profile.segments
+        except cq.DomainError:
+            pass
+        else:
+            factors = st.sampled_from([1.0, 0.5, 2.0, 1 - 2.0**-10, 1 + 2.0**-10])
+            profile = cq.ArrivalProfile(tuple(
+                replace(g, density=g.density * draw(factors)) for g in segs))
+    if profile is None:
+        def segment(pop, lengths, densities):
+            q, start = draw(st.sampled_from(s.queues)), draw(ticks) - 4.0
+            return cq.Segment(pop, q.id, start, start + draw(lengths), draw(densities(q.mu)))
+
+        def flat(mu):
+            return st.sampled_from([g * mu for g in gammas]) | st.floats(0.05, 3.0)
+
+        # one positive segment per population, then any rows, zero-density
+        # ones and a population the scenario lacks too
+        segs = [segment(p, ticks.filter(bool), flat) for p in range(1, n + 1)]
+        segs += [segment(draw(st.integers(1, n + 1)), ticks, lambda mu: st.just(0.0) | flat(mu))
+                 for _ in range(draw(st.integers(0, 6)))]
+        profile = cq.ArrivalProfile(tuple(draw(st.permutations(segs))))
+    lo, hi = profile.support_bounds()
+    step = draw(st.sampled_from(["default", "coarse", "dyadic", "cap"]))
+    if step == "coarse":
+        s = with_options(s, grid_step=draw(st.floats(0.25, 4.0)))
+    elif step == "dyadic":
+        s = with_options(s, grid_step=unit * 2.0 ** -draw(st.integers(0, 3)))
+    elif step == "cap":
+        span = hi - lo + 2.0
+        s = with_options(s, grid_step=span / (cq.equilibrium.MAX_GRID_POINTS - 2) * draw(st.floats(1.0, 1.01)))
+    return s, profile
+
+
+@given(verifier_cases())
+@settings(max_examples=150, deadline=None)
+def test_verifier_is_the_grid_oracle_on_drawn_grid_steps(case):
+    s, profile = case
+    assert outcome(cq.verify_equilibrium, s, profile) == outcome(verify_pairwise, s, profile)
+
+
 @given(
     st.floats(-5.0, 5.0),
     st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30),
@@ -307,19 +368,39 @@ def test_reflect_and_netflow_are_the_per_queue_kernel(x, mu, t_start):
             == outcome(lambda: path_bytes(netflow_of_path(x, q, horizon)))
 
 
-def test_verifier_memory_is_bounded_per_queue():
-    # K=126, N=20: the full population-by-point cost matrix would take about
-    # 21 MB; per-queue batches plus the kept support costs stay near 2 MB
-    s = wide_scenario()
-    profile = cq.solve_multi(s).profile
+def traced_verify(s, profile):
+    """The verifier's report and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
         report = cq.verify_equilibrium(s, profile)
-        peak = tracemalloc.get_traced_memory()[1]
+        return report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_verifier_memory_is_bounded_per_population():
+    # K=126, N=20: a population-by-point cost matrix over the 2,623,100
+    # points would take about 21 MB; the verifier holds the table and one
+    # population's costs at the 2,257 breakpoints and at its support points
+    # (at most about 2,900 here), near 0.7 MiB
+    s = wide_scenario()
+    report, peak = traced_verify(s, cq.solve_multi(s).profile)
     assert report.is_equilibrium
     assert peak < 4 * 2**20
+
+
+def test_verifier_memory_at_the_grid_cap():
+    # the finest grid step the cap allows on the same scenario: 165,188,300
+    # points, of which population 1 has about 188,000 on its support; one
+    # population's support points at a time peak near 11 MiB, where per-queue
+    # cost matrices over every point took 50.7 MiB
+    s = wide_scenario()
+    profile = cq.solve_multi(s).profile
+    lo, hi = profile.support_bounds()
+    s = with_options(s, grid_step=(hi - lo + 2.0) / (cq.equilibrium.MAX_GRID_POINTS - 2))
+    report, peak = traced_verify(s, profile)
+    assert report.is_equilibrium and report.grid_points == 165_188_300
+    assert peak < 24 * 2**20
 
 
 def test_grid_above_the_cap_is_refused_before_allocation():
