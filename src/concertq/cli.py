@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo convergence run")
     common(p)
     p.add_argument("--n", type=int, required=True,
-                   help="number of users: about 50 bytes of peak memory each, at any --reps; "
+                   help="number of users: about 32 bytes of peak memory each, at any --reps; "
                         "an n past the machine's memory exits 1 with one error line")
     p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     p.add_argument("--reps", type=int, default=1, help="replications")

@@ -18,6 +18,7 @@ from conftest import (
     wide_scenario,
 )
 from oracles import (
+    busy_periods_by_shift,
     density_table_by_segments,
     route_by_columns,
     sample_arrivals_in_draw_order,
@@ -121,6 +122,50 @@ def test_sampler_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _traced_peak(fn):
+    """Peak traced memory while ``fn()`` runs, above what was traced when it
+    started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# what a traced peak may carry beyond its per-user bytes: interpreter objects
+# and the O(I K) routing table, none of which grows with n
+_FIXED_BYTES = 2**16
+
+
+def test_des_releases_the_events_it_is_handed():
+    # passed straight from the sampler, the events are freed once the DES has
+    # grouped them, so the DES never holds more than the sampler's own peak
+    s = two_queue_worked_scenario()
+    profile = equilibrium_profile(s)
+    cfg = sim.SimConfig(n=200_000, seed=0)
+    sim.run_des(s, sim.sample_arrivals(profile, 10, cfg.seed), cfg)  # warm up
+    sampler = _traced_peak(lambda: sim.sample_arrivals(profile, cfg.n, cfg.seed))
+    both = _traced_peak(lambda: sim.run_des(s, sim.sample_arrivals(profile, cfg.n, cfg.seed), cfg))
+    assert both <= sampler + _FIXED_BYTES, (both, sampler)
+
+
+def test_replication_memory_grows_by_the_sampler_peak_per_user():
+    # sim.replications' docstring: a replication's traced peak grows by the
+    # sampler's 32 bytes per user (worked pair, no tied times)
+    s = two_queue_worked_scenario()
+    profile = equilibrium_profile(s)
+    n = 100_000
+
+    def peak(users):
+        runs = sim.replications(s, profile, sim.SimConfig(n=users, seed=0))
+        return _traced_peak(lambda: [run.sup_errors for run in runs])
+
+    small, big = peak(n), peak(2 * n)
+    assert big - small <= 32 * n + _FIXED_BYTES, (big - small) / n
 
 
 def test_routing_tail_joins_a_queue_with_density():
@@ -280,6 +325,21 @@ def test_sampler_is_the_draw_order_oracle(profile):
         want_times, want_queues = sample_arrivals_in_draw_order(profile, n, seed, replication=rep)
         assert times.tobytes() == want_times.tobytes()
         assert queues.tobytes() == want_queues.tobytes()
+
+
+def test_tied_profile_takes_the_tie_repair(monkeypatch):
+    # the draw-order oracle's tied case reaches the tie repair, the one branch
+    # that keeps the draw order past routing
+    sizes = []
+    time_order = sim._time_order
+
+    def recording(keys, draw):
+        sizes.append(keys.size)
+        return time_order(keys, draw)
+
+    monkeypatch.setattr(sim, "_time_order", recording)
+    sim.sample_arrivals(_TIED, 1000, seed=1, replication=2)
+    assert sizes == [1000]
 
 
 def _uniform_ties(n, seed, kinds):
@@ -544,13 +604,41 @@ def test_scaled_paths_is_the_per_process_oracle(service_dist):
     paths = sim.run_des(s, (times, queues), sim.SimConfig(n=n, seed=3, service_dist=service_dist))
     recs = paths.records
     assert recs[3].count == 0 and recs[2].arrivals[0] < recs[2].t_start
-    # grid points on every arrival, completion and opening time
+    # grid points on every arrival, completion and opening time, and before
+    # the first arrival
     on_events = [np.concatenate((r.arrivals, r.completions, [r.t_start])) for r in recs.values()]
     grid = np.unique(np.concatenate((np.linspace(-2.0, 6.0, 257), *on_events)))
+    assert grid[0] < times[0]
     got, want = sim.scaled_paths(paths, grid), scaled_paths_by_process(paths, grid)
     assert got.shape == want.shape == (len(sim.PROCESSES), len(recs), grid.size)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [],  # no arrivals
+        [0.25],  # one arrival, on a grid point
+        [-1.0, -0.75, -0.5, 0.0],  # before the opening: one busy period
+        [0.0, 0.25, 0.5, 2.0, 2.25, 4.0],  # each ends as the next arrives, then gaps
+        [1.0, 1.0, 1.0, 3.0],  # tied arrivals
+    ],
+    ids=["empty", "single", "before-opening", "chained", "tied"],
+)
+def test_busy_periods_and_scaled_paths_are_the_shifted_copy_oracle(times):
+    # deterministic services of 1 / n: service often starts exactly at the
+    # previous completion, where no new busy period opens
+    s = single_queue_scenario()
+    n = max(len(times), 1)
+    events = (np.array(times, dtype=float), np.ones(len(times), dtype=int))
+    paths = sim.run_des(s, events, sim.SimConfig(n=n, seed=0, service_dist="deterministic"))
+    rec = paths.records[1]
+    for got, want in zip(rec._busy_periods(), busy_periods_by_shift(rec)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # grid points before the first arrival, on every arrival and completion
+    grid = np.unique(np.concatenate((np.linspace(-3.0, 6.0, 37), rec.arrivals, rec.completions)))
+    assert sim.scaled_paths(paths, grid).tobytes() == scaled_paths_by_process(paths, grid).tobytes()
 
 
 def test_scaled_single_arrival_is_empirical_cdf():
