@@ -1,18 +1,16 @@
 """Strategic arrivals into parallel FIFO queues: exact fluid objects,
 closed-form equilibria, price of anarchy, and a Monte Carlo simulator.
 
-``import concertq`` loads only ``model`` and ``fluid`` (and numpy), the types
-every command reads.  One table, ``_NAMES``, lists every public name by its
-module, and they are all served on access (PEP 562): ``concertq.solve_multi``
-imports ``concertq.equilibrium`` and returns its attribute, so a command
-pays only for the modules it runs.  Every name is looked up in its module on
-each access, so ``concertq.X is concertq.<module>.X`` holds even after a
-test patches the module.
+``import concertq`` loads no submodule and no numpy.  One table, ``_NAMES``,
+lists every public name by its module, and they are all served on access
+(PEP 562): ``concertq.solve_multi`` imports ``concertq.equilibrium`` and
+returns its attribute, so a command pays only for the modules it runs.
+Every name is looked up in its module on each access, so
+``concertq.X is concertq.<module>.X`` holds even after a test patches the
+module.
 """
 
 import importlib
-
-from . import fluid, model
 
 __version__ = "0.1.0"
 
@@ -31,13 +29,13 @@ _NAMES = {
     ),
     "model": (
         "DomainError", "Options", "ParseError", "PopulationSpec", "QueueSpec", "Scenario",
-        "ValidationReport", "gamma_of", "parse_scenario", "pruned_scenario",
-        "scenario_from_dict", "scenario_to_dict",
+        "ServeSetResult", "ValidationReport", "gamma_of", "optimal_serve_count",
+        "parse_scenario", "pruned_scenario", "scenario_from_dict", "scenario_to_dict",
+        "serve_epoch",
     ),
     "poa": (
-        "PoaReport", "ServeSetResult", "equal_rate_multi_eta", "optimal_profile",
-        "optimal_serve_count", "poa_closed_form", "poa_equal_rate_case", "poa_multi",
-        "poa_single", "serve_epoch", "social_cost",
+        "PoaReport", "equal_rate_multi_eta", "optimal_profile", "poa_closed_form",
+        "poa_equal_rate_case", "poa_multi", "poa_single", "social_cost",
     ),
     "sim": (
         "ConvergenceReport", "SimConfig", "SimPaths", "convergence_report",

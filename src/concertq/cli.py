@@ -8,23 +8,23 @@ hypothesis error, 2 I/O or parse error.  All randomness flows from --seed.
 Times in emitted artifacts are in the scenario's original coordinates (the
 ingestion shift by the earliest opening time is undone on output).
 
-Each command imports the computation modules it runs inside its handler, so
-a process compiles and runs only those (README, "Start-up").
+Each command imports the computation modules it runs, numpy included,
+inside its handler, so a process compiles and runs only those (README,
+"Start-up"): parsing, --help, usage errors and serve-count load no numpy.
+A library warning is shown as one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
 
-import numpy as np
-
-from . import fluid
-from .model import DomainError, ParseError, parse_scenario, pruned_scenario
+from .model import DomainError, ParseError, optimal_serve_count, parse_scenario, pruned_scenario
 from .serialize import fmt, to_json, write_csv
 
 # largest eq-two trace: 2**16 points, about 70 MB peak RSS at the cap
@@ -107,9 +107,10 @@ def _cmd_eq(args, multi: bool) -> int:
     return 0
 
 
-def _load_profile(path: str, s) -> fluid.ArrivalProfile:
+def _load_profile(path: str, s):
     """The profile CSV at ``path`` in the scenario's shifted time, refused if
     it routes mass to a queue the scenario does not have."""
+    from . import fluid
     profile = fluid.ArrivalProfile.from_csv(_read(path, "profile")).shifted(-s.time_origin)
     profile.require_queues(s.queues)
     return profile
@@ -144,15 +145,14 @@ def _cmd_poa(args) -> int:
 
 
 def _cmd_serve_count(args) -> int:
-    from . import poa
-
-    result = poa.optimal_serve_count(args.l, args.mu, args.tau, args.k_max)
+    result = optimal_serve_count(args.l, args.mu, args.tau, args.k_max)
     _write(args.out, to_json(result.to_dict()))
     _summary(args, f"k_star={result.k_star}, tie={str(result.tie).lower()}")
     return 0
 
 
 def _cmd_eq_two(args) -> int:
+    import numpy as np
     from . import exact_two
 
     if not 1 <= args.trace_points <= MAX_TRACE_POINTS:
@@ -179,6 +179,9 @@ def _cmd_eq_two(args) -> int:
 
 
 def _cmd_fluid(args) -> int:
+    import numpy as np
+    from . import fluid
+
     if args.profile:
         s = _load_scenario(args)
         profile = _load_profile(args.profile, s)
@@ -219,6 +222,7 @@ def _cmd_fluid(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
     from . import equilibrium, sim
 
     if not 2 <= args.grid_points <= MAX_SIM_GRID_POINTS:
@@ -336,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -343,7 +351,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # how warnings are shown, not which: the caller's filters still apply
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

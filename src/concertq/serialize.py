@@ -1,15 +1,14 @@
 """Deterministic JSON/CSV emission.
 
 Floats are printed with 17 significant digits so that repeated runs with the
-same inputs produce byte-identical artifacts and round-trip exactly.
+same inputs produce byte-identical artifacts and round-trip exactly.  Only
+the CSV functions import numpy, so ``fmt`` and ``to_json`` run without it.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-
-import numpy as np
 
 # rows per csv_rows call of write_csv, which bounds the text built at once
 CSV_BLOCK_ROWS = 8192
@@ -79,6 +78,7 @@ def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:
     distinct ``key``: keys are sorted, the first of each run of equal keys
     marks a distinct value, and a scatter of the run numbers maps every cell
     back to its string.  Each distinct value is formatted once."""
+    import numpy as np
     order = np.argsort(key)
     ranked = key[order]
     new = np.empty(ranked.shape, dtype=bool)
@@ -94,6 +94,7 @@ def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:
 def _finite(arr: np.ndarray) -> np.ndarray:
     """A float column as float64, refused if it holds a non-finite value
     (the error names its first one)."""
+    import numpy as np
     arr = arr.astype(np.float64, copy=False)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -107,6 +108,7 @@ def csv_rows(header: list[str], columns) -> str:
     and any other column cell by cell through str.  A numeric column formats
     each distinct value once (a float keyed on its bit pattern, so -0.0 keeps
     its own text) and its cells share those strings."""
+    import numpy as np
     cells = []
     for column in columns:
         arr = np.asarray(column)
@@ -133,6 +135,7 @@ def write_csv(out, header: list[str], columns, with_header: bool = True) -> None
     built.  Every float column's values, then the columns' lengths, are
     checked before the first block, so a table that csv_rows refuses writes
     nothing (and a non-finite value is named as csv_rows names it)."""
+    import numpy as np
     arrays = [np.asarray(column) for column in columns]
     for arr in arrays:
         if arr.dtype.kind == "f":

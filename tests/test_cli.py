@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import concertq as cq
 from concertq import sim
 from concertq.cli import main
+from concertq.serialize import to_json
 
 
 @pytest.fixture()
@@ -400,8 +401,6 @@ def test_cli_reruns_are_byte_identical(scenarios):
 
 def test_cli_is_a_thin_adapter(scenarios):
     # byte-identical to calling the library and serializer directly
-    from concertq.serialize import to_json
-
     d = scenarios["dir"]
     main(["poa", "--scenario", str(scenarios["two"]), "--out", str(d / "poa_cli.json")])
     s = cq.parse_scenario(scenarios["two"].read_text())
@@ -734,6 +733,23 @@ def test_out_of_domain_number_exits_1_from_a_fresh_interpreter(tmp_path):
     assert result.returncode == 1
     assert_one_error_line(result.stderr)
     assert not out.exists()
+
+
+def test_a_library_warning_is_one_line_and_still_obeys_the_filters(tmp_path):
+    out = tmp_path / "sc.json"
+    result = run_cli("serve-count", "--l", "7", "--mu", "1", "--tau", "2", "--out", str(out))
+    assert result.returncode == 0 and result.stdout == "k_star=3, tie=false\n"
+    assert result.stderr.splitlines() == [
+        "warning: mu*tau = 2 >= 1: several queues open within one population's service window; "
+        "the sqrt rule is a formal minimizer only"
+    ]
+    with pytest.warns(UserWarning):
+        expected = cq.optimal_serve_count(7, 1, 2, 64)
+    assert out.read_text() == to_json(expected.to_dict())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="mu\\*tau = 2 >= 1"):
+            main(["serve-count", "--l", "7", "--mu", "1", "--tau", "2", "--out", str(out)])
 
 
 def test_eq_two_with_a_step_far_above_the_coarse_grid_runs(tmp_path):

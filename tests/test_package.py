@@ -1,5 +1,5 @@
-"""The package namespace: ``import concertq`` loads ``model`` and ``fluid``,
-serves every public name from its module on access (the other modules on
+"""The package namespace: ``import concertq`` loads no submodule and no
+numpy, serves every public name from its module on access (each module on
 first access), and each CLI command loads only the modules it runs."""
 
 import os
@@ -14,16 +14,17 @@ from concertq.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 WORKED = '{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],"populations":[{"alpha":1,"beta":1}]}'
-LAZY = ("equilibrium", "exact_two", "poa", "sim")
+MODULES = ("equilibrium", "exact_two", "fluid", "model", "poa", "sim")
 
 
 def _loaded(script: str) -> list[set[str]]:
-    """The ``concertq.*`` submodules held after each ``loaded()`` call of
-    ``script``, run in a fresh interpreter."""
+    """The ``concertq.*`` submodules, and numpy if it is, held after each
+    ``loaded()`` call of ``script``, run in a fresh interpreter."""
     script = (
         "import sys\n"
         "def loaded():\n"
-        "    print('loaded:', *(m for m in sys.modules if m.startswith('concertq.')), flush=True)\n"
+        "    held = (m for m in sys.modules if m.startswith('concertq.') or m == 'numpy')\n"
+        "    print('loaded:', *held, flush=True)\n"
         + script
     )
     # one-thread numeric libraries, so the forks below copy no worker threads
@@ -38,23 +39,39 @@ def _loaded(script: str) -> list[set[str]]:
     ]
 
 
-def test_bare_import_loads_model_and_fluid_and_numpy():
-    script = "import concertq\nassert 'numpy' in sys.modules\nloaded()\nconcertq.poa.poa_multi\nloaded()"
-    assert _loaded(script) == [{"model", "fluid"}, {"model", "fluid", "poa", "equilibrium"}]
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    script = (
+        "import concertq, runpy\n"
+        "loaded()\n"
+        "sys.argv = ['concertq', 'serve-count', '--l', '7', '--mu', '1', '--tau', '0.1']\n"
+        "try:\n"
+        "    runpy.run_module('concertq', run_name='__main__')  # python -m concertq serve-count\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "loaded()\n"
+        "concertq.poa.poa_multi\n"
+        "loaded()\n"
+    )
+    cli = {"cli", "model", "serialize"}
+    assert _loaded(script) == [set(), cli, cli | {"poa", "equilibrium", "fluid", "numpy"}]
 
 
-# each command and the modules it loads besides cli, model, fluid and serialize
+ARRAYS = {"fluid", "numpy"}
+# each command, its exit code and what it loads besides cli, model and serialize
 FOOTPRINTS = [
-    (["eq-single", "--scenario", "{s}"], {"equilibrium"}),
-    (["eq-multi", "--scenario", "{s}"], {"equilibrium"}),
-    (["verify", "--scenario", "{s}", "--profile", "{p}"], {"equilibrium"}),
-    (["poa", "--scenario", "{s}"], {"poa", "equilibrium"}),
-    (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], {"poa", "equilibrium"}),
-    (["simulate", "--scenario", "{s}", "--n", "200", "--grid-points", "8"], {"sim", "equilibrium"}),
-    (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2"],
-     {"exact_two"}),
-    (["fluid", "--scenario", "{s}", "--profile", "{p}"], set()),
-    (["fluid", "--scenario", "{s}"], {"equilibrium"}),
+    (["eq-single", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
+    (["eq-multi", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
+    (["verify", "--scenario", "{s}", "--profile", "{p}"], 0, {"equilibrium"} | ARRAYS),
+    (["poa", "--scenario", "{s}"], 0, {"poa", "equilibrium"} | ARRAYS),
+    (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], 0, set()),
+    (["serve-count", "--help"], 0, set()),
+    (["serve-count", "--l", "7"], 2, set()),  # a usage error
+    (["simulate", "--scenario", "{s}", "--n", "200", "--grid-points", "8"], 0,
+     {"sim", "equilibrium"} | ARRAYS),
+    (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2"], 0,
+     {"exact_two"} | ARRAYS),
+    (["fluid", "--scenario", "{s}", "--profile", "{p}"], 0, ARRAYS),
+    (["fluid", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
 ]
 
 
@@ -64,32 +81,30 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     scenario.write_text(WORKED)
     assert main(["eq-single", "--scenario", str(scenario), "--format", "csv", "--out", str(profile)]) == 0
     runs = [
-        [a.format(s=scenario, p=profile) for a in argv] + ["--out", str(tmp_path / "out")]
-        for argv, _ in FOOTPRINTS
+        ([a.format(s=scenario, p=profile) for a in argv] + ["--out", str(tmp_path / "out")], code)
+        for argv, code, _ in FOOTPRINTS
     ]
     # every command runs in a fork of one interpreter that has imported only the CLI
     script = (
         "import os\n"
         "from concertq.cli import main\n"
-        f"for argv in {runs!r}:\n"
+        f"for argv, expected in {runs!r}:\n"
         "    pid = os.fork()\n"
         "    if pid == 0:\n"
         "        code = main(argv)\n"
         "        loaded()\n"
         "        os._exit(code)\n"
-        "    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0, argv\n"
+        "    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == expected, argv\n"
     )
-    base = {"cli", "model", "fluid", "serialize"}
-    assert _loaded(script) == [base | loads for _, loads in FOOTPRINTS]
+    base = {"cli", "model", "serialize"}
+    assert _loaded(script) == [base | loads for _, _, loads in FOOTPRINTS]
 
 
 def test_every_public_name_is_its_modules_object():
     for name in cq.__all__:
         obj = getattr(cq, name)
         assert obj is getattr(sys.modules[obj.__module__], name), name
-    assert {getattr(cq, n).__module__ for n in cq.__all__} == {
-        f"concertq.{m}" for m in ("model", "fluid", *LAZY)
-    }
+    assert {getattr(cq, n).__module__ for n in cq.__all__} == {f"concertq.{m}" for m in MODULES}
 
 
 def test_a_patched_submodule_reaches_the_package_name(monkeypatch):
@@ -101,7 +116,7 @@ def test_a_patched_submodule_reaches_the_package_name(monkeypatch):
 
 
 def test_dir_and_star_import_cover_all():
-    assert set(cq.__all__) | set(LAZY) <= set(dir(cq))
+    assert set(cq.__all__) | set(MODULES) <= set(dir(cq))
     namespace = {}
     exec("from concertq import *", namespace)
     assert set(cq.__all__) <= set(namespace)
