@@ -196,8 +196,7 @@ def _cmd_fluid(args) -> int:
     # the cumulative arrivals are F_k refined with the horizon's ends: the
     # netflow's breakpoints but the openings that are neither
     refined = table.refined
-    net = np.repeat(np.arange(s.n_queues), np.diff(table.netflow_bounds))
-    rest = np.repeat(np.arange(s.n_queues), np.diff(table.bounds))
+    net, rest = fluid.row_of(table.netflow_bounds), fluid.row_of(table.bounds)
     names, of_queue, times, values = zip(
         ("cumulative_arrivals", net[refined], table.netflow_times[refined], table.arrivals[refined]),
         ("netflow", net, table.netflow_times, table.netflow_values),

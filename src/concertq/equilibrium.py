@@ -279,10 +279,10 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     last point.  Population by population, the verifier evaluates every
     support point (the mean needs each, in queue and time order), every
     breakpoint in the window and the two end grid points of each
-    off-support interval; the gap's witness comes from re-evaluating the one
-    queue that holds it, for the one population that has it.  Beside the
-    table the working set is O(B + S_j + G): B breakpoints of all queues,
-    population j's S_j support points and G grid points.
+    off-support interval.  The lowest of those names the gap's witness: the
+    breakpoint itself, or the first lowest of the interval's grid points.
+    Beside the table the working set is O(B + S_j + G): B breakpoints of
+    all queues, population j's S_j support points and G grid points.
     """
     tol, grid_step = s.options.tol, s.options.grid_step
 
@@ -305,7 +305,7 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     horizon = fluid.default_horizon(profile, s.queues, cover=window)
     table = fluid.fluid_table(profile, s.queues, horizon)
     t, wait, bounds = table.times, table.wait, table.bounds
-    of_t = np.repeat(np.arange(len(s.queues)), np.diff(bounds))
+    of_t = fluid.row_of(bounds)
     # interval b runs from t[b] to t[b + 1] in one row, with the grid points
     # grid[after[b]:after[b] + inner[b]] strictly inside; the horizon reaches
     # past the window, so every grid point is a breakpoint or in an interval
@@ -319,35 +319,23 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     ends = (grid[after[held]], grid[after[held] + inner[held] - 1])
 
     pops = s.populations
-    pop_row = profile.population_positions(pops)
-    per_queue = [profile.queue_rows(q.id) for q in s.queues]
-    rows = np.concatenate(per_queue)
-    of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
-    kept = (profile.row_mass[rows] > 0) & (pop_row[rows] >= 0)
-    rows, of_row = rows[kept], of_row[kept]
-    # each support row's ends, as breakpoint numbers
-    owner = pop_row[rows]
-    first = fluid.last_at_or_before(t, bounds, profile.start[rows], of_row)
-    last = fluid.last_at_or_before(t, bounds, profile.end[rows], of_row)
-
-    def on_support(j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Population j's support: its breakpoints and its intervals."""
-        mine = owner == j
-        starts = np.bincount(first[mine], minlength=t.size + 1)
-        return tuple(
-            np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
-            for stops in (last[mine] + 1, last[mine])
-        )
+    # each support row's population and ends, as breakpoint numbers
+    _, owner, first, last = table.support_rows(profile, pops)
 
     deviations: dict[int, float] = {}
     gaps: dict[int, float] = {}
     support_costs: dict[int, float] = {}
-    # witnesses per population: (population id, queue id, t), and the gap's
-    # population and queue positions until its t is found
+    # witnesses per population: (population id, queue id, t)
     deviation_at: dict[int, tuple[int, int, float]] = {}
-    gap_at: dict[int, tuple[int, int]] = {}
+    gap_at: dict[int, tuple[int, int, float]] = {}
     for j, pop in enumerate(pops):
-        on_point, on_inner = on_support(j)
+        # population j's support: its breakpoints and its intervals
+        mine = owner == j
+        starts = np.bincount(first[mine], minlength=t.size + 1)
+        on_point, on_inner = (
+            np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
+            for stops in (last[mine] + 1, last[mine])
+        )
         costs = fluid.arrival_costs((pop.weight, pop.beta), t, wait)
         # the support points in queue and time order, each with the
         # breakpoint at or before it: breakpoint b, then interval b's grid points
@@ -372,25 +360,22 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         off[held, 1] = np.where(on_inner[held], np.inf, lower)
         k = int(off.argmin())
         gaps[pop.id] = float(off.flat[k]) - c
-        gap_at[pop.id] = (j, int(of_t[k // 2]))
         if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
             raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
                               f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
+        # the gap's witness: breakpoint b itself, or the first lowest of
+        # interval b's grid points, as a falling run can tie at its low end
+        b = k // 2
+        x = t[b]
+        if k % 2:
+            run = grid[after[b]:after[b] + inner[b]]
+            x = run[fluid.interp_at(run, t, costs, np.full(run.size, b),
+                                    np.zeros(run.size, dtype=bool)).argmin()]
+        gap_at[pop.id] = (pop.id, s.queues[of_t[b]].id, float(x))
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()
     )
-    # the gap's witness: the first lowest off-support point of its queue's
-    # points, evaluated as a whole
-    lowest = min(gaps, key=gaps.get)
-    j, k = gap_at[lowest]
-    row = slice(*bounds[k:k + 2].tolist())
-    ts = fluid.sorted_unique(t[row][in_window[row]], grid)
-    at = row.start + np.searchsorted(t[row], ts, side="right") - 1
-    costs = fluid.interp_at(ts, t, fluid.arrival_costs((pops[j].weight, pops[j].beta), t, wait),
-                            at, at == row.stop - 1)
-    on_point, on_inner = on_support(j)
-    costs[np.where(t[at] == ts, on_point[at], on_inner[at])] = np.inf
     return VerificationReport(
         max_support_cost_deviation=deviations,
         min_off_support_cost_gap=gaps,
@@ -400,5 +385,5 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         grid_points=n_points,
         window=window,
         worst_support_deviation_at=deviation_at[max(deviations, key=deviations.get)],
-        min_off_support_gap_at=(lowest, s.queues[k].id, float(ts[costs.argmin()])),
+        min_off_support_gap_at=gap_at[min(gaps, key=gaps.get)],
     )

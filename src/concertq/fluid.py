@@ -17,9 +17,11 @@ previously attained minimum.
 ``fluid_table`` builds every path of every queue in one pass, each kind of
 path laid end to end in flat arrays (row k in ``bounds[k]:bounds[k + 1]``):
 the row kernels ``_cdf_rows``, ``_union_rows``, ``_netflow_rows`` and
-``_reflect_rows`` run on all queues at once.  ``queue_cdf``, ``netflow``,
-``reflect`` and the per-queue accessors (``fluid_queue`` ... ``cost_curve``)
-are their one-row calls.
+``_reflect_rows`` run on all queues at once, and ``row_of``,
+``last_at_or_before``, ``interp_at`` and ``FluidTable.support_rows`` (the
+profile rows that carry support costs) read such rows.  ``queue_cdf``,
+``netflow``, ``reflect`` and the per-queue accessors (``fluid_queue`` ...
+``cost_curve``) are their one-row calls.
 """
 
 from __future__ import annotations
@@ -258,11 +260,6 @@ class ArrivalProfile:
         rows = self._rows_by_queue.get(queue)
         return np.zeros(0, dtype=np.int64) if rows is None else rows
 
-    def population_positions(self, pops) -> np.ndarray:
-        """Each row's population as its position in ``pops`` (-1 if absent)."""
-        position = {p.id: i for i, p in enumerate(pops)}
-        return np.array([position.get(p, -1) for p in self.pop.tolist()], dtype=np.int64)
-
     @property
     def queue_ids(self) -> tuple[int, ...]:
         return tuple(self._rows_by_queue)
@@ -438,6 +435,23 @@ class FluidTable(NamedTuple):
                 out[i, k] = np.interp(grid, self.times[p], values[p])
         return out
 
+    def support_rows(self, profile: ArrivalProfile, pops) -> tuple[np.ndarray, ...]:
+        """The rows of ``profile`` (the table's own) of positive mass whose
+        population is in ``pops``, queue by queue and in profile order at
+        each queue: their row numbers, each one's population as its position
+        in ``pops``, and the last breakpoints of its queue's row of ``times``
+        at or before its start and at or before its end."""
+        per_queue = [profile.queue_rows(q.id) for q in self.queues]
+        rows = np.concatenate(per_queue)
+        of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
+        position = {p.id: i for i, p in enumerate(pops)}
+        owner = np.array([position.get(p, -1) for p in profile.pop[rows].tolist()], dtype=np.int64)
+        kept = (profile.row_mass[rows] > 0) & (owner >= 0)
+        rows, of_row = rows[kept], of_row[kept]
+        first, last = (last_at_or_before(self.times, self.bounds, x[rows], of_row)
+                       for x in (profile.start, profile.end))
+        return rows, owner[kept], first, last
+
 
 def fluid_table(
     profile: ArrivalProfile, queues, horizon: tuple[float, float] | None = None
@@ -457,9 +471,9 @@ def fluid_table(
     cdf_times, cdf_values, cdf_bounds = _cdf_rows(profile, [q.id for q in queues])
     ts, net_bounds = _union_rows(
         np.concatenate((cdf_times, [q.t_start for q in queues], np.repeat(horizon, k))),
-        np.concatenate((_groups(cdf_bounds), np.tile(np.arange(k), 3))), k,
+        np.concatenate((row_of(cdf_bounds), np.tile(np.arange(k), 3))), k,
     )
-    of_t = _groups(net_bounds)
+    of_t = row_of(net_bounds)
     j = last_at_or_before(cdf_times, cdf_bounds, ts, of_t)
     arrivals = interp_at(ts, cdf_times, cdf_values, j, j == cdf_bounds[of_t + 1] - 1)
     # F_k is nondecreasing (each row adds a nondecreasing term); arrivals
@@ -472,7 +486,7 @@ def fluid_table(
         busy = np.maximum(times - t_start, 0.0) - psi / mu
         wait = phi / mu + np.maximum(t_start - times, 0.0)
     finite = np.isfinite(phi) & np.isfinite(psi) & np.isfinite(busy) & np.isfinite(wait)
-    overflowed = _groups(bounds)[~finite]
+    overflowed = row_of(bounds)[~finite]
     if overflowed.size:
         raise _overflow(queues[overflowed[0]], "queue length, regulator, busy time or wait")
     return FluidTable(
@@ -497,14 +511,9 @@ def fluid_table(
 # -- row kernels: several paths end to end, row k in bounds[k]:bounds[k + 1] --
 
 
-def _groups(bounds: np.ndarray) -> np.ndarray:
-    """The row of every entry of rows laid end to end in ``bounds``."""
-    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-
-
 def _queue_columns(queues, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's queue opening and service rate, row k being queue k."""
-    of = _groups(bounds)
+    of = row_of(bounds)
     return np.array([q.t_start for q in queues])[of], np.array([q.mu for q in queues])[of]
 
 
@@ -532,7 +541,7 @@ def _cdf_rows(profile: ArrivalProfile, ids) -> tuple[np.ndarray, np.ndarray, np.
         np.concatenate((profile.start[rows], profile.end[rows], np.zeros(empty.size))),
         np.concatenate((of_row, of_row, empty)), counts.size,
     )
-    of_t, first_row = _groups(bounds), np.cumsum(counts) - counts
+    of_t, first_row = row_of(bounds), np.cumsum(counts) - counts
     values = np.zeros(ts.size)
     with np.errstate(over="ignore"):  # the netflow of arrivals that overflow is refused
         for rank in range(counts.max(initial=0)):
@@ -549,7 +558,7 @@ def _netflow_rows(ts, arrivals, bounds, queues) -> np.ndarray:
     t_start, mu = _queue_columns(queues, bounds)
     with np.errstate(over="ignore", invalid="ignore"):
         values = arrivals - mu * np.maximum(ts - t_start, 0.0)
-    overflowed = _groups(bounds)[~np.isfinite(values)]
+    overflowed = row_of(bounds)[~np.isfinite(values)]
     if overflowed.size:
         raise _overflow(queues[overflowed[0]])
     return values
@@ -572,7 +581,7 @@ def _reflect_rows(t, v, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     elementwise; -v is re-evaluated at the rounded crossing time.
     """
     n = t.size
-    of_t = _groups(bounds)
+    of_t = row_of(bounds)
     g = -v
     seed = g.copy()
     seed[bounds[:-1]] = np.maximum(seed[bounds[:-1]], 0.0)
@@ -604,6 +613,11 @@ def _reflect_rows(t, v, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return ts, psi, np.maximum(x + psi, 0.0), np.append(at, size)[bounds]
 
 
+def row_of(bounds: np.ndarray) -> np.ndarray:
+    """The row of every entry of rows laid end to end in ``bounds``."""
+    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+
+
 def last_at_or_before(xp, bounds, x, of_x) -> np.ndarray:
     """The last breakpoint of row ``of_x`` of ``xp`` at or before each point
     (the row's first for a point left of it): ``np.searchsorted(row, x,
@@ -611,7 +625,7 @@ def last_at_or_before(xp, bounds, x, of_x) -> np.ndarray:
     of all breakpoints at or before the value)."""
     everywhere = np.sort(xp)
     width = xp.size + 1
-    keys = _groups(bounds) * width + np.searchsorted(everywhere, xp, side="right")
+    keys = row_of(bounds) * width + np.searchsorted(everywhere, xp, side="right")
     at_x = of_x * width + np.searchsorted(everywhere, x, side="right")
     return np.maximum(np.searchsorted(keys, at_x, side="right") - 1, bounds[of_x])
 

@@ -69,18 +69,12 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     if not len(profile):
         return 0.0
     table = fluid.fluid_table(profile, s.queues)
-    pop_row = profile.population_positions(s.populations)
-    # the rows queue by queue, in profile order at each queue
-    per_queue = [profile.queue_rows(q.id) for q in s.queues]
-    rows = np.concatenate(per_queue)
-    of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
-    kept = (profile.row_mass[rows] > 0) & (pop_row[rows] >= 0)
-    rows, of_row = rows[kept], of_row[kept]
-    weights, betas = (c[pop_row[rows], 0] for c in fluid.cost_columns(s.populations))
-    integrals = _segment_integrals(table, of_row, weights, betas, profile.start[rows], profile.end[rows])
+    rows, owner, at_a, at_b = table.support_rows(profile, s.populations)
+    weights, betas = (c[owner, 0] for c in fluid.cost_columns(s.populations))
+    integrals = _segment_integrals(table, at_a, at_b, weights, betas, profile.start[rows], profile.end[rows])
     # a stable sort by population gives the summation order population,
     # queue, profile order
-    order = np.argsort(pop_row[rows], kind="stable")
+    order = np.argsort(owner, kind="stable")
     total = 0.0
     for term in (profile.density[rows] * integrals)[order].tolist():
         total += term
@@ -89,10 +83,11 @@ def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     return total
 
 
-def _segment_integrals(table, of_row, weight, beta, a, b) -> np.ndarray:
+def _segment_integrals(table, at_a, at_b, weight, beta, a, b) -> np.ndarray:
     """Exact integral over [a[r], b[r]] of the arrival cost weight[r] * wait
-    + beta[r] * t on the wait path of queue ``of_row[r]`` of ``table``, for
-    every row r at once, with a < b inside the table's horizon.  The
+    + beta[r] * t on the wait path of ``table`` whose row holds the
+    breakpoints ``at_a[r]`` and ``at_b[r]``, the last at or before a[r] and
+    b[r], for every r at once, with a < b inside the table's horizon.  The
     trapezoids between a, the breakpoints strictly inside and b are summed
     as ``PiecewisePath.integral`` sums them: a breakpoint takes the cost
     there, a and b take np.interp's value between the breakpoints around
@@ -105,8 +100,6 @@ def _segment_integrals(table, of_row, weight, beta, a, b) -> np.ndarray:
         fp = fluid.arrival_costs((np.repeat(weight, 2), np.repeat(beta, 2)), t[pair], wait[pair])
         return fluid.interp_at(x, t[pair], fp, 2 * np.arange(x.size), np.zeros(x.size, dtype=bool))
 
-    at_a = fluid.last_at_or_before(t, table.bounds, a, of_row)
-    at_b = fluid.last_at_or_before(t, table.bounds, b, of_row)
     first = at_a + 1  # the breakpoints in (a, b) are first, ..., first + inner - 1
     inner = at_b + (t[at_b] < b) - first
     ends = (cost_at(a, at_a), cost_at(b, at_b))

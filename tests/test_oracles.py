@@ -423,10 +423,23 @@ def test_columns_group_rows_by_queue_in_profile_order():
         cq.Segment(1, 1, 0.0, 1.0, 0.5),
         cq.Segment(2, 3, 2.0, 3.0, 0.25),
         cq.Segment(2, 1, 0.0, 1.0, 1.0),
+        cq.Segment(1, 3, 0.5, 1.5, 0.0),  # no mass
+        cq.Segment(9, 1, 0.5, 2.0, 1.0),  # a population not in the scenario
     )
     profile = cq.ArrivalProfile(segs)
-    assert profile.queue_rows(3).tolist() == [0, 2]
-    assert profile.queue_rows(1).tolist() == [1, 3]
+    assert profile.queue_rows(3).tolist() == [0, 2, 4]
+    assert profile.queue_rows(1).tolist() == [1, 3, 5]
     assert profile.queue_rows(2).tolist() == []
     assert np.array_equal(profile.row_mass, [s.mass for s in segs])
     assert not profile.start.flags.writeable
+    # the support gather: queue by queue in the order asked for, profile
+    # order within a queue, without the massless row and the stray population
+    queues = (cq.QueueSpec(3, 1.0, 0.0), cq.QueueSpec(1, 2.0, 0.5), cq.QueueSpec(2, 1.0, 0.0))
+    pops = (cq.PopulationSpec(2, 1.0, 1.0), cq.PopulationSpec(1, 1.0, 1.0))
+    table = fluid.fluid_table(profile, queues)
+    rows, owner, first, last = table.support_rows(profile, pops)
+    assert rows.tolist() == [0, 2, 1, 3]
+    assert owner.tolist() == [0, 0, 1, 0]
+    for ends, at in ((profile.start, first), (profile.end, last)):
+        assert fluid.row_of(table.bounds)[at].tolist() == [0, 0, 1, 1]
+        assert np.array_equal(table.times[at], ends[rows])
