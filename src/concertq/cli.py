@@ -36,7 +36,7 @@ MAX_SIM_GRID_POINTS = 1 << 16
 def _read(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -131,35 +131,17 @@ def _sort_runs(ranked: np.ndarray, order: np.ndarray, tiebreak: np.ndarray) -> n
     ``ranked`` (no NaN) by ``tiebreak[order]``; equal tiebreaks keep their
     positions.  Only the positions tied to a neighbour are sorted, by one
     lexsort of (run, tiebreak)."""
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if tied.size:
-        # equal values are adjacent, so a run starts at each change of value
-        # among the positions that are tied to a neighbour
-        members = fluid.sorted_unique(tied, tied + 1)
-        member_keys = ranked[members]
-        starts = np.empty(members.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(member_keys[1:], member_keys[:-1], out=starts[1:])
+    # after[j]: position j is tied to the one before it
+    after = np.zeros(ranked.size, dtype=bool)
+    np.equal(ranked[1:], ranked[:-1], out=after[1:])
+    if after.any():
+        members = np.flatnonzero(after | np.append(after[1:], False))
+        # a run starts at each member not tied to the one before it
+        runs = np.cumsum(~after[members])
+        del after
         at = order[members]
-        order[members] = at[np.lexsort((tiebreak[at], np.cumsum(starts)))]
+        order[members] = at[np.lexsort((tiebreak[at], runs))]
     return order
-
-
-def _time_order(keys: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """``np.lexsort((draw, keys))`` for keys without NaN and ``draw`` a
-    permutation of ``range(keys.size)``: the order of increasing key, equal
-    keys (0.0 and -0.0 among them) in increasing draw.
-
-    Keys that are already nondecreasing keep their positions after one O(n)
-    check; others take numpy's (unstable) argsort.  Then ``_sort_runs``
-    reorders the positions inside each run of equal keys by draw.
-    """
-    if np.all(keys[1:] >= keys[:-1]):
-        order, ranked = np.arange(keys.size), keys
-    else:
-        order = np.argsort(keys)
-        ranked = keys[order]
-    return _sort_runs(ranked, order, draw)
 
 
 def _uniform_order(r: np.ndarray) -> np.ndarray:
@@ -199,15 +181,17 @@ def sample_arrivals(
 
     The draws are sorted once, by their time uniform (``_uniform_order``:
     one sort of packed uint64 keys), so each knot interval holds one slice
-    of them: the inverse CDF and the routing run slice by slice, and the
-    times come out nondecreasing but for rounding at interval edges, which
-    ``_time_order`` repairs; times that come out strictly increasing are
-    returned as they are.  Memory is O(n + I K) for K queues and I knot
+    of them: the inverse CDF and the routing run slice by slice.  Each time
+    is capped at its interval's right knot, which rounding can pass, so the
+    times are nondecreasing by construction.  Strictly increasing times are
+    returned as they are; otherwise ``_sort_runs`` puts each run of equal
+    times in draw order.  Memory is O(n + I K) for K queues and I knot
     intervals.  Each n-sized array is freed once it has been used for the
-    last time: at the peak four are alive, 32 bytes per user, or five (40
-    bytes) when some times tie and their repair needs the draw order after
-    routing.  A profile whose total mass overflows is refused with a
-    DomainError.
+    last time: at the peak four are alive, 32 bytes per user.  When some
+    times tie, the draw order is kept through routing (40 bytes per user)
+    and the repair adds 40 bytes per tied time, so the peak reaches 72
+    bytes per user when nearly every time ties.  A profile whose total mass
+    overflows is refused with a DomainError.
     """
     live = np.flatnonzero(profile.row_mass > 0)
     if not live.size:
@@ -244,9 +228,14 @@ def sample_arrivals(
     # interval i holds the u in [cum[i], cum[i + 1]); the last interval also
     # takes a u that rounds up to the total mass
     bounds = np.concatenate(([0], np.searchsorted(u, cum[1:-1], side="left"), [n]))
+    # each time is capped at its interval's right knot, which rounding can
+    # pass, so the times are nondecreasing: u is, and interval i + 1's times
+    # start at the knot that ends interval i's
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, a, b in _occupied(bounds):
-            u[a:b] = knots[i] + (u[a:b] - cum[i]) / total_density[i]
+            t = u[a:b]
+            t[:] = knots[i] + (t - cum[i]) / total_density[i]
+            t[t > knots[i + 1]] = knots[i + 1]
     # strictly increasing times are already the (time, draw) order; only the
     # tie repair below needs the draw order once v is gathered
     increasing = np.all(u[1:] > u[:-1])
@@ -261,7 +250,7 @@ def sample_arrivals(
     if increasing:
         return u, queues
     # one gather at a time, so at most one n-sized copy is alive
-    order = _time_order(u, draw)
+    order = _sort_runs(u, np.arange(n), draw)
     del draw
     u = u[order]
     return u, queues[order]

@@ -253,9 +253,10 @@ def stable_argsort(keys):
 
 def sample_arrivals_in_draw_order(profile, n, seed, replication=0):
     """``sim.sample_arrivals`` computed in draw order: the same streams,
-    density table and inverse-CDF float operations, every draw's interval
-    searched in the cumulative masses, routed by ``route_by_columns`` and the
-    events put in ``stable_argsort`` order of their times."""
+    density table and inverse-CDF float operations (a time past its
+    interval's right knot set to that knot), every draw's interval searched
+    in the cumulative masses, routed by ``route_by_columns`` and the events
+    put in ``stable_argsort`` order of their times."""
     density = density_table_by_segments(profile)
     segs = [g for g in profile.segments if g.mass > 0]
     knots = np.union1d([g.start for g in segs], [g.end for g in segs])
@@ -266,6 +267,7 @@ def sample_arrivals_in_draw_order(profile, n, seed, replication=0):
     idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, knots.size - 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         times = knots[idx] + (u - cum[idx]) / total_density[idx]
+    times = np.where(times > knots[idx + 1], knots[idx + 1], times)
     queues = np.asarray(profile.queue_ids, dtype=int)[route_by_columns(density, total_density, idx, v)]
     order = stable_argsort(times)
     return times[order], queues[order]

@@ -548,6 +548,17 @@ def test_malformed_profile_csv_exits_2_from_a_fresh_interpreter(scenarios):
     assert "row 3" in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--scenario", "--profile"])
+def test_input_that_is_not_utf8_is_a_parse_error(scenarios, capsys, flag):
+    bad = scenarios["dir"] / "not_utf8"
+    bad.write_bytes(b"\xff\xfe\n")
+    scenario = bad if flag == "--scenario" else scenarios["two"]
+    assert main(["verify", "--scenario", str(scenario), "--profile", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"cannot read {flag[2:]} {bad}" in err
+
+
 @pytest.mark.parametrize(
     "row, what",
     [

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from oracles import (
     route_by_columns,
     sample_arrivals_in_draw_order,
     scaled_paths_by_process,
-    stable_argsort,
 )
 
 
@@ -275,30 +275,14 @@ _KEYS = st.one_of(
 )
 
 
-@given(_KEYS)
-@settings(max_examples=300, deadline=None)
-def test_tie_repaired_order_is_the_stable_argsort(keys):
-    keys = np.asarray(keys, dtype=float)
-    assert np.array_equal(sim._time_order(keys, np.arange(keys.size)), stable_argsort(keys))
-
-
-def test_tie_repaired_order_on_a_third_tied_draws():
-    rng = np.random.default_rng(11)
-    keys = rng.random(30_000)
-    keys[::3] = np.round(keys[::3], 2)
-    keys[1::7] = -0.0
-    assert np.array_equal(sim._time_order(keys, np.arange(keys.size)), stable_argsort(keys))
-
-
 @given(_KEYS, st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_time_order_is_the_lexsort_of_key_and_draw(keys, seed):
-    # the keys as drawn (any order) and nondecreasing (the sampler's case,
-    # where 0.0 and -0.0 may sit in either order), each with its draws shuffled
-    keys = np.asarray(keys, dtype=float)
-    draw = np.random.default_rng(seed).permutation(keys.size)
-    for k in (keys, np.sort(keys)):
-        assert np.array_equal(sim._time_order(k, draw), np.lexsort((draw, k)))
+def test_sort_runs_on_sorted_times_is_the_lexsort_of_time_and_draw(keys, seed):
+    # the sampler's tie repair: nondecreasing times (0.0 and -0.0 in either
+    # order among them) in position order, the draws shuffled
+    k = np.sort(np.asarray(keys, dtype=float))
+    draw = np.random.default_rng(seed).permutation(k.size)
+    assert np.array_equal(sim._sort_runs(k, np.arange(k.size), draw), np.lexsort((draw, k)))
 
 
 # both queues on an interval eight ulps wide: about 200,000 draws share nine
@@ -329,17 +313,50 @@ def test_sampler_is_the_draw_order_oracle(profile):
 
 def test_tied_profile_takes_the_tie_repair(monkeypatch):
     # the draw-order oracle's tied case reaches the tie repair, the one branch
-    # that keeps the draw order past routing
-    sizes = []
-    time_order = sim._time_order
+    # that keeps the draw order past routing: after the runs of the uniforms'
+    # uint64 keys, the runs of the float times
+    calls = []
+    sort_runs = sim._sort_runs
 
-    def recording(keys, draw):
-        sizes.append(keys.size)
-        return time_order(keys, draw)
+    def recording(ranked, order, tiebreak):
+        calls.append((ranked.dtype.kind, ranked.size))
+        return sort_runs(ranked, order, tiebreak)
 
-    monkeypatch.setattr(sim, "_time_order", recording)
+    monkeypatch.setattr(sim, "_sort_runs", recording)
     sim.sample_arrivals(_TIED, 1000, seed=1, replication=2)
-    assert sizes == [1000]
+    assert calls == [("u", 1000), ("f", 1000)]
+
+
+def test_tied_sampler_memory_grows_by_72_bytes_per_user():
+    # sample_arrivals' docstring: when nearly every sampled time ties, the
+    # traced peak grows by 72 bytes per user
+    def peak(users):
+        return _traced_peak(lambda: sim.sample_arrivals(_TIED, users, seed=0))
+
+    n = 100_000
+    peak(10)  # warm up
+    small, big = peak(n), peak(2 * n)
+    assert big - small <= 72 * n + _FIXED_BYTES, (big - small) / n
+
+
+def test_a_time_that_rounds_past_its_knot_is_capped_at_it(monkeypatch):
+    # this arrival uniform falls in the first interval, whose inverse CDF
+    # rounds it to 1.1333857763418109e-07, past the interval's right knot
+    knot = 1.1333857679079245e-07
+    profile = cq.ArrivalProfile.from_rows([
+        (1, 1, -8.77299543303145, knot, 9.391383672616298),
+        (1, 1, knot, 0.03818523919061176, 0.0026317490596624513),
+    ])
+    stream = sim._stream
+
+    def pinned(seed, replication, index):
+        if index == sim._ARRIVAL_STREAM:
+            return SimpleNamespace(random=lambda n: np.array([0.9999987802784956]))
+        return stream(seed, replication, index)
+
+    monkeypatch.setattr(sim, "_stream", pinned)
+    times, _ = sim.sample_arrivals(profile, 1, seed=0)
+    assert times[0] <= knot, repr(times[0])
 
 
 def _uniform_ties(n, seed, kinds):
