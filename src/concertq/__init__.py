@@ -38,8 +38,8 @@ _NAMES = {
         "poa_equal_rate_case", "poa_multi", "poa_single", "social_cost",
     ),
     "sim": (
-        "ConvergenceReport", "SimConfig", "SimPaths", "convergence_report",
-        "convergence_study", "default_grid", "run_des", "sample_arrivals", "scaled_paths",
+        "ConvergenceReport", "SimConfig", "SimPaths", "convergence_report", "default_grid",
+        "run_des", "sample_arrivals", "scaled_paths",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -19,9 +19,11 @@ stream 0 for arrival times, stream 1 for routing, and stream 16 + q for the
 service times of the q-th queue.  Identical (scenario, config, seed) inputs
 give bit-identical paths on any platform.
 
-Event conventions: at equal timestamps arrivals are processed before
-departures, ties within a class by user index.  Step functions are
-right-continuous (counts include events at exactly t).
+Event conventions: the sampler hands the DES its events grouped by queue,
+sorted by queue id and each queue's times nondecreasing, and every queue is
+simulated on its own block.  At equal timestamps arrivals are processed
+before departures; tied arrivals are served in their order in the block.
+Step functions are right-continuous (counts include events at exactly t).
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.
 def _route(
     density: np.ndarray, total_density: np.ndarray, bounds: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Column of the queue each draw joins.
+    """Column of the queue each draw joins, in the least unsigned type that
+    holds the column count.
 
     ``density`` is the (I, K) per-interval density table with row sums
     ``total_density``.  The draws come grouped by interval: interval i's
@@ -112,7 +115,7 @@ def _route(
         table = np.cumsum(density / total_density[:, None], axis=1)
     width = table.shape[1]
     last_positive = width - 1 - np.argmax(density[:, ::-1] > 0, axis=1)
-    choice = np.empty(v.size, dtype=np.intp)
+    choice = np.empty(v.size, dtype=np.min_scalar_type(width))
     for i, a, b in _occupied(bounds):
         row = choice[a:b]
         row[:] = np.searchsorted(table[i], v[a:b], side="right")
@@ -171,27 +174,28 @@ def _uniform_order(r: np.ndarray) -> np.ndarray:
 def sample_arrivals(
     profile: ArrivalProfile, n: int, seed: int, replication: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n (time, queue) arrival events from the profile.
+    """Draw n (time, queue) arrival events from the profile, grouped by
+    queue: sorted by queue id, each queue's times nondecreasing.
 
     Times invert the aggregate piecewise-linear CDF of the profile
     (renormalized to a probability mixture); queues are then drawn from the
-    conditional routing probabilities d_k(t) / d(t).  Events are returned
-    sorted by time, ties kept in draw order.  Deterministic given
-    (seed, replication).
+    conditional routing probabilities d_k(t) / d(t).  Deterministic given
+    (seed, replication): the events are the n draws sorted by time, ties in
+    draw order, then stably grouped by queue.  Within a queue, tied times
+    come in the order of their time uniforms instead; they are equal values,
+    so only the sign of a tied zero could show it.
 
     The draws are sorted once, by their time uniform (``_uniform_order``:
     one sort of packed uint64 keys), so each knot interval holds one slice
     of them: the inverse CDF and the routing run slice by slice.  Each time
     is capped at its interval's right knot, which rounding can pass, so the
-    times are nondecreasing by construction.  Strictly increasing times are
-    returned as they are; otherwise ``_sort_runs`` puts each run of equal
-    times in draw order.  Memory is O(n + I K) for K queues and I knot
-    intervals.  Each n-sized array is freed once it has been used for the
-    last time: at the peak four are alive, 32 bytes per user.  When some
-    times tie, the draw order is kept through routing (40 bytes per user)
-    and the repair adds 40 bytes per tied time, so the peak reaches 72
-    bytes per user when nearly every time ties.  A profile whose total mass
-    overflows is refused with a DomainError.
+    times are nondecreasing by construction.  One stable argsort of the
+    routed columns, which numpy radix-sorts when there are fewer than 2^16
+    queues, then groups the events by queue.  Memory is O(n + I K) for K
+    queues and I knot intervals.  Each n-sized array is freed once it has
+    been used for the last time: at the peak four are alive, 32 bytes per
+    user, whether or not times tie.  A profile whose total mass overflows
+    is refused with a DomainError.
     """
     live = np.flatnonzero(profile.row_mass > 0)
     if not live.size:
@@ -236,24 +240,17 @@ def sample_arrivals(
             t = u[a:b]
             t[:] = knots[i] + (t - cum[i]) / total_density[i]
             t[t > knots[i + 1]] = knots[i + 1]
-    # strictly increasing times are already the (time, draw) order; only the
-    # tie repair below needs the draw order once v is gathered
-    increasing = np.all(u[1:] > u[:-1])
     v = _stream(seed, replication, _ROUTING_STREAM).random(n)[draw]
-    if increasing:
-        del draw
-    choice = _route(density, total_density, bounds, v)
-    del v
-    queues = np.asarray(queue_ids, dtype=int)[choice]
-    del choice
-
-    if increasing:
-        return u, queues
-    # one gather at a time, so at most one n-sized copy is alive
-    order = _sort_runs(u, np.arange(n), draw)
     del draw
+    columns = _route(density, total_density, bounds, v)
+    del v
+    # a stable sort keeps each queue's times in their nondecreasing order
+    counts = np.bincount(columns, minlength=len(queue_ids))
+    order = np.argsort(columns, kind="stable")
+    del columns
     u = u[order]
-    return u, queues[order]
+    del order
+    return u, np.repeat(np.asarray(queue_ids, dtype=int), counts)
 
 
 def _time_covered(starts: np.ndarray, ends: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -325,40 +322,30 @@ def run_des(
     Completion times follow the FIFO recursion
     c_i = max(a_i, t_start, c_{i-1}) + service_i, vectorized via prefix sums.
 
-    The events are grouped by queue in one stable argsort of their labels,
-    shifted to start at 0 and narrowed to the least unsigned type holding
-    them: numpy radix-sorts labels of at most 16 bits.  Events at a label
-    outside the scenario are dropped.
+    The events come grouped by queue, as ``sample_arrivals`` returns them:
+    sorted by queue id, each queue's times nondecreasing; anything else is
+    refused with a DomainError.  Each scenario queue's arrivals are its
+    block, found by ``searchsorted`` on the ids and kept as a view of the
+    times.  Events at an id outside the scenario are ignored.
 
-    Each input array is freed once grouped, if the caller holds no other
-    reference to it (``_replication`` passes the sampler's result straight
-    in): the DES then peaks at 27 bytes per user on the worked pair and
-    keeps 24, each record's arrival, service and completion times.
+    The queue ids are freed once the blocks are found, if the caller holds
+    no other reference to them (``_replication`` passes the sampler's result
+    straight in): the DES then peaks at 26 bytes per user on the worked pair
+    and keeps 24, each record's arrival, service and completion times.
     """
     times, queues = events
     del events  # a caller that passes the sampler's result holds no copy
-    if times.size and not np.all(np.diff(times) >= 0):
-        raise DomainError("events must be sorted by time")
+    ids = [q.id for q in s.queues]
+    grouped = bool(np.all(queues[1:] >= queues[:-1]))
+    blocks = [times[a:b] for a, b in zip(np.searchsorted(queues, ids, side="left").tolist(),
+                                         np.searchsorted(queues, ids, side="right").tolist())]
+    del queues
+    if not (grouped and all(np.all(arr[1:] >= arr[:-1]) for arr in blocks)):
+        raise DomainError("events must be sorted by queue, then by time")
     mass_scale = s.total_mass / cfg.n
 
-    # one stable grouping pass keeps each queue's arrivals in time order; the
-    # label range takes in the scenario's ids, so every id has a label
-    ids = [q.id for q in s.queues]
-    lo = int(queues.min(initial=min(ids)))
-    span = int(queues.max(initial=max(ids))) - lo
-    labels = np.empty(queues.size, dtype=np.min_scalar_type(span))
-    np.subtract(queues, lo, out=labels, casting="unsafe")
-    del queues
-    order = np.argsort(labels, kind="stable")
-    labels, grouped = labels[order], times[order]
-    del order, times
-    wanted = np.array([i - lo for i in ids], dtype=labels.dtype)
-    first = np.searchsorted(labels, wanted, side="left").tolist()
-    stop = np.searchsorted(labels, wanted, side="right").tolist()
-
     records: dict[int, QueueRecord] = {}
-    for qi, q in enumerate(s.queues):
-        arr = grouped[first[qi]:stop[qi]]
+    for qi, (q, arr) in enumerate(zip(s.queues, blocks)):
         rng = _stream(cfg.seed, replication, _SERVICE_STREAM_BASE + qi)
         mean = mass_scale / q.mu
         if cfg.service_dist == "exponential":
@@ -475,8 +462,8 @@ def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> n
 def _replication(s, profile, cfg, grid, reference, rep) -> Replication:
     """Replication ``rep``; its events and event records are unreachable
     once it returns."""
-    # no name holds the events, so run_des releases them once it has grouped
-    # them into its records
+    # no name holds the events, so run_des releases the queue ids once it has
+    # found each queue's block of the times
     paths = run_des(s, sample_arrivals(profile, cfg.n, cfg.seed, replication=rep), cfg,
                     replication=rep)
     # n >= 1 and every sampled queue is in the scenario, so some record is
@@ -497,7 +484,7 @@ def replications(s: Scenario, profile: ArrivalProfile, cfg: SimConfig) -> Iterat
     call, before any replication runs.
 
     A replication's traced memory peaks in the sampler, at 32 bytes per user
-    when no sampled times tie (``sample_arrivals``): ``run_des`` and
+    (``sample_arrivals``): ``run_des`` and
     ``scaled_paths`` hold less while busy periods are few against users, as
     on an equilibrium profile, where the fluid queue stays positive."""
     profile.require_queues(s.queues)
@@ -534,19 +521,3 @@ def convergence_report(
         support_infimum=float(profile.support_bounds()[0]),
         grid=grid,
     )
-
-
-def convergence_study(
-    s: Scenario, profile: ArrivalProfile, cfg: SimConfig, n_factor: int = 100
-) -> tuple[ConvergenceReport, ConvergenceReport, dict[str, float]]:
-    """Convergence reports at n and n * n_factor with shared replication
-    seeds, plus the mean-sup-error ratio per process (large over small)."""
-    small = convergence_report(s, profile, cfg)
-    big = convergence_report(s, profile, replace(cfg, n=cfg.n * n_factor, grid=small.grid))
-    ratios = {
-        name: big.processes[name].mean / small.processes[name].mean
-        if small.processes[name].mean > 0
-        else 0.0
-        for name in small.processes
-    }
-    return small, big, ratios

@@ -6,10 +6,11 @@ pair.  The library batches the same float operations per queue.
 
 The sampler: each draw's interval is searched in the cumulative masses,
 routing counts the cumulative columns one column at a time over all draws,
-and the event order is numpy's stable argsort of the times.  The library
-sorts the draws once by their time uniform, so each interval's draws are one
-slice, routes and inverts slice by slice, and repairs the order of the
-nearly sorted times.
+and the event order is numpy's stable argsort of the times, regrouped by a
+stable argsort of the queue ids (``grouped_by_queue``).  The library sorts
+the draws once by their time uniform, so each interval's draws are one
+slice, routes and inverts slice by slice, and groups the events by queue in
+one stable sort of the routed columns.
 
 The arrival profile: CSV rows parsed, shifted and tabulated one ``Segment``
 record at a time.  The library keeps the profile as numpy columns.
@@ -31,12 +32,17 @@ again for the virtual wait) against a shifted copy of the completions, and
 the presented work read from the prefix sums with a 0 in front.  The library
 reads each queue in one pass and copies no n-sized array to do it.
 
+The convergence study: reports at n and at n times a factor with shared
+replication seeds and the ratio of their mean sup errors, built from
+``sim.convergence_report``.  The library has no two-point study.
+
 Tests assert that both forms agree exactly (the optimal profile's
 boundaries to 1e-12).
 """
 
 import io
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -271,6 +277,27 @@ def sample_arrivals_in_draw_order(profile, n, seed, replication=0):
     queues = np.asarray(profile.queue_ids, dtype=int)[route_by_columns(density, total_density, idx, v)]
     order = stable_argsort(times)
     return times[order], queues[order]
+
+
+def grouped_by_queue(times, queues):
+    """The events regrouped by a stable argsort of their queue ids: the
+    order ``sim.sample_arrivals`` returns and ``sim.run_des`` takes."""
+    order = stable_argsort(queues)
+    return times[order], queues[order]
+
+
+def convergence_study(s, profile, cfg, n_factor=100):
+    """Convergence reports at n and n * n_factor with shared replication
+    seeds, plus the mean-sup-error ratio per process (large over small)."""
+    small = sim.convergence_report(s, profile, cfg)
+    big = sim.convergence_report(s, profile, replace(cfg, n=cfg.n * n_factor, grid=small.grid))
+    ratios = {
+        name: big.processes[name].mean / small.processes[name].mean
+        if small.processes[name].mean > 0
+        else 0.0
+        for name in small.processes
+    }
+    return small, big, ratios
 
 
 def profile_segments_from_csv(text):

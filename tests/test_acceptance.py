@@ -21,6 +21,7 @@ from conftest import (
     two_population_single_queue_scenario,
     two_queue_worked_scenario,
 )
+from oracles import convergence_study
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -200,7 +201,7 @@ def test_criterion_6_fluid_limit_convergence():
     cfg = sim.SimConfig(
         n=100, seed=42, replications=20, grid=sim.default_grid(profile, s)
     )
-    small, big, ratios = sim.convergence_study(s, profile, cfg, n_factor=100)
+    small, big, ratios = convergence_study(s, profile, cfg, n_factor=100)
     ratio = ratios["queue_length"]
     arrivals_hit = np.mean(
         [e < 0.02 for e in big.processes["arrivals"].per_replication]

@@ -20,7 +20,9 @@ from conftest import (
 )
 from oracles import (
     busy_periods_by_shift,
+    convergence_study,
     density_table_by_segments,
+    grouped_by_queue,
     route_by_columns,
     sample_arrivals_in_draw_order,
     scaled_paths_by_process,
@@ -91,9 +93,9 @@ def test_sampling_rejects_a_profile_whose_mass_overflows():
             sim.sample_arrivals(profile, 5, seed=0)
 
 
-def _stream_digest(profile, n, seed):
-    times, queues = sim.sample_arrivals(profile, n, seed)
-    return hashlib.sha256(times.tobytes() + queues.tobytes()).hexdigest()
+def _assert_same_events(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -108,8 +110,13 @@ def _stream_digest(profile, n, seed):
     ],
 )
 def test_sampled_streams_are_pinned(build, n, seed, digest):
-    # digests recorded at the parent commit; routing must keep streams bit-identical
-    assert _stream_digest(equilibrium_profile(build()), n, seed) == digest
+    # digests of the time-ordered streams, recorded before the sampler grouped
+    # its events by queue: the draw-order oracle still gives them, and the
+    # sampler gives them regrouped by queue
+    profile = equilibrium_profile(build())
+    times, queues = sample_arrivals_in_draw_order(profile, n, seed)
+    assert hashlib.sha256(times.tobytes() + queues.tobytes()).hexdigest() == digest
+    _assert_same_events(sim.sample_arrivals(profile, n, seed), grouped_by_queue(times, queues))
 
 
 def test_sampler_memory_is_linear_in_n():
@@ -142,8 +149,9 @@ _FIXED_BYTES = 2**16
 
 
 def test_des_releases_the_events_it_is_handed():
-    # passed straight from the sampler, the events are freed once the DES has
-    # grouped them, so the DES never holds more than the sampler's own peak
+    # passed straight from the sampler, the queue ids are freed once the DES
+    # has found each queue's block, so the DES never holds more than the
+    # sampler's own peak
     s = two_queue_worked_scenario()
     profile = equilibrium_profile(s)
     cfg = sim.SimConfig(n=200_000, seed=0)
@@ -155,7 +163,7 @@ def test_des_releases_the_events_it_is_handed():
 
 def test_replication_memory_grows_by_the_sampler_peak_per_user():
     # sim.replications' docstring: a replication's traced peak grows by the
-    # sampler's 32 bytes per user (worked pair, no tied times)
+    # sampler's 32 bytes per user (worked pair)
     s = two_queue_worked_scenario()
     profile = equilibrium_profile(s)
     n = 100_000
@@ -278,8 +286,9 @@ _KEYS = st.one_of(
 @given(_KEYS, st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_sort_runs_on_sorted_times_is_the_lexsort_of_time_and_draw(keys, seed):
-    # the sampler's tie repair: nondecreasing times (0.0 and -0.0 in either
-    # order among them) in position order, the draws shuffled
+    # the run repair on any nondecreasing keys (0.0 and -0.0 in either order
+    # among them) in position order, the draws shuffled; _uniform_order runs
+    # it on uint64 keys
     k = np.sort(np.asarray(keys, dtype=float))
     draw = np.random.default_rng(seed).permutation(k.size)
     assert np.array_equal(sim._sort_runs(k, np.arange(k.size), draw), np.lexsort((draw, k)))
@@ -304,17 +313,17 @@ _TIED = cq.ArrivalProfile.from_rows([
     ids=["worked-pair", "wide", "overlapping", "tied"],
 )
 def test_sampler_is_the_draw_order_oracle(profile):
+    # byte for byte the time-ordered oracle regrouped by queue: tied times
+    # are equal values, so their order within a queue leaves no trace
     for n, seed, rep in ((1, 0, 0), (2, 3, 1), (17, 7919, 0), (1000, 1, 2), (200_000, 0, 1)):
-        times, queues = sim.sample_arrivals(profile, n, seed, replication=rep)
-        want_times, want_queues = sample_arrivals_in_draw_order(profile, n, seed, replication=rep)
-        assert times.tobytes() == want_times.tobytes()
-        assert queues.tobytes() == want_queues.tobytes()
+        want = sample_arrivals_in_draw_order(profile, n, seed, replication=rep)
+        _assert_same_events(sim.sample_arrivals(profile, n, seed, replication=rep),
+                            grouped_by_queue(*want))
 
 
-def test_tied_profile_takes_the_tie_repair(monkeypatch):
-    # the draw-order oracle's tied case reaches the tie repair, the one branch
-    # that keeps the draw order past routing: after the runs of the uniforms'
-    # uint64 keys, the runs of the float times
+def test_tied_profile_takes_only_the_key_run_repair(monkeypatch):
+    # nearly every time of the tied case ties, yet the only run repair is
+    # the one of the uniforms' uint64 keys: no run of float times is repaired
     calls = []
     sort_runs = sim._sort_runs
 
@@ -324,19 +333,19 @@ def test_tied_profile_takes_the_tie_repair(monkeypatch):
 
     monkeypatch.setattr(sim, "_sort_runs", recording)
     sim.sample_arrivals(_TIED, 1000, seed=1, replication=2)
-    assert calls == [("u", 1000), ("f", 1000)]
+    assert calls == [("u", 1000)]
 
 
-def test_tied_sampler_memory_grows_by_72_bytes_per_user():
-    # sample_arrivals' docstring: when nearly every sampled time ties, the
-    # traced peak grows by 72 bytes per user
+def test_tied_sampler_memory_grows_by_32_bytes_per_user():
+    # sample_arrivals' docstring: the traced peak grows by 32 bytes per user
+    # whether or not times tie, here when nearly every one does
     def peak(users):
         return _traced_peak(lambda: sim.sample_arrivals(_TIED, users, seed=0))
 
     n = 100_000
     peak(10)  # warm up
     small, big = peak(n), peak(2 * n)
-    assert big - small <= 72 * n + _FIXED_BYTES, (big - small) / n
+    assert big - small <= 32 * n + _FIXED_BYTES, (big - small) / n
 
 
 def test_a_time_that_rounds_past_its_knot_is_capped_at_it(monkeypatch):
@@ -391,14 +400,17 @@ def test_uniform_order_is_the_lexsort_of_value_and_index(n, seed, kinds):
 
 
 def test_sampler_sorts_the_draws_once(monkeypatch):
-    # one n-sized value sort, of packed keys in _uniform_order; no n-sized
-    # argsort or lexsort
+    # per replication, across sampler and DES: one n-sized value sort, of
+    # packed keys in _uniform_order, and one n-sized argsort, of the routed
+    # columns in their narrowest unsigned type (numpy radix-sorts 8 bits); no
+    # n-sized lexsort
     n = 100_000
-    sizes, ordered = [], []
+    sorts, ordered = [], []
 
     def counting(sort):
         def wrapped(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])  # lexsort's keys are (k, n)
+            # lexsort's keys are (k, n)
+            sorts.append((sort.__name__, np.shape(a)[-1], np.asarray(a).dtype.str))
             return sort(a, *args, **kwargs)
         return wrapped
 
@@ -407,14 +419,15 @@ def test_sampler_sorts_the_draws_once(monkeypatch):
         return uniform_order(r)
 
     uniform_order = sim._uniform_order
-    profile = equilibrium_profile(two_queue_worked_scenario())
+    s = two_queue_worked_scenario()
+    profile = equilibrium_profile(s)
     monkeypatch.setattr(np, "argsort", counting(np.argsort))
     monkeypatch.setattr(np, "lexsort", counting(np.lexsort))
     monkeypatch.setattr(sim, "_uniform_order", recording)
-    sim.sample_arrivals(profile, n, seed=0)
+    sim.run_des(s, sim.sample_arrivals(profile, n, seed=0), sim.SimConfig(n=n, seed=0))
     monkeypatch.undo()
     assert ordered == [n]
-    assert n not in sizes
+    assert [sort for sort in sorts if sort[1] == n] == [("argsort", n, "|u1")]
 
 
 # -- discrete-event core --------------------------------------------------------
@@ -543,23 +556,23 @@ def test_grouping_pass_matches_per_queue_masks(foreign_id, monkeypatch):
     cfg = sim.SimConfig(n=20_000, seed=0)
     times, queues = sim.sample_arrivals(equilibrium_profile(s), cfg.n, cfg.seed)
     if foreign_id is not None:
-        # events for a queue outside the scenario are dropped; labels below the
-        # scenario's ids shift the label range, and 2^40 widens it to 64 bits
+        # events for a queue outside the scenario are ignored, whether their
+        # block comes before the scenario's ids (-5) or after them, up to 2^40
         queues = queues.copy()
         queues[::7] = foreign_id
-    dtypes = []
+        times, queues = grouped_by_queue(times, queues)
+    sizes = []
     argsort = np.argsort
 
     def recording(a, *args, **kwargs):
-        dtypes.append(a.dtype)
+        sizes.append(np.size(a))
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording)
     paths = sim.run_des(s, (times, queues), cfg)
     monkeypatch.undo()
-    # one sort of the narrowest unsigned labels: numpy radix-sorts 8 and 16 bits
-    width = {None: 1, 999: 2, 70_000: 4, -5: 1, 2**40: 8}[foreign_id]
-    assert [(d.kind, d.itemsize) for d in dtypes] == [("u", width)]
+    # the events come grouped: run_des makes no n-sized argsort
+    assert cfg.n not in sizes
     expected = _run_des_by_masks(s, (times, queues), cfg)
     assert set(paths.records) == set(expected)
     for qid, (arr, svc, completions) in expected.items():
@@ -568,6 +581,23 @@ def test_grouping_pass_matches_per_queue_masks(foreign_id, monkeypatch):
         assert np.array_equal(rec.arrivals, arr)
         assert np.array_equal(rec.services, svc)
         assert np.array_equal(rec.completions, completions)
+
+
+def test_des_refuses_events_not_grouped_by_queue_then_time():
+    s = two_queue_worked_scenario()
+    profile = equilibrium_profile(s)
+    cfg = sim.SimConfig(n=1_000, seed=0)
+    # time-ordered events whose queue ids go back and forth
+    in_time_order = sample_arrivals_in_draw_order(profile, cfg.n, cfg.seed)
+    assert np.any(np.diff(in_time_order[1]) < 0)
+    # a block out of time order, after a block that is in order: the last two
+    # arrivals at queue 2 swapped
+    times, queues = sim.sample_arrivals(profile, cfg.n, cfg.seed)
+    assert queues[-1] == queues[-2] == 2 and times[-2] < times[-1]
+    times[-2:] = times[-2:][::-1].copy()
+    for events in (in_time_order, (times, queues), (np.array([0.5, 0.25]), np.array([1, 1]))):
+        with pytest.raises(cq.DomainError, match="sorted by queue, then by time"):
+            sim.run_des(s, events, cfg)
 
 
 def _empty_time_by_loop(rec, grid, origin):
@@ -617,7 +647,7 @@ def test_scaled_paths_is_the_per_process_oracle(service_dist):
     s = make_scenario([(1.0, 0.0), (1.5, 0.5), (2.0, 0.25)], [{"alpha": 1, "beta": 1}])
     rng = np.random.default_rng(5)
     n = 600
-    times, queues = np.sort(rng.uniform(-1.0, 2.0, n)), rng.integers(1, 3, n)
+    times, queues = grouped_by_queue(np.sort(rng.uniform(-1.0, 2.0, n)), rng.integers(1, 3, n))
     paths = sim.run_des(s, (times, queues), sim.SimConfig(n=n, seed=3, service_dist=service_dist))
     recs = paths.records
     assert recs[3].count == 0 and recs[2].arrivals[0] < recs[2].t_start
@@ -625,7 +655,7 @@ def test_scaled_paths_is_the_per_process_oracle(service_dist):
     # the first arrival
     on_events = [np.concatenate((r.arrivals, r.completions, [r.t_start])) for r in recs.values()]
     grid = np.unique(np.concatenate((np.linspace(-2.0, 6.0, 257), *on_events)))
-    assert grid[0] < times[0]
+    assert grid[0] < times.min()
     got, want = sim.scaled_paths(paths, grid), scaled_paths_by_process(paths, grid)
     assert got.shape == want.shape == (len(sim.PROCESSES), len(recs), grid.size)
     assert got.dtype == want.dtype
@@ -740,7 +770,7 @@ def test_convergence_study_error_shrinks():
     s = single_queue_scenario()
     profile = equilibrium_profile(s)
     cfg = sim.SimConfig(n=100, seed=42, replications=5)
-    small, big, ratios = sim.convergence_study(s, profile, cfg, n_factor=25)
+    small, big, ratios = convergence_study(s, profile, cfg, n_factor=25)
     assert big.n == 2_500
     assert ratios["queue_length"] < 1.0
     assert ratios["arrivals"] < 1.0
@@ -752,7 +782,7 @@ def test_convergence_study_large_run_keeps_every_config_field():
     s = two_queue_worked_scenario()
     profile = equilibrium_profile(s)
     cfg = sim.SimConfig(n=60, seed=4, service_dist="deterministic", replications=2)
-    small, big, _ = sim.convergence_study(s, profile, cfg, n_factor=3)
+    small, big, _ = convergence_study(s, profile, cfg, n_factor=3)
     direct = sim.convergence_report(s, profile, replace(cfg, n=180, grid=small.grid))
     assert big.to_dict() == direct.to_dict()
 
