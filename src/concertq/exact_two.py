@@ -31,21 +31,13 @@ from .fluid import sorted_unique
 from .model import DomainError
 
 
-def _as_array(t) -> tuple[np.ndarray, bool]:
-    tt = np.asarray(t, dtype=float)
-    return np.atleast_1d(tt), tt.ndim == 0
-
-
-def _maybe_scalar(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class TwoUserEquilibrium:
     """Closed-form strategy pair for the two-user game.
 
     ``t_first`` < 0 < ``t_last`` bound the common support; ``density``,
-    ``routing`` and state probabilities are exposed as vectorized methods.
+    ``routing`` and state probabilities are exposed as vectorized methods,
+    which return arrays (0-d for a scalar ``t``).
     """
 
     mu1: float
@@ -72,20 +64,19 @@ class TwoUserEquilibrium:
         """Constant expected cost on the support: alpha times |t_first|."""
         return self.alpha * (-self.t_first)
 
-    def density(self, t) -> np.ndarray | float:
+    def density(self, t) -> np.ndarray:
         """Arrival density: gamma (mu1 + mu2) before opening, affine after,
         zero before t_first and from t_last on (the affine part vanishes at
         t_last, where its rounded value can be a stray 1e-16)."""
-        tt, scalar = _as_array(t)
+        tt = np.asarray(t, dtype=float)
         pre = self.gamma * self.rate_sum
         post = (self.gamma - 1.0) * self.rate_sum + self.rate_square_sum * (
             self.cost - self.beta * tt
         ) / (self.alpha + self.beta)
         out = np.where(tt <= 0.0, pre, post)
-        out = np.where((tt < self.t_first) | (tt >= self.t_last), 0.0, out)
-        return _maybe_scalar(out, scalar)
+        return np.where((tt < self.t_first) | (tt >= self.t_last), 0.0, out)
 
-    def routed_density(self, i: int, t) -> np.ndarray | float:
+    def routed_density(self, i: int, t) -> np.ndarray:
         """p_i(t) * density(t), the bounded inflow rate into queue i.
 
         After opening this is mu_i (gamma - 1) + mu_i^2 (cost - beta t) /
@@ -93,37 +84,35 @@ class TwoUserEquilibrium:
         length tracks the closed-form occupancy probability and the expected
         cost stays flat.  Before opening it is gamma * mu_i.
         """
-        tt, scalar = _as_array(t)
+        tt = np.asarray(t, dtype=float)
         mu_i = self.mu1 if i == 1 else self.mu2
         pre = self.gamma * mu_i
         post = mu_i * (self.gamma - 1.0) + mu_i * mu_i * (
             self.cost - self.beta * tt
         ) / (self.alpha + self.beta)
         out = np.where(tt <= 0.0, pre, post)
-        out = np.where((tt < self.t_first) | (tt > self.t_last), 0.0, out)
-        return _maybe_scalar(out, scalar)
+        return np.where((tt < self.t_first) | (tt > self.t_last), 0.0, out)
 
-    def routing(self, i: int, t) -> np.ndarray | float:
+    def routing(self, i: int, t) -> np.ndarray:
         """Routing probability to queue i, routed_density / density: constant
         mu_i / (mu1 + mu2) before opening, divergent toward the right endpoint
         when the rates differ, and the rate share mu_i / (mu1 + mu2) wherever
         the density is not positive (the endpoint itself, outside the support)."""
-        tt, scalar = _as_array(t)
+        tt = np.asarray(t, dtype=float)
         f = self.density(tt)
         share = (self.mu1 if i == 1 else self.mu2) / self.rate_sum
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(f > 0, self.routed_density(i, tt) / f, share)
-        return _maybe_scalar(out, scalar)
+            return np.where(f > 0, self.routed_density(i, tt) / f, share)
 
-    def queue_occupied_prob(self, i: int, t) -> np.ndarray | float:
+    def queue_occupied_prob(self, i: int, t) -> np.ndarray:
         """P(queue i holds the other user) = expected queue length seen by
         one user.  Linear ramp before opening, then the closed form."""
-        tt, scalar = _as_array(t)
+        tt = np.asarray(t, dtype=float)
         mu_i = self.mu1 if i == 1 else self.mu2
         pre = self.gamma * mu_i * (tt - self.t_first)
         post = mu_i * (self.cost - self.beta * tt) / (self.alpha + self.beta)
         out = np.where(tt <= 0.0, pre, post)
-        return _maybe_scalar(np.where(tt < self.t_first, 0.0, out), scalar)
+        return np.where(tt < self.t_first, 0.0, out)
 
     def expected_cost(self, occupied, t) -> np.ndarray:
         """Expected cost of arriving at time t at each queue:

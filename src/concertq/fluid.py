@@ -198,8 +198,12 @@ class ArrivalProfile:
     def from_rows(cls, rows) -> "ArrivalProfile":
         """The profile with one row per (pop, queue, start, end, density)
         tuple; DomainError naming the first row, by position, with a
-        non-finite value, end < start, negative density or non-finite mass."""
-        return cls.__new__(cls)._set_columns(*_transposed(rows))
+        non-finite value, end < start, negative density or non-finite mass,
+        and ``Segment``'s TypeError for a bool start, end or density."""
+        columns = _transposed(rows)
+        if any(isinstance(x, bool) for col in columns[2:] for x in col):
+            raise TypeError("bool is not a number here")
+        return cls.__new__(cls)._set_columns(*columns)
 
     def _set_columns(self, pop, queue, start, end, density) -> "ArrivalProfile":
         self.pop = np.array(pop, dtype=np.int64)

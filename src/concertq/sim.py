@@ -19,11 +19,13 @@ stream 0 for arrival times, stream 1 for routing, and stream 16 + q for the
 service times of the q-th queue.  Identical (scenario, config, seed) inputs
 give bit-identical paths on any platform.
 
-Event conventions: the sampler hands the DES its events grouped by queue,
-sorted by queue id and each queue's times nondecreasing, and every queue is
-simulated on its own block.  At equal timestamps arrivals are processed
-before departures; tied arrivals are served in their order in the block.
-Step functions are right-continuous (counts include events at exactly t).
+Event conventions: the sampler hands the DES its events as ``(times,
+queue_ids, bounds)``, queue ``queue_ids[k]``'s times nondecreasing in
+``times[bounds[k]:bounds[k + 1]]``, with no queue label per user, and every
+queue is simulated on its own block.  At equal timestamps arrivals are
+processed before departures; tied arrivals are served in their order in the
+block.  Step functions are right-continuous (counts include events at
+exactly t).
 """
 
 from __future__ import annotations
@@ -129,24 +131,6 @@ def _occupied(bounds: np.ndarray) -> list[tuple[int, int, int]]:
     return [(i, edges[i], edges[i + 1]) for i in np.flatnonzero(np.diff(bounds)).tolist()]
 
 
-def _sort_runs(ranked: np.ndarray, order: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """Reorder ``order`` inside each run of equal values of the sorted
-    ``ranked`` (no NaN) by ``tiebreak[order]``; equal tiebreaks keep their
-    positions.  Only the positions tied to a neighbour are sorted, by one
-    lexsort of (run, tiebreak)."""
-    # after[j]: position j is tied to the one before it
-    after = np.zeros(ranked.size, dtype=bool)
-    np.equal(ranked[1:], ranked[:-1], out=after[1:])
-    if after.any():
-        members = np.flatnonzero(after | np.append(after[1:], False))
-        # a run starts at each member not tied to the one before it
-        runs = np.cumsum(~after[members])
-        del after
-        at = order[members]
-        order[members] = at[np.lexsort((tiebreak[at], runs))]
-    return order
-
-
 def _uniform_order(r: np.ndarray) -> np.ndarray:
     """``np.lexsort((np.arange(r.size), r))`` for r in [0, 1): the order of
     increasing r, equal r in increasing index.
@@ -154,8 +138,9 @@ def _uniform_order(r: np.ndarray) -> np.ndarray:
     One value sort of uint64 keys does nearly all of it.  With b the bit
     length of n - 1, a key holds floor(r 2^53) in its high bits, less its
     lowest b - 11 bits when b > 11, and the index in its low b bits.  Keys
-    whose high bits tie sit in index order; ``_sort_runs`` reorders those
-    runs by r, about n^2 / 2^(65 - b) pairs of n uniforms.
+    whose high bits tie sit in index order; only the positions in such a run
+    are reordered, by one lexsort of (run, r), about n^2 / 2^(65 - b) pairs
+    of n uniforms.
     """
     n = r.size
     b = max(n - 1, 0).bit_length()
@@ -168,19 +153,31 @@ def _uniform_order(r: np.ndarray) -> np.ndarray:
     # every index is below 2^63, so its bits read the same as an int64
     order = (key & ((1 << b) - 1)).view(np.int64)
     key >>= b
-    return _sort_runs(key, order, r)
+    # after[j]: the high bits of key j tie with those of key j - 1
+    after = np.zeros(n, dtype=bool)
+    np.equal(key[1:], key[:-1], out=after[1:])
+    if after.any():
+        members = np.flatnonzero(after | np.append(after[1:], False))
+        # a run starts at each member not tied to the one before it
+        runs = np.cumsum(~after[members])
+        del after
+        at = order[members]
+        order[members] = at[np.lexsort((r[at], runs))]
+    return order
 
 
 def sample_arrivals(
     profile: ArrivalProfile, n: int, seed: int, replication: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n (time, queue) arrival events from the profile, grouped by
-    queue: sorted by queue id, each queue's times nondecreasing.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw n arrival events from the profile as ``(times, queue_ids,
+    bounds)``: ``queue_ids`` are the profile's queues in increasing order,
+    and queue ``queue_ids[k]``'s times, nondecreasing, are
+    ``times[bounds[k]:bounds[k + 1]]`` (``bounds`` runs from 0 to n).
 
     Times invert the aggregate piecewise-linear CDF of the profile
     (renormalized to a probability mixture); queues are then drawn from the
     conditional routing probabilities d_k(t) / d(t).  Deterministic given
-    (seed, replication): the events are the n draws sorted by time, ties in
+    (seed, replication): the times are the n draws sorted by time, ties in
     draw order, then stably grouped by queue.  Within a queue, tied times
     come in the order of their time uniforms instead; they are equal values,
     so only the sign of a tied zero could show it.
@@ -191,11 +188,12 @@ def sample_arrivals(
     is capped at its interval's right knot, which rounding can pass, so the
     times are nondecreasing by construction.  One stable argsort of the
     routed columns, which numpy radix-sorts when there are fewer than 2^16
-    queues, then groups the events by queue.  Memory is O(n + I K) for K
-    queues and I knot intervals.  Each n-sized array is freed once it has
-    been used for the last time: at the peak four are alive, 32 bytes per
-    user, whether or not times tie.  A profile whose total mass overflows
-    is refused with a DomainError.
+    queues, then groups the times by queue, and the column counts give the
+    bounds.  Memory is O(n + I K) for K queues and I knot intervals.  Each
+    n-sized array is freed once it has been used for the last time: at the
+    peak four are alive, 32 bytes per user, whether or not times tie, and
+    the events keep 8, the times.  A profile whose total mass overflows is
+    refused with a DomainError.
     """
     live = np.flatnonzero(profile.row_mass > 0)
     if not live.size:
@@ -250,7 +248,7 @@ def sample_arrivals(
     del columns
     u = u[order]
     del order
-    return u, np.repeat(np.asarray(queue_ids, dtype=int), counts)
+    return u, np.asarray(queue_ids, dtype=int), np.concatenate(([0], np.cumsum(counts)))
 
 
 def _time_covered(starts: np.ndarray, ends: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -312,7 +310,8 @@ class SimPaths:
 
 
 def run_des(
-    s: Scenario, events: tuple[np.ndarray, np.ndarray], cfg: SimConfig, replication: int = 0
+    s: Scenario, events: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: SimConfig,
+    replication: int = 0
 ) -> SimPaths:
     """Exact FIFO simulation of the sampled events.
 
@@ -322,30 +321,29 @@ def run_des(
     Completion times follow the FIFO recursion
     c_i = max(a_i, t_start, c_{i-1}) + service_i, vectorized via prefix sums.
 
-    The events come grouped by queue, as ``sample_arrivals`` returns them:
-    sorted by queue id, each queue's times nondecreasing; anything else is
-    refused with a DomainError.  Each scenario queue's arrivals are its
-    block, found by ``searchsorted`` on the ids and kept as a view of the
-    times.  Events at an id outside the scenario are ignored.
-
-    The queue ids are freed once the blocks are found, if the caller holds
-    no other reference to them (``_replication`` passes the sampler's result
-    straight in): the DES then peaks at 26 bytes per user on the worked pair
-    and keeps 24, each record's arrival, service and completion times.
+    The events are ``(times, queue_ids, bounds)``, as ``sample_arrivals``
+    returns them: queue ``queue_ids[k]``'s arrivals are its block
+    ``times[bounds[k]:bounds[k + 1]]``, kept as a view.  Bounds that do not
+    run nondecreasing from 0 to ``times.size`` with one block per id, or a
+    scenario queue's block out of time order, are refused with a
+    DomainError.  Blocks at an id outside the scenario are ignored.  The DES
+    peaks at 26 bytes per user on the worked pair and keeps 24, each
+    record's arrival, service and completion times.
     """
-    times, queues = events
-    del events  # a caller that passes the sampler's result holds no copy
-    ids = [q.id for q in s.queues]
-    grouped = bool(np.all(queues[1:] >= queues[:-1]))
-    blocks = [times[a:b] for a, b in zip(np.searchsorted(queues, ids, side="left").tolist(),
-                                         np.searchsorted(queues, ids, side="right").tolist())]
-    del queues
-    if not (grouped and all(np.all(arr[1:] >= arr[:-1]) for arr in blocks)):
-        raise DomainError("events must be sorted by queue, then by time")
+    times, queue_ids, bounds = events
+    ids, edges = np.asarray(queue_ids).tolist(), np.asarray(bounds).tolist()
+    blocks = {q: times[a:b] for q, a, b in zip(ids, edges, edges[1:])}
+    arrivals = [blocks.get(q.id, times[:0]) for q in s.queues]
+    if not (edges[:1] == [0] and edges[-1:] == [times.size]
+            and len(blocks) == len(edges) - 1 == len(ids)
+            and all(a <= b for a, b in zip(edges, edges[1:]))
+            and all(np.all(arr[1:] >= arr[:-1]) for arr in arrivals)):
+        raise DomainError("events must hold one block of nondecreasing times per queue id, "
+                          "with bounds running from 0 to the number of times")
     mass_scale = s.total_mass / cfg.n
 
     records: dict[int, QueueRecord] = {}
-    for qi, (q, arr) in enumerate(zip(s.queues, blocks)):
+    for qi, (q, arr) in enumerate(zip(s.queues, arrivals)):
         rng = _stream(cfg.seed, replication, _SERVICE_STREAM_BASE + qi)
         mean = mass_scale / q.mu
         if cfg.service_dist == "exponential":
@@ -462,8 +460,6 @@ def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> n
 def _replication(s, profile, cfg, grid, reference, rep) -> Replication:
     """Replication ``rep``; its events and event records are unreachable
     once it returns."""
-    # no name holds the events, so run_des releases the queue ids once it has
-    # found each queue's block of the times
     paths = run_des(s, sample_arrivals(profile, cfg.n, cfg.seed, replication=rep), cfg,
                     replication=rep)
     # n >= 1 and every sampled queue is in the scenario, so some record is

@@ -9,8 +9,9 @@ routing counts the cumulative columns one column at a time over all draws,
 and the event order is numpy's stable argsort of the times, regrouped by a
 stable argsort of the queue ids (``grouped_by_queue``).  The library sorts
 the draws once by their time uniform, so each interval's draws are one
-slice, routes and inverts slice by slice, and groups the events by queue in
-one stable sort of the routed columns.
+slice, routes and inverts slice by slice, and groups the times by queue in
+one stable sort of the routed columns, keeping each queue's block bounds
+instead of a queue id per event.
 
 The arrival profile: CSV rows parsed, shifted and tabulated one ``Segment``
 record at a time.  The library keeps the profile as numpy columns.
@@ -279,11 +280,21 @@ def sample_arrivals_in_draw_order(profile, n, seed, replication=0):
     return times[order], queues[order]
 
 
-def grouped_by_queue(times, queues):
-    """The events regrouped by a stable argsort of their queue ids: the
-    order ``sim.sample_arrivals`` returns and ``sim.run_des`` takes."""
+def grouped_by_queue(times, queues, queue_ids=None):
+    """The (time, queue id) events regrouped by a stable argsort of their
+    ids, as the ``(times, queue_ids, bounds)`` that ``sim.sample_arrivals``
+    returns and ``sim.run_des`` takes: one block per id of ``queue_ids``
+    (default: the distinct ids of ``queues``), in increasing order."""
     order = stable_argsort(queues)
-    return times[order], queues[order]
+    ids = np.unique(queues) if queue_ids is None else np.asarray(queue_ids, dtype=int)
+    counts = [np.count_nonzero(queues == q) for q in ids.tolist()]
+    return times[order], ids, np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def queue_labels(events):
+    """The queue id of every time of ``(times, queue_ids, bounds)`` events."""
+    _, queue_ids, bounds = events
+    return np.repeat(queue_ids, np.diff(bounds))
 
 
 def convergence_study(s, profile, cfg, n_factor=100):

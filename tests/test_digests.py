@@ -3,11 +3,11 @@ recorded in ``bench/digests.json``.
 
 Scenarios and command lines come from ``bench/workloads.py``, imported
 read-only; the commands run in-process through ``cli.main``.  Every
-analytic artifact is checked.  Of the seeded ``simulate`` artifacts, those
-of ``wide-montecarlo`` at the default seed are checked here (n=2e5 users on
-K=126 queues, about a second), so a change to the sampler's or the DES's
-stream fails this suite; the worked pair's n=1e6, two-replication run is
-left to the benchmark.
+analytic artifact is checked, and so are both workloads' seeded
+``simulate`` artifacts at the default seed: ``wide-montecarlo`` (n=2e5
+users on K=126 queues) and ``worked-pair`` (n=1e6 users on two queues, two
+replications), each about half a second, so a change to the sampler's or
+the DES's stream fails this suite.
 """
 
 import hashlib
@@ -67,5 +67,11 @@ def test_analytic_artifacts_match_recorded_digests(workloads, name, tmp_path, ca
 
 def test_wide_montecarlo_simulate_artifacts_match_recorded_digests(workloads, tmp_path, capsys):
     checked = _checked_steps(workloads, "wide-montecarlo", tmp_path, {"simulate"})
+    capsys.readouterr()
+    assert checked == {"simulate"}
+
+
+def test_worked_pair_simulate_artifacts_match_recorded_digests(workloads, tmp_path, capsys):
+    checked = _checked_steps(workloads, "worked-pair", tmp_path, {"simulate"})
     capsys.readouterr()
     assert checked == {"simulate"}

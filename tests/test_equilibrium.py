@@ -545,3 +545,42 @@ def test_relabelling_the_pinned_scenarios_changes_nothing(build):
         queue_order = rng.permutation(len(doc["queues"])).tolist()
         population_order = rng.permutation(len(doc["populations"])).tolist()
         assert relabelling_invariants(relabelled(doc, queue_order, population_order)) == want
+
+
+# -- open verifier defects (ROADMAP item 3): each fails until that change --------
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the verdict depends on the time unit")
+def test_verdict_does_not_depend_on_the_time_unit():
+    # the worked pair with rates x c and openings / c, and queue 1's solver
+    # density x (1 + 1e-4): rejected at c = 1 and 2^10, accepted at 2^20
+    verdicts = []
+    for c in (1.0, 2.0**10, 2.0**20):
+        s = make_scenario([(c, 0.0), (c, 0.5 / c)], [{"alpha": 1, "beta": 1}])
+        p = cq.solve_multi(s).profile
+        tilted = np.where(p.queue == 1, p.density * (1 + 1e-4), p.density)
+        profile = cq.ArrivalProfile.from_rows(zip(p.pop, p.queue, p.start, p.end, tilted))
+        verdicts.append(cq.verify_equilibrium(s, profile).is_equilibrium)
+    assert len(set(verdicts)) == 1, verdicts
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the verdict depends on the cost unit")
+def test_solver_profile_is_accepted_at_large_costs():
+    # beta = 1e12: the support cost is 7.5e11, and its deviation of 4.3e6 is
+    # below one ulp of the cancelling beta * t terms
+    s = make_scenario([(1.0, 0.0), (1.0, 0.5)], [{"alpha": 1, "beta": 1e12}])
+    assert cq.verify_equilibrium(s, cq.solve_multi(s).profile).is_equilibrium
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the verifier ignores population masses")
+def test_profile_without_the_population_mass_is_not_accepted():
+    # a routed mass of 1e-320 against the population's 1
+    profile = cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1e-320, 1.0)])
+    try:
+        report = cq.verify_equilibrium(two_queue_worked_scenario(), profile)
+    except cq.DomainError:
+        return
+    assert not report.is_equilibrium

@@ -329,6 +329,10 @@ def test_arrival_profile_csv_is_the_per_cell_format():
 def test_segments_reject_bools_and_csv_rejects_non_finite_values():
     with pytest.raises(TypeError, match="bool"):
         cq.Segment(1, 1, 0.0, True, 0.5)
+    # from_rows keeps Segment's rule for each of start, end and density
+    for row in ((1, 1, 0.0, True, 0.5), (1, 1, True, 1.0, 0.5), (1, 1, 0.0, 1.0, False)):
+        with pytest.raises(TypeError, match="bool is not a number here"):
+            cq.ArrivalProfile.from_rows([row])
     # an inf density is refused when the profile is built, so it never
     # reaches to_csv; the CSV writer still refuses non-finite cells itself
     with pytest.raises(cq.DomainError, match="row 0 has a non-finite value"):

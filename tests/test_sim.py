@@ -23,6 +23,7 @@ from oracles import (
     convergence_study,
     density_table_by_segments,
     grouped_by_queue,
+    queue_labels,
     route_by_columns,
     sample_arrivals_in_draw_order,
     scaled_paths_by_process,
@@ -41,23 +42,25 @@ def test_sampling_is_deterministic():
     a = sim.sample_arrivals(profile, 4, seed=7)
     b = sim.sample_arrivals(profile, 4, seed=7)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert np.array_equal(a[2], b[2])
     c = sim.sample_arrivals(profile, 4, seed=8)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_sampling_respects_support():
     profile = cq.ArrivalProfile((cq.Segment(1, 1, -1.0, 1.0, 0.5),))
-    times, queues = sim.sample_arrivals(profile, 4, seed=7)
+    events = sim.sample_arrivals(profile, 4, seed=7)
+    times = events[0]
     assert times.size == 4
     assert np.all(np.diff(times) >= 0)
     assert np.all((times >= -1.0) & (times <= 1.0))
-    assert np.all(queues == 1)
+    assert np.all(queue_labels(events) == 1)
 
 
 def test_sampling_routing_proportions():
     s = two_queue_worked_scenario()
     profile = equilibrium_profile(s)
-    _, queues = sim.sample_arrivals(profile, 100_000, seed=5)
+    queues = queue_labels(sim.sample_arrivals(profile, 100_000, seed=5))
     frac = float(np.mean(queues == 1))
     # binomial 3-sigma band around 0.75
     sigma = np.sqrt(0.75 * 0.25 / 100_000)
@@ -66,7 +69,7 @@ def test_sampling_routing_proportions():
 
 def test_sampling_no_duplicate_times():
     profile = cq.ArrivalProfile((cq.Segment(1, 1, -1.0, 1.0, 0.5),))
-    times, _ = sim.sample_arrivals(profile, 10_000, seed=3)
+    times = sim.sample_arrivals(profile, 10_000, seed=3)[0]
     assert np.unique(times).size == times.size
 
 
@@ -74,7 +77,7 @@ def test_sampling_skips_interior_gaps():
     profile = cq.ArrivalProfile(
         (cq.Segment(1, 1, 0.0, 1.0, 0.5), cq.Segment(1, 1, 2.0, 3.0, 0.5))
     )
-    times, _ = sim.sample_arrivals(profile, 5_000, seed=1)
+    times = sim.sample_arrivals(profile, 5_000, seed=1)[0]
     inside_gap = (times > 1.0) & (times < 2.0)
     assert not np.any(inside_gap)
 
@@ -96,6 +99,7 @@ def test_sampling_rejects_a_profile_whose_mass_overflows():
 def _assert_same_events(got, want):
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -112,11 +116,12 @@ def _assert_same_events(got, want):
 def test_sampled_streams_are_pinned(build, n, seed, digest):
     # digests of the time-ordered streams, recorded before the sampler grouped
     # its events by queue: the draw-order oracle still gives them, and the
-    # sampler gives them regrouped by queue
+    # sampler gives them regrouped by queue, one block per profile queue
     profile = equilibrium_profile(build())
     times, queues = sample_arrivals_in_draw_order(profile, n, seed)
     assert hashlib.sha256(times.tobytes() + queues.tobytes()).hexdigest() == digest
-    _assert_same_events(sim.sample_arrivals(profile, n, seed), grouped_by_queue(times, queues))
+    _assert_same_events(sim.sample_arrivals(profile, n, seed),
+                        grouped_by_queue(times, queues, profile.queue_ids))
 
 
 def test_sampler_memory_is_linear_in_n():
@@ -148,10 +153,30 @@ def _traced_peak(fn):
 _FIXED_BYTES = 2**16
 
 
+def test_events_keep_8_bytes_per_user():
+    # sample_arrivals' docstring: the events it returns keep the times and
+    # each queue's block bounds, no queue id per user
+    profile = equilibrium_profile(two_queue_worked_scenario())
+
+    def held(users):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            events = sim.sample_arrivals(profile, users, seed=0)
+            return tracemalloc.get_traced_memory()[0] - base, events[0].size
+        finally:
+            tracemalloc.stop()
+
+    n = 100_000
+    held(10)  # warm up
+    (small, _), (big, size) = held(n), held(2 * n)
+    assert size == 2 * n
+    assert big - small <= 8 * n + _FIXED_BYTES, (big - small) / n
+
+
 def test_des_releases_the_events_it_is_handed():
-    # passed straight from the sampler, the queue ids are freed once the DES
-    # has found each queue's block, so the DES never holds more than the
-    # sampler's own peak
+    # handed the sampler's times and block bounds, the DES never holds more
+    # than the sampler's own peak
     s = two_queue_worked_scenario()
     profile = equilibrium_profile(s)
     cfg = sim.SimConfig(n=200_000, seed=0)
@@ -262,38 +287,6 @@ def test_density_table_is_the_per_segment_loop(profile, monkeypatch):
     assert total.tobytes() == expected.sum(axis=1).tobytes()
 
 
-def _third_tied(keys_and_pool):
-    """Every third key replaced from a pool of at most four values."""
-    keys, pool = keys_and_pool
-    keys = np.asarray(keys, dtype=float)
-    keys[::3] = np.resize(np.asarray(pool, dtype=float), keys[::3].size)
-    return keys
-
-
-_FLOATS = st.floats(allow_nan=False, width=64)
-_KEYS = st.one_of(
-    st.lists(_FLOATS, max_size=300).map(np.asarray),
-    st.lists(_FLOATS, max_size=300).map(lambda xs: np.sort(np.asarray(xs, dtype=float))[::-1]),
-    st.tuples(_FLOATS, st.integers(0, 300)).map(lambda c: np.full(c[1], c[0])),
-    st.tuples(st.lists(_FLOATS, max_size=300), st.lists(_FLOATS, min_size=1, max_size=4)).map(
-        _third_tied
-    ),
-    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), max_size=300).map(np.asarray),
-    st.lists(_FLOATS, max_size=1).map(lambda xs: np.asarray(xs, dtype=float)),
-)
-
-
-@given(_KEYS, st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_sort_runs_on_sorted_times_is_the_lexsort_of_time_and_draw(keys, seed):
-    # the run repair on any nondecreasing keys (0.0 and -0.0 in either order
-    # among them) in position order, the draws shuffled; _uniform_order runs
-    # it on uint64 keys
-    k = np.sort(np.asarray(keys, dtype=float))
-    draw = np.random.default_rng(seed).permutation(k.size)
-    assert np.array_equal(sim._sort_runs(k, np.arange(k.size), draw), np.lexsort((draw, k)))
-
-
 # both queues on an interval eight ulps wide: about 200,000 draws share nine
 # distinct times, so nearly every event is tied with another
 _TIED = cq.ArrivalProfile.from_rows([
@@ -318,22 +311,35 @@ def test_sampler_is_the_draw_order_oracle(profile):
     for n, seed, rep in ((1, 0, 0), (2, 3, 1), (17, 7919, 0), (1000, 1, 2), (200_000, 0, 1)):
         want = sample_arrivals_in_draw_order(profile, n, seed, replication=rep)
         _assert_same_events(sim.sample_arrivals(profile, n, seed, replication=rep),
-                            grouped_by_queue(*want))
+                            grouped_by_queue(*want, profile.queue_ids))
 
 
 def test_tied_profile_takes_only_the_key_run_repair(monkeypatch):
-    # nearly every time of the tied case ties, yet the only run repair is
-    # the one of the uniforms' uint64 keys: no run of float times is repaired
+    # nearly every time of the tied case ties, yet the only lexsort is the
+    # run repair of the uniforms' uint64 keys: no run of float times is
+    # repaired.  Drawn uniforms give distinct keys at n < 2^11, so there is
+    # none; uniforms drawn in equal pairs put all 1000 keys in tied runs
     calls = []
-    sort_runs = sim._sort_runs
+    lexsort, stream = np.lexsort, sim._stream
 
-    def recording(ranked, order, tiebreak):
-        calls.append((ranked.dtype.kind, ranked.size))
-        return sort_runs(ranked, order, tiebreak)
+    def recording(keys, *args, **kwargs):
+        calls.append([np.asarray(k).dtype.kind for k in keys] + [np.shape(keys)[-1]])
+        return lexsort(keys, *args, **kwargs)
 
-    monkeypatch.setattr(sim, "_sort_runs", recording)
+    def paired(seed, replication, index):
+        if index == sim._ARRIVAL_STREAM:
+            pairs = np.random.default_rng(seed).random(500)
+            return SimpleNamespace(random=lambda n: np.repeat(pairs, 2))
+        return stream(seed, replication, index)
+
+    monkeypatch.setattr(np, "lexsort", recording)
     sim.sample_arrivals(_TIED, 1000, seed=1, replication=2)
-    assert calls == [("u", 1000)]
+    assert calls == []
+    monkeypatch.setattr(sim, "_stream", paired)
+    sim.sample_arrivals(_TIED, 1000, seed=1, replication=2)
+    monkeypatch.undo()
+    # one lexsort of (uniforms, run numbers) at the tied keys' positions
+    assert calls == [["f", "i", 1000]]
 
 
 def test_tied_sampler_memory_grows_by_32_bytes_per_user():
@@ -364,7 +370,7 @@ def test_a_time_that_rounds_past_its_knot_is_capped_at_it(monkeypatch):
         return stream(seed, replication, index)
 
     monkeypatch.setattr(sim, "_stream", pinned)
-    times, _ = sim.sample_arrivals(profile, 1, seed=0)
+    times = sim.sample_arrivals(profile, 1, seed=0)[0]
     assert times[0] <= knot, repr(times[0])
 
 
@@ -435,7 +441,7 @@ def test_sampler_sorts_the_draws_once(monkeypatch):
 
 def test_single_user_hand_trace():
     s = single_queue_scenario()
-    events = (np.array([-1.0]), np.array([1]))
+    events = grouped_by_queue(np.array([-1.0]), np.array([1]))
     cfg = sim.SimConfig(n=1, seed=0, service_dist="deterministic")
     paths = sim.run_des(s, events, cfg)
     rec = paths.records[1]
@@ -453,7 +459,7 @@ def test_single_user_hand_trace():
 
 def test_no_events_paths_are_zero():
     s = single_queue_scenario()
-    events = (np.empty(0), np.empty(0, dtype=int))
+    events = grouped_by_queue(np.empty(0), np.empty(0, dtype=int))
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     rec = paths.records[1]
     grid = np.linspace(0.0, 2.0, 5)
@@ -533,7 +539,7 @@ def test_run_des_is_deterministic():
 
 def _run_des_by_masks(s, events, cfg):
     """Reference FIFO pass splitting the events with one mask per queue."""
-    times, queues = events
+    times, queues = events[0], queue_labels(events)
     mass_scale = sum(p.mass for p in s.populations) / cfg.n
     out = {}
     for qi, q in enumerate(s.queues):
@@ -554,13 +560,13 @@ def _run_des_by_masks(s, events, cfg):
 def test_grouping_pass_matches_per_queue_masks(foreign_id, monkeypatch):
     s = wide_scenario()
     cfg = sim.SimConfig(n=20_000, seed=0)
-    times, queues = sim.sample_arrivals(equilibrium_profile(s), cfg.n, cfg.seed)
+    events = sim.sample_arrivals(equilibrium_profile(s), cfg.n, cfg.seed)
     if foreign_id is not None:
         # events for a queue outside the scenario are ignored, whether their
         # block comes before the scenario's ids (-5) or after them, up to 2^40
-        queues = queues.copy()
+        queues = queue_labels(events)
         queues[::7] = foreign_id
-        times, queues = grouped_by_queue(times, queues)
+        events = grouped_by_queue(events[0], queues)
     sizes = []
     argsort = np.argsort
 
@@ -569,11 +575,11 @@ def test_grouping_pass_matches_per_queue_masks(foreign_id, monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording)
-    paths = sim.run_des(s, (times, queues), cfg)
+    paths = sim.run_des(s, events, cfg)
     monkeypatch.undo()
     # the events come grouped: run_des makes no n-sized argsort
     assert cfg.n not in sizes
-    expected = _run_des_by_masks(s, (times, queues), cfg)
+    expected = _run_des_by_masks(s, events, cfg)
     assert set(paths.records) == set(expected)
     for qid, (arr, svc, completions) in expected.items():
         rec = paths.records[qid]
@@ -583,20 +589,33 @@ def test_grouping_pass_matches_per_queue_masks(foreign_id, monkeypatch):
         assert np.array_equal(rec.completions, completions)
 
 
+def _runs(times, queues):
+    """One block per run of equal queue ids, in event order."""
+    starts = np.flatnonzero(np.diff(queues, prepend=np.nan))
+    return times, queues[starts], np.append(starts, queues.size)
+
+
 def test_des_refuses_events_not_grouped_by_queue_then_time():
     s = two_queue_worked_scenario()
     profile = equilibrium_profile(s)
     cfg = sim.SimConfig(n=1_000, seed=0)
-    # time-ordered events whose queue ids go back and forth
+    # time-ordered events whose queue ids go back and forth: a block per run
+    # of one id gives each queue several blocks
     in_time_order = sample_arrivals_in_draw_order(profile, cfg.n, cfg.seed)
     assert np.any(np.diff(in_time_order[1]) < 0)
     # a block out of time order, after a block that is in order: the last two
     # arrivals at queue 2 swapped
-    times, queues = sim.sample_arrivals(profile, cfg.n, cfg.seed)
-    assert queues[-1] == queues[-2] == 2 and times[-2] < times[-1]
+    times, queue_ids, bounds = sim.sample_arrivals(profile, cfg.n, cfg.seed)
+    assert queue_labels((times, queue_ids, bounds))[-2:].tolist() == [2, 2]
+    assert times[-2] < times[-1]
     times[-2:] = times[-2:][::-1].copy()
-    for events in (in_time_order, (times, queues), (np.array([0.5, 0.25]), np.array([1, 1]))):
-        with pytest.raises(cq.DomainError, match="sorted by queue, then by time"):
+    one = (np.array([0.25, 0.5]), np.array([1]))
+    bad_bounds = ([0, 1], [1, 2], [0, 3], [0, 1, 2], [0], [2, 0])
+    for events in (_runs(*in_time_order), (times, queue_ids, bounds),
+                   (np.array([0.5, 0.25]), np.array([1]), np.array([0, 2])),
+                   *((*one, np.array(b)) for b in bad_bounds),
+                   (one[0], np.array([1, 2]), np.array([0, 3, 2]))):
+        with pytest.raises(cq.DomainError, match="one block of nondecreasing times per queue id"):
             sim.run_des(s, events, cfg)
 
 
@@ -622,7 +641,8 @@ def test_empty_time_matches_gap_loop(seed, spread):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 400))
     times = np.sort(rng.uniform(*spread, size=n))
-    paths = sim.run_des(s, (times, np.ones(n, dtype=int)), sim.SimConfig(n=n, seed=seed))
+    paths = sim.run_des(s, grouped_by_queue(times, np.ones(n, dtype=int)),
+                        sim.SimConfig(n=n, seed=seed))
     rec = paths.records[1]
     first = min(rec.arrivals[0], rec.t_start)
     grid = np.concatenate((
@@ -634,7 +654,8 @@ def test_empty_time_matches_gap_loop(seed, spread):
             rec.empty_time_at(grid, origin), _empty_time_by_loop(rec, grid, origin),
             rtol=0.0, atol=1e-12,
         )
-    empty = sim.run_des(s, (np.empty(0), np.empty(0, dtype=int)), sim.SimConfig(n=1)).records[1]
+    none = grouped_by_queue(np.empty(0), np.empty(0, dtype=int))
+    empty = sim.run_des(s, none, sim.SimConfig(n=1)).records[1]
     assert np.array_equal(empty.empty_time_at(grid, -1.0), _empty_time_by_loop(empty, grid, -1.0))
 
 
@@ -647,8 +668,9 @@ def test_scaled_paths_is_the_per_process_oracle(service_dist):
     s = make_scenario([(1.0, 0.0), (1.5, 0.5), (2.0, 0.25)], [{"alpha": 1, "beta": 1}])
     rng = np.random.default_rng(5)
     n = 600
-    times, queues = grouped_by_queue(np.sort(rng.uniform(-1.0, 2.0, n)), rng.integers(1, 3, n))
-    paths = sim.run_des(s, (times, queues), sim.SimConfig(n=n, seed=3, service_dist=service_dist))
+    events = grouped_by_queue(np.sort(rng.uniform(-1.0, 2.0, n)), rng.integers(1, 3, n))
+    times = events[0]
+    paths = sim.run_des(s, events, sim.SimConfig(n=n, seed=3, service_dist=service_dist))
     recs = paths.records
     assert recs[3].count == 0 and recs[2].arrivals[0] < recs[2].t_start
     # grid points on every arrival, completion and opening time, and before
@@ -678,7 +700,7 @@ def test_busy_periods_and_scaled_paths_are_the_shifted_copy_oracle(times):
     # previous completion, where no new busy period opens
     s = single_queue_scenario()
     n = max(len(times), 1)
-    events = (np.array(times, dtype=float), np.ones(len(times), dtype=int))
+    events = grouped_by_queue(np.array(times, dtype=float), np.ones(len(times), dtype=int))
     paths = sim.run_des(s, events, sim.SimConfig(n=n, seed=0, service_dist="deterministic"))
     rec = paths.records[1]
     for got, want in zip(rec._busy_periods(), busy_periods_by_shift(rec)):
@@ -690,7 +712,7 @@ def test_busy_periods_and_scaled_paths_are_the_shifted_copy_oracle(times):
 
 def test_scaled_single_arrival_is_empirical_cdf():
     s = single_queue_scenario()
-    events = (np.array([0.25]), np.array([1]))
+    events = grouped_by_queue(np.array([0.25]), np.array([1]))
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     grid = np.array([0.0, 0.25, 0.5])
     (arrivals,), *_ = sim.scaled_paths(paths, grid)
@@ -709,7 +731,7 @@ def test_scaled_arrivals_reach_total_mass():
 
 def test_scaled_paths_validates_inputs():
     s = single_queue_scenario()
-    events = (np.array([0.0]), np.array([1]))
+    events = grouped_by_queue(np.array([0.0]), np.array([1]))
     paths = sim.run_des(s, events, sim.SimConfig(n=1, seed=0))
     with pytest.raises(cq.DomainError):
         sim.scaled_paths(paths, np.array([1.0, 0.0]))
@@ -762,7 +784,7 @@ def test_sup_errors_compare_each_queue_with_its_own_reference():
         for j, name in enumerate(sim.PROCESSES):
             want = max(float(np.max(np.abs(scaled[j, k] - reference[j, k]))) for k in range(s.n_queues))
             assert report.processes[name].per_replication[rep] == want
-        times, _ = sim.sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)
+        times = sim.sample_arrivals(profile, cfg.n, cfg.seed, replication=rep)[0]
         assert report.first_arrivals[rep] == times.min()
 
 
