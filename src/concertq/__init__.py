@@ -24,14 +24,14 @@ _NAMES = {
         "expected_queue_ode_step", "solve_two_user", "two_user_diagnostics",
     ),
     "fluid": (
-        "ArrivalProfile", "PiecewisePath", "Segment", "cost_curve", "fluid_busy", "fluid_queue",
-        "fluid_regulator", "fluid_wait", "netflow", "reflect",
+        "PiecewisePath", "cost_curve", "fluid_busy", "fluid_queue", "fluid_regulator",
+        "fluid_wait", "netflow", "reflect",
     ),
     "model": (
-        "DomainError", "Options", "ParseError", "PopulationSpec", "QueueSpec", "Scenario",
-        "ServeSetResult", "ValidationReport", "gamma_of", "optimal_serve_count",
-        "parse_scenario", "pruned_scenario", "scenario_from_dict", "scenario_to_dict",
-        "serve_epoch",
+        "ArrivalProfile", "DomainError", "Options", "ParseError", "PopulationSpec", "QueueSpec",
+        "Scenario", "Segment", "ServeSetResult", "ValidationReport", "gamma_of",
+        "optimal_serve_count", "parse_scenario", "pruned_scenario", "scenario_from_dict",
+        "scenario_to_dict", "serve_epoch",
     ),
     "poa": (
         "PoaReport", "equal_rate_multi_eta", "optimal_profile", "poa_closed_form",

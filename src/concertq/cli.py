@@ -10,7 +10,9 @@ ingestion shift by the earliest opening time is undone on output).
 
 Each command imports the computation modules it runs, numpy included,
 inside its handler, so a process compiles and runs only those (README,
-"Start-up"): parsing, --help, usage errors and serve-count load no numpy.
+"Start-up"): parsing, --help, usage errors and serve-count load no numpy,
+and neither do eq-single and eq-multi, which solve, shift and write the
+profile on ``model.ArrivalProfile``'s columns.
 A library warning is shown as one ``warning:`` line on stderr.
 """
 

@@ -25,7 +25,8 @@ every population's exact cost curve at every queue reads them on a grid
 plus the curve's breakpoints.  It evaluates only the points that decide that
 report: the support points, the breakpoints, and the two end grid points of
 each off-support stretch between two breakpoints, where the interpolated
-cost is monotone.
+cost is monotone.  Only the verifier imports numpy and ``fluid``; the
+solvers build the profile's rows as floats and need neither.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fluid
-from .fluid import ArrivalProfile
-from .model import DomainError, Scenario, service_windows
+from .model import ArrivalProfile, DomainError, Scenario, service_windows
 
 
 class SolverError(DomainError):
@@ -255,7 +252,6 @@ def solve_multi(s: Scenario) -> EquilibriumProfile:
 # -- verification -----------------------------------------------------------
 
 
-@np.errstate(over="ignore", invalid="ignore")  # costs that overflow are refused below
 def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationReport:
     """Best-response check of ``profile`` against the exact cost curves.
 
@@ -284,6 +280,10 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     Beside the table the working set is O(B + S_j + G): B breakpoints of
     all queues, population j's S_j support points and G grid points.
     """
+    import numpy as np
+
+    from . import fluid
+
     tol, grid_step = s.options.tol, s.options.grid_step
 
     if profile.total_mass <= 0:
@@ -328,50 +328,51 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
     # witnesses per population: (population id, queue id, t)
     deviation_at: dict[int, tuple[int, int, float]] = {}
     gap_at: dict[int, tuple[int, int, float]] = {}
-    for j, pop in enumerate(pops):
-        # population j's support: its breakpoints and its intervals
-        mine = owner == j
-        starts = np.bincount(first[mine], minlength=t.size + 1)
-        on_point, on_inner = (
-            np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
-            for stops in (last[mine] + 1, last[mine])
-        )
-        costs = fluid.arrival_costs((pop.weight, pop.beta), t, wait)
-        # the support points in queue and time order, each with the
-        # breakpoint at or before it: breakpoint b, then interval b's grid points
-        count = on_point + np.where(on_inner, inner, 0)
-        if not count.any():
-            raise DomainError(f"population {pop.id} has no support in the profile")
-        at = np.repeat(np.arange(t.size), count)
-        rank = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
-        points = np.where(on_point[at] & (rank == 0), t[at], grid[after[at] + rank - on_point[at]])
-        values = fluid.interp_at(points, t, costs, at, np.zeros(at.size, dtype=bool))
-        c = float(np.mean(values))
-        support_costs[pop.id] = c
-        spread = np.abs(values - c)
-        i = int(spread.argmax())
-        deviations[pop.id] = float(spread[i])
-        deviation_at[pop.id] = (pop.id, s.queues[of_t[at[i]]].id, float(points[i]))
-        # off the support: the breakpoints in the window, and for each
-        # interval the lower of its first and last grid point
-        off = np.full((t.size, 2), np.inf)
-        off[:, 0] = np.where(on_point | ~in_window, np.inf, costs)
-        lower = np.minimum(*(fluid.interp_at(x, t, costs, held, np.zeros(held.size, dtype=bool)) for x in ends))
-        off[held, 1] = np.where(on_inner[held], np.inf, lower)
-        k = int(off.argmin())
-        gaps[pop.id] = float(off.flat[k]) - c
-        if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
-            raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
-                              f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
-        # the gap's witness: breakpoint b itself, or the first lowest of
-        # interval b's grid points, as a falling run can tie at its low end
-        b = k // 2
-        x = t[b]
-        if k % 2:
-            run = grid[after[b]:after[b] + inner[b]]
-            x = run[fluid.interp_at(run, t, costs, np.full(run.size, b),
-                                    np.zeros(run.size, dtype=bool)).argmin()]
-        gap_at[pop.id] = (pop.id, s.queues[of_t[b]].id, float(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # costs that overflow are refused below
+        for j, pop in enumerate(pops):
+            # population j's support: its breakpoints and its intervals
+            mine = owner == j
+            starts = np.bincount(first[mine], minlength=t.size + 1)
+            on_point, on_inner = (
+                np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
+                for stops in (last[mine] + 1, last[mine])
+            )
+            costs = fluid.arrival_costs((pop.weight, pop.beta), t, wait)
+            # the support points in queue and time order, each with the
+            # breakpoint at or before it: breakpoint b, then interval b's grid points
+            count = on_point + np.where(on_inner, inner, 0)
+            if not count.any():
+                raise DomainError(f"population {pop.id} has no support in the profile")
+            at = np.repeat(np.arange(t.size), count)
+            rank = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+            points = np.where(on_point[at] & (rank == 0), t[at], grid[after[at] + rank - on_point[at]])
+            values = fluid.interp_at(points, t, costs, at, np.zeros(at.size, dtype=bool))
+            c = float(np.mean(values))
+            support_costs[pop.id] = c
+            spread = np.abs(values - c)
+            i = int(spread.argmax())
+            deviations[pop.id] = float(spread[i])
+            deviation_at[pop.id] = (pop.id, s.queues[of_t[at[i]]].id, float(points[i]))
+            # off the support: the breakpoints in the window, and for each
+            # interval the lower of its first and last grid point
+            off = np.full((t.size, 2), np.inf)
+            off[:, 0] = np.where(on_point | ~in_window, np.inf, costs)
+            lower = np.minimum(*(fluid.interp_at(x, t, costs, held, np.zeros(held.size, dtype=bool)) for x in ends))
+            off[held, 1] = np.where(on_inner[held], np.inf, lower)
+            k = int(off.argmin())
+            gaps[pop.id] = float(off.flat[k]) - c
+            if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
+                raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
+                                  f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
+            # the gap's witness: breakpoint b itself, or the first lowest of
+            # interval b's grid points, as a falling run can tie at its low end
+            b = k // 2
+            x = t[b]
+            if k % 2:
+                run = grid[after[b]:after[b] + inner[b]]
+                x = run[fluid.interp_at(run, t, costs, np.full(run.size, b),
+                                        np.zeros(run.size, dtype=bool)).argmin()]
+            gap_at[pop.id] = (pop.id, s.queues[of_t[b]].id, float(x))
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()

@@ -27,8 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fluid import sorted_unique
-from .model import DomainError
+from .model import DomainError, sorted_unique
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,15 @@ profile rows that carry support costs) read such rows.  ``queue_cdf``,
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import DomainError, ParseError, PopulationSpec, QueueSpec
+# ArrivalProfile, Segment and sorted_unique live in model, which needs no
+# numpy, and are served here too
+from .model import ArrivalProfile, DomainError, PopulationSpec, QueueSpec, Segment, sorted_unique
 
 _EXTEND_MODES = ("const", "slope", "wait", "idle")
 
@@ -116,34 +116,6 @@ class PiecewisePath:
         return bool((np.diff(self.values) >= 0.0).all())
 
 
-def sorted_unique(*arrays) -> np.ndarray:
-    """The sorted distinct values of the arrays together: ``np.union1d``, or
-    ``np.unique`` of one array, by the same sort and the same mask, without
-    the ``numpy.ma`` import that np.unique triggers on its first call (some
-    20 ms in every command that would otherwise make it)."""
-    values = np.sort(np.concatenate(arrays, axis=None))
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
-def _cells(parts: list[str], kinds: tuple, where: str) -> list:
-    """CSV cells converted by ``kinds``; ParseError naming ``where`` unless
-    every cell converts and is finite."""
-    try:
-        vals = [kind(p) for kind, p in zip(kinds, parts)]
-    except ValueError:
-        names = ",".join(kind.__name__ for kind in kinds)
-        raise ParseError(f"{where}: expected cells of types {names}") from None
-    for kind, v in zip(kinds, vals):
-        if kind is int and not -(2**63) <= v < 2**63:
-            raise ParseError(f"{where}: ids must fit in 64 bits")
-        if kind is float and not math.isfinite(v):
-            raise ParseError(f"{where}: values must be finite")
-    return vals
-
-
 def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
     """One-sided reflection of a piecewise-linear path at zero.
 
@@ -154,207 +126,6 @@ def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
     """
     ts, psi, phi, _ = _reflect_rows(x.times, x.values, np.array([0, x.times.size]))
     return PiecewisePath(ts, phi), PiecewisePath(ts, psi, extend="const")
-
-
-# -- arrival profiles -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Constant-density arrivals of one population at one queue on [start, end]."""
-
-    population: int
-    queue: int
-    start: float
-    end: float
-    density: float
-
-    def __post_init__(self):
-        if any(isinstance(x, bool) for x in (self.start, self.end, self.density)):
-            raise TypeError("bool is not a number here")
-        if not (self.end >= self.start):
-            raise DomainError(f"segment has end < start: {self}")
-        if self.density < 0:
-            raise DomainError(f"segment has negative density: {self}")
-
-    @property
-    def mass(self) -> float:
-        return self.density * (self.end - self.start)
-
-
-class ArrivalProfile:
-    """Constant-density segments, one or more per (population, queue) pair,
-    stored as read-only numpy columns ``pop``, ``queue``, ``start``, ``end``
-    and ``density``, one row per segment in profile order.  Each row's mass
-    (``row_mass``) and each queue's rows are derived once.  Build it from
-    ``Segment`` records or with ``from_rows``; ``segments`` is the rows as
-    records, built on first use."""
-
-    def __init__(self, segments=()):
-        rows = [(s.population, s.queue, s.start, s.end, s.density) for s in segments]
-        self._set_columns(*_transposed(rows))
-
-    @classmethod
-    def from_rows(cls, rows) -> "ArrivalProfile":
-        """The profile with one row per (pop, queue, start, end, density)
-        tuple; DomainError naming the first row, by position, with a
-        non-finite value, end < start, negative density or non-finite mass,
-        and ``Segment``'s TypeError for a bool start, end or density."""
-        columns = _transposed(rows)
-        if any(isinstance(x, bool) for col in columns[2:] for x in col):
-            raise TypeError("bool is not a number here")
-        return cls.__new__(cls)._set_columns(*columns)
-
-    def _set_columns(self, pop, queue, start, end, density) -> "ArrivalProfile":
-        self.pop = np.array(pop, dtype=np.int64)
-        self.queue = np.array(queue, dtype=np.int64)
-        self.start = np.array(start, dtype=float)
-        self.end = np.array(end, dtype=float)
-        self.density = np.array(density, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.row_mass = self.density * (self.end - self.start)  # Segment.mass
-        # Segment's checks and finite values and masses, on every row at once,
-        # in from_csv's order
-        checks = (
-            ("a non-finite value", ~np.isfinite([self.start, self.end, self.density]).all(axis=0)),
-            ("end < start", ~(self.end >= self.start)),
-            ("negative density", self.density < 0),
-            ("non-finite mass", ~np.isfinite(self.row_mass)),
-        )
-        bad = np.logical_or.reduce([rows for _, rows in checks])
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = next(what for what, rows in checks if rows[i])
-            raise DomainError(f"profile row {i} has {what}")
-        # a stable sort keeps each queue's rows in profile order
-        order = np.argsort(self.queue, kind="stable")
-        ids = sorted_unique(self.queue)
-        first = np.searchsorted(self.queue[order], ids)
-        self._rows_by_queue = dict(zip(ids.tolist(), np.split(order, first[1:])))
-        for col in (self.pop, self.queue, self.start, self.end, self.density, self.row_mass,
-                    *self._rows_by_queue.values()):
-            col.flags.writeable = False
-        return self
-
-    def __setattr__(self, name, value):
-        # read-only once built (_set_columns sets _rows_by_queue last)
-        if "_rows_by_queue" in vars(self):
-            raise AttributeError(f"cannot set {name}: ArrivalProfile is read-only")
-        super().__setattr__(name, value)
-
-    @cached_property
-    def segments(self) -> tuple[Segment, ...]:
-        """The rows as ``Segment`` records, in profile order."""
-        cols = (self.pop, self.queue, self.start, self.end, self.density)
-        return tuple(map(Segment, *(col.tolist() for col in cols)))
-
-    def __len__(self) -> int:
-        return self.pop.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ArrivalProfile):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("pop", "queue", "start", "end", "density")
-        )
-
-    def queue_rows(self, queue: int) -> np.ndarray:
-        """Row numbers of the queue's segments, in profile order."""
-        rows = self._rows_by_queue.get(queue)
-        return np.zeros(0, dtype=np.int64) if rows is None else rows
-
-    @property
-    def queue_ids(self) -> tuple[int, ...]:
-        return tuple(self._rows_by_queue)
-
-    @property
-    def total_mass(self) -> float:
-        return self.mass()
-
-    def mass(self, population: int | None = None, queue: int | None = None) -> float:
-        """Routed mass, summed in profile order (as the built-in ``sum`` adds)."""
-        rows = np.arange(len(self)) if queue is None else self.queue_rows(queue)
-        if population is not None:
-            rows = rows[self.pop[rows] == population]
-        return sum(self.row_mass[rows].tolist())
-
-    def support_bounds(self) -> tuple[float, float]:
-        if not len(self):
-            raise DomainError("empty profile has no support")
-        return float(self.start.min()), float(self.end.max())
-
-    def queue_cdf(self, queue: int) -> PiecewisePath:
-        """Aggregate cumulative arrivals F_k at the queue, all populations
-        (``_cdf_rows`` on one row)."""
-        ts, values, _ = _cdf_rows(self, [queue])
-        return PiecewisePath(ts, values, extend="const")
-
-    @np.errstate(over="ignore")  # a time that overflows is refused as a non-finite value
-    def shifted(self, dt: float) -> "ArrivalProfile":
-        return ArrivalProfile.__new__(ArrivalProfile)._set_columns(
-            self.pop, self.queue, self.start + dt, self.end + dt, self.density
-        )
-
-    def require_queues(self, queues) -> None:
-        """DomainError unless every row is at one of ``queues``."""
-        known = {q.id for q in queues}
-        strays = [qid for qid in self.queue_ids if qid not in known]
-        if strays:
-            raise DomainError(f"profile routes mass to unknown queues {strays}")
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self) -> str:
-        from .serialize import csv_rows
-
-        return csv_rows(
-            ["pop", "queue", "a", "b", "density"],
-            [self.pop, self.queue, self.start, self.end, self.density],
-        )
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ArrivalProfile":
-        """The profile of CSV rows ``pop,queue,a,b,density``, converted with no
-        per-row checks and checked as columns; only a file with a fault is
-        read again row by row, to name its first fault in file order."""
-        columns = pop, queue, a, b, density = ([], [], [], [], [])
-        try:
-            for _, row in _data_rows(text):
-                p, q, x, y, d = row.split(",")
-                pop.append(int(p))
-                queue.append(int(q))
-                a.append(float(x))
-                b.append(float(y))
-                density.append(float(d))
-            return cls.__new__(cls)._set_columns(*columns)
-        except (ValueError, OverflowError, DomainError):
-            for lineno, row in _data_rows(text):  # raise on the first faulty row
-                parts = row.split(",")
-                where = f"bad profile row {lineno}: {row!r}"
-                if len(parts) != 5:
-                    raise ParseError(f"{where}: expected 5 cells")
-                _, _, x, y, d = _cells(parts, (int, int, float, float, float), where)
-                # Segment's checks, and a finite mass so that no sum of masses overflows
-                what = ("end < start" if not y >= x else "negative density" if d < 0
-                        else None if math.isfinite(d * (y - x)) else "non-finite mass")
-                if what:
-                    raise DomainError(f"profile row {lineno} has {what}")
-            raise
-
-
-def _data_rows(text: str):
-    """(line number, stripped row) of each CSV row that is not blank, a
-    comment or the header."""
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        row = raw.strip()
-        if row and not row.startswith("#") and not row.lower().startswith("pop,"):
-            yield lineno, row
-
-
-def _transposed(rows) -> list:
-    """The five columns of a list of profile rows."""
-    return list(zip(*rows)) or [()] * 5
 
 
 # -- fluid processes --------------------------------------------------------
@@ -376,7 +147,9 @@ def default_horizon(
         lo, hi = profile.support_bounds()
     else:
         lo, hi = min(starts), min(starts)
-    drains = [max(hi, q.t_start) + profile.mass(queue=q.id) / q.mu for q in queues]
+    # each queue's mass(queue=q.id), read from the profile's row index
+    masses = (sum(profile.row_mass[profile.queue_rows(q.id)].tolist()) for q in queues)
+    drains = [max(hi, q.t_start) + mass / q.mu for q, mass in zip(queues, masses)]
     for q, drain in zip(queues, drains):
         if not math.isfinite(drain):
             raise _overflow(q)

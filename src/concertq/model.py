@@ -11,7 +11,12 @@ the optimal profile's windows all come from it.  Beside it sits the
 serve-count optimizer of the equal-rate, equally spaced case: with k queues
 serving the first l unit populations, the epoch T_l(k) = l / (mu k) +
 tau (k - 1) / 2 is convex in k, and the equilibrium serve count is its
-integer minimizer, about sqrt(2 l / (mu tau)).  The module uses no numpy.
+integer minimizer, about sqrt(2 l / (mu tau)).  Last comes the arrival
+profile, ``ArrivalProfile``: its rows are stored as compact columns that
+are built, checked, compared, shifted and written without numpy.  Only its
+array attributes (made on first use) and ``sorted_unique`` import numpy,
+so the equilibrium commands, which solve and write a profile, never load
+it.
 
 All model objects are immutable after construction and safe to share across
 workers.
@@ -19,10 +24,15 @@ workers.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
+from array import array
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import add, eq, le, mul, sub
 
 
 class DomainError(ValueError):
@@ -414,3 +424,281 @@ def optimal_serve_count(l: float, mu: float, tau: float, K: int) -> ServeSetResu
         # would indicate a numerical problem
         k_star = minimizers[0]
     return ServeSetResult(l=float(l), k_star=k_star, tie=len(minimizers) > 1, t_l_at_k=epochs)
+
+
+# -- arrival profiles -------------------------------------------------------
+
+
+def sorted_unique(*arrays):
+    """The sorted distinct values of the arrays together: ``np.union1d``, or
+    ``np.unique`` of one array, by the same sort and the same mask, without
+    the ``numpy.ma`` import that np.unique triggers on its first call (some
+    20 ms in every command that would otherwise make it)."""
+    import numpy as np
+    values = np.sort(np.concatenate(arrays, axis=None))
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Constant-density arrivals of one population at one queue on [start, end]."""
+
+    population: int
+    queue: int
+    start: float
+    end: float
+    density: float
+
+    def __post_init__(self):
+        if any(isinstance(x, bool) for x in (self.start, self.end, self.density)):
+            raise TypeError("bool is not a number here")
+        if not (self.end >= self.start):
+            raise DomainError(f"segment has end < start: {self}")
+        if self.density < 0:
+            raise DomainError(f"segment has negative density: {self}")
+
+    @property
+    def mass(self) -> float:
+        return self.density * (self.end - self.start)
+
+
+def _array_view(column: int):
+    """Stored column ``column`` as a read-only numpy array that shares its
+    memory, made on first use."""
+
+    def view(self):
+        import numpy as np
+        arr = np.frombuffer(self._columns[column], dtype=np.int64 if column < 2 else np.float64)
+        arr.flags.writeable = False
+        return arr
+
+    return cached_property(view)
+
+
+class ArrivalProfile:
+    """Constant-density segments, one or more per (population, queue) pair,
+    one row per segment in profile order.
+
+    The rows are stored once, as five ``array.array`` columns (int64
+    population and queue ids, float64 start, end and density: 40 bytes a
+    row), converted and checked without numpy when the profile is built.
+    ``len``, ``==``, ``mass``, ``queue_ids``, ``require_queues``,
+    ``shifted``, ``to_csv`` and ``segments`` read those columns and need no
+    numpy.  The array attributes are made on first use: ``pop``, ``queue``,
+    ``start``, ``end`` and ``density`` are read-only numpy views of the
+    columns (no copy), and ``row_mass`` (each row's mass) and ``queue_rows``
+    (each queue's rows) are derived from them once.  Build a profile from
+    ``Segment`` records or with ``from_rows``; ``segments`` is the rows as
+    records, built on first use."""
+
+    pop, queue, start, end, density = map(_array_view, range(5))
+
+    def __init__(self, segments=()):
+        self._store(*_transposed((s.population, s.queue, s.start, s.end, s.density) for s in segments))
+
+    @classmethod
+    def from_rows(cls, rows) -> "ArrivalProfile":
+        """The profile with one row per (pop, queue, start, end, density)
+        tuple, each id converted by ``int`` and each value by ``float``;
+        DomainError naming the first row, by position, with a non-finite
+        value, end < start, negative density or non-finite mass, and
+        ``Segment``'s TypeError for a bool start, end or density."""
+        columns = _transposed(rows)
+        if bool in map(type, chain(*columns[2:])):
+            raise TypeError("bool is not a number here")
+        return cls.__new__(cls)._store(*columns)
+
+    def _store(self, pop, queue, start, end, density) -> "ArrivalProfile":
+        """Keep the columns, converted by ``_column``, once every row passes
+        ``_row_fault``.  The rows are checked column by column (a finite
+        mass implies finite values); only a profile with a fault is scanned
+        row by row, to name its first."""
+        columns = (_column("q", pop, int), _column("q", queue, int),
+                   *(_column("d", values, float) for values in (start, end, density)))
+        a, b, d = columns[2:]
+        if not (all(map(math.isfinite, map(mul, d, map(sub, b, a)))) and all(map(le, a, b))
+                and min(d, default=0.0) >= 0):
+            i, what = next((i, what) for i, what in enumerate(map(_row_fault, a, b, d)) if what)
+            raise DomainError(f"profile row {i} has {what}")
+        object.__setattr__(self, "_columns", columns)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name}: ArrivalProfile is read-only")
+
+    @cached_property
+    def row_mass(self):
+        """Each row's mass density * (end - start), as ``Segment.mass``."""
+        masses = self.density * (self.end - self.start)
+        masses.flags.writeable = False
+        return masses
+
+    @cached_property
+    def _rows_by_queue(self) -> dict:
+        import numpy as np
+        # a stable sort keeps each queue's rows in profile order
+        order = np.argsort(self.queue, kind="stable")
+        ids = self.queue_ids
+        rows = dict(zip(ids, np.split(order, np.searchsorted(self.queue[order], ids)[1:])))
+        for r in rows.values():
+            r.flags.writeable = False
+        return rows
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The rows as ``Segment`` records, in profile order."""
+        return tuple(map(Segment, *self._columns))
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArrivalProfile):
+            return NotImplemented
+        return self._columns == other._columns
+
+    def queue_rows(self, queue: int):
+        """Row numbers of the queue's segments, in profile order, as a
+        read-only numpy array."""
+        rows = self._rows_by_queue.get(queue)
+        if rows is None:
+            import numpy as np
+            return np.zeros(0, dtype=np.int64)
+        return rows
+
+    @property
+    def queue_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self._columns[1])))
+
+    @property
+    def total_mass(self) -> float:
+        return self.mass()
+
+    def mass(self, population: int | None = None, queue: int | None = None) -> float:
+        """Routed mass of the population's rows at the queue (every row for
+        None), summed in profile order (as the built-in ``sum`` adds)."""
+        pops, queues, a, b, d = self._columns
+        masses = map(mul, d, map(sub, b, a))
+        picks = [map(eq, ids, repeat(wanted))
+                 for ids, wanted in ((pops, population), (queues, queue)) if wanted is not None]
+        return sum(compress(masses, map(all, zip(*picks))) if picks else masses)
+
+    def support_bounds(self) -> tuple[float, float]:
+        if not len(self):
+            raise DomainError("empty profile has no support")
+        return float(self.start.min()), float(self.end.max())
+
+    def queue_cdf(self, queue: int):
+        """Aggregate cumulative arrivals F_k at the queue, all populations
+        (``fluid._cdf_rows`` on one row), as a ``fluid.PiecewisePath``."""
+        from . import fluid
+        ts, values, _ = fluid._cdf_rows(self, [queue])
+        return fluid.PiecewisePath(ts, values, extend="const")
+
+    def shifted(self, dt: float) -> "ArrivalProfile":
+        """The profile with every start and end moved by ``dt``; a time that
+        overflows is refused as a non-finite value."""
+        pop, queue, a, b, d = self._columns
+        dt = float(dt)
+        return ArrivalProfile.__new__(ArrivalProfile)._store(
+            pop, queue, map(add, a, repeat(dt)), map(add, b, repeat(dt)), d
+        )
+
+    def require_queues(self, queues) -> None:
+        """DomainError unless every row is at one of ``queues``."""
+        known = {q.id for q in queues}
+        strays = [qid for qid in self.queue_ids if qid not in known]
+        if strays:
+            raise DomainError(f"profile routes mass to unknown queues {strays}")
+
+    # -- serialization ------------------------------------------------------
+
+    def to_csv(self) -> str:
+        """CSV rows ``pop,queue,a,b,density``: ids as integers, values by
+        ``serialize.fmt`` (the cells of ``serialize.column_cells``)."""
+        from .serialize import column_cells
+
+        rows = zip(*map(column_cells, self._columns))
+        return "\n".join(["pop,queue,a,b,density", *map(",".join, rows), ""])
+
+    @classmethod
+    def from_csv(cls, text: str) -> "ArrivalProfile":
+        """The profile of CSV rows ``pop,queue,a,b,density``, converted with no
+        per-row checks and checked as columns; only a file with a fault is
+        read again row by row, to name its first fault in file order."""
+        columns = pop, queue, a, b, density = ([], [], [], [], [])
+        try:
+            for _, row in _data_rows(text):
+                p, q, x, y, d = row.split(",")
+                pop.append(int(p))
+                queue.append(int(q))
+                a.append(float(x))
+                b.append(float(y))
+                density.append(float(d))
+            return cls.__new__(cls)._store(*columns)
+        except (ValueError, OverflowError, DomainError):
+            for lineno, row in _data_rows(text):  # raise on the first faulty row
+                parts = row.split(",")
+                where = f"bad profile row {lineno}: {row!r}"
+                if len(parts) != 5:
+                    raise ParseError(f"{where}: expected 5 cells")
+                what = _row_fault(*_cells(parts, (int, int, float, float, float), where)[2:])
+                if what:
+                    raise DomainError(f"profile row {lineno} has {what}")
+            raise
+
+
+def _column(typecode: str, values, convert) -> array:
+    """``values`` as a compact column of ``typecode`` ("q" or "d"), each
+    value converted by ``convert`` (``int`` or ``float``, as numpy converts
+    into int64 or float64) unless the column takes them all as they are."""
+    try:
+        return array(typecode, values)
+    except TypeError:  # a str, or a float id
+        return array(typecode, map(convert, values))
+
+
+def _row_fault(a: float, b: float, d: float) -> str | None:
+    """What a profile row with start ``a``, end ``b`` and density ``d``
+    has that no profile takes, or None: a non-finite value, then Segment's
+    checks, then a non-finite mass (so that no sum of masses overflows)."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        return "a non-finite value"
+    if not b >= a:
+        return "end < start"
+    if d < 0:
+        return "negative density"
+    return None if math.isfinite(d * (b - a)) else "non-finite mass"
+
+
+def _cells(parts: list[str], kinds: tuple, where: str) -> list:
+    """CSV cells converted by ``kinds``; ParseError naming ``where`` unless
+    every cell converts and is finite."""
+    try:
+        vals = [kind(p) for kind, p in zip(kinds, parts)]
+    except ValueError:
+        names = ",".join(kind.__name__ for kind in kinds)
+        raise ParseError(f"{where}: expected cells of types {names}") from None
+    for kind, v in zip(kinds, vals):
+        if kind is int and not -(2**63) <= v < 2**63:
+            raise ParseError(f"{where}: ids must fit in 64 bits")
+        if kind is float and not math.isfinite(v):
+            raise ParseError(f"{where}: values must be finite")
+    return vals
+
+
+def _data_rows(text: str):
+    """(line number, stripped row) of each CSV row that is not blank, a
+    comment or the header."""
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        row = raw.strip()
+        if row and not row.startswith("#") and not row.lower().startswith("pop,"):
+            yield lineno, row
+
+
+def _transposed(rows) -> list:
+    """The five columns of profile rows."""
+    return list(zip(*rows)) or [()] * 5

@@ -24,10 +24,9 @@ import numpy as np
 
 from . import fluid
 from .equilibrium import SolverError, arrival_epochs, solve_multi
-from .fluid import ArrivalProfile
 from .model import (
-    DEFAULT_TOL, DomainError, Options, PopulationSpec, QueueSpec, Scenario, pruned_scenario,
-    service_windows,
+    DEFAULT_TOL, ArrivalProfile, DomainError, Options, PopulationSpec, QueueSpec, Scenario,
+    pruned_scenario, service_windows,
 )
 
 

@@ -2,7 +2,8 @@
 
 Floats are printed with 17 significant digits so that repeated runs with the
 same inputs produce byte-identical artifacts and round-trip exactly.  Only
-the CSV functions import numpy, so ``fmt`` and ``to_json`` run without it.
+``csv_rows`` and ``write_csv`` import numpy, so ``fmt``, ``to_json`` and
+``column_cells`` run without it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,17 @@ def to_json(obj) -> str:
     _emit(obj, out)
     out.append("\n")
     return "".join(out)
+
+
+def column_cells(column) -> map:
+    """The text of every value of a compact column (an ``array.array`` of
+    int64 or float64): ints by ``str``, floats by ``fmt``.  Each distinct
+    value is formatted once, a float keyed on its bit pattern (so -0.0 keeps
+    its own text), and its cells share that string."""
+    keys = memoryview(column).cast("B").cast("q")
+    text = str if column.typecode == "q" else fmt
+    texts = {key: text(x) for key, x in dict(zip(keys, column)).items()}
+    return map(texts.__getitem__, keys)
 
 
 def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:

@@ -37,8 +37,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import fluid
-from .fluid import ArrivalProfile
-from .model import DEFAULT_TOL, DomainError, Scenario
+from .model import DEFAULT_TOL, ArrivalProfile, DomainError, Scenario
 
 _ARRIVAL_STREAM = 0
 _ROUTING_STREAM = 1

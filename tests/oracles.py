@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from concertq import fluid, sim
+from concertq import fluid, model, sim
 from concertq.equilibrium import SolverError, VerificationReport
 from concertq.fluid import ArrivalProfile, PiecewisePath, Segment
 from concertq.model import DomainError, ParseError
@@ -324,7 +324,7 @@ def profile_segments_from_csv(text):
         where = f"bad profile row {lineno}: {row!r}"
         if len(parts) != 5:
             raise ParseError(f"{where}: expected 5 cells")
-        segs.append(Segment(*fluid._cells(parts, (int, int, float, float, float), where)))
+        segs.append(Segment(*model._cells(parts, (int, int, float, float, float), where)))
         if not math.isfinite(segs[-1].mass):
             raise DomainError(f"profile row {lineno} has non-finite mass")
     return segs

@@ -489,13 +489,47 @@ def test_segments_view_rebuilds_the_same_columns(rows):
 
 def test_profile_columns_are_read_only_and_segments_cached():
     profile = cq.ArrivalProfile.from_rows([(1, 2, 0.0, 1.0, 0.5), (2, 1, -1.0, 0.5, 0.25)])
-    for col in (profile.pop, profile.queue, profile.start, profile.end, profile.density, profile.row_mass):
+    for col in (profile.pop, profile.queue, profile.start, profile.end, profile.density, profile.row_mass,
+                profile.queue_rows(1), profile.queue_rows(2)):
         assert not col.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            col[...] = 0
+    assert [profile.queue_rows(q).tolist() for q in (1, 2)] == [[1], [0]]
     assert profile.segments is profile.segments
     with pytest.raises(AttributeError, match="read-only"):
         profile.start = np.zeros(2)
     assert profile.segments == (cq.Segment(1, 2, 0.0, 1.0, 0.5), cq.Segment(2, 1, -1.0, 0.5, 0.25))
     assert len(profile) == 2 and len(cq.ArrivalProfile(())) == 0
+
+
+def test_from_rows_converts_ids_and_values_as_numpy_does():
+    # ids by int() and values by float(): 1.5 -> 1, True -> 1, '1' -> 1, '0.0' -> 0.0
+    profile = cq.ArrivalProfile.from_rows([(1.5, True, "0.0", 1, "0.5"), ("1", np.int32(2), 0, 2.0, np.float32(0.25))])
+    assert (profile.pop.dtype, profile.queue.dtype, profile.start.dtype) == (np.int64, np.int64, np.float64)
+    assert profile.pop.tolist() == [1, 1] and profile.queue.tolist() == [1, 2]
+    assert profile.start.tolist() == [0.0, 0.0] and profile.end.tolist() == [1.0, 2.0]
+    assert profile.density.tolist() == [0.5, 0.25]
+    assert profile.segments[0] == cq.Segment(1, 1, 0.0, 1.0, 0.5)
+    assert all(type(x) in (int, float) for g in profile.segments for x in vars(g).values())
+
+
+def test_rows_of_numpy_scalars_write_the_same_csv():
+    rows = [(1, 2, -0.5, 0.25, 1.0 / 3.0), (2, 1, 1e-300, 0.75, 0.0), (3, 7, -0.0, 0.0, 2.5)]
+    scalars = [(np.int64(p), np.int32(q), np.float64(a), np.float64(b), np.float64(d)) for p, q, a, b, d in rows]
+    text = cq.ArrivalProfile.from_rows(rows).shifted(0.125).to_csv()
+    assert cq.ArrivalProfile.from_rows(scalars).shifted(np.float64(0.125)).to_csv() == text
+    assert cq.ArrivalProfile.from_rows(np.array(rows)).shifted(0.125).to_csv() == text
+    assert text.splitlines()[1:] == [
+        f"{p},{q},{fmt(a + 0.125)},{fmt(b + 0.125)},{fmt(d)}" for p, q, a, b, d in rows
+    ]
+
+
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1])
+def test_an_id_past_64_bits_is_refused_when_the_profile_is_built(big):
+    with pytest.raises(OverflowError):
+        cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1.0), (1, big, 0.0, 1.0, 1.0)])
+    with pytest.raises(OverflowError):
+        cq.ArrivalProfile((cq.Segment(big, 1, 0.0, 1.0, 1.0),))
 
 
 @pytest.mark.parametrize(

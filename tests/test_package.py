@@ -49,18 +49,27 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
         "loaded()\n"
+        "profile = concertq.ArrivalProfile.from_rows([(1, 2, 0.5, 1.0, 2.0), (1, 1, 0.0, 1.0, 1.0)])\n"
+        "assert profile.shifted(1.5).to_csv() == 'pop,queue,a,b,density\\n1,2,2,2.5,2\\n1,1,1.5,2.5,1\\n'\n"
+        "assert (len(profile), profile.total_mass, profile.mass(queue=2), profile.queue_ids) == (2, 2.0, 1.0, (1, 2))\n"
+        "assert profile.segments[0] == concertq.Segment(1, 2, 0.5, 1.0, 2.0) and profile == profile.shifted(0.0)\n"
+        "loaded()\n"
+        "profile.start\n"
+        "loaded()\n"
         "concertq.poa.poa_multi\n"
         "loaded()\n"
     )
     cli = {"cli", "model", "serialize"}
-    assert _loaded(script) == [set(), cli, cli | {"poa", "equilibrium", "fluid", "numpy"}]
+    assert _loaded(script) == [set(), cli, cli, cli | {"numpy"}, cli | {"poa", "equilibrium", "fluid", "numpy"}]
 
 
 ARRAYS = {"fluid", "numpy"}
 # each command, its exit code and what it loads besides cli, model and serialize
 FOOTPRINTS = [
-    (["eq-single", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
-    (["eq-multi", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
+    (["eq-single", "--scenario", "{s}"], 0, {"equilibrium"}),
+    (["eq-single", "--scenario", "{s}", "--format", "csv"], 0, {"equilibrium"}),
+    (["eq-multi", "--scenario", "{s}"], 0, {"equilibrium"}),
+    (["eq-multi", "--scenario", "{s}", "--format", "csv"], 0, {"equilibrium"}),
     (["verify", "--scenario", "{s}", "--profile", "{p}"], 0, {"equilibrium"} | ARRAYS),
     (["poa", "--scenario", "{s}"], 0, {"poa", "equilibrium"} | ARRAYS),
     (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], 0, set()),
@@ -69,7 +78,7 @@ FOOTPRINTS = [
     (["simulate", "--scenario", "{s}", "--n", "200", "--grid-points", "8"], 0,
      {"sim", "equilibrium"} | ARRAYS),
     (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2"], 0,
-     {"exact_two"} | ARRAYS),
+     {"exact_two", "numpy"}),
     (["fluid", "--scenario", "{s}", "--profile", "{p}"], 0, ARRAYS),
     (["fluid", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
 ]
