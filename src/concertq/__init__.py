@@ -19,6 +19,7 @@ _NAMES = {
         "EquilibriumProfile", "SolverError", "VerificationReport", "solve_multi",
         "solve_single", "verify_equilibrium",
     ),
+    "errors": ("DomainError", "ParseError"),
     "exact_two": (
         "QueuePairState", "TwoUserDiagnostics", "TwoUserEquilibrium",
         "expected_queue_ode_step", "solve_two_user", "two_user_diagnostics",
@@ -28,15 +29,15 @@ _NAMES = {
         "fluid_wait", "netflow", "reflect",
     ),
     "model": (
-        "ArrivalProfile", "DomainError", "Options", "ParseError", "PopulationSpec", "QueueSpec",
-        "Scenario", "Segment", "ServeSetResult", "ValidationReport", "gamma_of",
-        "optimal_serve_count", "parse_scenario", "pruned_scenario", "scenario_from_dict",
-        "scenario_to_dict", "serve_epoch",
+        "ArrivalProfile", "Options", "PopulationSpec", "QueueSpec", "Scenario", "Segment",
+        "ValidationReport", "gamma_of", "parse_scenario", "pruned_scenario", "scenario_from_dict",
+        "scenario_to_dict",
     ),
     "poa": (
         "PoaReport", "equal_rate_multi_eta", "optimal_profile", "poa_closed_form",
         "poa_equal_rate_case", "poa_multi", "poa_single", "social_cost",
     ),
+    "serve": ("ServeSetResult", "optimal_serve_count", "serve_epoch"),
     "sim": (
         "ConvergenceReport", "SimConfig", "SimPaths", "convergence_report", "default_grid",
         "run_des", "sample_arrivals", "scaled_paths",

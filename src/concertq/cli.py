@@ -8,11 +8,11 @@ hypothesis error, 2 I/O or parse error.  All randomness flows from --seed.
 Times in emitted artifacts are in the scenario's original coordinates (the
 ingestion shift by the earliest opening time is undone on output).
 
-Each command imports the computation modules it runs, numpy included,
+Each command imports the modules it runs, ``model`` and numpy included,
 inside its handler, so a process compiles and runs only those (README,
-"Start-up"): parsing, --help, usage errors and serve-count load no numpy,
-and neither do eq-single and eq-multi, which solve, shift and write the
-profile on ``model.ArrivalProfile``'s columns.
+"Start-up"): --help and usage errors load neither, serve-count and eq-two
+only ``serve`` or ``exact_two`` (plain floats), eq-single and eq-multi no
+numpy, and the other commands ``model`` before numpy.
 A library warning is shown as one ``warning:`` line on stderr.
 """
 
@@ -21,15 +21,16 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import count
+from itertools import count, repeat
 from pathlib import Path
 
-from .model import DomainError, ParseError, optimal_serve_count, parse_scenario, pruned_scenario
-from .serialize import fmt, to_json, write_csv
+from .errors import DomainError, ParseError
+from .serialize import fmt, to_json, write_columns, write_csv
 
-# largest eq-two trace: 2**16 points, about 70 MB peak RSS at the cap
+# largest eq-two trace: 2**16 points, about 34 MB peak RSS at the cap
 MAX_TRACE_POINTS = 1 << 16
 # largest simulate grid: 2**16 points (its memory at the cap: --help)
 MAX_SIM_GRID_POINTS = 1 << 16
@@ -42,23 +43,23 @@ def _read(path: str, what: str) -> str:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_scenario(args):
+def _load_scenario(args, prune: bool = False):
     """The scenario at ``args.scenario`` with the command's --seed, --tol and
-    --grid-step overrides applied to (and validated by) its options."""
-    s = parse_scenario(_read(args.scenario, "scenario"))
+    --grid-step overrides applied to (and validated by) its options; with
+    ``prune``, without the queues that never open, each noted on stderr."""
+    from . import model
+
+    s = model.parse_scenario(_read(args.scenario, "scenario"))
     overrides = {
         name: getattr(args, name)
         for name in ("seed", "tol", "grid_step")
         if getattr(args, name, None) is not None
     }
-    return replace(s, options=replace(s.options, **overrides))
-
-
-def _load_pruned(args):
-    """``_load_scenario`` without the queues that never open, each noted on stderr."""
-    s, report = pruned_scenario(_load_scenario(args))
-    for msg in report.messages:
-        print(f"note: {msg}", file=sys.stderr)
+    s = replace(s, options=replace(s.options, **overrides))
+    if prune:
+        s, report = model.pruned_scenario(s)
+        for msg in report.messages:
+            print(f"note: {msg}", file=sys.stderr)
     return s
 
 
@@ -92,7 +93,7 @@ def _summary(args, text: str) -> None:
 def _cmd_eq(args, multi: bool) -> int:
     from . import equilibrium
 
-    s = _load_pruned(args)
+    s = _load_scenario(args, prune=True)
     eq = equilibrium.solve_multi(s) if multi else equilibrium.solve_single(s)
     origin = s.time_origin
     profile_csv = eq.profile.shifted(origin).to_csv()
@@ -137,9 +138,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_poa(args) -> int:
+    s = _load_scenario(args, prune=True)
     from . import poa
 
-    s = _load_pruned(args)
     report = poa.poa_multi(s)
     _write(args.out, to_json(report.to_dict(time_origin=s.time_origin)))
     _summary(args, report.summary_line())
@@ -147,6 +148,8 @@ def _cmd_poa(args) -> int:
 
 
 def _cmd_serve_count(args) -> int:
+    from .serve import optimal_serve_count
+
     result = optimal_serve_count(args.l, args.mu, args.tau, args.k_max)
     _write(args.out, to_json(result.to_dict()))
     _summary(args, f"k_star={result.k_star}, tie={str(result.tie).lower()}")
@@ -154,24 +157,22 @@ def _cmd_serve_count(args) -> int:
 
 
 def _cmd_eq_two(args) -> int:
-    import numpy as np
     from . import exact_two
 
     if not 1 <= args.trace_points <= MAX_TRACE_POINTS:
-        raise DomainError(
-            f"--trace-points must be between 1 and {MAX_TRACE_POINTS}, got {args.trace_points}"
-        )
+        raise DomainError(f"--trace-points must be between 1 and {MAX_TRACE_POINTS}, got {args.trace_points}")
     eq = exact_two.solve_two_user(args.mu1, args.mu2, args.alpha, args.beta)
     diags = exact_two.two_user_diagnostics(eq, ode_dt=args.ode_dt)
     payload = eq.to_dict()
     payload["diagnostics"] = diags.to_dict()
     _write(args.out, to_json(payload))
     if args.trace:
-        ts = np.linspace(eq.t_first, eq.t_last, args.trace_points)
-        occupied = np.column_stack((eq.queue_occupied_prob(1, ts), eq.queue_occupied_prob(2, ts)))
-        columns = [ts, eq.density(ts), eq.routing(1, ts), *occupied.T, eq.expected_cost(occupied, ts)[:, 0]]
+        ts = eq.trace_times(args.trace_points)
+        p11 = array("d", map(eq.queue_occupied_prob, repeat(1), ts))
+        columns = (ts, map(eq.density, ts), map(eq.routing, repeat(1), ts), p11,
+                   map(eq.queue_occupied_prob, repeat(2), ts), map(eq.expected_cost, repeat(1), p11, ts))
         with _opened(args.trace) as out:
-            write_csv(out, ["t", "f", "p1", "P11", "P21", "cost"], columns)
+            write_columns(out, ["t", "f", "p1", "P11", "P21", "cost"], [array("d", c) for c in columns])
     _summary(
         args,
         f"t_first={fmt(eq.t_first)}, t_last={fmt(eq.t_last)}, cost={fmt(eq.cost)}, "
@@ -181,16 +182,15 @@ def _cmd_eq_two(args) -> int:
 
 
 def _cmd_fluid(args) -> int:
+    s = _load_scenario(args, prune=not args.profile)
     import numpy as np
     from . import fluid
 
     if args.profile:
-        s = _load_scenario(args)
         profile = _load_profile(args.profile, s)
     else:
         from . import equilibrium
 
-        s = _load_pruned(args)
         profile = equilibrium.solve_multi(s).profile
     origin = s.time_origin
     horizon = fluid.default_horizon(profile, s.queues)
@@ -223,14 +223,14 @@ def _cmd_fluid(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    import numpy as np
-    from . import equilibrium, sim
-
     if not 2 <= args.grid_points <= MAX_SIM_GRID_POINTS:
         raise DomainError(
             f"--grid-points must be between 2 and {MAX_SIM_GRID_POINTS}, got {args.grid_points}"
         )
-    s = _load_pruned(args)
+    s = _load_scenario(args, prune=True)
+    import numpy as np
+    from . import equilibrium, sim
+
     profile = equilibrium.solve_multi(s).profile
     grid = sim.default_grid(profile, s, points=args.grid_points)
     cfg = sim.SimConfig(

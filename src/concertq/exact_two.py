@@ -17,27 +17,23 @@ The closed form is internally consistent except for normalization: the
 density does not integrate to one for general parameters (at mu1 = mu2 = 1,
 alpha = beta = 1 the integral is exactly 2).  This module therefore reports
 diagnostics instead of asserting equilibrium: residuals are computed,
-regression-pinned in the tests, and never silently clipped.
+regression-pinned in the tests, and never silently clipped.  It is all
+plain float arithmetic, in numpy's operations and order, bit for bit.
 """
 
-from __future__ import annotations
-
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from itertools import islice
 
-import numpy as np
-
-from .model import DomainError, sorted_unique
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class TwoUserEquilibrium:
-    """Closed-form strategy pair for the two-user game.
-
-    ``t_first`` < 0 < ``t_last`` bound the common support; ``density``,
-    ``routing`` and state probabilities are exposed as vectorized methods,
-    which return arrays (0-d for a scalar ``t``).
-    """
+    """Closed-form strategy pair for the two-user game: ``t_first`` < 0 <
+    ``t_last`` bound the common support, and the density, routing, state
+    probabilities and expected cost are float methods of one time ``t``."""
 
     mu1: float
     mu2: float
@@ -63,19 +59,18 @@ class TwoUserEquilibrium:
         """Constant expected cost on the support: alpha times |t_first|."""
         return self.alpha * (-self.t_first)
 
-    def density(self, t) -> np.ndarray:
+    def density(self, t: float) -> float:
         """Arrival density: gamma (mu1 + mu2) before opening, affine after,
         zero before t_first and from t_last on (the affine part vanishes at
         t_last, where its rounded value can be a stray 1e-16)."""
-        tt = np.asarray(t, dtype=float)
-        pre = self.gamma * self.rate_sum
-        post = (self.gamma - 1.0) * self.rate_sum + self.rate_square_sum * (
-            self.cost - self.beta * tt
-        ) / (self.alpha + self.beta)
-        out = np.where(tt <= 0.0, pre, post)
-        return np.where((tt < self.t_first) | (tt >= self.t_last), 0.0, out)
+        if t < self.t_first or t >= self.t_last:
+            return 0.0
+        if t <= 0.0:
+            return self.gamma * self.rate_sum
+        return ((self.gamma - 1.0) * self.rate_sum
+                + self.rate_square_sum * (self.cost - self.beta * t) / (self.alpha + self.beta))
 
-    def routed_density(self, i: int, t) -> np.ndarray:
+    def routed_density(self, i: int, t: float) -> float:
         """p_i(t) * density(t), the bounded inflow rate into queue i.
 
         After opening this is mu_i (gamma - 1) + mu_i^2 (cost - beta t) /
@@ -83,63 +78,58 @@ class TwoUserEquilibrium:
         length tracks the closed-form occupancy probability and the expected
         cost stays flat.  Before opening it is gamma * mu_i.
         """
-        tt = np.asarray(t, dtype=float)
+        if t < self.t_first or t > self.t_last:
+            return 0.0
         mu_i = self.mu1 if i == 1 else self.mu2
-        pre = self.gamma * mu_i
-        post = mu_i * (self.gamma - 1.0) + mu_i * mu_i * (
-            self.cost - self.beta * tt
-        ) / (self.alpha + self.beta)
-        out = np.where(tt <= 0.0, pre, post)
-        return np.where((tt < self.t_first) | (tt > self.t_last), 0.0, out)
+        if t <= 0.0:
+            return self.gamma * mu_i
+        return mu_i * (self.gamma - 1.0) + mu_i * mu_i * (self.cost - self.beta * t) / (self.alpha + self.beta)
 
-    def routing(self, i: int, t) -> np.ndarray:
+    def routing(self, i: int, t: float) -> float:
         """Routing probability to queue i, routed_density / density: constant
         mu_i / (mu1 + mu2) before opening, divergent toward the right endpoint
         when the rates differ, and the rate share mu_i / (mu1 + mu2) wherever
         the density is not positive (the endpoint itself, outside the support)."""
-        tt = np.asarray(t, dtype=float)
-        f = self.density(tt)
-        share = (self.mu1 if i == 1 else self.mu2) / self.rate_sum
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(f > 0, self.routed_density(i, tt) / f, share)
+        f = self.density(t)
+        if f > 0:
+            return self.routed_density(i, t) / f
+        return (self.mu1 if i == 1 else self.mu2) / self.rate_sum
 
-    def queue_occupied_prob(self, i: int, t) -> np.ndarray:
+    def queue_occupied_prob(self, i: int, t: float) -> float:
         """P(queue i holds the other user) = expected queue length seen by
         one user.  Linear ramp before opening, then the closed form."""
-        tt = np.asarray(t, dtype=float)
+        if t < self.t_first:
+            return 0.0
         mu_i = self.mu1 if i == 1 else self.mu2
-        pre = self.gamma * mu_i * (tt - self.t_first)
-        post = mu_i * (self.cost - self.beta * tt) / (self.alpha + self.beta)
-        out = np.where(tt <= 0.0, pre, post)
-        return np.where(tt < self.t_first, 0.0, out)
+        if t <= 0.0:
+            return self.gamma * mu_i * (t - self.t_first)
+        return mu_i * (self.cost - self.beta * t) / (self.alpha + self.beta)
 
-    def expected_cost(self, occupied, t) -> np.ndarray:
-        """Expected cost of arriving at time t at each queue:
-        (alpha + beta) (occupied / mu - min(t, 0)) + beta t, where
-        ``occupied[..., k]`` is the probability that queue k + 1 holds the
-        other user and t broadcasts against the leading axes."""
-        tt = np.asarray(t, dtype=float)[..., None]
-        rates = np.array([self.mu1, self.mu2])
-        wait = np.asarray(occupied, dtype=float) / rates - np.minimum(tt, 0.0)
-        return (self.alpha + self.beta) * wait + self.beta * tt
+    def expected_cost(self, i: int, occupied: float, t: float) -> float:
+        """Expected cost of arriving at time t at queue i when it holds the
+        other user with probability ``occupied``:
+        (alpha + beta) (occupied / mu_i - min(t, 0)) + beta t."""
+        mu_i = self.mu1 if i == 1 else self.mu2
+        return (self.alpha + self.beta) * (occupied / mu_i - (t if t < 0.0 else 0.0)) + self.beta * t
+
+    def trace_times(self, points: int) -> list[float]:
+        """``np.linspace(t_first, t_last, points)``: i * step + t_first with
+        step = (t_last - t_first) / (points - 1), and t_last last (numpy's
+        branch for a step that rounds to 0 needs a support no rates give)."""
+        step = (self.t_last - self.t_first) / max(points - 1, 1)
+        ts = [i * step + self.t_first for i in range(points - 1)]
+        return ts + [self.t_last if points > 1 else self.t_first]
 
     def to_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "gamma": self.gamma,
-            "cost": self.cost,
-            "pre_opening_density": self.gamma * self.rate_sum,
-        }
+        return {**asdict(self), "gamma": self.gamma, "cost": self.cost,
+                "pre_opening_density": self.gamma * self.rate_sum}
 
 
 @dataclass(frozen=True)
 class TwoUserDiagnostics:
-    """Numerical consistency report for a TwoUserEquilibrium.
-
-    All residuals are reported as computed; in particular the normalization
-    residual is known to be far from zero for the closed form and is tracked
-    as a regression value, not a correctness assertion.
-    """
+    """Numerical consistency report for a TwoUserEquilibrium: every residual
+    as computed; the normalization residual, far from zero for the closed
+    form, is a tracked regression value, not a correctness assertion."""
 
     normalization_residual: float
     min_density: float
@@ -172,9 +162,7 @@ def solve_two_user(mu1: float, mu2: float, alpha: float, beta: float) -> TwoUser
     if not -math.inf < t_first < 0.0 < t_last < math.inf:
         raise DomainError(f"the support [{t_first:g}, {t_last:g}] of these rates and weights is "
                           "not a finite interval around 0: the closed form underflows or overflows")
-    return TwoUserEquilibrium(
-        mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, t_first=t_first, t_last=t_last
-    )
+    return TwoUserEquilibrium(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, t_first=t_first, t_last=t_last)
 
 
 @dataclass
@@ -182,70 +170,57 @@ class QueuePairState:
     """State of the expected-queue-length dynamics: one expected length per
     queue, each identical to the probability the queue is occupied."""
 
-    lengths: np.ndarray
+    lengths: tuple[float, float]
     rates: tuple[float, float]
     clamp_events: int = 0
 
 
-def _euler_path(lengths, rates, inflow, dt, active) -> tuple[np.ndarray, int]:
-    """Forward Euler for the expected queue lengths, clamped to [0, 1].
-
-    Step j moves queue k by (inflow[j][k] - outflow) * dt[j], where the
-    outflow is rates[k] times the queue's length when active[j] and zero
-    otherwise; each clamp is counted.  Returns the path (the initial
-    ``lengths`` first) and the clamp count.  The arguments are Python floats
-    and lists, and the two queues are scalars of the loop: per-step numpy
-    calls, or per-step lists, cost far more than the arithmetic.
-    """
-    q1, q2 = lengths
-    mu1, mu2 = rates
-    path = [(q1, q2)]
-    clamp_events = 0
-    for (a1, a2), h, on in zip(inflow, dt, active):
-        x1 = q1 + (a1 - (mu1 * q1 if on else 0.0)) * h
-        x2 = q2 + (a2 - (mu2 * q2 if on else 0.0)) * h
-        # an in-range x is its own clamp; NaN fails the test and takes min(max())
-        q1 = x1 if 0.0 <= x1 <= 1.0 else min(max(x1, 0.0), 1.0)
-        q2 = x2 if 0.0 <= x2 <= 1.0 else min(max(x2, 0.0), 1.0)
-        clamp_events += (q1 != x1) + (q2 != x2)
-        path.append((q1, q2))
-    return np.array(path), clamp_events
-
-
-def expected_queue_ode_step(
-    state: QueuePairState,
-    t: float,
-    dt: float,
-    profile_density: float,
-    routing: tuple[float, float],
-    service_active: bool,
-) -> QueuePairState:
-    """One forward-Euler step of the two-state birth-death dynamics.
-
-    Inflow to queue k is routing_k * density; outflow is mu_k times the
-    probability the queue is occupied, which for two users equals the
-    expected length itself.  The state is clamped to [0, 1] and clamp events
-    are counted rather than hidden.
-    """
+def expected_queue_ode_step(state: QueuePairState, t: float, dt: float, profile_density: float,
+                            routing: tuple[float, float], service_active: bool) -> QueuePairState:
+    """One forward-Euler step of the two-state birth-death dynamics, the step
+    of ``two_user_diagnostics``' pass: inflow to queue k is routing_k *
+    density, outflow mu_k times the probability the queue is occupied (for
+    two users, its expected length).  The state is clamped to [0, 1] and
+    clamp events are counted rather than hidden."""
     if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    inflow = [[r * profile_density for r in routing]]
-    lengths = np.asarray(state.lengths, dtype=float).tolist()
-    path, events = _euler_path(lengths, state.rates, inflow, [dt], [service_active])
-    return QueuePairState(path[-1], state.rates, state.clamp_events + events)
+    lengths, clamps = [], 0
+    for q, mu, r in zip(state.lengths, state.rates, routing):
+        x = q + (r * profile_density - (mu * q if service_active else 0.0)) * dt
+        # an in-range x is its own clamp; NaN fails the test and takes min(max())
+        q = x if 0.0 <= x <= 1.0 else min(max(x, 0.0), 1.0)
+        lengths.append(q)
+        clamps += q != x
+    return QueuePairState(tuple(lengths), state.rates, state.clamp_events + clamps)
 
 
 # step of the min_density and routing_sum_residual grid, or ode_dt if coarser
 _COARSE_STEP = 1e-3
 # largest Euler grid: 2**18 points, a bound on the diagnostics' memory
-# (about 140 MB peak RSS at the cap)
+# (about 33 bytes a point; 27 MB peak RSS at the cap)
 MAX_EULER_POINTS = 1 << 18
 
 
-def _euler_grid(t_first: float, t_last: float, dt: float) -> np.ndarray:
-    ts = np.arange(t_first, t_last, dt)
-    ts = sorted_unique(ts, [0.0, t_last])
-    return ts[(ts >= t_first) & (ts <= t_last)]
+def _reduced(pick, values) -> float:
+    """``pick`` (min or max) of the values, NaN if one is NaN, as in numpy."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
+def _euler_grid(t_first: float, t_last: float, dt: float) -> list[float]:
+    """``np.union1d(np.arange(t_first, t_last, dt), [0, t_last])`` up to t_last:
+    arange's t_first and t_first + dt, then its fill t_first + i * delta with
+    delta = (t_first + dt) - t_first, increasing, so 0 and t_last are bisected in."""
+    n = math.ceil((t_last - t_first) / dt)
+    delta = (t_first + dt) - t_first
+    ts = [t_first + i * delta for i in range(n)]
+    ts[1:2] = [t_first + dt][:n - 1]  # arange sets its second value before the fill
+    for t in (0.0, t_last):
+        i = bisect_left(ts, t)
+        if ts[i:i + 1] != [t]:
+            ts.insert(i, t)
+    del ts[bisect_right(ts, t_last):]
+    return ts
 
 
 def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUserDiagnostics:
@@ -261,6 +236,9 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
       positive and finite and put at most ``MAX_EULER_POINTS`` points on
       the support);
     * routing_sum_residual: sup |p_1 + p_2 - 1| over the support interior, on that grid.
+
+    One pass over the Euler grid takes each step's inflow p_k * f, its clamped
+    step and each queue's running cost range: it holds nothing per point.
     """
     if not (ode_dt > 0 and math.isfinite(ode_dt)):
         raise DomainError(f"ode_dt must be positive and finite, got {ode_dt}")
@@ -270,33 +248,42 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
             f"support [{eq.t_first:g}, {eq.t_last:g}]; use a larger step"
         )
     pre_mass = eq.gamma * eq.rate_sum * (-eq.t_first)
-    f0 = float(eq.density(np.nextafter(0.0, 1.0)))
-    fT = float(eq.density(eq.t_last))
-    post_mass = 0.5 * (f0 + fT) * eq.t_last
+    post_mass = 0.5 * (eq.density(math.nextafter(0.0, 1.0)) + eq.density(eq.t_last)) * eq.t_last
     normalization_residual = abs(pre_mass + post_mass - 1.0)
 
     coarse = _euler_grid(eq.t_first, eq.t_last, max(_COARSE_STEP, ode_dt))
-    interior = coarse[coarse < eq.t_last]
-    min_density = float(np.min(eq.density(coarse)))
+    min_density = _reduced(min, map(eq.density, coarse))
+    interior = coarse[:-1]  # every grid point but t_last
+    routing_sum_residual = _reduced(max, (abs(eq.routing(1, t) + eq.routing(2, t) - 1.0) for t in interior))
 
-    p1 = eq.routing(1, interior)
-    p2 = eq.routing(2, interior)
-    routing_sum_residual = float(np.max(np.abs(p1 + p2 - 1.0)))
-
+    # the methods' float operations inlined: each (routed) density is level + slope * x / weight
+    mu1, mu2, beta, cost, weight = eq.mu1, eq.mu2, eq.beta, eq.cost, eq.alpha + eq.beta
+    share1, share2 = mu1 / eq.rate_sum, mu2 / eq.rate_sum
+    pre = eq.gamma * eq.rate_sum, eq.gamma * mu1, eq.gamma * mu2
+    f_level, r1_level, r2_level = ((eq.gamma - 1.0) * eq.rate_sum, mu1 * (eq.gamma - 1.0),
+                                   mu2 * (eq.gamma - 1.0))
+    f_slope, r1_slope, r2_slope = eq.rate_square_sum, mu1 * mu1, mu2 * mu2
     ts = _euler_grid(eq.t_first, eq.t_last, ode_dt)
-    starts = ts[:-1]
-    routing = np.column_stack((eq.routing(1, starts), eq.routing(2, starts)))
-    inflow = routing * eq.density(starts)[:, None]
-    path, _ = _euler_path(
-        [0.0, 0.0], (eq.mu1, eq.mu2), inflow.tolist(), np.diff(ts).tolist(), (starts >= 0.0).tolist()
-    )
-    costs = eq.expected_cost(path, ts)
-    cost_flatness = float(np.max(costs.max(axis=0) - costs.min(axis=0)))
-
-    return TwoUserDiagnostics(
-        normalization_residual=normalization_residual,
-        min_density=min_density,
-        cost_flatness=cost_flatness,
-        routing_sum_residual=routing_sum_residual,
-        ode_dt=ode_dt,
-    )
+    q1, q2, t = 0.0, 0.0, ts[0]
+    lo1 = hi1 = lo2 = hi2 = eq.expected_cost(1, 0.0, t)  # both queues start empty: one cost
+    for after in islice(ts, 1, None):
+        if t <= 0.0:  # before opening the densities are constants
+            f, r1, r2 = pre
+        else:
+            x = cost - beta * t
+            f = f_level + f_slope * x / weight
+            r1 = r1_level + r1_slope * x / weight
+            r2 = r2_level + r2_slope * x / weight
+        h = after - t
+        x1 = q1 + ((r1 / f if f > 0 else share1) * f - (mu1 * q1 if t >= 0.0 else 0.0)) * h
+        x2 = q2 + ((r2 / f if f > 0 else share2) * f - (mu2 * q2 if t >= 0.0 else 0.0)) * h
+        q1 = x1 if 0.0 <= x1 <= 1.0 else min(max(x1, 0.0), 1.0)
+        q2 = x2 if 0.0 <= x2 <= 1.0 else min(max(x2, 0.0), 1.0)
+        t = after
+        m = t if t < 0.0 else 0.0
+        c1, c2 = weight * (q1 / mu1 - m) + beta * t, weight * (q2 / mu2 - m) + beta * t
+        # a NaN cost makes the range NaN, as numpy's reductions do
+        lo1, hi1 = (c1 if c1 < lo1 or c1 != c1 else lo1), (c1 if c1 > hi1 or c1 != c1 else hi1)
+        lo2, hi2 = (c2 if c2 < lo2 or c2 != c2 else lo2), (c2 if c2 > hi2 or c2 != c2 else hi2)
+    cost_flatness = _reduced(max, (hi1 - lo1, hi2 - lo2))
+    return TwoUserDiagnostics(normalization_residual, min_density, cost_flatness, routing_sum_residual, ode_dt)

@@ -32,11 +32,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-# ArrivalProfile, Segment and sorted_unique live in model, which needs no
-# numpy, and are served here too
-from .model import ArrivalProfile, DomainError, PopulationSpec, QueueSpec, Segment, sorted_unique
+# ArrivalProfile and Segment live in model, which needs no numpy, and are served here too
+from .model import ArrivalProfile, DomainError, PopulationSpec, QueueSpec, Segment
 
 _EXTEND_MODES = ("const", "slope", "wait", "idle")
+
+
+def sorted_unique(*arrays):
+    """The sorted distinct values of the arrays together: ``np.union1d`` (or
+    ``np.unique`` of one array) by the same sort and mask, without the
+    ``numpy.ma`` import, some 20 ms, that np.unique makes on its first call."""
+    values = np.sort(np.concatenate(arrays, axis=None))
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 @dataclass(frozen=True)

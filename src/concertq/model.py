@@ -7,16 +7,11 @@ solvers.  Parsing normalizes the time origin so that the earliest queue opens
 at time zero; ``Scenario.time_origin`` records the subtracted offset and the
 serializers add it back on output.  ``service_windows`` is the one home of
 the capacity epochs: the solvers' serve sets, pruning, the terminal time and
-the optimal profile's windows all come from it.  Beside it sits the
-serve-count optimizer of the equal-rate, equally spaced case: with k queues
-serving the first l unit populations, the epoch T_l(k) = l / (mu k) +
-tau (k - 1) / 2 is convex in k, and the equilibrium serve count is its
-integer minimizer, about sqrt(2 l / (mu tau)).  Last comes the arrival
+the optimal profile's windows all come from it.  Last comes the arrival
 profile, ``ArrivalProfile``: its rows are stored as compact columns that
 are built, checked, compared, shifted and written without numpy.  Only its
-array attributes (made on first use) and ``sorted_unique`` import numpy,
-so the equilibrium commands, which solve and write a profile, never load
-it.
+array attributes (made on first use) import numpy, so the equilibrium
+commands, which solve and write a profile, never load it.
 
 All model objects are immutable after construction and safe to share across
 workers.
@@ -27,21 +22,13 @@ from __future__ import annotations
 import io
 import json
 import math
-import warnings
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add, eq, le, mul, sub
 
-
-class DomainError(ValueError):
-    """A parameter or hypothesis violation (CLI exit code 1)."""
-
-
-class ParseError(ValueError):
-    """A malformed scenario or profile document (CLI exit code 2)."""
-
+from .errors import DomainError, ParseError
 
 DEFAULT_TOL = 1e-9  # closed-form identities and the verifier's flatness
 
@@ -352,94 +339,7 @@ def pruned_scenario(s: Scenario) -> tuple[Scenario, ValidationReport]:
     return (replace(s, queues=s.queues[:len(windows)]) if late else s), report
 
 
-# largest serve count searched: one epoch per count is held and written
-MAX_SERVE_COUNT = 1 << 16
-
-
-@dataclass(frozen=True)
-class ServeSetResult:
-    """Integer serve-count optimization for the equal-rate, equally-spaced
-    case.  The fields are in the key order of the JSON report; ``t_l_at_k``
-    holds the epochs in increasing k."""
-
-    l: float
-    k_star: int
-    tie: bool
-    t_l_at_k: dict[int, float]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def serve_epoch(l: float, mu: float, tau: float, k: int) -> float:
-    """Epoch at which the first l unit populations are served out when k
-    equal-rate queues (rate mu each, openings tau apart) serve them."""
-    return l / (mu * k) + 0.5 * tau * (k - 1)
-
-
-def optimal_serve_count(l: float, mu: float, tau: float, K: int) -> ServeSetResult:
-    """Integer serve count minimizing the service epoch T_l(k) over [1, K].
-
-    ``k_star`` is the nearest integer (half away from zero) to
-    sqrt(2 l / (mu tau)), clamped to [1, K]; an exhaustive search confirms it
-    and flags exact ties between adjacent counts.  For mu * tau >= 1 the
-    one-queue-per-population reading breaks down and a warning is issued,
-    but the minimizer is still returned.  K is at most ``MAX_SERVE_COUNT``,
-    and inputs whose mu * tau, sqrt argument or epochs leave the finite
-    positive floats are refused.
-    """
-    for name, v in (("l", l), ("mu", mu), ("tau", tau)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v}")
-    if l < 1:
-        raise DomainError(f"need l >= 1, got {l}")
-    if not 1 <= K <= MAX_SERVE_COUNT:
-        raise DomainError(f"need 1 <= K <= {MAX_SERVE_COUNT}, got {K}")
-    if mu <= 0 or tau <= 0:
-        raise DomainError(f"need mu > 0 and tau > 0, got mu={mu}, tau={tau}")
-    if not mu * tau > 0:
-        raise DomainError(f"mu*tau underflows to 0 for mu={mu}, tau={tau}")
-
-    ratio = 2.0 * l / (mu * tau)
-    if not math.isfinite(ratio):
-        raise DomainError(f"2*l/(mu*tau) overflows for l={l}, mu={mu}, tau={tau}")
-    raw = math.sqrt(ratio)
-    k_formula = int(math.floor(raw + 0.5))  # nearest integer, half away from zero
-    k_star = min(max(k_formula, 1), K)
-
-    epochs = {k: serve_epoch(l, mu, tau, k) for k in range(1, K + 1)}
-    if not all(math.isfinite(v) for v in epochs.values()):
-        raise DomainError(f"the serve epochs overflow for l={l}, mu={mu}, tau={tau}")
-    if mu * tau >= 1:
-        warnings.warn(
-            f"mu*tau = {mu * tau:g} >= 1: several queues open within one "
-            "population's service window; the sqrt rule is a formal minimizer only",
-            stacklevel=2,
-        )
-    best = min(epochs.values())
-    tie_tol = 1e-12 * max(1.0, abs(best))
-    minimizers = [k for k, v in sorted(epochs.items()) if v - best <= tie_tol]
-    if k_star not in minimizers:
-        # the formula and the exhaustive search must agree; ties aside this
-        # would indicate a numerical problem
-        k_star = minimizers[0]
-    return ServeSetResult(l=float(l), k_star=k_star, tie=len(minimizers) > 1, t_l_at_k=epochs)
-
-
 # -- arrival profiles -------------------------------------------------------
-
-
-def sorted_unique(*arrays):
-    """The sorted distinct values of the arrays together: ``np.union1d``, or
-    ``np.unique`` of one array, by the same sort and the same mask, without
-    the ``numpy.ma`` import that np.unique triggers on its first call (some
-    20 ms in every command that would otherwise make it)."""
-    import numpy as np
-    values = np.sort(np.concatenate(arrays, axis=None))
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 @dataclass(frozen=True)

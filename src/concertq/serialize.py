@@ -2,14 +2,14 @@
 
 Floats are printed with 17 significant digits so that repeated runs with the
 same inputs produce byte-identical artifacts and round-trip exactly.  Only
-``csv_rows`` and ``write_csv`` import numpy, so ``fmt``, ``to_json`` and
-``column_cells`` run without it.
+``csv_rows`` and ``write_csv`` import numpy, so ``fmt``, ``to_json``,
+``column_cells`` and ``write_columns`` run without it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, filterfalse, repeat
 
 # rows per csv_rows call of write_csv, which bounds the text built at once
 CSV_BLOCK_ROWS = 8192
@@ -76,13 +76,25 @@ def to_json(obj) -> str:
 
 def column_cells(column) -> map:
     """The text of every value of a compact column (an ``array.array`` of
-    int64 or float64): ints by ``str``, floats by ``fmt``.  Each distinct
-    value is formatted once, a float keyed on its bit pattern (so -0.0 keeps
-    its own text), and its cells share that string."""
+    int64 or float64): ints by ``str``, floats as ``fmt`` writes them (its
+    callers refuse non-finite ones).  Each distinct value is formatted once,
+    a float keyed on its bit pattern (so -0.0 keeps its own text)."""
     keys = memoryview(column).cast("B").cast("q")
-    text = str if column.typecode == "q" else fmt
-    texts = {key: text(x) for key, x in dict(zip(keys, column)).items()}
+    spec = "" if column.typecode == "q" else ".17g"
+    texts = {key: format(x, spec) for key, x in dict(zip(keys, column)).items()}
     return map(texts.__getitem__, keys)
+
+
+def write_columns(out, header: list[str], columns) -> None:
+    """``write_csv`` of equal-length compact columns (``array.array``s of int64
+    or float64) without numpy, each block's cells by ``column_cells``.  The
+    first non-finite value, in column order, is refused before any write."""
+    for x in filterfalse(math.isfinite, chain(*columns)):
+        fmt(x)
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        rows = zip(*(column_cells(column[start:start + CSV_BLOCK_ROWS]) for column in columns))
+        out.write("".join(f"{','.join(row)}\n" for row in rows))
 
 
 def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:

@@ -228,11 +228,11 @@ def test_criterion_7_two_user_invariants_and_pins():
         alpha = float(rng.uniform(0.2, 4.0))
         beta = float(rng.uniform(0.2, 4.0))
         eq = cq.solve_two_user(mu1, mu2, alpha, beta)
-        ts = np.linspace(eq.t_first, eq.t_last, 41)[:-1]
-        algebra_ok &= float(np.max(np.abs(eq.routing(1, ts) + eq.routing(2, ts) - 1.0))) <= 1e-12
-        algebra_ok &= abs(float(eq.density(eq.t_last))) <= 1e-9
+        ts = np.linspace(eq.t_first, eq.t_last, 41)[:-1].tolist()
+        algebra_ok &= max(abs(eq.routing(1, t) + eq.routing(2, t) - 1.0) for t in ts) <= 1e-12
+        algebra_ok &= abs(eq.density(eq.t_last)) <= 1e-9
         gamma = alpha / (alpha + beta)
-        pre = eq.density(np.linspace(eq.t_first, 0.0, 5))
+        pre = [eq.density(t) for t in np.linspace(eq.t_first, 0.0, 5).tolist()]
         algebra_ok &= bool(np.allclose(pre, gamma * (mu1 + mu2), atol=1e-12))
 
     d = cq.two_user_diagnostics(cq.solve_two_user(1.0, 1.0, 1.0, 1.0))

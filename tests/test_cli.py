@@ -299,25 +299,22 @@ def test_eq_two_trace_refuses_a_non_finite_value_before_writing(tmp_path, monkey
     from concertq import exact_two, serialize
 
     cls = exact_two.TwoUserEquilibrium
-    density, expected_cost = cls.density, cls.expected_cost
+    ts = exact_two.solve_two_user(1.0, 1.0, 1.0, 1.0).trace_times(23)
+    two = tmp_path / "two.json"
 
-    def spoil(method, row, value):
-        def spoiled(self, *args):  # only at the trace's 23 points
-            out = method(self, *args)
-            if np.shape(out)[:1] == (23,):
-                out = np.array(out, dtype=float)
-                out[row] = value
-            return out
+    def spoil(method, t, value):
+        def spoiled(self, *args):  # only at one trace time, once two.json is written
+            return value if two.exists() and args[-1] == t else method(self, *args)
         return spoiled
 
     monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
-    monkeypatch.setattr(cls, "density", spoil(density, 12, -np.inf))
-    monkeypatch.setattr(cls, "expected_cost", spoil(expected_cost, 1, np.nan))
+    monkeypatch.setattr(cls, "density", spoil(cls.density, ts[12], -np.inf))
+    monkeypatch.setattr(cls, "expected_cost", spoil(cls.expected_cost, ts[1], np.nan))
     trace = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match="non-finite number -inf"):
         main(["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1",
-              "--trace-points", "23", "--trace", str(trace), "--out", str(tmp_path / "two.json")])
-    assert not trace.exists()
+              "--trace-points", "23", "--trace", str(trace), "--out", str(two)])
+    assert two.exists() and not trace.exists()
 
 
 def test_simulate_memory_does_not_grow_with_the_replications(scenarios):
@@ -761,6 +758,26 @@ def test_a_library_warning_is_one_line_and_still_obeys_the_filters(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match="mu\\*tau = 2 >= 1"):
             main(["serve-count", "--l", "7", "--mu", "1", "--tau", "2", "--out", str(out)])
+
+
+def test_eq_two_trace_holds_at_most_100_bytes_a_point(tmp_path, monkeypatch):
+    # the times as a list (32 bytes a point) and six float64 columns (48),
+    # written in row blocks (small here, so that no block's cells count);
+    # the first run, not measured, makes the one-off allocations
+    import tracemalloc
+
+    from concertq import serialize
+
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 256)
+    peaks = []
+    for points in (2, 1 << 11, 1 << 12):
+        tracemalloc.start()
+        assert main(["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2",
+                     "--trace-points", str(points), "--trace", str(tmp_path / "trace.csv"),
+                     "--out", str(tmp_path / "two.json")]) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert (peaks[2] - peaks[1]) / (1 << 11) <= 100
 
 
 def test_eq_two_with_a_step_far_above_the_coarse_grid_runs(tmp_path):

@@ -7,9 +7,11 @@ analytic artifact is checked, and so are both workloads' seeded
 ``simulate`` artifacts at the default seed: ``wide-montecarlo`` (n=2e5
 users on K=126 queues) and ``worked-pair`` (n=1e6 users on two queues, two
 replications), each about half a second, so a change to the sampler's or
-the DES's stream fails this suite.  The equilibrium commands also run in a
-child interpreter, ``python -m concertq`` as the benchmark runs them, which
-must write the same artifacts without loading numpy or ``concertq.fluid``.
+the DES's stream fails this suite.  The equilibrium commands, ``eq-two``
+(with its trace) and ``serve-count`` also run in child interpreters,
+``python -m concertq`` as the benchmark runs them, which must write the
+same artifacts without loading numpy or ``concertq.fluid``, and for
+``eq-two`` and ``serve-count`` without ``concertq.model``.
 """
 
 import hashlib
@@ -82,35 +84,42 @@ def test_worked_pair_simulate_artifacts_match_recorded_digests(workloads, tmp_pa
     assert checked == {"simulate"}
 
 
-# the steps that load no numpy: each workload's equilibrium commands
-_NUMPY_FREE = {"wide-analytic": ("eq-multi", "eq-multi-csv"), "worked-pair": ("eq-single-csv",)}
+# the steps that load no numpy, each group run in one child, and the
+# modules (numpy with its submodules) that the child must not load
+_NUMPY_FREE = [
+    ({"wide-analytic": ("eq-multi", "eq-multi-csv"), "worked-pair": ("eq-single-csv",)},
+     ("numpy", "concertq.fluid")),
+    ({"worked-pair": ("eq-two",)}, ("numpy", "concertq.model", "concertq.fluid")),
+    ({"worked-pair": ("serve-count",)}, ("numpy", "concertq.model")),
+]
 
 
 def test_eq_commands_run_without_numpy_and_match_recorded_digests(workloads, tmp_path):
     recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
-    runs, outputs = [], []
-    for name, labels in _NUMPY_FREE.items():
-        workload, work = workloads.WORKLOADS[name], tmp_path / name
-        workload.write_inputs(work)
-        for step in workload.steps:
-            if step.label in labels:
-                runs.append(step.args(work, workloads.DEFAULT_SEED))
-                outputs.extend((name, f"{step.label}/{output}", work / output) for output in step.outputs)
-    assert len(runs) == 3
-    # python -m concertq, one command after another in one interpreter
-    script = (
-        "import runpy, sys\n"
-        f"for argv in {runs!r}:\n"
-        "    sys.argv = ['concertq', *argv]\n"
-        "    try:\n"
-        "        runpy.run_module('concertq', run_name='__main__', alter_sys=True)\n"
-        "    except SystemExit as exc:\n"
-        "        assert exc.code == 0, (argv, exc.code)\n"
-        "print('loaded:', *(m for m in sys.modules if m.partition('.')[0] == 'numpy' or m == 'concertq.fluid'))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].split() == ["loaded:"]
-    for name, key, path in outputs:
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[name][key], key
+    for steps, unloaded in _NUMPY_FREE:
+        runs, outputs = [], []
+        for name, labels in steps.items():
+            workload, work = workloads.WORKLOADS[name], tmp_path / name
+            workload.write_inputs(work)
+            for step in workload.steps:
+                if step.label in labels:
+                    runs.append(step.args(work, workloads.DEFAULT_SEED))
+                    outputs.extend((name, f"{step.label}/{output}", work / output) for output in step.outputs)
+        assert len(runs) == sum(map(len, steps.values()))
+        # python -m concertq, one command after another in one interpreter
+        script = (
+            "import runpy, sys\n"
+            f"for argv in {runs!r}:\n"
+            "    sys.argv = ['concertq', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('concertq', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (argv, exc.code)\n"
+            f"print('loaded:', *(m for m in sys.modules if {{m, m.partition('.')[0]}} & {set(unloaded)!r}))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].split() == ["loaded:"], runs
+        for name, key, path in outputs:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[name][key], key

@@ -1,6 +1,7 @@
 """The package namespace: ``import concertq`` loads no submodule and no
 numpy, serves every public name from its module on access (each module on
-first access), and each CLI command loads only the modules it runs."""
+first access), and each CLI command loads only the modules it runs, the
+scenario model before numpy."""
 
 import os
 import subprocess
@@ -14,12 +15,13 @@ from concertq.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 WORKED = '{"queues":[{"mu":1,"t_start":0},{"mu":1,"t_start":0.5}],"populations":[{"alpha":1,"beta":1}]}'
-MODULES = ("equilibrium", "exact_two", "fluid", "model", "poa", "sim")
+MODULES = ("equilibrium", "errors", "exact_two", "fluid", "model", "poa", "serve", "sim")
 
 
-def _loaded(script: str) -> list[set[str]]:
+def _loaded(script: str) -> list[list[str]]:
     """The ``concertq.*`` submodules, and numpy if it is, held after each
-    ``loaded()`` call of ``script``, run in a fresh interpreter."""
+    ``loaded()`` call of ``script``, run in a fresh interpreter, in the
+    order they were first imported."""
     script = (
         "import sys\n"
         "def loaded():\n"
@@ -33,7 +35,7 @@ def _loaded(script: str) -> list[set[str]]:
                             env={**os.environ, **threads, "PYTHONPATH": SRC})
     assert result.returncode == 0, result.stderr
     return [
-        {m.removeprefix("concertq.") for m in line.split()[1:]}
+        [m.removeprefix("concertq.") for m in line.split()[1:]]
         for line in result.stdout.splitlines()
         if line.startswith("loaded:")
     ]
@@ -59,28 +61,31 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
         "concertq.poa.poa_multi\n"
         "loaded()\n"
     )
-    cli = {"cli", "model", "serialize"}
-    assert _loaded(script) == [set(), cli, cli, cli | {"numpy"}, cli | {"poa", "equilibrium", "fluid", "numpy"}]
+    cli = {"cli", "errors", "serialize", "serve"}
+    profile = cli | {"model"}
+    assert list(map(set, _loaded(script))) == [
+        set(), cli, profile, profile | {"numpy"}, profile | {"poa", "equilibrium", "fluid", "numpy"}
+    ]
 
 
 ARRAYS = {"fluid", "numpy"}
-# each command, its exit code and what it loads besides cli, model and serialize
+# each command, its exit code and what it loads besides cli, errors and serialize
 FOOTPRINTS = [
-    (["eq-single", "--scenario", "{s}"], 0, {"equilibrium"}),
-    (["eq-single", "--scenario", "{s}", "--format", "csv"], 0, {"equilibrium"}),
-    (["eq-multi", "--scenario", "{s}"], 0, {"equilibrium"}),
-    (["eq-multi", "--scenario", "{s}", "--format", "csv"], 0, {"equilibrium"}),
-    (["verify", "--scenario", "{s}", "--profile", "{p}"], 0, {"equilibrium"} | ARRAYS),
-    (["poa", "--scenario", "{s}"], 0, {"poa", "equilibrium"} | ARRAYS),
-    (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], 0, set()),
+    (["eq-single", "--scenario", "{s}"], 0, {"model", "equilibrium"}),
+    (["eq-single", "--scenario", "{s}", "--format", "csv"], 0, {"model", "equilibrium"}),
+    (["eq-multi", "--scenario", "{s}"], 0, {"model", "equilibrium"}),
+    (["eq-multi", "--scenario", "{s}", "--format", "csv"], 0, {"model", "equilibrium"}),
+    (["verify", "--scenario", "{s}", "--profile", "{p}"], 0, {"model", "equilibrium"} | ARRAYS),
+    (["poa", "--scenario", "{s}"], 0, {"model", "poa", "equilibrium"} | ARRAYS),
+    (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], 0, {"serve"}),
     (["serve-count", "--help"], 0, set()),
     (["serve-count", "--l", "7"], 2, set()),  # a usage error
     (["simulate", "--scenario", "{s}", "--n", "200", "--grid-points", "8"], 0,
-     {"sim", "equilibrium"} | ARRAYS),
-    (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2"], 0,
-     {"exact_two", "numpy"}),
-    (["fluid", "--scenario", "{s}", "--profile", "{p}"], 0, ARRAYS),
-    (["fluid", "--scenario", "{s}"], 0, {"equilibrium"} | ARRAYS),
+     {"model", "sim", "equilibrium"} | ARRAYS),
+    (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2",
+      "--trace", "{t}"], 0, {"exact_two"}),
+    (["fluid", "--scenario", "{s}", "--profile", "{p}"], 0, {"model"} | ARRAYS),
+    (["fluid", "--scenario", "{s}"], 0, {"model", "equilibrium"} | ARRAYS),
 ]
 
 
@@ -90,7 +95,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     scenario.write_text(WORKED)
     assert main(["eq-single", "--scenario", str(scenario), "--format", "csv", "--out", str(profile)]) == 0
     runs = [
-        ([a.format(s=scenario, p=profile) for a in argv] + ["--out", str(tmp_path / "out")], code)
+        ([a.format(s=scenario, p=profile, t=tmp_path / "trace.csv") for a in argv] + ["--out", str(tmp_path / "out")], code)
         for argv, code, _ in FOOTPRINTS
     ]
     # every command runs in a fork of one interpreter that has imported only the CLI
@@ -105,8 +110,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "        os._exit(code)\n"
         "    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == expected, argv\n"
     )
-    base = {"cli", "model", "serialize"}
-    assert _loaded(script) == [base | loads for _, _, loads in FOOTPRINTS]
+    base = {"cli", "errors", "serialize"}
+    loaded = _loaded(script)
+    assert list(map(set, loaded)) == [base | loads for _, _, loads in FOOTPRINTS]
+    # an array command compiles the scenario model before it imports numpy
+    assert all(names.index("model") < names.index("numpy") for names in loaded if "numpy" in names)
 
 
 def test_every_public_name_is_its_modules_object():
