@@ -763,20 +763,26 @@ def test_a_library_warning_is_one_line_and_still_obeys_the_filters(tmp_path):
 def test_eq_two_trace_holds_at_most_100_bytes_a_point(tmp_path, monkeypatch):
     # the times as a list (32 bytes a point) and six float64 columns (48),
     # written in row blocks (small here, so that no block's cells count);
-    # the first run, not measured, makes the one-off allocations
+    # the first run, not measured, makes the one-off allocations, and with
+    # the collector off the argument parser's cyclic garbage counts alike
+    import gc
     import tracemalloc
 
     from concertq import serialize
 
     monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 256)
     peaks = []
-    for points in (2, 1 << 11, 1 << 12):
-        tracemalloc.start()
-        assert main(["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2",
-                     "--trace-points", str(points), "--trace", str(tmp_path / "trace.csv"),
-                     "--out", str(tmp_path / "two.json")]) == 0
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+    gc.disable()
+    try:
+        for points in (2, 1 << 11, 1 << 12):
+            tracemalloc.start()
+            assert main(["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2",
+                         "--trace-points", str(points), "--trace", str(tmp_path / "trace.csv"),
+                         "--out", str(tmp_path / "two.json")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    finally:
+        gc.enable()
     assert (peaks[2] - peaks[1]) / (1 << 11) <= 100
 
 
