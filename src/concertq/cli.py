@@ -11,8 +11,8 @@ ingestion shift by the earliest opening time is undone on output).
 Each command imports the modules it runs, ``model`` and numpy included,
 inside its handler, so a process compiles and runs only those (README,
 "Start-up"): --help and usage errors load neither, serve-count and eq-two
-only ``serve`` or ``exact_two`` (plain floats), eq-single and eq-multi no
-numpy, and the other commands ``model`` before numpy.
+only ``serve`` or ``exact_two`` (plain floats), and every command but
+simulate no numpy; simulate loads ``model`` before numpy.
 A library warning is shown as one ``warning:`` line on stderr.
 """
 
@@ -24,7 +24,7 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from pathlib import Path
 
 from .errors import DomainError, ParseError
@@ -183,7 +183,6 @@ def _cmd_eq_two(args) -> int:
 
 def _cmd_fluid(args) -> int:
     s = _load_scenario(args, prune=not args.profile)
-    import numpy as np
     from . import fluid
 
     if args.profile:
@@ -194,30 +193,27 @@ def _cmd_fluid(args) -> int:
         profile = equilibrium.solve_multi(s).profile
     origin = s.time_origin
     horizon = fluid.default_horizon(profile, s.queues)
-    table = fluid.fluid_table(profile, s.queues, horizon)
-    # the cumulative arrivals are F_k refined with the horizon's ends: the
+    t = fluid.fluid_table(profile, s.queues, horizon)
+    # queue by queue, process by process, each path in its own order; the
+    # cumulative arrivals are F_k refined with the horizon's ends: the
     # netflow's breakpoints but the openings that are neither
-    refined = table.refined
-    net, rest = fluid.row_of(table.netflow_bounds), fluid.row_of(table.bounds)
-    names, of_queue, times, values = zip(
-        ("cumulative_arrivals", net[refined], table.netflow_times[refined], table.arrivals[refined]),
-        ("netflow", net, table.netflow_times, table.netflow_values),
-        ("queue_length", rest, table.times, table.queue_length),
-        ("busy_time", rest, table.times, table.busy),
-        ("virtual_wait", rest, table.times, table.wait),
-    )
-    of_name = np.repeat(np.arange(len(names)), [rows.size for rows in of_queue])
-    of_queue = np.concatenate(of_queue)
-    # queue by queue, process by process: a stable sort keeps each path's order
-    order = np.lexsort((of_name, of_queue))
-    columns = [
-        np.array([q.id for q in s.queues])[of_queue[order]],
-        np.array(names, dtype=object)[of_name[order]],  # shared strings, not one per row
-        np.concatenate(times)[order] + origin,
-        np.concatenate(values)[order],
-    ]
+    ids, names, times, values = array("q"), [], array("d"), array("d")
+    for q, n0, n1, p0, p1 in zip(s.queues, t.netflow_bounds, t.netflow_bounds[1:], t.bounds, t.bounds[1:]):
+        marks = t.refined[n0:n1]
+        for name, ts, vs in (
+            ("cumulative_arrivals", *(compress(c[n0:n1], marks) for c in (t.netflow_times, t.arrivals))),
+            ("netflow", t.netflow_times[n0:n1], t.netflow_values[n0:n1]),
+            ("queue_length", t.times[p0:p1], t.queue_length[p0:p1]),
+            ("busy_time", t.times[p0:p1], t.busy[p0:p1]),
+            ("virtual_wait", t.times[p0:p1], t.wait[p0:p1]),
+        ):
+            rows = len(times)
+            times.fromlist([x + origin for x in ts])
+            values.extend(vs)
+            ids.fromlist([q.id] * (len(times) - rows))
+            names += [name] * (len(times) - rows)  # shared strings, not one per row
     with _opened(args.out) as out:
-        write_csv(out, ["queue", "process", "t", "value"], columns)
+        write_columns(out, ["queue", "process", "t", "value"], [ids, names, times, values])
     _summary(args, f"queues={s.n_queues}, window=[{fmt(horizon[0] + origin)}, {fmt(horizon[1] + origin)}]")
     return 0
 

@@ -24,15 +24,19 @@ flatness on the profile's support and the best-response gap off it, as
 every population's exact cost curve at every queue reads them on a grid
 plus the curve's breakpoints.  It evaluates only the points that decide that
 report: the support points, the breakpoints, and the two end grid points of
-each off-support stretch between two breakpoints, where the interpolated
-cost is monotone.  Only the verifier imports numpy and ``fluid``; the
-solvers build the profile's rows as floats and need neither.
+the off-support stretches between two breakpoints that can hold the lowest
+cost.  Nothing here loads numpy: the solvers build the profile's rows as
+floats, and the verifier reads one ``fluid`` table in plain floats, with
+np.arange's grid, np.interp's formula and np.sum's pairwise summation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .model import ArrivalProfile, DomainError, Scenario, service_windows
 
@@ -257,31 +261,32 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
 
     For each population the cost is evaluated at every queue on the union of
     a uniform grid over [first support point - 1, last support point + 1]
-    (step ``s.options.grid_step``, by default 1/1024 of that window) and the
-    queue's wait breakpoints in that window.  The profile is an equilibrium
-    when every population's support cost is flat within ``s.options.tol``
-    and no off-support (queue, time) pair undercuts it by more than that.
-    A grid of more than ``MAX_GRID_POINTS`` points is refused with a
-    DomainError before anything is allocated.
+    (step ``s.options.grid_step``, by default 1/1024 of that window, filled
+    as ``np.arange`` fills it) and the queue's wait breakpoints in that
+    window.  The profile is an equilibrium when every population's support
+    cost is flat within ``s.options.tol`` and no off-support (queue, time)
+    pair undercuts it by more than that.  A grid of more than
+    ``MAX_GRID_POINTS`` points is refused with a DomainError before anything
+    is allocated.
 
     The report is the one that evaluating all those points gives, but only
-    the points that decide it are evaluated, in one pass over the flat
-    arrays of one ``fluid.fluid_table`` of all queues.  Every profile row's
-    ends are breakpoints of its queue's wait path, so a population's support
-    holds either all or none of the grid points strictly between two
-    breakpoints.  There the cost is np.interp's slope * (t - t_b) + cost_b,
-    which stays monotone in t because rounding is monotone, so the lowest
-    cost of such a run of off-support grid points is at its first or its
-    last point.  Population by population, the verifier evaluates every
-    support point (the mean needs each, in queue and time order), every
-    breakpoint in the window and the two end grid points of each
-    off-support interval.  The lowest of those names the gap's witness: the
-    breakpoint itself, or the first lowest of the interval's grid points.
-    Beside the table the working set is O(B + S_j + G): B breakpoints of
-    all queues, population j's S_j support points and G grid points.
+    the points that decide it are evaluated, in plain floats, on one
+    ``fluid.fluid_table`` of all queues.  Every profile row's ends are
+    breakpoints of its queue's wait path, so a population's support holds
+    all or none of the grid points strictly between two breakpoints, where
+    the cost is np.interp's slope * (t - t_b) + cost_b.  Population by
+    population, every support point (the mean, numpy's pairwise sum, needs
+    each, in queue and time order) and every breakpoint in the window is
+    evaluated.  That cost lies between its interval's two breakpoint costs
+    up to a rounding margin (``_margin``) and is monotone in t, so an
+    off-support interval can hold the lowest cost only at its first or last
+    grid point, and only where the lower of its breakpoint costs is within
+    that margin of the lowest off-support breakpoint cost: only those end
+    points are evaluated.  The lowest names the gap's witness: a breakpoint,
+    or the first lowest of an interval's grid points.  Beside the table the
+    working set is O(B + S_j + G): B breakpoints of all queues, population
+    j's S_j support points and G grid points.
     """
-    import numpy as np
-
     from . import fluid
 
     tol, grid_step = s.options.tol, s.options.grid_step
@@ -299,80 +304,100 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
             f"grid step {grid_step:g} puts more than {MAX_GRID_POINTS} points on the "
             f"window [{window[0]:g}, {window[1]:g}]; use a coarser grid step"
         )
-    grid = fluid.sorted_unique(np.arange(window[0], window[1] + 0.5 * grid_step, grid_step))
-    grid = grid[(grid >= window[0]) & (grid <= window[1])]
+    grid = [x for x in sorted(set(_arange(window[0], window[1] + 0.5 * grid_step, grid_step)))
+            if window[0] <= x <= window[1]]
 
     horizon = fluid.default_horizon(profile, s.queues, cover=window)
     table = fluid.fluid_table(profile, s.queues, horizon)
-    t, wait, bounds = table.times, table.wait, table.bounds
-    of_t = fluid.row_of(bounds)
+    t, wait, bounds = table.times.tolist(), table.wait.tolist(), table.bounds
     # interval b runs from t[b] to t[b + 1] in one row, with the grid points
     # grid[after[b]:after[b] + inner[b]] strictly inside; the horizon reaches
     # past the window, so every grid point is a breakpoint or in an interval
-    after = np.searchsorted(grid, t, side="right")
-    inner = np.append(np.searchsorted(grid, t[1:], side="left") - after[:-1], 0)
-    inner[bounds[1:] - 1] = 0
-    in_window = (t >= window[0]) & (t <= window[1])
-    n_points = len(s.populations) * (int(np.count_nonzero(in_window)) + int(inner.sum()))
-    # the intervals that hold grid points, with their first and last
-    held = np.flatnonzero(inner)
-    ends = (grid[after[held]], grid[after[held] + inner[held] - 1])
+    after = [bisect_right(grid, x) for x in t]
+    inner = [bisect_left(grid, x, i) - i for x, i in zip(t[1:], after)] + [0]
+    for end in bounds[1:]:
+        inner[end - 1] = 0
+    outside = [b for b, x in enumerate(t) if not window[0] <= x <= window[1]]
+    n_points = len(s.populations) * (len(t) - len(outside) + sum(inner))
+    # the largest |wait| and |t|, and the narrowest and widest interval that
+    # holds grid points, for ``_margin``
+    held = [t[b + 1] - t[b] for b, n in enumerate(inner) if n]
+    sizes = max(map(abs, wait)), max(map(abs, t)), min(held, default=math.inf), max(held, default=0.0)
 
     pops = s.populations
-    # each support row's population and ends, as breakpoint numbers
-    _, owner, first, last = table.support_rows(profile, pops)
+    # each population's support rows, as their first and last breakpoints
+    spans = [[] for _ in pops]
+    for j, first, last in zip(*table.support_rows(profile, pops)[1:]):
+        spans[j].append((first, last))
 
-    deviations: dict[int, float] = {}
-    gaps: dict[int, float] = {}
-    support_costs: dict[int, float] = {}
-    # witnesses per population: (population id, queue id, t)
-    deviation_at: dict[int, tuple[int, int, float]] = {}
-    gap_at: dict[int, tuple[int, int, float]] = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # costs that overflow are refused below
-        for j, pop in enumerate(pops):
-            # population j's support: its breakpoints and its intervals
-            mine = owner == j
-            starts = np.bincount(first[mine], minlength=t.size + 1)
-            on_point, on_inner = (
-                np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
-                for stops in (last[mine] + 1, last[mine])
-            )
-            costs = fluid.arrival_costs((pop.weight, pop.beta), t, wait)
-            # the support points in queue and time order, each with the
-            # breakpoint at or before it: breakpoint b, then interval b's grid points
-            count = on_point + np.where(on_inner, inner, 0)
-            if not count.any():
-                raise DomainError(f"population {pop.id} has no support in the profile")
-            at = np.repeat(np.arange(t.size), count)
-            rank = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
-            points = np.where(on_point[at] & (rank == 0), t[at], grid[after[at] + rank - on_point[at]])
-            values = fluid.interp_at(points, t, costs, at, np.zeros(at.size, dtype=bool))
-            c = float(np.mean(values))
-            support_costs[pop.id] = c
-            spread = np.abs(values - c)
-            i = int(spread.argmax())
-            deviations[pop.id] = float(spread[i])
-            deviation_at[pop.id] = (pop.id, s.queues[of_t[at[i]]].id, float(points[i]))
-            # off the support: the breakpoints in the window, and for each
-            # interval the lower of its first and last grid point
-            off = np.full((t.size, 2), np.inf)
-            off[:, 0] = np.where(on_point | ~in_window, np.inf, costs)
-            lower = np.minimum(*(fluid.interp_at(x, t, costs, held, np.zeros(held.size, dtype=bool)) for x in ends))
-            off[held, 1] = np.where(on_inner[held], np.inf, lower)
-            k = int(off.argmin())
-            gaps[pop.id] = float(off.flat[k]) - c
-            if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
-                raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
-                                  f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
-            # the gap's witness: breakpoint b itself, or the first lowest of
-            # interval b's grid points, as a falling run can tie at its low end
-            b = k // 2
-            x = t[b]
-            if k % 2:
-                run = grid[after[b]:after[b] + inner[b]]
-                x = run[fluid.interp_at(run, t, costs, np.full(run.size, b),
-                                        np.zeros(run.size, dtype=bool)).argmin()]
-            gap_at[pop.id] = (pop.id, s.queues[of_t[b]].id, float(x))
+    def queue_of(b: int) -> int:
+        return s.queues[bisect_right(bounds, b) - 1].id
+
+    def run(b: int) -> list[float]:
+        return grid[after[b]:after[b] + inner[b]]
+
+    def interval(b: int, costs, points) -> list[float]:
+        # np.interp on the interval's own two breakpoints
+        slope, t0, cost = (costs[b + 1] - costs[b]) / (t[b + 1] - t[b]), t[b], costs[b]
+        return [slope * (x - t0) + cost for x in points]
+
+    # per population: deviations, gaps, support costs and the witnesses
+    # (population id, queue id, t) of the first two
+    deviations, gaps, support_costs, deviation_at, gap_at = {}, {}, {}, {}, {}
+    for pop, rows in zip(pops, spans):
+        if not rows:
+            raise DomainError(f"population {pop.id} has no support in the profile")
+        on_point, on_inner = bytearray(len(t)), bytearray(len(t))
+        for first, last in rows:
+            on_point[first:last + 1] = b"\1" * (last + 1 - first)
+            on_inner[first:last] = b"\1" * (last - first)
+        costs = fluid.arrival_costs(pop.weight, pop.beta, t, wait)
+        # the support points' costs in queue and time order: breakpoint
+        # support[i], from position starts[i], then its interval's grid points
+        support, values, starts = list(compress(range(len(t)), on_point)), [], []
+        for b in support:
+            starts.append(len(values))
+            values.append(costs[b])
+            if on_inner[b] and inner[b]:
+                values += interval(b, costs, run(b))
+        c = fluid.pairwise_sum(values) / len(values)
+        spread = [abs(v - c) for v in values]
+        # off the support: the breakpoints in the window (inf elsewhere), and
+        # interval b's lower end grid point cost where the lower of its
+        # breakpoint costs can reach a bar a rounding margin above the
+        # lowest of those
+        off = costs.copy()
+        for b in chain(outside, support):
+            off[b] = math.inf
+        lowest, margin = min(off), _margin(pop, *sizes)
+        bar = lowest + margin
+        near = [b for b, x in enumerate(costs) if not x > bar]
+        between = {}
+        for b in dict.fromkeys(i for b in near for i in (b - 1, b)):  # ascending, once each
+            if b >= 0 and inner[b] and not on_inner[b]:
+                first, last = interval(b, costs, (grid[after[b]], grid[after[b] + inner[b] - 1]))
+                between[b] = first if first <= last or first != first else last  # np.minimum
+        # np.argmin of the off-support costs keyed 2 b for breakpoint b and
+        # 2 b + 1 for interval b: the first lowest, or the first NaN, which
+        # only an infinite margin lets in and which is refused below
+        lowest, k = min([(lowest, 2 * off.index(lowest))] + [(x, 2 * b + 1) for b, x in between.items()])
+        if margin == math.inf and any(map(math.isnan, chain(off, between.values()))):
+            lowest, k = math.nan, 0
+        deviations[pop.id], gaps[pop.id], support_costs[pop.id] = max(spread), lowest - c, c
+        if not (math.isfinite(c) and math.isfinite(deviations[pop.id]) and math.isfinite(gaps[pop.id])):
+            raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
+                              f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
+        i = spread.index(deviations[pop.id])
+        j = bisect_right(starts, i) - 1
+        b, r = support[j], i - starts[j]
+        deviation_at[pop.id] = (pop.id, queue_of(b), grid[after[b] + r - 1] if r else t[b])
+        # the gap's witness: breakpoint b itself, or the first lowest of
+        # interval b's grid points, as a falling run can tie at its low end
+        b, x = k // 2, t[k // 2]
+        if k % 2:
+            costs_run = interval(b, costs, run(b))
+            x = run(b)[costs_run.index(min(costs_run))]
+        gap_at[pop.id] = (pop.id, queue_of(b), x)
 
     ok = all(d <= tol for d in deviations.values()) and all(
         g >= -tol for g in gaps.values()
@@ -388,3 +413,30 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         worst_support_deviation_at=deviation_at[max(deviations, key=deviations.get)],
         min_off_support_gap_at=gap_at[min(gaps, key=gaps.get)],
     )
+
+
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """``np.arange(start, stop, step)``: start and start + step, then
+    numpy's fill start + i * delta with delta = (start + step) - start."""
+    n = math.ceil((stop - start) / step)
+    delta = (start + step) - start
+    points = [start + i * delta for i in range(n)]
+    points[1:2] = [start + step][:n - 1]  # arange sets its second value before the fill
+    return points
+
+
+def _margin(pop, wait: float, t: float, narrowest: float, widest: float) -> float:
+    """How far below the lower of its two breakpoint costs np.interp's
+    rounded cost of ``pop`` inside an interval can fall, given the largest
+    |wait| and |t| at a breakpoint and the narrowest and widest interval, or
+    inf when an overflow could reach it.  The difference, the slope, the
+    offset, their product and the sum each round once (relative error 2^-53
+    each), and a quotient or product that underflows adds at most 2^-1074
+    times the width.  With every |cost| below scale / 2 = weight |wait| +
+    beta |t|, 16 ulps of scale cover that while the slopes and their
+    products stay below 2^1000.  So with a finite margin every cost is
+    finite."""
+    scale = 2.0 * (pop.weight * wait + pop.beta * t)
+    if not (scale < 2.0 ** 1000 and scale / narrowest < 2.0 ** 1000):
+        return math.inf
+    return 16 * sys.float_info.epsilon * scale + 2.0 ** -1000 * (widest + 1.0)

@@ -237,6 +237,9 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
       the support);
     * routing_sum_residual: sup |p_1 + p_2 - 1| over the support interior, on that grid.
 
+    A diagnostic that is not finite, which no artifact can hold, is refused
+    with a DomainError.
+
     One pass over the Euler grid takes each step's inflow p_k * f, its clamped
     step and each queue's running cost range: it holds nothing per point.
     """
@@ -286,4 +289,9 @@ def two_user_diagnostics(eq: TwoUserEquilibrium, ode_dt: float = 1e-4) -> TwoUse
         lo1, hi1 = (c1 if c1 < lo1 or c1 != c1 else lo1), (c1 if c1 > hi1 or c1 != c1 else hi1)
         lo2, hi2 = (c2 if c2 < lo2 or c2 != c2 else lo2), (c2 if c2 > hi2 or c2 != c2 else hi2)
     cost_flatness = _reduced(max, (hi1 - lo1, hi2 - lo2))
-    return TwoUserDiagnostics(normalization_residual, min_density, cost_flatness, routing_sum_residual, ode_dt)
+    diags = TwoUserDiagnostics(normalization_residual, min_density, cost_flatness, routing_sum_residual, ode_dt)
+    for name, value in asdict(diags).items():
+        if not math.isfinite(value):
+            raise DomainError(f"the {name} {value!r} is not finite: the closed form overflows at these "
+                              "rates and weights")
+    return diags

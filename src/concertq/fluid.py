@@ -14,39 +14,30 @@ the fluid queue length.  For piecewise-linear X the regulator is again
 piecewise linear, with extra breakpoints only where X drops back to a
 previously attained minimum.
 
-``fluid_table`` builds every path of every queue in one pass, each kind of
-path laid end to end in flat arrays (row k in ``bounds[k]:bounds[k + 1]``):
-the row kernels ``_cdf_rows``, ``_union_rows``, ``_netflow_rows`` and
-``_reflect_rows`` run on all queues at once, and ``row_of``,
-``last_at_or_before``, ``interp_at`` and ``FluidTable.support_rows`` (the
-profile rows that carry support costs) read such rows.  ``queue_cdf``,
-``netflow``, ``reflect`` and the per-queue accessors (``fluid_queue`` ...
-``cost_curve``) are their one-row calls.
+``fluid_table`` builds every path of every queue with one plain-float loop
+per queue, each kind of path laid end to end in ``array.array`` columns.
+This module loads no numpy: only ``PiecewisePath``'s methods and
+``FluidTable.on_grid`` import it.  ``queue_cdf``, ``netflow``, ``reflect``
+and the per-queue accessors (``fluid_queue`` ... ``cost_curve``) are
+one-queue calls of the same loops, returned as ``PiecewisePath``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add
 from typing import NamedTuple
-
-import numpy as np
 
 # ArrivalProfile and Segment live in model, which needs no numpy, and are served here too
 from .model import ArrivalProfile, DomainError, PopulationSpec, QueueSpec, Segment
 
 _EXTEND_MODES = ("const", "slope", "wait", "idle")
-
-
-def sorted_unique(*arrays):
-    """The sorted distinct values of the arrays together: ``np.union1d`` (or
-    ``np.unique`` of one array) by the same sort and mask, without the
-    ``numpy.ma`` import, some 20 ms, that np.unique makes on its first call."""
-    values = np.sort(np.concatenate(arrays, axis=None))
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+Horizon = tuple[float, float]  # a time window (start, end)
 
 
 @dataclass(frozen=True)
@@ -71,6 +62,7 @@ class PiecewisePath:
     extend: str = "const"
 
     def __post_init__(self):
+        import numpy as np
         # private copies: the caller's arrays must stay writeable
         t = np.array(self.times, dtype=float, ndmin=1)
         v = np.array(self.values, dtype=float, ndmin=1)
@@ -90,6 +82,7 @@ class PiecewisePath:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
+        import numpy as np
         tt = np.asarray(t, dtype=float)
         scalar = tt.ndim == 0
         tt = np.atleast_1d(tt)
@@ -113,6 +106,7 @@ class PiecewisePath:
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the path over [a, b]."""
+        import numpy as np
         if b < a:
             raise ValueError(f"integration bounds out of order: [{a}, {b}]")
         if b == a:
@@ -123,6 +117,7 @@ class PiecewisePath:
         return float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts)))
 
     def is_nondecreasing(self) -> bool:
+        import numpy as np
         return bool((np.diff(self.values) >= 0.0).all())
 
 
@@ -132,9 +127,9 @@ def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
     Returns (phi, psi) with psi(t) = running max of (-x)^+ from the first
     breakpoint of x, and phi = x + psi >= 0.  Both are exact: a breakpoint is
     inserted wherever x falls back to a previously attained minimum, which is
-    where psi switches from flat to increasing (``_reflect_rows`` on one row).
+    where psi switches from flat to increasing (``_reflection`` of x).
     """
-    ts, psi, phi, _ = _reflect_rows(x.times, x.values, np.array([0, x.times.size]))
+    ts, psi, phi = _reflection(x.times.tolist(), x.values.tolist())
     return PiecewisePath(ts, phi), PiecewisePath(ts, psi, extend="const")
 
 
@@ -142,8 +137,8 @@ def reflect(x: PiecewisePath) -> tuple[PiecewisePath, PiecewisePath]:
 
 
 def default_horizon(
-    profile: ArrivalProfile, queues, pad: float = 1.0, cover: tuple[float, float] | None = None
-) -> tuple[float, float]:
+    profile: ArrivalProfile, queues, pad: float = 1.0, cover: Horizon | None = None
+) -> Horizon:
     """A window on which every fluid object of the profile is fully resolved,
     reaching ``pad`` past the interval ``cover`` when one is given.
 
@@ -157,8 +152,9 @@ def default_horizon(
         lo, hi = profile.support_bounds()
     else:
         lo, hi = min(starts), min(starts)
-    # each queue's mass(queue=q.id), read from the profile's row index
-    masses = (sum(profile.row_mass[profile.queue_rows(q.id)].tolist()) for q in queues)
+    _, _, a, b, d = profile.columns
+    # each queue's mass(queue=q.id), its rows' masses added in profile order
+    masses = (sum(d[r] * (b[r] - a[r]) for r in profile.rows_at(q.id)) for q in queues)
     drains = [max(hi, q.t_start) + mass / q.mu for q, mass in zip(queues, masses)]
     for q, drain in zip(queues, drains):
         if not math.isfinite(drain):
@@ -169,186 +165,220 @@ def default_horizon(
     return lo - pad, hi + pad
 
 
-def netflow(
-    f_k: PiecewisePath, q: QueueSpec, horizon: tuple[float, float] | None = None
-) -> PiecewisePath:
+def netflow(f_k: PiecewisePath, q: QueueSpec, horizon: Horizon | None = None) -> PiecewisePath:
     """Netflow X_k = F_k - mu_k (t - t_start)_+ as an exact path.
 
     Breakpoints are the union of the CDF's breakpoints, the queue opening
-    time, and the horizon endpoints (``_netflow_rows`` on one row).
+    time, and the horizon endpoints (``_netflow`` of F_k there).
     """
     if not f_k.is_nondecreasing():
         raise DomainError("cumulative arrival path must be nondecreasing")
-    ends = np.concatenate((f_k.times, [q.t_start], horizon or ()))
-    ts, bounds = _union_rows(ends, np.zeros(ends.size, dtype=np.int64), 1)
-    values = _netflow_rows(ts, f_k(ts), bounds, [q])
+    ts = sorted({*f_k.times.tolist(), q.t_start, *(horizon or ())})
+    values = _netflow(ts, f_k(ts).tolist(), q)
+    if not all(map(math.isfinite, values)):
+        raise _overflow(q)
     return PiecewisePath(ts, values, extend="slope")
 
 
 class FluidTable(NamedTuple):
     """Every fluid path of ``queues``, row k for queue k, each kind laid end
-    to end: F_k is ``cdf_times`` and ``cdf_values`` in ``cdf_bounds[k]:
+    to end in compact float64 columns (``array.array``) with integer bounds:
+    F_k is ``cdf_times`` and ``cdf_values`` in ``cdf_bounds[k]:
     cdf_bounds[k + 1]``; the netflow is ``netflow_times`` and
     ``netflow_values`` (F_k there: ``arrivals``) in ``netflow_bounds``; the
     queue length, regulator, busy time and wait share the reflection's
-    ``times`` in ``bounds``.  ``refined`` marks the netflow breakpoints that
-    are F_k's or the horizon's ends (all but a lone opening)."""
+    ``times`` in ``bounds``.  ``refined`` (bytes, 1 or 0) marks the netflow
+    breakpoints that are F_k's or the horizon's ends (all but a lone
+    opening)."""
 
     queues: tuple[QueueSpec, ...]
-    cdf_times: np.ndarray
-    cdf_values: np.ndarray
-    cdf_bounds: np.ndarray
-    netflow_times: np.ndarray
-    arrivals: np.ndarray
-    netflow_values: np.ndarray
-    refined: np.ndarray
-    netflow_bounds: np.ndarray
-    times: np.ndarray
-    queue_length: np.ndarray
-    regulator: np.ndarray
-    busy: np.ndarray
-    wait: np.ndarray
-    bounds: np.ndarray
+    cdf_times: array
+    cdf_values: array
+    cdf_bounds: list[int]
+    netflow_times: array
+    arrivals: array
+    netflow_values: array
+    refined: bytes
+    netflow_bounds: list[int]
+    times: array
+    queue_length: array
+    regulator: array
+    busy: array
+    wait: array
+    bounds: list[int]
 
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Every queue's arrivals, queue length, busy time and wait at the
-        points ``grid``, one (4, K, G) array: np.interp of each row, the
-        paths' own values on a grid inside the table's horizon."""
+        points ``grid``, one (4, K, G) array: np.interp of each row, read
+        through numpy views of the columns, the paths' own values on a grid
+        inside the table's horizon."""
+        import numpy as np
+        cdf_t, cdf_v, t, *paths = map(np.frombuffer, (self.cdf_times, self.cdf_values, self.times,
+                                                       self.queue_length, self.busy, self.wait))
         out = np.empty((4, len(self.queues), grid.size))
         for k in range(len(self.queues)):
-            c, p = (slice(*b[k:k + 2].tolist()) for b in (self.cdf_bounds, self.bounds))
-            out[0, k] = np.interp(grid, self.cdf_times[c], self.cdf_values[c])
-            for i, values in enumerate((self.queue_length, self.busy, self.wait), start=1):
-                out[i, k] = np.interp(grid, self.times[p], values[p])
+            c, p = slice(*self.cdf_bounds[k:k + 2]), slice(*self.bounds[k:k + 2])
+            out[0, k] = np.interp(grid, cdf_t[c], cdf_v[c])
+            for i, values in enumerate(paths, start=1):
+                out[i, k] = np.interp(grid, t[p], values[p])
         return out
 
-    def support_rows(self, profile: ArrivalProfile, pops) -> tuple[np.ndarray, ...]:
+    def support_rows(self, profile: ArrivalProfile, pops) -> tuple[list[int], ...]:
         """The rows of ``profile`` (the table's own) of positive mass whose
         population is in ``pops``, queue by queue and in profile order at
         each queue: their row numbers, each one's population as its position
         in ``pops``, and the last breakpoints of its queue's row of ``times``
-        at or before its start and at or before its end."""
-        per_queue = [profile.queue_rows(q.id) for q in self.queues]
-        rows = np.concatenate(per_queue)
-        of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
+        at or before its start and at or before its end (the row's first for
+        a time left of it)."""
         position = {p.id: i for i, p in enumerate(pops)}
-        owner = np.array([position.get(p, -1) for p in profile.pop[rows].tolist()], dtype=np.int64)
-        kept = (profile.row_mass[rows] > 0) & (owner >= 0)
-        rows, of_row = rows[kept], of_row[kept]
-        first, last = (last_at_or_before(self.times, self.bounds, x[rows], of_row)
-                       for x in (profile.start, profile.end))
-        return rows, owner[kept], first, last
+        pop, _, a, b, d = (column.tolist() for column in profile.columns)
+        times = self.times.tolist()
+        rows, owner, first, last = [], [], [], []
+        for q, lo, hi in zip(self.queues, self.bounds, self.bounds[1:]):
+            for r in profile.rows_at(q.id):
+                j = position.get(pop[r], -1)
+                if j >= 0 and d[r] * (b[r] - a[r]) > 0:
+                    rows.append(r)
+                    owner.append(j)
+                    first.append(max(bisect_right(times, a[r], lo, hi) - 1, lo))
+                    last.append(max(bisect_right(times, b[r], lo, hi) - 1, lo))
+        return rows, owner, first, last
 
 
-def fluid_table(
-    profile: ArrivalProfile, queues, horizon: tuple[float, float] | None = None
-) -> FluidTable:
-    """Every fluid path of every queue of ``queues`` in one pass (see
-    ``FluidTable``) on the horizon, by default ``default_horizon``.  Each
-    step runs on all queues at once, value for value the per-queue step of
-    ``queue_cdf``, ``netflow`` (on F_k's breakpoints, the opening and the
-    horizon's ends), ``reflect``, ``fluid_busy`` and ``fluid_wait``.
-    DomainError for the first queue, in order, whose netflow, or else whose
-    queue length, regulator, busy time or wait, is not finite.
+def fluid_table(profile: ArrivalProfile, queues, horizon: Horizon | None = None) -> FluidTable:
+    """Every fluid path of every queue of ``queues`` (see ``FluidTable``) on
+    the horizon, by default ``default_horizon``, queue by queue: F_k at its
+    rows' ends (``_arrivals``), the netflow on F_k's breakpoints, the opening
+    and the horizon's ends, its reflection (``_reflection``), busy time and
+    wait.  DomainError for the first queue, in order, whose netflow, or else
+    whose queue length, regulator, busy time or wait, is not finite.
     """
     queues = tuple(queues)
     if horizon is None:
         horizon = default_horizon(profile, queues)
-    k = len(queues)
-    cdf_times, cdf_values, cdf_bounds = _cdf_rows(profile, [q.id for q in queues])
-    ts, net_bounds = _union_rows(
-        np.concatenate((cdf_times, [q.t_start for q in queues], np.repeat(horizon, k))),
-        np.concatenate((row_of(cdf_bounds), np.tile(np.arange(k), 3))), k,
-    )
-    of_t = row_of(net_bounds)
-    j = last_at_or_before(cdf_times, cdf_bounds, ts, of_t)
-    arrivals = interp_at(ts, cdf_times, cdf_values, j, j == cdf_bounds[of_t + 1] - 1)
-    # F_k is nondecreasing (each row adds a nondecreasing term); arrivals
-    # that overflow make the netflow infinite
-    net_values = _netflow_rows(ts, arrivals, net_bounds, queues)
-    # a reflection crossing or psi / mu that overflows is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        times, psi, phi, bounds = _reflect_rows(ts, net_values, net_bounds)
-        t_start, mu = _queue_columns(queues, bounds)
-        busy = np.maximum(times - t_start, 0.0) - psi / mu
-        wait = phi / mu + np.maximum(t_start - times, 0.0)
-    finite = np.isfinite(phi) & np.isfinite(psi) & np.isfinite(busy) & np.isfinite(wait)
-    overflowed = row_of(bounds)[~finite]
-    if overflowed.size:
-        raise _overflow(queues[overflowed[0]], "queue length, regulator, busy time or wait")
-    return FluidTable(
-        queues=queues,
-        cdf_times=cdf_times,
-        cdf_values=cdf_values,
-        cdf_bounds=cdf_bounds,
-        netflow_times=ts,
-        arrivals=arrivals,
-        netflow_values=net_values,
-        refined=(cdf_times[j] == ts) | (ts == horizon[0]) | (ts == horizon[1]),
-        netflow_bounds=net_bounds,
-        times=times,
-        queue_length=phi,
-        regulator=psi,
-        busy=busy,
-        wait=wait,
-        bounds=bounds,
-    )
+    cdfs, netflows, paths, refined, late = [], [], [], bytearray(), None
+    for q in queues:
+        cdf_t, cdf_v = _arrivals(profile, q.id)
+        ts, arrivals, marks = _refined(cdf_t, cdf_v, (q.t_start, *horizon), horizon)
+        values = _netflow(ts, arrivals, q)
+        if not all(map(math.isfinite, values)):
+            raise _overflow(q)
+        times, psi, phi = _reflection(ts, values)
+        s, mu = q.t_start, q.mu
+        busy = [(t - s if t > s else 0.0) - p / mu for t, p in zip(times, psi)]
+        wait = [f / mu + (s - t if s > t else 0.0) for t, f in zip(times, phi)]
+        if late is None and not all(map(math.isfinite, chain(phi, psi, busy, wait))):
+            late = q  # refused once every netflow has passed
+        cdfs.append((cdf_t, cdf_v))
+        netflows.append((ts, arrivals, values))
+        paths.append((times, phi, psi, busy, wait))
+        refined.extend(marks)
+    if late is not None:
+        raise _overflow(late, "queue length, regulator, busy time or wait")
+    # in FluidTable's field order
+    return FluidTable(queues, *_end_to_end(cdfs), _bounds(cdfs), *_end_to_end(netflows), bytes(refined),
+                      _bounds(netflows), *_end_to_end(paths), _bounds(paths))
 
 
-# -- row kernels: several paths end to end, row k in bounds[k]:bounds[k + 1] --
+# -- the per-queue loops ------------------------------------------------------
 
 
-def _queue_columns(queues, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's queue opening and service rate, row k being queue k."""
-    of = row_of(bounds)
-    return np.array([q.t_start for q in queues])[of], np.array([q.mu for q in queues])[of]
+def _arrivals(profile: ArrivalProfile, queue: int) -> tuple[list[float], list[float]]:
+    """F_k of the queue: its rows' ends, sorted and distinct ([0.0] with no
+    row; of a tie of 0.0 and -0.0, the first in the order starts then ends),
+    and the values there.  Each value adds every row's density * (clip(t, a,
+    b) - a) to 0.0 in profile order.  A row adds exactly +0.0 at the
+    breakpoints at or before its start, so it is added only right of it:
+    O(R_k B_k) at worst for R_k rows and B_k breakpoints."""
+    rows = profile.rows_at(queue)
+    if not rows:
+        return [0.0], [0.0]
+    _, _, a_col, b_col, d_col = profile.columns
+    starts, ends = [a_col[r] for r in rows], [b_col[r] for r in rows]
+    ts = sorted({*starts, *ends})
+    values = [0.0] * len(ts)
+    for a, b, d in zip(starts, ends, [d_col[r] for r in rows]):
+        i = bisect_right(ts, a)
+        j = bisect_left(ts, b, i)
+        # a term that overflows makes the netflow infinite, which is refused
+        if j > i:
+            values[i:j] = [v + d * (t - a) for v, t in zip(values[i:j], ts[i:j])]
+        full = d * (b - a)
+        values[j:] = [v + full for v in values[j:]]
+    return ts, values
 
 
-def _union_rows(values: np.ndarray, of: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sorted_unique`` of the values of each row ``of``, and the bounds,
-    from one stable lexsort: of equal values the first in input order stays."""
-    order = np.lexsort((values, of))
-    values, of = values[order], of[order]
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    keep[1:] = (values[1:] != values[:-1]) | (of[1:] != of[:-1])
-    return values[keep], np.searchsorted(of[keep], np.arange(n_rows + 1))
+def _refined(xp, fp, extra, horizon) -> tuple[list[float], list[float], list[int]]:
+    """The path (xp, fp) with the points ``extra`` inserted in order, each
+    unless it equals a point already there (of a tie of 0.0 and -0.0 the
+    first stays): the breakpoints, np.interp of the path at each, and 1 for
+    each point of the path or horizon end, else 0.  A point left or right of
+    the path takes its end value; the others take numpy's own slope * (x -
+    xp[j]) + fp[j], slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]), for
+    xp[j] < x < xp[j + 1]."""
+    ts, values, marks = list(xp), list(fp), [1] * len(xp)
+    for x in extra:
+        i, j = bisect_left(ts, x), bisect_right(xp, x) - 1
+        if ts[i:i + 1] != [x]:
+            inside = 0 <= j < len(xp) - 1
+            values.insert(i, (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j] if inside
+                          else fp[max(j, 0)])
+            ts.insert(i, x)
+            marks.insert(i, x == horizon[0] or x == horizon[1])
+    return ts, values, marks
 
 
-def _cdf_rows(profile: ArrivalProfile, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F_k of the queues ``ids``: breakpoints (its rows' ends, [0.0] with no
-    row), values and bounds.  The values add each row's density *
-    (clip(t, a, b) - a) to 0.0 in profile order, one rank at every queue
-    per vector step."""
-    per_queue = [profile.queue_rows(i) for i in ids]
-    counts = np.array([rows.size for rows in per_queue], dtype=np.int64)
-    rows = np.concatenate([np.zeros(0, dtype=np.int64), *per_queue])
-    of_row, empty = np.repeat(np.arange(counts.size), counts), np.flatnonzero(counts == 0)
-    ts, bounds = _union_rows(
-        np.concatenate((profile.start[rows], profile.end[rows], np.zeros(empty.size))),
-        np.concatenate((of_row, of_row, empty)), counts.size,
-    )
-    of_t, first_row = row_of(bounds), np.cumsum(counts) - counts
-    values = np.zeros(ts.size)
-    with np.errstate(over="ignore"):  # the netflow of arrivals that overflow is refused
-        for rank in range(counts.max(initial=0)):
-            at = np.flatnonzero(counts[of_t] > rank)
-            r = rows[first_row[of_t[at]] + rank]
-            a = profile.start[r]
-            values[at] += profile.density[r] * (np.clip(ts[at], a, profile.end[r]) - a)
-    return ts, values, bounds
+def _netflow(ts, arrivals, q: QueueSpec) -> list[float]:
+    """Netflow arrivals - mu (t - t_start)_+ at the breakpoints ``ts``."""
+    s, mu = q.t_start, q.mu
+    return [f - mu * (t - s if t > s else 0.0) for t, f in zip(ts, arrivals)]
 
 
-def _netflow_rows(ts, arrivals, bounds, queues) -> np.ndarray:
-    """Netflow arrivals - mu (t - t_start)_+ of each queue at its
-    breakpoints; DomainError for the first queue whose netflow is not finite."""
-    t_start, mu = _queue_columns(queues, bounds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = arrivals - mu * np.maximum(ts - t_start, 0.0)
-    overflowed = row_of(bounds)[~np.isfinite(values)]
-    if overflowed.size:
-        raise _overflow(queues[overflowed[0]])
-    return values
+def _positive(x: float) -> float:
+    """np.maximum(x, 0.0): 0.0 for a zero of either sign, NaN kept."""
+    return x if x > 0.0 or x != x else 0.0
+
+
+def _reflection(t, v) -> tuple[list[float], list[float], list[float]]:
+    """Breakpoints, regulator psi and reflected path phi of the path with
+    breakpoints ``t`` and values ``v``.
+
+    psi is the running maximum of -v from max(-v[0], 0).  Where -v climbs
+    through the maximum inside a segment, the crossing time is inserted, and
+    -v is re-evaluated at the rounded crossing time, so psi is exact at
+    every breakpoint; phi = max(v + psi, 0.0), which only absorbs rounding
+    at binding points.
+    """
+    g = [-x for x in v]
+    running = list(accumulate(g[1:], max, initial=_positive(g[0])))
+    ts, psi, x, done = [], [], [], 0
+    # the segments where -v climbs through the maximum so far
+    for i in [i for i in range(1, len(t)) if g[i] > running[i - 1] > g[i - 1]]:
+        r, t0, t1, g0, g1 = running[i - 1], t[i - 1], t[i], g[i - 1], g[i]
+        cross = t0 + (r - g0) / (g1 - g0) * (t1 - t0)
+        ts += t[done:i]
+        psi += running[done:i]
+        x += v[done:i]
+        done = i
+        if t0 < cross < t1:
+            climb = g0 + (g1 - g0) * (cross - t0) / (t1 - t0)
+            ts.append(cross)
+            psi.append(climb if climb > r else r)
+            x.append((v[i] - v[i - 1]) / (t1 - t0) * (cross - t0) + v[i - 1])
+    ts += t[done:]
+    psi += running[done:]
+    x += v[done:]
+    return ts, psi, list(map(_positive, map(add, x, psi)))
+
+
+def _end_to_end(rows) -> list[array]:
+    """Each field of the per-queue tuples of lists ``rows``, laid end to end."""
+    return [array("d", list(chain.from_iterable(field))) for field in zip(*rows)]
+
+
+def _bounds(rows) -> list[int]:
+    """Where each queue's row starts in ``_end_to_end(rows)``, and the end."""
+    return [0, *accumulate(len(row[0]) for row in rows)]
 
 
 def _overflow(q: QueueSpec, path: str = "netflow") -> DomainError:
@@ -356,146 +386,67 @@ def _overflow(q: QueueSpec, path: str = "netflow") -> DomainError:
                        "on the horizon; the scenario's scale overflows")
 
 
-def _reflect_rows(t, v, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``reflect`` of every row (none empty): breakpoints, regulator psi,
-    reflected path phi and the new bounds.
-
-    psi is the running maximum of -v from max(-v[first], 0): one
-    np.maximum.accumulate of exact integer keys (row, rank of the value),
-    and ``+ 0.0`` turns a maximum of signed zeros into the 0.0 that
-    max(0.0, .) and ``>`` keep.  Where -v climbs through the maximum inside
-    a segment, the crossing comes from the segment loop's own formulas,
-    elementwise; -v is re-evaluated at the rounded crossing time.
-    """
-    n = t.size
-    of_t = row_of(bounds)
-    g = -v
-    seed = g.copy()
-    seed[bounds[:-1]] = np.maximum(seed[bounds[:-1]], 0.0)
-    order = np.argsort(seed, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    offset = of_t * n
-    running = seed[order[np.maximum.accumulate(offset + rank) - offset]] + 0.0
-
-    r, g0, g1, t0, t1 = running[:-1], g[:-1], g[1:], t[:-1], t[1:]
-    seg = np.flatnonzero((of_t[1:] == of_t[:-1]) & (g1 > r) & (g0 < r))
-    cross = t0[seg] + (r[seg] - g0[seg]) / (g1[seg] - g0[seg]) * (t1[seg] - t0[seg])
-    inside = (cross > t0[seg]) & (cross < t1[seg])
-    seg, cross = seg[inside], cross[inside]
-    r, g0, g1, t0, t1 = r[seg], g0[seg], g1[seg], t0[seg], t1[seg]
-    climb = g0 + (g1 - g0) * (cross - t0) / (t1 - t0)
-
-    # every breakpoint moves right by the crossings before it
-    step = np.zeros(n, dtype=np.int64)
-    step[seg + 1] = 1
-    at = np.arange(n) + np.cumsum(step)
-    before = at[seg + 1] - 1
-    size = n + seg.size
-    ts, psi, x = np.empty(size), np.empty(size), np.empty(size)
-    ts[at], ts[before] = t, cross
-    psi[at], psi[before] = running, np.where(climb > r, climb, r)
-    x[at], x[before] = v, interp_at(cross, t, v, seg, np.zeros(seg.size, dtype=bool))
-    # phi >= 0 exactly; np.maximum only absorbs rounding at binding points
-    return ts, psi, np.maximum(x + psi, 0.0), np.append(at, size)[bounds]
+def pairwise_sum(values) -> float:
+    """``np.sum`` of a float64 sequence, bit for bit: numpy's pairwise
+    summation added to 0.0."""
+    return 0.0 + _pairwise(values, 0, len(values))
 
 
-def row_of(bounds: np.ndarray) -> np.ndarray:
-    """The row of every entry of rows laid end to end in ``bounds``."""
-    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+def _pairwise(values, lo: int, n: int) -> float:
+    """numpy's pairwise sum of values[lo:lo + n]: fewer than 8 terms in
+    order, up to 128 terms in eight interleaved partial sums, and longer
+    runs halved at a multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for x in values[lo:lo + n]:
+            total += x
+        return total
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[lo + i:lo + m:8]) for i in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[lo + m:lo + n], total)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
-def last_at_or_before(xp, bounds, x, of_x) -> np.ndarray:
-    """The last breakpoint of row ``of_x`` of ``xp`` at or before each point
-    (the row's first for a point left of it): ``np.searchsorted(row, x,
-    "right") - 1`` in every row at once, on exact integer keys (row, number
-    of all breakpoints at or before the value)."""
-    everywhere = np.sort(xp)
-    width = xp.size + 1
-    keys = row_of(bounds) * width + np.searchsorted(everywhere, xp, side="right")
-    at_x = of_x * width + np.searchsorted(everywhere, x, side="right")
-    return np.maximum(np.searchsorted(keys, at_x, side="right") - 1, bounds[of_x])
-
-
-def interp_at(x, xp, fp, j, end) -> np.ndarray:
-    """``np.interp`` at the points ``x``, bit for bit, on breakpoints ``xp``
-    and values ``fp`` (one row, or rows along its last axis).  ``xp`` may be
-    several paths end to end: ``j`` (nondecreasing) is each point's
-    breakpoint of its own path at or before it (the first for a point left
-    of the path), and ``end`` marks the points whose ``j`` is their path's
-    last.  Those and the points at or left of xp[j] take fp[j]; the others
-    take numpy's own slope * (x - xp[j]) + fp[j], slope = (fp[j + 1] -
-    fp[j]) / (xp[j + 1] - xp[j]), spread over each interval's run of points.
-    """
-    if xp.size < 2:
-        return fp[..., j]
-    left = np.minimum(j, xp.size - 2)
-    runs = np.bincount(left, minlength=xp.size - 1)
-    # np.interp raises no floating-point warnings, and the slopes between
-    # two paths are never read
-    with np.errstate(all="ignore"):
-        out = np.repeat(np.diff(fp) / np.diff(xp), runs, axis=-1)
-        out *= x - xp[left]
-        out += np.repeat(fp[..., :-1], runs, axis=-1)
-    at = np.flatnonzero(end | (xp[j] >= x))
-    out[..., at] = fp[..., j[at]]
-    return out
-
-
-def fluid_queue(
-    profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
-) -> PiecewisePath:
+def fluid_queue(profile: ArrivalProfile, q: QueueSpec, horizon: Horizon | None = None) -> PiecewisePath:
     """Fluid queue length: the reflection of the queue's netflow."""
     table = fluid_table(profile, [q], horizon)
     return PiecewisePath(table.times, table.queue_length)
 
 
-def fluid_regulator(
-    profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
-) -> PiecewisePath:
+def fluid_regulator(profile: ArrivalProfile, q: QueueSpec, horizon: Horizon | None = None) -> PiecewisePath:
     """Cumulative idleness regulator of the queue's netflow."""
     table = fluid_table(profile, [q], horizon)
     return PiecewisePath(table.times, table.regulator, extend="idle")
 
 
-def fluid_busy(
-    profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
-) -> PiecewisePath:
+def fluid_busy(profile: ArrivalProfile, q: QueueSpec, horizon: Horizon | None = None) -> PiecewisePath:
     """Busy time (t - t_start)_+ - regulator / mu; nondecreasing."""
     table = fluid_table(profile, [q], horizon)
     return PiecewisePath(table.times, table.busy, extend="slope")
 
 
-def fluid_wait(
-    profile: ArrivalProfile, q: QueueSpec, horizon: tuple[float, float] | None = None
-) -> PiecewisePath:
+def fluid_wait(profile: ArrivalProfile, q: QueueSpec, horizon: Horizon | None = None) -> PiecewisePath:
     """Virtual waiting time: queue length / mu, plus the time left until the
     queue opens for arrivals that land before t_start."""
     table = fluid_table(profile, [q], horizon)
     return PiecewisePath(table.times, table.wait, extend="wait")
 
 
-def cost_columns(pops) -> tuple[np.ndarray, np.ndarray]:
-    """Each population's weight alpha + beta and its beta, as (N, 1) columns."""
-    return np.array([p.weight for p in pops])[:, None], np.array([p.beta for p in pops])[:, None]
-
-
-def arrival_costs(columns, times: np.ndarray, wait: np.ndarray) -> np.ndarray:
-    """Arrival costs (alpha + beta) * wait + beta * t at the breakpoints
-    ``times`` of a wait path with values ``wait``, one row per population of
-    ``cost_columns``: every row is an affine map of the one wait path."""
-    weights, betas = columns
-    return weights * wait + betas * times
+def arrival_costs(weight: float, beta: float, times, wait) -> list[float]:
+    """Arrival costs weight * wait + beta * t (weight = alpha + beta) at the
+    breakpoints ``times`` of a wait path with values ``wait``: the one home
+    of the cost formula, an affine map of the wait path."""
+    return [weight * w + beta * t for t, w in zip(times, wait)]
 
 
 def cost_curve(
-    pop: PopulationSpec,
-    profile: ArrivalProfile,
-    q: QueueSpec,
-    horizon: tuple[float, float] | None = None,
+    pop: PopulationSpec, profile: ArrivalProfile, q: QueueSpec, horizon: Horizon | None = None
 ) -> PiecewisePath:
     """Arrival cost (alpha + beta) * wait + beta * t for the population at the
     queue, exact on the horizon."""
     table = fluid_table(profile, [q], horizon)
-    costs = arrival_costs(cost_columns([pop]), table.times, table.wait)
-    return PiecewisePath(table.times, costs[0], extend="slope")
+    return PiecewisePath(table.times, arrival_costs(pop.weight, pop.beta, table.times, table.wait),
+                         extend="slope")

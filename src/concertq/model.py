@@ -9,9 +9,9 @@ serializers add it back on output.  ``service_windows`` is the one home of
 the capacity epochs: the solvers' serve sets, pruning, the terminal time and
 the optimal profile's windows all come from it.  Last comes the arrival
 profile, ``ArrivalProfile``: its rows are stored as compact columns that
-are built, checked, compared, shifted and written without numpy.  Only its
-array attributes (made on first use) import numpy, so the equilibrium
-commands, which solve and write a profile, never load it.
+are built, checked, compared, shifted, indexed by queue and written
+without numpy.  Only its array attributes (made on first use) import
+numpy, so only the simulator, which samples from them, loads it.
 
 All model objects are immutable after construction and safe to share across
 workers.
@@ -371,7 +371,7 @@ def _array_view(column: int):
 
     def view(self):
         import numpy as np
-        arr = np.frombuffer(self._columns[column], dtype=np.int64 if column < 2 else np.float64)
+        arr = np.frombuffer(self.columns[column], dtype=np.int64 if column < 2 else np.float64)
         arr.flags.writeable = False
         return arr
 
@@ -382,15 +382,16 @@ class ArrivalProfile:
     """Constant-density segments, one or more per (population, queue) pair,
     one row per segment in profile order.
 
-    The rows are stored once, as five ``array.array`` columns (int64
-    population and queue ids, float64 start, end and density: 40 bytes a
-    row), converted and checked without numpy when the profile is built.
-    ``len``, ``==``, ``mass``, ``queue_ids``, ``require_queues``,
-    ``shifted``, ``to_csv`` and ``segments`` read those columns and need no
-    numpy.  The array attributes are made on first use: ``pop``, ``queue``,
-    ``start``, ``end`` and ``density`` are read-only numpy views of the
-    columns (no copy), and ``row_mass`` (each row's mass) and ``queue_rows``
-    (each queue's rows) are derived from them once.  Build a profile from
+    The rows are stored once, as five ``array.array`` columns, ``columns``
+    (int64 population and queue ids, float64 start, end and density: 40
+    bytes a row), converted and checked without numpy when the profile is
+    built.  ``len``, ``==``, ``mass``, ``queue_ids``, ``require_queues``,
+    ``shifted``, ``to_csv``, ``segments``, ``rows_at`` (each queue's rows,
+    built once) and ``support_bounds`` read those columns and need no
+    numpy.  The array attributes are made on first use: ``pop``,
+    ``queue``, ``start``, ``end`` and ``density`` are read-only numpy views
+    of the columns (no copy), ``row_mass`` (each row's mass) is derived from
+    them once, and ``queue_rows`` views ``rows_at``.  Build a profile from
     ``Segment`` records or with ``from_rows``; ``segments`` is the rows as
     records, built on first use."""
 
@@ -423,7 +424,7 @@ class ArrivalProfile:
                 and min(d, default=0.0) >= 0):
             i, what = next((i, what) for i, what in enumerate(map(_row_fault, a, b, d)) if what)
             raise DomainError(f"profile row {i} has {what}")
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "columns", columns)
         return self
 
     def __setattr__(self, name, value):
@@ -438,40 +439,40 @@ class ArrivalProfile:
 
     @cached_property
     def _rows_by_queue(self) -> dict:
-        import numpy as np
-        # a stable sort keeps each queue's rows in profile order
-        order = np.argsort(self.queue, kind="stable")
-        ids = self.queue_ids
-        rows = dict(zip(ids, np.split(order, np.searchsorted(self.queue[order], ids)[1:])))
-        for r in rows.values():
-            r.flags.writeable = False
+        # each queue's rows in profile order, without numpy
+        rows = {queue: array("q") for queue in self.queue_ids}
+        for i, queue in enumerate(self.columns[1]):
+            rows[queue].append(i)
         return rows
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
         """The rows as ``Segment`` records, in profile order."""
-        return tuple(map(Segment, *self._columns))
+        return tuple(map(Segment, *self.columns))
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArrivalProfile):
             return NotImplemented
-        return self._columns == other._columns
+        return self.columns == other.columns
+
+    def rows_at(self, queue: int) -> array:
+        """Row numbers of the queue's segments, in profile order (an int64
+        ``array.array``, empty for a queue without rows)."""
+        return self._rows_by_queue.get(queue, array("q"))
 
     def queue_rows(self, queue: int):
-        """Row numbers of the queue's segments, in profile order, as a
-        read-only numpy array."""
-        rows = self._rows_by_queue.get(queue)
-        if rows is None:
-            import numpy as np
-            return np.zeros(0, dtype=np.int64)
+        """``rows_at(queue)`` as a read-only numpy array (a view, no copy)."""
+        import numpy as np
+        rows = np.frombuffer(self.rows_at(queue), dtype=np.int64)
+        rows.flags.writeable = False
         return rows
 
     @property
     def queue_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._columns[1])))
+        return tuple(sorted(set(self.columns[1])))
 
     @property
     def total_mass(self) -> float:
@@ -480,28 +481,28 @@ class ArrivalProfile:
     def mass(self, population: int | None = None, queue: int | None = None) -> float:
         """Routed mass of the population's rows at the queue (every row for
         None), summed in profile order (as the built-in ``sum`` adds)."""
-        pops, queues, a, b, d = self._columns
+        pops, queues, a, b, d = self.columns
         masses = map(mul, d, map(sub, b, a))
         picks = [map(eq, ids, repeat(wanted))
                  for ids, wanted in ((pops, population), (queues, queue)) if wanted is not None]
         return sum(compress(masses, map(all, zip(*picks))) if picks else masses)
 
     def support_bounds(self) -> tuple[float, float]:
+        """The least start and the greatest end."""
         if not len(self):
             raise DomainError("empty profile has no support")
-        return float(self.start.min()), float(self.end.max())
+        return min(self.columns[2]), max(self.columns[3])
 
     def queue_cdf(self, queue: int):
         """Aggregate cumulative arrivals F_k at the queue, all populations
-        (``fluid._cdf_rows`` on one row), as a ``fluid.PiecewisePath``."""
+        (``fluid._arrivals``), as a ``fluid.PiecewisePath``."""
         from . import fluid
-        ts, values, _ = fluid._cdf_rows(self, [queue])
-        return fluid.PiecewisePath(ts, values, extend="const")
+        return fluid.PiecewisePath(*fluid._arrivals(self, queue), extend="const")
 
     def shifted(self, dt: float) -> "ArrivalProfile":
         """The profile with every start and end moved by ``dt``; a time that
         overflows is refused as a non-finite value."""
-        pop, queue, a, b, d = self._columns
+        pop, queue, a, b, d = self.columns
         dt = float(dt)
         return ArrivalProfile.__new__(ArrivalProfile)._store(
             pop, queue, map(add, a, repeat(dt)), map(add, b, repeat(dt)), d
@@ -521,7 +522,7 @@ class ArrivalProfile:
         ``serialize.fmt`` (the cells of ``serialize.column_cells``)."""
         from .serialize import column_cells
 
-        rows = zip(*map(column_cells, self._columns))
+        rows = zip(*map(column_cells, self.columns))
         return "\n".join(["pop,queue,a,b,density", *map(",".join, rows), ""])
 
     @classmethod

@@ -12,15 +12,16 @@ exceed 2, so reports carry the bound as a flag, not an assertion.
 
 Closed forms are evaluated alongside and cross-checked against the integral
 route, the equal-rate / equally-spaced special cases included (their integer
-serve count is ``model.optimal_serve_count``).
+serve count is ``serve.optimal_serve_count``).  Everything here is plain
+float arithmetic, its sums numpy's pairwise summation
+(``fluid.pairwise_sum``), so ``poa`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from itertools import chain
 
 from . import fluid
 from .equilibrium import SolverError, arrival_epochs, solve_multi
@@ -55,63 +56,33 @@ class PoaReport:
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a total that overflows is refused below
 def social_cost(s: Scenario, profile: ArrivalProfile) -> float:
     """Exact integral sum_{j,k} of cost_{j,k}(t) dF_{j,k}(t).
 
     The cost curves are piecewise linear and the densities piecewise
     constant, so every term is a closed-form segment integral.  Every
-    segment is integrated at once on its queue's wait path, a row of one
-    fluid table, and the terms are added population by population, queue by
-    queue, in profile order.
+    segment is integrated on its queue's wait path, a row of one fluid
+    table: every row's ends are breakpoints of that path, so the integral
+    is the trapezoids between them, summed as ``PiecewisePath.integral``
+    sums them (numpy's pairwise sum).  The terms are added population by
+    population, queue by queue, in profile order.
     """
     if not len(profile):
         return 0.0
     table = fluid.fluid_table(profile, s.queues)
-    rows, owner, at_a, at_b = table.support_rows(profile, s.populations)
-    weights, betas = (c[owner, 0] for c in fluid.cost_columns(s.populations))
-    integrals = _segment_integrals(table, at_a, at_b, weights, betas, profile.start[rows], profile.end[rows])
-    # a stable sort by population gives the summation order population,
-    # queue, profile order
-    order = np.argsort(owner, kind="stable")
+    times, wait, density = table.times.tolist(), table.wait.tolist(), profile.columns[4]
+    terms = [[] for _ in s.populations]
+    for r, j, first, last in zip(*table.support_rows(profile, s.populations)):
+        pop, t = s.populations[j], times[first:last + 1]
+        costs = fluid.arrival_costs(pop.weight, pop.beta, t, wait[first:last + 1])
+        trapezoids = [0.5 * (c1 + c0) * (t1 - t0) for t0, t1, c0, c1 in zip(t, t[1:], costs, costs[1:])]
+        terms[j].append(density[r] * fluid.pairwise_sum(trapezoids))
     total = 0.0
-    for term in (profile.density[rows] * integrals)[order].tolist():
+    for term in chain.from_iterable(terms):
         total += term
     if not math.isfinite(total):
         raise DomainError(f"social cost is {total!r}: the scenario's times or rates overflow")
     return total
-
-
-def _segment_integrals(table, at_a, at_b, weight, beta, a, b) -> np.ndarray:
-    """Exact integral over [a[r], b[r]] of the arrival cost weight[r] * wait
-    + beta[r] * t on the wait path of ``table`` whose row holds the
-    breakpoints ``at_a[r]`` and ``at_b[r]``, the last at or before a[r] and
-    b[r], for every r at once, with a < b inside the table's horizon.  The
-    trapezoids between a, the breakpoints strictly inside and b are summed
-    as ``PiecewisePath.integral`` sums them: a breakpoint takes the cost
-    there, a and b take np.interp's value between the breakpoints around
-    them, and rows with the same number of trapezoids are one matrix."""
-    t, wait = table.times, table.wait
-
-    def cost_at(x, j):
-        # np.interp on each point's two-breakpoint path (t[j], t[j + 1])
-        pair = np.stack((j, np.minimum(j + 1, t.size - 1)), axis=1).ravel()
-        fp = fluid.arrival_costs((np.repeat(weight, 2), np.repeat(beta, 2)), t[pair], wait[pair])
-        return fluid.interp_at(x, t[pair], fp, 2 * np.arange(x.size), np.zeros(x.size, dtype=bool))
-
-    first = at_a + 1  # the breakpoints in (a, b) are first, ..., first + inner - 1
-    inner = at_b + (t[at_b] < b) - first
-    ends = (cost_at(a, at_a), cost_at(b, at_b))
-    out = np.empty(a.size)
-    for m in set(inner.tolist()):
-        sel = np.flatnonzero(inner == m)
-        at = first[sel, None] + np.arange(m)
-        ts, vs = np.empty((2, sel.size, m + 2))
-        ts[:, 0], ts[:, -1], ts[:, 1:-1] = a[sel], b[sel], t[at]
-        vs[:, 0], vs[:, -1] = ends[0][sel], ends[1][sel]
-        vs[:, 1:-1] = fluid.arrival_costs((weight[sel, None], beta[sel, None]), t[at], wait[at])
-        out[sel] = np.sum(0.5 * (vs[:, 1:] + vs[:, :-1]) * np.diff(ts, axis=1), axis=1)
-    return out
 
 
 def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
@@ -138,19 +109,18 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
     return ArrivalProfile.from_rows(rows), cost
 
 
-@np.errstate(over="ignore", invalid="ignore")  # sums that overflow are refused below
 def poa_closed_form(s: Scenario) -> float:
     """Single-population price of anarchy in closed form.
 
     eta = 2 (1 + sum mu_k t_k) / (1 + sum_{k,l} mu_k mu_l t_l (t_k - t_l)
           + 2 sum mu_k t_k), with start times t_k measured from the first
-    opening and unit total mass.  Raises DomainError if a sum or eta is
+    opening and unit total mass; each sum is numpy's pairwise sum, over k
+    and over (k, l) in row order.  Raises DomainError if a sum or eta is
     not finite.
     """
-    mus = np.array([q.mu for q in s.queues])
-    ts = np.array([q.t_start for q in s.queues])
-    mt = float(np.sum(mus * ts))
-    cross = float(np.sum(np.outer(mus, mus) * ts[None, :] * (ts[:, None] - ts[None, :])))
+    mt = fluid.pairwise_sum([q.mu * q.t_start for q in s.queues])
+    cross = fluid.pairwise_sum([a.mu * b.mu * b.t_start * (a.t_start - b.t_start)
+                                for a in s.queues for b in s.queues])
     eta = 2.0 * (1.0 + mt) / (1.0 + cross + 2.0 * mt)
     if not all(map(math.isfinite, (mt, cross, eta))):
         raise DomainError(f"the closed-form price of anarchy is {eta!r}: the scenario's scale overflows")

@@ -9,6 +9,7 @@ same inputs produce byte-identical artifacts and round-trip exactly.  Only
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import chain, filterfalse, repeat
 
 # rows per csv_rows call of write_csv, which bounds the text built at once
@@ -86,15 +87,18 @@ def column_cells(column) -> map:
 
 
 def write_columns(out, header: list[str], columns) -> None:
-    """``write_csv`` of equal-length compact columns (``array.array``s of int64
-    or float64) without numpy, each block's cells by ``column_cells``.  The
-    first non-finite value, in column order, is refused before any write."""
-    for x in filterfalse(math.isfinite, chain(*columns)):
+    """``write_csv`` of equal-length columns without numpy: compact columns
+    (``array.array``s of int64 or float64), each block's cells by
+    ``column_cells``, and lists of strings, written as they are.  The first
+    non-finite value, in column order, is refused before any write."""
+    numeric = [column for column in columns if isinstance(column, array)]
+    for x in filterfalse(math.isfinite, chain(*numeric)):
         fmt(x)
     out.write(",".join(header) + "\n")
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        rows = zip(*(column_cells(column[start:start + CSV_BLOCK_ROWS]) for column in columns))
-        out.write("".join(f"{','.join(row)}\n" for row in rows))
+        block = [column[start:start + CSV_BLOCK_ROWS] for column in columns]
+        rows = zip(*(column_cells(c) if isinstance(c, array) else c for c in block))
+        out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:

@@ -14,7 +14,7 @@ one stable sort of the routed columns, keeping each queue's block bounds
 instead of a queue id per event.
 
 The arrival profile: CSV rows parsed, shifted and tabulated one ``Segment``
-record at a time.  The library keeps the profile as numpy columns.
+record at a time.  The library keeps the profile as compact columns.
 
 The capacity epochs: the solver's serve sets as a fixed point over
 queue-to-window assignments, pruning as a loop from the last opening, and
@@ -25,7 +25,16 @@ the queue openings (``model.service_windows``).
 The fluid kernel: each queue's CDF as one row-by-breakpoint matrix, its
 netflow, and its reflection as a loop over the netflow's segments, queue by
 queue (``queue_fluid_per_queue``).  The library builds every queue's paths
-in one table (``fluid.fluid_table``).
+in one table (``fluid.fluid_table``) with plain-float loops.
+
+The vectorized kernel those loops replaced: every queue's paths in one
+table of numpy arrays, each step run on all queues at once
+(``fluid_table_by_rows``, with its row kernels), and the verifier, the
+social cost and the closed-form price of anarchy on those arrays
+(``verify_by_arrays``, ``social_cost_by_arrays``,
+``poa_closed_form_by_arrays``), numpy's ``np.mean`` and ``np.sum`` where
+the library has its pairwise-sum port.  They agree with the loops byte for
+byte.
 
 The simulator's grid reads: each process of each queue read from its event
 record by its own searches, the busy periods found twice (for busy time and
@@ -49,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from concertq import fluid, model, sim
-from concertq.equilibrium import SolverError, VerificationReport
+from concertq.equilibrium import MAX_GRID_POINTS, SolverError, VerificationReport
 from concertq.fluid import ArrivalProfile, PiecewisePath, Segment
 from concertq.model import DomainError, ParseError
 
@@ -89,20 +98,20 @@ def queue_cdf_by_matrix(profile, queue):
     if not rows.size:
         return PiecewisePath(np.array([0.0]), np.array([0.0]), extend="const")
     a, b = profile.start[rows, None], profile.end[rows, None]
-    ts = fluid.sorted_unique(a, b)
+    ts = sim.sorted_unique(a, b)
     # an axis-0 reduce adds the rows one after another in profile order
     per_segment = profile.density[rows, None] * (np.clip(ts, a, b) - a)
     return PiecewisePath(ts, np.add.reduce(per_segment, axis=0, initial=0.0), extend="const")
 
 
 def netflow_of_path(f_k, q, horizon=None):
-    """``fluid.netflow`` on the ``sorted_unique`` union of breakpoints."""
+    """``fluid.netflow`` on the ``sim.sorted_unique`` union of breakpoints."""
     if not f_k.is_nondecreasing():
         raise DomainError("cumulative arrival path must be nondecreasing")
     extra = [q.t_start]
     if horizon is not None:
         extra.extend(horizon)
-    ts = fluid.sorted_unique(f_k.times, np.asarray(extra, dtype=float))
+    ts = sim.sorted_unique(f_k.times, np.asarray(extra, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f_k(ts) - q.mu * np.maximum(ts - q.t_start, 0.0)
     if not np.isfinite(vals).all():
@@ -451,7 +460,7 @@ def optimal_profile_by_capacity_inverse(s):
 
     start_ts = np.array([q.t_start for q in queues])
     mus = np.array([q.mu for q in queues])
-    knots = fluid.sorted_unique(start_ts)
+    knots = sim.sorted_unique(start_ts)
 
     def capacity(t):
         return float(np.sum(mus * np.maximum(t - start_ts, 0.0)))
@@ -535,3 +544,342 @@ def scaled_paths_by_process(paths, grid):
         [busy_time_at(rec, grid) for rec in recs],
         [virtual_wait_at(rec, grid) for rec in recs],
     ])
+
+
+# -- the vectorized fluid kernel: several paths end to end, row k in
+# bounds[k]:bounds[k + 1], each step on all queues at once ---------------------
+
+
+class ArrayTable(NamedTuple):
+    """``fluid.FluidTable``'s fields as numpy arrays (``refined`` a bool
+    array, the bounds int64 arrays)."""
+
+    queues: tuple
+    cdf_times: np.ndarray
+    cdf_values: np.ndarray
+    cdf_bounds: np.ndarray
+    netflow_times: np.ndarray
+    arrivals: np.ndarray
+    netflow_values: np.ndarray
+    refined: np.ndarray
+    netflow_bounds: np.ndarray
+    times: np.ndarray
+    queue_length: np.ndarray
+    regulator: np.ndarray
+    busy: np.ndarray
+    wait: np.ndarray
+    bounds: np.ndarray
+
+    def support_rows(self, profile, pops):
+        """``FluidTable.support_rows`` as arrays, found by one gather."""
+        per_queue = [profile.queue_rows(q.id) for q in self.queues]
+        rows = np.concatenate(per_queue)
+        of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
+        position = {p.id: i for i, p in enumerate(pops)}
+        owner = np.array([position.get(p, -1) for p in profile.pop[rows].tolist()], dtype=np.int64)
+        kept = (profile.row_mass[rows] > 0) & (owner >= 0)
+        rows, of_row = rows[kept], of_row[kept]
+        first, last = (last_at_or_before(self.times, self.bounds, x[rows], of_row)
+                       for x in (profile.start, profile.end))
+        return rows, owner[kept], first, last
+
+
+def fluid_table_by_rows(profile, queues, horizon=None):
+    """``fluid.fluid_table`` with each step run on all queues at once: the
+    queues' breakpoint unions from one stable lexsort, the arrivals adding
+    the rows of one rank at every queue as one vector step, the regulators
+    one ``np.maximum.accumulate`` of exact integer keys, and the crossings
+    the reflection's own formulas elementwise."""
+    queues = tuple(queues)
+    if horizon is None:
+        horizon = fluid.default_horizon(profile, queues)
+    k = len(queues)
+    cdf_times, cdf_values, cdf_bounds = _cdf_rows(profile, [q.id for q in queues])
+    ts, net_bounds = _union_rows(
+        np.concatenate((cdf_times, [q.t_start for q in queues], np.repeat(horizon, k))),
+        np.concatenate((row_of(cdf_bounds), np.tile(np.arange(k), 3))), k,
+    )
+    of_t = row_of(net_bounds)
+    j = last_at_or_before(cdf_times, cdf_bounds, ts, of_t)
+    arrivals = interp_at(ts, cdf_times, cdf_values, j, j == cdf_bounds[of_t + 1] - 1)
+    net_values = _netflow_rows(ts, arrivals, net_bounds, queues)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, psi, phi, bounds = _reflect_rows(ts, net_values, net_bounds)
+        t_start, mu = _queue_columns(queues, bounds)
+        busy = np.maximum(times - t_start, 0.0) - psi / mu
+        wait = phi / mu + np.maximum(t_start - times, 0.0)
+    finite = np.isfinite(phi) & np.isfinite(psi) & np.isfinite(busy) & np.isfinite(wait)
+    overflowed = row_of(bounds)[~finite]
+    if overflowed.size:
+        raise fluid._overflow(queues[overflowed[0]], "queue length, regulator, busy time or wait")
+    return ArrayTable(
+        queues, cdf_times, cdf_values, cdf_bounds, ts, arrivals, net_values,
+        (cdf_times[j] == ts) | (ts == horizon[0]) | (ts == horizon[1]), net_bounds,
+        times, phi, psi, busy, wait, bounds,
+    )
+
+
+def _queue_columns(queues, bounds):
+    """Each entry's queue opening and service rate, row k being queue k."""
+    of = row_of(bounds)
+    return np.array([q.t_start for q in queues])[of], np.array([q.mu for q in queues])[of]
+
+
+def _union_rows(values, of, n_rows):
+    """``sim.sorted_unique`` of the values of each row ``of``, and the
+    bounds, from one stable lexsort: of equal values the first in input
+    order stays."""
+    order = np.lexsort((values, of))
+    values, of = values[order], of[order]
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = (values[1:] != values[:-1]) | (of[1:] != of[:-1])
+    return values[keep], np.searchsorted(of[keep], np.arange(n_rows + 1))
+
+
+def _cdf_rows(profile, ids):
+    """F_k of the queues ``ids``: breakpoints (its rows' ends, [0.0] with no
+    row), values and bounds.  The values add each row's density *
+    (clip(t, a, b) - a) to 0.0 in profile order, one rank at every queue
+    per vector step."""
+    per_queue = [profile.queue_rows(i) for i in ids]
+    counts = np.array([rows.size for rows in per_queue], dtype=np.int64)
+    rows = np.concatenate([np.zeros(0, dtype=np.int64), *per_queue])
+    of_row, empty = np.repeat(np.arange(counts.size), counts), np.flatnonzero(counts == 0)
+    ts, bounds = _union_rows(
+        np.concatenate((profile.start[rows], profile.end[rows], np.zeros(empty.size))),
+        np.concatenate((of_row, of_row, empty)), counts.size,
+    )
+    of_t, first_row = row_of(bounds), np.cumsum(counts) - counts
+    values = np.zeros(ts.size)
+    with np.errstate(over="ignore"):
+        for rank in range(counts.max(initial=0)):
+            at = np.flatnonzero(counts[of_t] > rank)
+            r = rows[first_row[of_t[at]] + rank]
+            a = profile.start[r]
+            values[at] += profile.density[r] * (np.clip(ts[at], a, profile.end[r]) - a)
+    return ts, values, bounds
+
+
+def _netflow_rows(ts, arrivals, bounds, queues):
+    """Netflow arrivals - mu (t - t_start)_+ of each queue at its
+    breakpoints; DomainError for the first queue whose netflow is not finite."""
+    t_start, mu = _queue_columns(queues, bounds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = arrivals - mu * np.maximum(ts - t_start, 0.0)
+    overflowed = row_of(bounds)[~np.isfinite(values)]
+    if overflowed.size:
+        raise fluid._overflow(queues[overflowed[0]])
+    return values
+
+
+def _reflect_rows(t, v, bounds):
+    """The reflection of every row (none empty): breakpoints, regulator
+    psi, reflected path phi and the new bounds.  psi is one
+    np.maximum.accumulate of exact integer keys (row, rank of the value),
+    and the crossings come from the segment loop's formulas, elementwise."""
+    n = t.size
+    of_t = row_of(bounds)
+    g = -v
+    seed = g.copy()
+    seed[bounds[:-1]] = np.maximum(seed[bounds[:-1]], 0.0)
+    order = np.argsort(seed, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    offset = of_t * n
+    running = seed[order[np.maximum.accumulate(offset + rank) - offset]] + 0.0
+
+    r, g0, g1, t0, t1 = running[:-1], g[:-1], g[1:], t[:-1], t[1:]
+    seg = np.flatnonzero((of_t[1:] == of_t[:-1]) & (g1 > r) & (g0 < r))
+    cross = t0[seg] + (r[seg] - g0[seg]) / (g1[seg] - g0[seg]) * (t1[seg] - t0[seg])
+    inside = (cross > t0[seg]) & (cross < t1[seg])
+    seg, cross = seg[inside], cross[inside]
+    r, g0, g1, t0, t1 = r[seg], g0[seg], g1[seg], t0[seg], t1[seg]
+    climb = g0 + (g1 - g0) * (cross - t0) / (t1 - t0)
+
+    step = np.zeros(n, dtype=np.int64)
+    step[seg + 1] = 1
+    at = np.arange(n) + np.cumsum(step)
+    before = at[seg + 1] - 1
+    size = n + seg.size
+    ts, psi, x = np.empty(size), np.empty(size), np.empty(size)
+    ts[at], ts[before] = t, cross
+    psi[at], psi[before] = running, np.where(climb > r, climb, r)
+    x[at], x[before] = v, interp_at(cross, t, v, seg, np.zeros(seg.size, dtype=bool))
+    return ts, psi, np.maximum(x + psi, 0.0), np.append(at, size)[bounds]
+
+
+def row_of(bounds):
+    """The row of every entry of rows laid end to end in ``bounds``."""
+    bounds = np.asarray(bounds)
+    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+
+
+def last_at_or_before(xp, bounds, x, of_x):
+    """The last breakpoint of row ``of_x`` of ``xp`` at or before each point
+    (the row's first for a point left of it), on exact integer keys (row,
+    number of all breakpoints at or before the value)."""
+    everywhere = np.sort(xp)
+    width = xp.size + 1
+    keys = row_of(bounds) * width + np.searchsorted(everywhere, xp, side="right")
+    at_x = of_x * width + np.searchsorted(everywhere, x, side="right")
+    return np.maximum(np.searchsorted(keys, at_x, side="right") - 1, bounds[of_x])
+
+
+def interp_at(x, xp, fp, j, end):
+    """``np.interp`` at the points ``x``, bit for bit, on breakpoints ``xp``
+    and values ``fp`` (one row, or rows along its last axis).  ``j`` is each
+    point's breakpoint of its own path at or before it, and ``end`` marks
+    the points whose ``j`` is their path's last.  Those and the points at or
+    left of xp[j] take fp[j]; the others take numpy's own slope * (x -
+    xp[j]) + fp[j]."""
+    if xp.size < 2:
+        return fp[..., j]
+    left = np.minimum(j, xp.size - 2)
+    runs = np.bincount(left, minlength=xp.size - 1)
+    with np.errstate(all="ignore"):
+        out = np.repeat(np.diff(fp) / np.diff(xp), runs, axis=-1)
+        out *= x - xp[left]
+        out += np.repeat(fp[..., :-1], runs, axis=-1)
+    at = np.flatnonzero(end | (xp[j] >= x))
+    out[..., at] = fp[..., j[at]]
+    return out
+
+
+def verify_by_arrays(s, profile):
+    """``verify_equilibrium`` on one ``fluid_table_by_rows`` with numpy
+    arrays: every off-support interval's two end grid points evaluated, the
+    support mean by ``np.mean``."""
+    tol, grid_step = s.options.tol, s.options.grid_step
+    if profile.total_mass <= 0:
+        raise DomainError("cannot verify an empty profile")
+    profile.require_queues(s.queues)
+    lo, hi = profile.support_bounds()
+    window = (lo - 1.0, hi + 1.0)
+    if grid_step is None:
+        grid_step = (window[1] - window[0]) / 1024.0
+    if (window[1] - window[0]) / grid_step + 1.0 > MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid step {grid_step:g} puts more than {MAX_GRID_POINTS} points on the "
+            f"window [{window[0]:g}, {window[1]:g}]; use a coarser grid step"
+        )
+    grid = sim.sorted_unique(np.arange(window[0], window[1] + 0.5 * grid_step, grid_step))
+    grid = grid[(grid >= window[0]) & (grid <= window[1])]
+    horizon = fluid.default_horizon(profile, s.queues, cover=window)
+    table = fluid_table_by_rows(profile, s.queues, horizon)
+    t, wait, bounds = table.times, table.wait, table.bounds
+    of_t = row_of(bounds)
+    after = np.searchsorted(grid, t, side="right")
+    inner = np.append(np.searchsorted(grid, t[1:], side="left") - after[:-1], 0)
+    inner[bounds[1:] - 1] = 0
+    in_window = (t >= window[0]) & (t <= window[1])
+    n_points = len(s.populations) * (int(np.count_nonzero(in_window)) + int(inner.sum()))
+    held = np.flatnonzero(inner)
+    ends = (grid[after[held]], grid[after[held] + inner[held] - 1])
+    pops = s.populations
+    _, owner, first, last = table.support_rows(profile, pops)
+    deviations, gaps, support_costs, deviation_at, gap_at = {}, {}, {}, {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, pop in enumerate(pops):
+            mine = owner == j
+            starts = np.bincount(first[mine], minlength=t.size + 1)
+            on_point, on_inner = (
+                np.cumsum(starts - np.bincount(stops, minlength=t.size + 1))[:-1] > 0
+                for stops in (last[mine] + 1, last[mine])
+            )
+            costs = pop.weight * wait + pop.beta * t
+            count = on_point + np.where(on_inner, inner, 0)
+            if not count.any():
+                raise DomainError(f"population {pop.id} has no support in the profile")
+            at = np.repeat(np.arange(t.size), count)
+            rank = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+            points = np.where(on_point[at] & (rank == 0), t[at], grid[after[at] + rank - on_point[at]])
+            values = interp_at(points, t, costs, at, np.zeros(at.size, dtype=bool))
+            c = float(np.mean(values))
+            support_costs[pop.id] = c
+            spread = np.abs(values - c)
+            i = int(spread.argmax())
+            deviations[pop.id] = float(spread[i])
+            deviation_at[pop.id] = (pop.id, s.queues[of_t[at[i]]].id, float(points[i]))
+            off = np.full((t.size, 2), np.inf)
+            off[:, 0] = np.where(on_point | ~in_window, np.inf, costs)
+            lower = np.minimum(*(interp_at(x, t, costs, held, np.zeros(held.size, dtype=bool)) for x in ends))
+            off[held, 1] = np.where(on_inner[held], np.inf, lower)
+            k = int(off.argmin())
+            gaps[pop.id] = float(off.flat[k]) - c
+            if not np.isfinite([c, deviations[pop.id], gaps[pop.id]]).all():
+                raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
+                                  f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
+            b = k // 2
+            x = t[b]
+            if k % 2:
+                run = grid[after[b]:after[b] + inner[b]]
+                x = run[interp_at(run, t, costs, np.full(run.size, b), np.zeros(run.size, dtype=bool)).argmin()]
+            gap_at[pop.id] = (pop.id, s.queues[of_t[b]].id, float(x))
+    ok = all(d <= tol for d in deviations.values()) and all(g >= -tol for g in gaps.values())
+    return VerificationReport(
+        max_support_cost_deviation=deviations,
+        min_off_support_cost_gap=gaps,
+        is_equilibrium=ok,
+        support_costs=support_costs,
+        tol=tol,
+        grid_points=n_points,
+        window=window,
+        worst_support_deviation_at=deviation_at[max(deviations, key=deviations.get)],
+        min_off_support_gap_at=gap_at[min(gaps, key=gaps.get)],
+    )
+
+
+def social_cost_by_arrays(s, profile):
+    """``poa.social_cost`` with every segment integrated at once on one
+    ``fluid_table_by_rows``: each end's cost by ``interp_at`` between the
+    breakpoints around it, and rows with the same number of trapezoids one
+    matrix summed along ``axis=1``."""
+    if not len(profile):
+        return 0.0
+    table = fluid_table_by_rows(profile, s.queues)
+    rows, owner, at_a, at_b = table.support_rows(profile, s.populations)
+    weight = np.array([p.weight for p in s.populations])[owner]
+    beta = np.array([p.beta for p in s.populations])[owner]
+    a, b = profile.start[rows], profile.end[rows]
+    t, wait = table.times, table.wait
+
+    def cost_at(x, j):
+        pair = np.stack((j, np.minimum(j + 1, t.size - 1)), axis=1).ravel()
+        fp = np.repeat(weight, 2) * wait[pair] + np.repeat(beta, 2) * t[pair]
+        return interp_at(x, t[pair], fp, 2 * np.arange(x.size), np.zeros(x.size, dtype=bool))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = at_a + 1
+        inner = at_b + (t[at_b] < b) - first
+        ends = (cost_at(a, at_a), cost_at(b, at_b))
+        integrals = np.empty(a.size)
+        for m in set(inner.tolist()):
+            sel = np.flatnonzero(inner == m)
+            at = first[sel, None] + np.arange(m)
+            ts, vs = np.empty((2, sel.size, m + 2))
+            ts[:, 0], ts[:, -1], ts[:, 1:-1] = a[sel], b[sel], t[at]
+            vs[:, 0], vs[:, -1] = ends[0][sel], ends[1][sel]
+            vs[:, 1:-1] = weight[sel, None] * wait[at] + beta[sel, None] * t[at]
+            integrals[sel] = np.sum(0.5 * (vs[:, 1:] + vs[:, :-1]) * np.diff(ts, axis=1), axis=1)
+        terms = (profile.density[rows] * integrals)[np.argsort(owner, kind="stable")]
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    if not math.isfinite(total):
+        raise DomainError(f"social cost is {total!r}: the scenario's times or rates overflow")
+    return total
+
+
+def poa_closed_form_by_arrays(s):
+    """``poa.poa_closed_form`` with its sums by ``np.sum``: over mu_k t_k and
+    over the (k, l) matrix."""
+    mus = np.array([q.mu for q in s.queues])
+    ts = np.array([q.t_start for q in s.queues])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mt = float(np.sum(mus * ts))
+        cross = float(np.sum(np.outer(mus, mus) * ts[None, :] * (ts[:, None] - ts[None, :])))
+    eta = 2.0 * (1.0 + mt) / (1.0 + cross + 2.0 * mt)
+    if not all(map(math.isfinite, (mt, cross, eta))):
+        raise DomainError(f"the closed-form price of anarchy is {eta!r}: the scenario's scale overflows")
+    return eta

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -248,24 +249,36 @@ def test_sim_csv_is_written_one_replication_at_a_time(scenarios, monkeypatch, ca
     assert out.read_text() == _whole_sim_csv(scenarios["two"], 300, 5, 16, 3)
 
 
+def _written_blocks(argv) -> tuple[str, list[int]]:
+    """The artifact that ``main(argv)`` writes to stdout, and the rows of
+    each write that holds some, the header line not counted."""
+    rows = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            rows.append(text.count("\n") - (not rows))  # the first write starts with the header
+            return super().write(text)
+
+    out = Recorder()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue(), [n for n in rows if n]
+
+
 def test_csv_artifacts_are_written_in_blocks_of_at_most_the_block_rows(scenarios, monkeypatch):
+    # sim.csv through write_csv, fluid.csv through write_columns: one write per block
     from concertq import serialize
 
-    d = scenarios["dir"]
     simulate = ["simulate", "--scenario", str(scenarios["two"]), "--n", "300", "--reps", "3",
                 "--seed", "5", "--grid-points", "16"]
     fluid = ["fluid", "--scenario", str(scenarios["two"])]
-    rows = _recorded_csv_rows(monkeypatch)
-    assert main(fluid + ["--out", str(d / "fluid-whole.csv")]) == 0
-    assert len(rows) == 1  # at the default block size, one csv_rows call
-    wholes = [_whole_sim_csv(scenarios["two"], 300, 5, 16, 3), (d / "fluid-whole.csv").read_text()]
+    whole_fluid, rows = _written_blocks(fluid)
+    assert len(rows) == 1  # at the default block size, one block
+    wholes = [_whole_sim_csv(scenarios["two"], 300, 5, 16, 3), whole_fluid]
 
     monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 5)
     for argv, whole in zip((simulate, fluid), wholes, strict=True):
-        rows.clear()
-        out = d / "blocks.csv"
-        assert main(argv + ["--out", str(out)]) == 0
-        text = out.read_text()
+        text, rows = _written_blocks(argv)
         assert text == whole
         assert text.count(whole.split("\n", 1)[0] + "\n") == 1  # the header, once
         assert max(rows) == 5 and sum(rows) == whole.count("\n") - 1
@@ -273,7 +286,7 @@ def test_csv_artifacts_are_written_in_blocks_of_at_most_the_block_rows(scenarios
 
 def test_fluid_refuses_a_non_finite_value_before_writing(scenarios, monkeypatch, capsys):
     # a non-finite t in the last block and a non-finite value in the first:
-    # the t column's value is named, as one csv_rows call names it, and
+    # the t column's value is named, the first in column order, and
     # nothing reaches stdout
     from concertq import fluid, serialize
 
@@ -281,7 +294,7 @@ def test_fluid_refuses_a_non_finite_value_before_writing(scenarios, monkeypatch,
 
     def spoiled(*args, **kwargs):
         t = table(*args, **kwargs)
-        times, arrivals = t.times.copy(), t.arrivals.copy()
+        times, arrivals = array("d", t.times), array("d", t.arrivals)
         times[-1], arrivals[0] = np.inf, np.nan
         return t._replace(times=times, arrivals=arrivals)
 
@@ -981,6 +994,9 @@ REFUSALS = {
                            "--beta", "1e300"], "not a finite interval"),
     "eq-two-tiny-beta": (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1e300",
                           "--beta", "1e-300"], "not a finite interval"),
+    # the density after the opening overflows, so its normalization residual is inf
+    "eq-two-diagnostic-overflow": (["eq-two", "--mu1", "1e8", "--mu2", "1e8", "--alpha", "1e300",
+                                    "--beta", "1e300"], "normalization_residual inf is not finite"),
     # mu1^2 + mu2^2 rounds to 0
     "eq-two-rate-square-underflow": (["eq-two", "--mu1", "1e-200", "--mu2", "1e-200", "--alpha",
                                       "0.5", "--beta", "0.5"], "rounds to 0"),
@@ -1078,12 +1094,43 @@ def test_scenarios_at_any_scale_exit_without_a_traceback(queues, populations):
                                             str(profile), "--out", str(Path(tmp) / command)])
 
 
-def _exits_without_a_traceback(argv) -> int:
+# any exponent of the float range, often one near either end of it
+EXPONENTS = st.integers(-308, 308) | st.integers(-308, -290) | st.integers(290, 308)
+
+
+@st.composite
+def _power_pairs(draw):
+    """Two powers of ten in the float range, at most a factor 100 apart:
+    the two rates, or the two weights, of a two-user game whose support is
+    neither far too wide nor far too narrow for the Euler grid."""
+    e = draw(EXPONENTS)
+    return float(f"1e{e}"), float(f"1e{min(max(e + draw(st.integers(-2, 2)), -308), 308)}")
+
+
+@given(_power_pairs(), _power_pairs(), st.tuples(*[POWERS_OF_TEN] * 3))
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_at_any_scale_exit_without_a_traceback(rates, weights, serve_count):
+    # eq-two's rates and weights and serve-count's l, mu and tau, each a
+    # power of ten in the float range: each command answers, or refuses
+    # with one error line, after serve-count's warning for mu * tau >= 1
+    two_user = (*rates, *weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, flags, values in (("eq-two", ("--mu1", "--mu2", "--alpha", "--beta"), two_user),
+                                       ("serve-count", ("--l", "--mu", "--tau"), serve_count)):
+            argv = [a for flag, v in zip(flags, values) for a in (flag, repr(v))]
+            _exits_without_a_traceback([command, *argv, "--out", str(Path(tmp) / command)],
+                                       asides=("warning: ",))
+
+
+def _exits_without_a_traceback(argv, asides=("note: ",)) -> int:
+    """main(argv)'s exit code, after checking that its stderr, but for
+    lines that start with one of ``asides``, is one error line on a
+    failure and empty on success."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
-    lines = [line for line in err.getvalue().splitlines() if not line.startswith("note: ")]
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith(asides)]
     if code:
         assert_one_error_line("\n".join(lines))
     else:

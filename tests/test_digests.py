@@ -11,7 +11,9 @@ the DES's stream fails this suite.  The equilibrium commands, ``eq-two``
 (with its trace) and ``serve-count`` also run in child interpreters,
 ``python -m concertq`` as the benchmark runs them, which must write the
 same artifacts without loading numpy or ``concertq.fluid``, and for
-``eq-two`` and ``serve-count`` without ``concertq.model``.
+``eq-two`` and ``serve-count`` without ``concertq.model``.  So do
+``verify``, ``poa`` and ``fluid``, each after the ``eq-* --format csv``
+step that writes their profile, without loading numpy.
 """
 
 import hashlib
@@ -89,6 +91,8 @@ def test_worked_pair_simulate_artifacts_match_recorded_digests(workloads, tmp_pa
 _NUMPY_FREE = [
     ({"wide-analytic": ("eq-multi", "eq-multi-csv"), "worked-pair": ("eq-single-csv",)},
      ("numpy", "concertq.fluid")),
+    ({"wide-analytic": ("eq-multi-csv", "verify", "poa", "fluid"),
+      "worked-pair": ("eq-single-csv", "verify", "poa", "fluid")}, ("numpy",)),
     ({"worked-pair": ("eq-two",)}, ("numpy", "concertq.model", "concertq.fluid")),
     ({"worked-pair": ("serve-count",)}, ("numpy", "concertq.model")),
 ]

@@ -1,7 +1,7 @@
 """The package namespace: ``import concertq`` loads no submodule and no
 numpy, serves every public name from its module on access (each module on
-first access), and each CLI command loads only the modules it runs, the
-scenario model before numpy."""
+first access), and each CLI command loads only the modules it runs: numpy
+only in simulate, after the scenario model."""
 
 import os
 import subprocess
@@ -56,27 +56,27 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
         "assert (len(profile), profile.total_mass, profile.mass(queue=2), profile.queue_ids) == (2, 2.0, 1.0, (1, 2))\n"
         "assert profile.segments[0] == concertq.Segment(1, 2, 0.5, 1.0, 2.0) and profile == profile.shifted(0.0)\n"
         "loaded()\n"
-        "profile.start\n"
-        "loaded()\n"
         "concertq.poa.poa_multi\n"
+        "loaded()\n"
+        "profile.start\n"
         "loaded()\n"
     )
     cli = {"cli", "errors", "serialize", "serve"}
     profile = cli | {"model"}
-    assert list(map(set, _loaded(script))) == [
-        set(), cli, profile, profile | {"numpy"}, profile | {"poa", "equilibrium", "fluid", "numpy"}
-    ]
+    analytic = profile | {"poa", "equilibrium", "fluid"}
+    assert list(map(set, _loaded(script))) == [set(), cli, profile, analytic, analytic | {"numpy"}]
 
 
 ARRAYS = {"fluid", "numpy"}
-# each command, its exit code and what it loads besides cli, errors and serialize
+# each command, its exit code and what it loads besides cli, errors and serialize:
+# only simulate loads numpy
 FOOTPRINTS = [
     (["eq-single", "--scenario", "{s}"], 0, {"model", "equilibrium"}),
     (["eq-single", "--scenario", "{s}", "--format", "csv"], 0, {"model", "equilibrium"}),
     (["eq-multi", "--scenario", "{s}"], 0, {"model", "equilibrium"}),
     (["eq-multi", "--scenario", "{s}", "--format", "csv"], 0, {"model", "equilibrium"}),
-    (["verify", "--scenario", "{s}", "--profile", "{p}"], 0, {"model", "equilibrium"} | ARRAYS),
-    (["poa", "--scenario", "{s}"], 0, {"model", "poa", "equilibrium"} | ARRAYS),
+    (["verify", "--scenario", "{s}", "--profile", "{p}"], 0, {"model", "equilibrium", "fluid"}),
+    (["poa", "--scenario", "{s}"], 0, {"model", "poa", "equilibrium", "fluid"}),
     (["serve-count", "--l", "7", "--mu", "1", "--tau", "0.1"], 0, {"serve"}),
     (["serve-count", "--help"], 0, set()),
     (["serve-count", "--l", "7"], 2, set()),  # a usage error
@@ -84,8 +84,8 @@ FOOTPRINTS = [
      {"model", "sim", "equilibrium"} | ARRAYS),
     (["eq-two", "--mu1", "1", "--mu2", "1", "--alpha", "1", "--beta", "1", "--ode-dt", "1e-2",
       "--trace", "{t}"], 0, {"exact_two"}),
-    (["fluid", "--scenario", "{s}", "--profile", "{p}"], 0, {"model"} | ARRAYS),
-    (["fluid", "--scenario", "{s}"], 0, {"model", "equilibrium"} | ARRAYS),
+    (["fluid", "--scenario", "{s}", "--profile", "{p}"], 0, {"model", "fluid"}),
+    (["fluid", "--scenario", "{s}"], 0, {"model", "equilibrium", "fluid"}),
 ]
 
 
