@@ -361,7 +361,8 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
             if on_inner[b] and inner[b]:
                 values += interval(b, costs, run(b))
         c = fluid.pairwise_sum(values) / len(values)
-        spread = [abs(v - c) for v in values]
+        # |v - c| rounds monotonically on either side of c: largest at an extreme v
+        deviation = max(abs(max(values) - c), abs(min(values) - c))
         # off the support: the breakpoints in the window (inf elsewhere), and
         # interval b's lower end grid point cost where the lower of its
         # breakpoint costs can reach a bar a rounding margin above the
@@ -383,11 +384,11 @@ def verify_equilibrium(s: Scenario, profile: ArrivalProfile) -> VerificationRepo
         lowest, k = min([(lowest, 2 * off.index(lowest))] + [(x, 2 * b + 1) for b, x in between.items()])
         if margin == math.inf and any(map(math.isnan, chain(off, between.values()))):
             lowest, k = math.nan, 0
-        deviations[pop.id], gaps[pop.id], support_costs[pop.id] = max(spread), lowest - c, c
-        if not (math.isfinite(c) and math.isfinite(deviations[pop.id]) and math.isfinite(gaps[pop.id])):
+        deviations[pop.id], gaps[pop.id], support_costs[pop.id] = deviation, lowest - c, c
+        if not (math.isfinite(c) and math.isfinite(deviation) and math.isfinite(gaps[pop.id])):
             raise DomainError(f"population {pop.id}: support cost {c!r} and off-support gap "
                               f"{gaps[pop.id]!r} are not both finite; the scenario's scale overflows")
-        i = spread.index(deviations[pop.id])
+        i = next(i for i, v in enumerate(values) if abs(v - c) == deviation)
         j = bisect_right(starts, i) - 1
         b, r = support[j], i - starts[j]
         deviation_at[pop.id] = (pop.id, queue_of(b), grid[after[b] + r - 1] if r else t[b])

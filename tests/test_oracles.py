@@ -384,7 +384,8 @@ def test_verifier_memory_is_bounded_per_population():
     # K=126, N=20: a population-by-point cost matrix over the 2,623,100
     # points would take about 21 MB; the verifier holds the table and one
     # population's costs at the 2,257 breakpoints and at its support points
-    # (at most about 2,900 here), near 0.7 MiB
+    # (at most about 2,900 here), near 1.0 MiB as Python floats (0.65 MiB
+    # as numpy arrays)
     s = wide_scenario()
     report, peak = traced_verify(s, cq.solve_multi(s).profile)
     assert report.is_equilibrium
@@ -394,8 +395,9 @@ def test_verifier_memory_is_bounded_per_population():
 def test_verifier_memory_at_the_grid_cap():
     # the finest grid step the cap allows on the same scenario: 165,188,300
     # points, of which population 1 has about 188,000 on its support; one
-    # population's support points at a time peak near 11 MiB, where per-queue
-    # cost matrices over every point took 50.7 MiB
+    # population's support points at a time peak near 9.3 MiB as Python
+    # floats (11.2 MiB as numpy arrays), where per-queue cost matrices over
+    # every point took 50.7 MiB
     s = wide_scenario()
     profile = cq.solve_multi(s).profile
     lo, hi = profile.support_bounds()
