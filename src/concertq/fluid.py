@@ -5,8 +5,8 @@ Everything here is computed on exact piecewise-linear paths, with no
 discretization: cumulative arrivals F_k, the netflow X_k = F_k - mu_k
 (t - t_start)_+, the reflection pair (queue length, cumulative regulator),
 busy time, virtual waiting time, and per-population arrival cost curves.
-A grid enters only where a caller reads the exact paths at its points:
-``FluidTable.on_grid`` (the simulator's reference) and the verifier.
+A grid enters only where a caller reads the exact paths at its points: the
+simulator's fluid reference (``sim.fluid_reference``) and the verifier.
 
 The regulator of a path X is Psi(t) = sup over s <= t of max(-X(s), 0),
 taken from the first breakpoint of X; the reflected path Phi = X + Psi is
@@ -16,10 +16,10 @@ previously attained minimum.
 
 ``fluid_table`` builds every path of every queue with one plain-float loop
 per queue, each kind of path laid end to end in ``array.array`` columns.
-This module loads no numpy: only ``PiecewisePath``'s methods and
-``FluidTable.on_grid`` import it.  ``queue_cdf``, ``netflow``, ``reflect``
-and the per-queue accessors (``fluid_queue`` ... ``cost_curve``) are
-one-queue calls of the same loops, returned as ``PiecewisePath``.
+This module loads no numpy: only ``PiecewisePath``'s methods import it.
+``queue_cdf``, ``netflow``, ``reflect`` and the per-queue accessors
+(``fluid_queue`` ... ``cost_curve``) are one-queue calls of the same loops,
+returned as ``PiecewisePath``.
 """
 
 from __future__ import annotations
@@ -183,18 +183,15 @@ def netflow(f_k: PiecewisePath, q: QueueSpec, horizon: Horizon | None = None) ->
 class FluidTable(NamedTuple):
     """Every fluid path of ``queues``, row k for queue k, each kind laid end
     to end in compact float64 columns (``array.array``) with integer bounds:
-    F_k is ``cdf_times`` and ``cdf_values`` in ``cdf_bounds[k]:
-    cdf_bounds[k + 1]``; the netflow is ``netflow_times`` and
-    ``netflow_values`` (F_k there: ``arrivals``) in ``netflow_bounds``; the
-    queue length, regulator, busy time and wait share the reflection's
-    ``times`` in ``bounds``.  ``refined`` (bytes, 1 or 0) marks the netflow
+    the netflow is ``netflow_times`` and ``netflow_values`` (F_k there:
+    ``arrivals``) in ``netflow_bounds[k]:netflow_bounds[k + 1]``; the queue
+    length, regulator, busy time and wait share the reflection's ``times``
+    in ``bounds``.  ``refined`` (bytes, 1 or 0) marks the netflow
     breakpoints that are F_k's or the horizon's ends (all but a lone
-    opening)."""
+    opening), so ``arrivals`` at the marks is F_k, refined with the
+    horizon's ends."""
 
     queues: tuple[QueueSpec, ...]
-    cdf_times: array
-    cdf_values: array
-    cdf_bounds: list[int]
     netflow_times: array
     arrivals: array
     netflow_values: array
@@ -206,22 +203,6 @@ class FluidTable(NamedTuple):
     busy: array
     wait: array
     bounds: list[int]
-
-    def on_grid(self, grid: np.ndarray) -> np.ndarray:
-        """Every queue's arrivals, queue length, busy time and wait at the
-        points ``grid``, one (4, K, G) array: np.interp of each row, read
-        through numpy views of the columns, the paths' own values on a grid
-        inside the table's horizon."""
-        import numpy as np
-        cdf_t, cdf_v, t, *paths = map(np.frombuffer, (self.cdf_times, self.cdf_values, self.times,
-                                                       self.queue_length, self.busy, self.wait))
-        out = np.empty((4, len(self.queues), grid.size))
-        for k in range(len(self.queues)):
-            c, p = slice(*self.cdf_bounds[k:k + 2]), slice(*self.bounds[k:k + 2])
-            out[0, k] = np.interp(grid, cdf_t[c], cdf_v[c])
-            for i, values in enumerate(paths, start=1):
-                out[i, k] = np.interp(grid, t[p], values[p])
-        return out
 
     def support_rows(self, profile: ArrivalProfile, pops) -> tuple[list[int], ...]:
         """The rows of ``profile`` (the table's own) of positive mass whose
@@ -256,10 +237,9 @@ def fluid_table(profile: ArrivalProfile, queues, horizon: Horizon | None = None)
     queues = tuple(queues)
     if horizon is None:
         horizon = default_horizon(profile, queues)
-    cdfs, netflows, paths, refined, late = [], [], [], bytearray(), None
+    netflows, paths, refined, late = [], [], bytearray(), None
     for q in queues:
-        cdf_t, cdf_v = _arrivals(profile, q.id)
-        ts, arrivals, marks = _refined(cdf_t, cdf_v, (q.t_start, *horizon), horizon)
+        ts, arrivals, marks = _refined(*_arrivals(profile, q.id), (q.t_start, *horizon), horizon)
         values = _netflow(ts, arrivals, q)
         if not all(map(math.isfinite, values)):
             raise _overflow(q)
@@ -269,15 +249,14 @@ def fluid_table(profile: ArrivalProfile, queues, horizon: Horizon | None = None)
         wait = [f / mu + (s - t if s > t else 0.0) for t, f in zip(times, phi)]
         if late is None and not all(map(math.isfinite, chain(phi, psi, busy, wait))):
             late = q  # refused once every netflow has passed
-        cdfs.append((cdf_t, cdf_v))
         netflows.append((ts, arrivals, values))
         paths.append((times, phi, psi, busy, wait))
         refined.extend(marks)
     if late is not None:
         raise _overflow(late, "queue length, regulator, busy time or wait")
     # in FluidTable's field order
-    return FluidTable(queues, *_end_to_end(cdfs), _bounds(cdfs), *_end_to_end(netflows), bytes(refined),
-                      _bounds(netflows), *_end_to_end(paths), _bounds(paths))
+    return FluidTable(queues, *_end_to_end(netflows), bytes(refined), _bounds(netflows),
+                      *_end_to_end(paths), _bounds(paths))
 
 
 # -- the per-queue loops ------------------------------------------------------

@@ -8,10 +8,9 @@ at time zero; ``Scenario.time_origin`` records the subtracted offset and the
 serializers add it back on output.  ``service_windows`` is the one home of
 the capacity epochs: the solvers' serve sets, pruning, the terminal time and
 the optimal profile's windows all come from it.  Last comes the arrival
-profile, ``ArrivalProfile``: its rows are stored as compact columns that
-are built, checked, compared, shifted, indexed by queue and written
-without numpy.  Only its array attributes (made on first use) import
-numpy, so only the simulator, which samples from them, loads it.
+profile, ``ArrivalProfile``: its rows are stored once, as compact columns
+that are built, checked, compared, shifted, indexed by queue and written
+without numpy.  This module loads no numpy.
 
 All model objects are immutable after construction and safe to share across
 workers.
@@ -365,37 +364,17 @@ class Segment:
         return self.density * (self.end - self.start)
 
 
-def _array_view(column: int):
-    """Stored column ``column`` as a read-only numpy array that shares its
-    memory, made on first use."""
-
-    def view(self):
-        import numpy as np
-        arr = np.frombuffer(self.columns[column], dtype=np.int64 if column < 2 else np.float64)
-        arr.flags.writeable = False
-        return arr
-
-    return cached_property(view)
-
-
 class ArrivalProfile:
     """Constant-density segments, one or more per (population, queue) pair,
     one row per segment in profile order.
 
     The rows are stored once, as five ``array.array`` columns, ``columns``
     (int64 population and queue ids, float64 start, end and density: 40
-    bytes a row), converted and checked without numpy when the profile is
-    built.  ``len``, ``==``, ``mass``, ``queue_ids``, ``require_queues``,
-    ``shifted``, ``to_csv``, ``segments``, ``rows_at`` (each queue's rows,
-    built once) and ``support_bounds`` read those columns and need no
-    numpy.  The array attributes are made on first use: ``pop``,
-    ``queue``, ``start``, ``end`` and ``density`` are read-only numpy views
-    of the columns (no copy), ``row_mass`` (each row's mass) is derived from
-    them once, and ``queue_rows`` views ``rows_at``.  Build a profile from
-    ``Segment`` records or with ``from_rows``; ``segments`` is the rows as
-    records, built on first use."""
-
-    pop, queue, start, end, density = map(_array_view, range(5))
+    bytes a row), converted and checked when the profile is built.  Every
+    member reads those columns, and only ``queue_cdf``, which returns a
+    numpy-backed ``fluid.PiecewisePath``, loads numpy.  ``rows_at`` (each
+    queue's rows) and ``segments`` (the rows as records) are built on first
+    use.  Build a profile from ``Segment`` records or with ``from_rows``."""
 
     def __init__(self, segments=()):
         self._store(*_transposed((s.population, s.queue, s.start, s.end, s.density) for s in segments))
@@ -431,15 +410,8 @@ class ArrivalProfile:
         raise AttributeError(f"cannot set {name}: ArrivalProfile is read-only")
 
     @cached_property
-    def row_mass(self):
-        """Each row's mass density * (end - start), as ``Segment.mass``."""
-        masses = self.density * (self.end - self.start)
-        masses.flags.writeable = False
-        return masses
-
-    @cached_property
     def _rows_by_queue(self) -> dict:
-        # each queue's rows in profile order, without numpy
+        # each queue's rows in profile order
         rows = {queue: array("q") for queue in self.queue_ids}
         for i, queue in enumerate(self.columns[1]):
             rows[queue].append(i)
@@ -462,13 +434,6 @@ class ArrivalProfile:
         """Row numbers of the queue's segments, in profile order (an int64
         ``array.array``, empty for a queue without rows)."""
         return self._rows_by_queue.get(queue, array("q"))
-
-    def queue_rows(self, queue: int):
-        """``rows_at(queue)`` as a read-only numpy array (a view, no copy)."""
-        import numpy as np
-        rows = np.frombuffer(self.rows_at(queue), dtype=np.int64)
-        rows.flags.writeable = False
-        return rows
 
     @property
     def queue_ids(self) -> tuple[int, ...]:

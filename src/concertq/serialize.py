@@ -60,11 +60,7 @@ def _emit(obj, out: list[str]) -> None:
             _emit(v, out)
         out.append("]")
     else:
-        # numpy scalars and similar
-        if hasattr(obj, "item"):
-            _emit(obj.item(), out)
-        else:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def to_json(obj) -> str:

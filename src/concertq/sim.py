@@ -13,6 +13,10 @@ Memory is O(n + I K) for n users, K queues and I knot intervals of the
 profile: the sampler routes through one per-interval cumulative table and
 never holds an n x K array.  Replications run one at a time.
 
+Of the profile and the fluid table only this module reads numpy forms:
+their columns are read through ``np.frombuffer`` views where they are used
+(``_arrays``, ``fluid_reference``).
+
 Randomness is fully reproducible: every stream is a Philox (counter-based)
 generator keyed by SeedSequence([seed, replication, stream index]), with
 stream 0 for arrival times, stream 1 for routing, and stream 16 + q for the
@@ -94,6 +98,12 @@ def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.
     where T bounds the time the last user leaves."""
     lo, drain = fluid.default_horizon(profile, s.queues, pad=0.0)
     return np.linspace(lo - 0.1, drain + 0.5, points)
+
+
+def _arrays(profile: ArrivalProfile) -> list[np.ndarray]:
+    """The profile's five stored columns as numpy arrays that share their
+    memory: int64 population and queue ids, float64 start, end and density."""
+    return [np.frombuffer(column, dtype=column.typecode) for column in profile.columns]
 
 
 def sorted_unique(*arrays):
@@ -205,11 +215,12 @@ def sample_arrivals(
     the events keep 8, the times.  A profile whose total mass overflows is
     refused with a DomainError.
     """
-    live = np.flatnonzero(profile.row_mass > 0)
+    _, queue, start, end, rates = _arrays(profile)
+    live = np.flatnonzero(rates * (end - start) > 0)
     if not live.size:
         raise DomainError("cannot sample from a profile with zero total mass")
     queue_ids = profile.queue_ids
-    start, end = profile.start[live], profile.end[live]
+    start, end = start[live], end[live]
 
     # interval decomposition of the union of segment supports; each cell
     # adds its rows' densities in profile order, starting from 0.0
@@ -219,8 +230,8 @@ def sample_arrivals(
         for a, b, k, d in zip(
             np.searchsorted(knots, start).tolist(),
             np.searchsorted(knots, end).tolist(),
-            np.searchsorted(queue_ids, profile.queue[live]).tolist(),
-            profile.density[live].tolist(),
+            np.searchsorted(queue_ids, queue[live]).tolist(),
+            rates[live].tolist(),
         ):
             density[a:b, k] += d
         total_density = density.sum(axis=1)
@@ -461,10 +472,26 @@ class Replication:
 
 def fluid_reference(s: Scenario, profile: ArrivalProfile, grid: np.ndarray) -> np.ndarray:
     """Fluid paths evaluated on the grid, shaped like the scaled sim paths
-    (process, queue in scenario order, grid point): every queue's row of one
-    fluid table, read at the grid at once."""
+    (process, queue in scenario order, grid point): np.interp of every
+    queue's rows of one fluid table, read through numpy views of its
+    columns.  The arrivals are read at the table's marks, F_k's breakpoints
+    and the horizon's ends: the horizon reaches past the grid, and F_k is
+    constant past its breakpoints, so np.interp reads F_k itself there."""
     horizon = fluid.default_horizon(profile, s.queues, cover=(float(grid[0]), float(grid[-1])))
-    return fluid.fluid_table(profile, s.queues, horizon).on_grid(grid)
+    table = fluid.fluid_table(profile, s.queues, horizon)
+    marks = np.frombuffer(table.refined, dtype=bool)
+    ts, arrivals, times, *paths = map(np.frombuffer, (table.netflow_times, table.arrivals, table.times,
+                                                      table.queue_length, table.busy, table.wait))
+    # queue k's marked points are cdf_t[c] and cdf_v[c], c = cdf_bounds[k]:cdf_bounds[k + 1]
+    cdf_t, cdf_v = ts[marks], arrivals[marks]
+    cdf_bounds = np.concatenate(([0], np.cumsum(marks)))[table.netflow_bounds].tolist()
+    out = np.empty((len(PROCESSES), len(s.queues), grid.size))
+    for k in range(len(s.queues)):
+        c, p = slice(*cdf_bounds[k:k + 2]), slice(*table.bounds[k:k + 2])
+        out[0, k] = np.interp(grid, cdf_t[c], cdf_v[c])
+        for i, values in enumerate(paths, start=1):
+            out[i, k] = np.interp(grid, times[p], values[p])
+    return out
 
 
 def _replication(s, profile, cfg, grid, reference, rep) -> Replication:
@@ -525,6 +552,6 @@ def convergence_report(
                    for name, v in zip(PROCESSES, zip(*errors))},
         first_arrivals=first_arrivals,
         # numpy's least start, whose zero keeps numpy's sign
-        support_infimum=float(profile.start.min()),
+        support_infimum=float(_arrays(profile)[2].min()),
         grid=grid,
     )

@@ -42,6 +42,10 @@ again for the virtual wait) against a shifted copy of the completions, and
 the presented work read from the prefix sums with a 0 in front.  The library
 reads each queue in one pass and copies no n-sized array to do it.
 
+The simulator's fluid reference: F_k read on its own breakpoints
+(``fluid_on_grid``).  The library reads it at the fluid table's marks, its
+breakpoints and the horizon's ends.
+
 The convergence study: reports at n and at n times a factor with shared
 replication seeds and the ratio of their mean sup errors, built from
 ``sim.convergence_report``.  The library has no two-point study.
@@ -61,6 +65,17 @@ from concertq import fluid, model, sim
 from concertq.equilibrium import MAX_GRID_POINTS, SolverError, VerificationReport
 from concertq.fluid import ArrivalProfile, PiecewisePath, Segment
 from concertq.model import DomainError, ParseError
+
+
+def profile_arrays(profile):
+    """The profile's five stored columns as numpy arrays that share their
+    memory: int64 population and queue ids, float64 start, end and density."""
+    return [np.frombuffer(column, dtype=column.typecode) for column in profile.columns]
+
+
+def queue_rows(profile, queue):
+    """``profile.rows_at(queue)`` as an int64 numpy array."""
+    return np.frombuffer(profile.rows_at(queue), dtype=np.int64)
 
 
 def reflect_by_loop(x):
@@ -94,13 +109,14 @@ def reflect_by_loop(x):
 
 def queue_cdf_by_matrix(profile, queue):
     """``ArrivalProfile.queue_cdf`` as one (rows, breakpoints) matrix."""
-    rows = profile.queue_rows(queue)
+    rows = queue_rows(profile, queue)
     if not rows.size:
         return PiecewisePath(np.array([0.0]), np.array([0.0]), extend="const")
-    a, b = profile.start[rows, None], profile.end[rows, None]
+    _, _, start, end, density = profile_arrays(profile)
+    a, b = start[rows, None], end[rows, None]
     ts = sim.sorted_unique(a, b)
     # an axis-0 reduce adds the rows one after another in profile order
-    per_segment = profile.density[rows, None] * (np.clip(ts, a, b) - a)
+    per_segment = density[rows, None] * (np.clip(ts, a, b) - a)
     return PiecewisePath(ts, np.add.reduce(per_segment, axis=0, initial=0.0), extend="const")
 
 
@@ -160,8 +176,8 @@ def arrival_cost(pop, wait):
 def pair_segments(profile, population, queue):
     """The profile's ``Segment`` records of one (population, queue) pair, in
     profile order."""
-    rows = profile.queue_rows(queue)
-    return [profile.segments[i] for i in rows[profile.pop[rows] == population].tolist()]
+    rows = queue_rows(profile, queue)
+    return [profile.segments[i] for i in rows[profile_arrays(profile)[0][rows] == population].tolist()]
 
 
 def verify_pairwise(s, profile):
@@ -546,6 +562,21 @@ def scaled_paths_by_process(paths, grid):
     ])
 
 
+def fluid_on_grid(profile, table, grid):
+    """``sim.fluid_reference`` of the fluid table of ``profile``, ``table``,
+    as ``FluidTable.on_grid`` read it: one (4, K, G) array of np.interp of
+    each queue's row, F_k on its own breakpoints (``fluid._arrivals``).  The
+    library reads F_k at the table's marks instead."""
+    times, *paths = map(np.frombuffer, (table.times, table.queue_length, table.busy, table.wait))
+    out = np.empty((4, len(table.queues), grid.size))
+    for k, q in enumerate(table.queues):
+        p = slice(*table.bounds[k:k + 2])
+        out[0, k] = np.interp(grid, *fluid._arrivals(profile, q.id))
+        for i, values in enumerate(paths, start=1):
+            out[i, k] = np.interp(grid, times[p], values[p])
+    return out
+
+
 # -- the vectorized fluid kernel: several paths end to end, row k in
 # bounds[k]:bounds[k + 1], each step on all queues at once ---------------------
 
@@ -555,9 +586,6 @@ class ArrayTable(NamedTuple):
     array, the bounds int64 arrays)."""
 
     queues: tuple
-    cdf_times: np.ndarray
-    cdf_values: np.ndarray
-    cdf_bounds: np.ndarray
     netflow_times: np.ndarray
     arrivals: np.ndarray
     netflow_values: np.ndarray
@@ -572,15 +600,15 @@ class ArrayTable(NamedTuple):
 
     def support_rows(self, profile, pops):
         """``FluidTable.support_rows`` as arrays, found by one gather."""
-        per_queue = [profile.queue_rows(q.id) for q in self.queues]
+        per_queue = [queue_rows(profile, q.id) for q in self.queues]
         rows = np.concatenate(per_queue)
         of_row = np.repeat(np.arange(len(per_queue)), [r.size for r in per_queue])
         position = {p.id: i for i, p in enumerate(pops)}
-        owner = np.array([position.get(p, -1) for p in profile.pop[rows].tolist()], dtype=np.int64)
-        kept = (profile.row_mass[rows] > 0) & (owner >= 0)
+        pop, _, start, end, density = profile_arrays(profile)
+        owner = np.array([position.get(p, -1) for p in pop[rows].tolist()], dtype=np.int64)
+        kept = ((density * (end - start))[rows] > 0) & (owner >= 0)
         rows, of_row = rows[kept], of_row[kept]
-        first, last = (last_at_or_before(self.times, self.bounds, x[rows], of_row)
-                       for x in (profile.start, profile.end))
+        first, last = (last_at_or_before(self.times, self.bounds, x[rows], of_row) for x in (start, end))
         return rows, owner[kept], first, last
 
 
@@ -613,7 +641,7 @@ def fluid_table_by_rows(profile, queues, horizon=None):
     if overflowed.size:
         raise fluid._overflow(queues[overflowed[0]], "queue length, regulator, busy time or wait")
     return ArrayTable(
-        queues, cdf_times, cdf_values, cdf_bounds, ts, arrivals, net_values,
+        queues, ts, arrivals, net_values,
         (cdf_times[j] == ts) | (ts == horizon[0]) | (ts == horizon[1]), net_bounds,
         times, phi, psi, busy, wait, bounds,
     )
@@ -642,12 +670,13 @@ def _cdf_rows(profile, ids):
     row), values and bounds.  The values add each row's density *
     (clip(t, a, b) - a) to 0.0 in profile order, one rank at every queue
     per vector step."""
-    per_queue = [profile.queue_rows(i) for i in ids]
+    per_queue = [queue_rows(profile, i) for i in ids]
     counts = np.array([rows.size for rows in per_queue], dtype=np.int64)
     rows = np.concatenate([np.zeros(0, dtype=np.int64), *per_queue])
     of_row, empty = np.repeat(np.arange(counts.size), counts), np.flatnonzero(counts == 0)
+    _, _, start, end, density = profile_arrays(profile)
     ts, bounds = _union_rows(
-        np.concatenate((profile.start[rows], profile.end[rows], np.zeros(empty.size))),
+        np.concatenate((start[rows], end[rows], np.zeros(empty.size))),
         np.concatenate((of_row, of_row, empty)), counts.size,
     )
     of_t, first_row = row_of(bounds), np.cumsum(counts) - counts
@@ -656,8 +685,8 @@ def _cdf_rows(profile, ids):
         for rank in range(counts.max(initial=0)):
             at = np.flatnonzero(counts[of_t] > rank)
             r = rows[first_row[of_t[at]] + rank]
-            a = profile.start[r]
-            values[at] += profile.density[r] * (np.clip(ts[at], a, profile.end[r]) - a)
+            a = start[r]
+            values[at] += density[r] * (np.clip(ts[at], a, end[r]) - a)
     return ts, values, bounds
 
 
@@ -841,7 +870,8 @@ def social_cost_by_arrays(s, profile):
     rows, owner, at_a, at_b = table.support_rows(profile, s.populations)
     weight = np.array([p.weight for p in s.populations])[owner]
     beta = np.array([p.beta for p in s.populations])[owner]
-    a, b = profile.start[rows], profile.end[rows]
+    _, _, start, end, density = profile_arrays(profile)
+    a, b = start[rows], end[rows]
     t, wait = table.times, table.wait
 
     def cost_at(x, j):
@@ -862,7 +892,7 @@ def social_cost_by_arrays(s, profile):
             vs[:, 0], vs[:, -1] = ends[0][sel], ends[1][sel]
             vs[:, 1:-1] = weight[sel, None] * wait[at] + beta[sel, None] * t[at]
             integrals[sel] = np.sum(0.5 * (vs[:, 1:] + vs[:, :-1]) * np.diff(ts, axis=1), axis=1)
-        terms = (profile.density[rows] * integrals)[np.argsort(owner, kind="stable")]
+        terms = (density[rows] * integrals)[np.argsort(owner, kind="stable")]
     total = 0.0
     for term in terms.tolist():
         total += term

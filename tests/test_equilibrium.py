@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import concertq as cq
 from concertq.equilibrium import SolverError
 from concertq.model import service_windows
-from oracles import _service_epochs
+from oracles import _service_epochs, profile_arrays
 from conftest import (
     make_scenario,
     random_feasible_multi,
@@ -251,7 +251,8 @@ def test_multi_solves_gamma_ties():
         [{"alpha": 1, "beta": 1}, {"alpha": 2, "beta": 2}],
     )
     eq = cq.solve_multi(s)
-    last_arrival = {p: eq.profile.end[eq.profile.pop == p].max() for p in (1, 2)}
+    pops, _, _, ends, _ = eq.profile.columns
+    last_arrival = {p: max(b for q, b in zip(pops, ends) if q == p) for p in (1, 2)}
     assert last_arrival[1] < last_arrival[2]
     _assert_verified(s, eq)
 
@@ -312,7 +313,7 @@ def test_multi_ordering_and_no_gap_invariants():
         assert all(a < b for a, b in zip(epochs, epochs[1:]))
         # per queue: support pieces are contiguous and ordered by population
         for q in s.queues:
-            rows = eq.profile.queue_rows(q.id)
+            rows = eq.profile.rows_at(q.id)
             segs = sorted((eq.profile.segments[i] for i in rows), key=lambda g: g.start)
             pops = [g.population for g in segs]
             assert pops == sorted(pops)
@@ -321,9 +322,9 @@ def test_multi_ordering_and_no_gap_invariants():
             assert segs[-1].end == pytest.approx(eq.terminal_time, abs=1e-9)
         # population windows are disjoint with no holes across the network
         for i, pop in enumerate(s.populations, start=1):
-            ends = eq.profile.end[eq.profile.pop == pop.id]
-            assert ends.size, "every population arrives somewhere"
-            assert ends.max() == pytest.approx(
+            ends = [b for p, b in zip(eq.profile.columns[0], eq.profile.columns[3]) if p == pop.id]
+            assert ends, "every population arrives somewhere"
+            assert max(ends) == pytest.approx(
                 eq.arrival_epochs[i], abs=1e-9
             )
         # densities equal gamma * mu on their supports
@@ -558,9 +559,9 @@ def test_verdict_does_not_depend_on_the_time_unit():
     verdicts = []
     for c in (1.0, 2.0**10, 2.0**20):
         s = make_scenario([(c, 0.0), (c, 0.5 / c)], [{"alpha": 1, "beta": 1}])
-        p = cq.solve_multi(s).profile
-        tilted = np.where(p.queue == 1, p.density * (1 + 1e-4), p.density)
-        profile = cq.ArrivalProfile.from_rows(zip(p.pop, p.queue, p.start, p.end, tilted))
+        pop, queue, start, end, density = profile_arrays(cq.solve_multi(s).profile)
+        tilted = np.where(queue == 1, density * (1 + 1e-4), density)
+        profile = cq.ArrivalProfile.from_rows(zip(pop, queue, start, end, tilted))
         verdicts.append(cq.verify_equilibrium(s, profile).is_equilibrium)
     assert len(set(verdicts)) == 1, verdicts
 

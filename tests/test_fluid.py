@@ -1,4 +1,5 @@
 import warnings
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from concertq.fluid import PiecewisePath, default_horizon
 from concertq.model import ParseError
 from concertq.serialize import csv_rows, fmt
 from conftest import make_scenario, two_queue_worked_scenario
-from oracles import arrival_cost, profile_segments_from_csv, segment_columns, shifted_segments
+from oracles import arrival_cost, profile_arrays, profile_segments_from_csv, segment_columns, shifted_segments
 
 
 def path(ts, vs, extend="const"):
@@ -302,8 +303,8 @@ def test_arrival_profile_cdf_and_masses():
     assert F(1.5) == pytest.approx(1.5)
     assert F.is_nondecreasing()
     assert profile.mass(population=1) == pytest.approx(0.5)
-    assert profile.start[profile.queue_rows(1)].min() == 0.0
-    assert profile.row_mass[(profile.pop == 2) & (profile.queue == 1)].sum() == pytest.approx(1.0)
+    assert min(profile.columns[2][r] for r in profile.rows_at(1)) == 0.0
+    assert profile.mass(population=2, queue=1) == pytest.approx(1.0)
 
 
 def test_arrival_profile_csv_round_trip():
@@ -377,8 +378,7 @@ def test_pair_segments_keep_profile_order():
     profile = cq.ArrivalProfile(segs)
 
     def pair_rows(population, queue):
-        rows = profile.queue_rows(queue)
-        return rows[profile.pop[rows] == population].tolist()
+        return [r for r in profile.rows_at(queue) if profile.columns[0][r] == population]
 
     assert pair_rows(2, 1) == [0, 2, 4]
     assert pair_rows(1, 1) == [1]
@@ -430,10 +430,9 @@ def _profile_csv(draw):
 
 
 def _same_columns(profile, columns):
-    names = ("pop", "queue", "start", "end", "density")
     return all(
-        getattr(profile, n).dtype == c.dtype and getattr(profile, n).tobytes() == c.tobytes()
-        for n, c in zip(names, columns)
+        np.dtype(a.typecode) == c.dtype and a.tobytes() == c.tobytes()
+        for a, c in zip(profile.columns, columns)
     )
 
 
@@ -483,21 +482,20 @@ def test_segments_view_rebuilds_the_same_columns(rows):
     profile = cq.ArrivalProfile.from_rows(rows)
     again = cq.ArrivalProfile(profile.segments)
     assert _same_columns(again, segment_columns(profile.segments))
-    assert _same_columns(again, (profile.pop, profile.queue, profile.start, profile.end, profile.density))
+    assert _same_columns(again, profile_arrays(profile))
     assert again == profile
 
 
 def test_profile_columns_are_read_only_and_segments_cached():
     profile = cq.ArrivalProfile.from_rows([(1, 2, 0.0, 1.0, 0.5), (2, 1, -1.0, 0.5, 0.25)])
-    for col in (profile.pop, profile.queue, profile.start, profile.end, profile.density, profile.row_mass,
-                profile.queue_rows(1), profile.queue_rows(2)):
-        assert not col.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            col[...] = 0
-    assert [profile.queue_rows(q).tolist() for q in (1, 2)] == [[1], [0]]
+    for name in ("columns", "segments", "start"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(profile, name, ())
+    with pytest.raises(TypeError):
+        profile.columns[2] = np.zeros(2)
+    assert [profile.rows_at(q).tolist() for q in (1, 2)] == [[1], [0]]
+    assert profile.rows_at(1) is profile.rows_at(1)
     assert profile.segments is profile.segments
-    with pytest.raises(AttributeError, match="read-only"):
-        profile.start = np.zeros(2)
     assert profile.segments == (cq.Segment(1, 2, 0.0, 1.0, 0.5), cq.Segment(2, 1, -1.0, 0.5, 0.25))
     assert len(profile) == 2 and len(cq.ArrivalProfile(())) == 0
 
@@ -505,10 +503,11 @@ def test_profile_columns_are_read_only_and_segments_cached():
 def test_from_rows_converts_ids_and_values_as_numpy_does():
     # ids by int() and values by float(): 1.5 -> 1, True -> 1, '1' -> 1, '0.0' -> 0.0
     profile = cq.ArrivalProfile.from_rows([(1.5, True, "0.0", 1, "0.5"), ("1", np.int32(2), 0, 2.0, np.float32(0.25))])
-    assert (profile.pop.dtype, profile.queue.dtype, profile.start.dtype) == (np.int64, np.int64, np.float64)
-    assert profile.pop.tolist() == [1, 1] and profile.queue.tolist() == [1, 2]
-    assert profile.start.tolist() == [0.0, 0.0] and profile.end.tolist() == [1.0, 2.0]
-    assert profile.density.tolist() == [0.5, 0.25]
+    pop, queue, start, end, density = profile_arrays(profile)
+    assert (pop.dtype, queue.dtype, start.dtype, end.dtype, density.dtype) == (np.int64,) * 2 + (np.float64,) * 3
+    assert pop.tolist() == [1, 1] and queue.tolist() == [1, 2]
+    assert start.tolist() == [0.0, 0.0] and end.tolist() == [1.0, 2.0]
+    assert density.tolist() == [0.5, 0.25]
     assert profile.segments[0] == cq.Segment(1, 1, 0.0, 1.0, 0.5)
     assert all(type(x) in (int, float) for g in profile.segments for x in vars(g).values())
 
@@ -571,8 +570,12 @@ def test_queue_fluid_matches_every_accessor(build, explicit_horizon):
     for q in s.queues:
         horizon = default_horizon(profile, s.queues) if explicit_horizon else None
         table = fluid.fluid_table(profile, [q], horizon)
-        assert_same_path(path(table.cdf_times, table.cdf_values), profile.queue_cdf(q.id))
         netflow_horizon = horizon if explicit_horizon else default_horizon(profile, [q])
+        # F_k refined with the horizon's ends is the arrivals at the marks
+        cdf = profile.queue_cdf(q.id)
+        marked = sim.sorted_unique(cdf.times, netflow_horizon)
+        assert_same_path(path(*(list(compress(c, table.refined)) for c in (table.netflow_times, table.arrivals))),
+                         path(marked, cdf(marked)))
         assert_same_path(path(table.netflow_times, table.netflow_values, "slope"),
                          cq.netflow(profile.queue_cdf(q.id), q, netflow_horizon))
         assert_same_path(path(table.times, table.queue_length), cq.fluid_queue(profile, q, horizon))

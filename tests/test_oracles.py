@@ -7,6 +7,8 @@ the batching: every comparison is exact."""
 import hashlib
 import os
 import re
+from array import array
+from itertools import accumulate, chain
 import subprocess
 import sys
 import time
@@ -23,8 +25,9 @@ import concertq as cq
 from concertq import fluid, poa, sim
 from conftest import make_scenario, two_queue_worked_scenario, wide_scenario
 from oracles import (
-    fluid_table_by_rows, interp_at, netflow_of_path, poa_closed_form_by_arrays, queue_fluid_per_queue,
-    reflect_by_loop, social_cost_by_arrays, social_cost_pairwise, verify_by_arrays, verify_pairwise,
+    _cdf_rows, fluid_on_grid, fluid_table_by_rows, interp_at, netflow_of_path, poa_closed_form_by_arrays,
+    queue_fluid_per_queue, reflect_by_loop, social_cost_by_arrays, social_cost_pairwise, verify_by_arrays,
+    verify_pairwise,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -309,12 +312,12 @@ def test_fluid_table_is_the_per_queue_kernel(case):
     profile, queues, horizon = case
     table = fluid.fluid_table(profile, queues, horizon)
     grid = np.linspace(*horizon, 33)
-    at_grid = table.on_grid(grid)
+    at_grid = fluid_on_grid(profile, table, grid)
     for k, q in enumerate(queues):
         want = queue_fluid_per_queue(profile, q, horizon)
-        c, n, p = (slice(*b[k:k + 2]) for b in (table.cdf_bounds, table.netflow_bounds, table.bounds))
+        n, p = (slice(*b[k:k + 2]) for b in (table.netflow_bounds, table.bounds))
         got = {
-            "cdf": (table.cdf_times[c], table.cdf_values[c]),
+            "cdf": tuple(array("d", x) for x in fluid._arrivals(profile, q.id)),
             "netflow": (table.netflow_times[n], table.netflow_values[n]),
             **{name: (table.times[p], getattr(table, name)[p])
                for name in ("queue_length", "regulator", "busy", "wait")},
@@ -431,11 +434,13 @@ def test_columns_group_rows_by_queue_in_profile_order():
         cq.Segment(9, 1, 0.5, 2.0, 1.0),  # a population not in the scenario
     )
     profile = cq.ArrivalProfile(segs)
-    assert profile.queue_rows(3).tolist() == [0, 2, 4]
-    assert profile.queue_rows(1).tolist() == [1, 3, 5]
-    assert profile.queue_rows(2).tolist() == []
-    assert np.array_equal(profile.row_mass, [s.mass for s in segs])
-    assert not profile.start.flags.writeable
+    assert profile.rows_at(3).tolist() == [0, 2, 4]
+    assert profile.rows_at(1).tolist() == [1, 3, 5]
+    assert profile.rows_at(2).tolist() == []
+    _, _, a, b, d = profile.columns
+    assert [d[r] * (b[r] - a[r]) for r in range(len(profile))] == [s.mass for s in segs]
+    with pytest.raises(AttributeError, match="read-only"):
+        profile.columns = ()
     # the support gather: queue by queue in the order asked for, profile
     # order within a queue, without the massless row and the stray population
     queues = (cq.QueueSpec(3, 1.0, 0.0), cq.QueueSpec(1, 2.0, 0.5), cq.QueueSpec(2, 1.0, 0.0))
@@ -444,21 +449,22 @@ def test_columns_group_rows_by_queue_in_profile_order():
     rows, owner, first, last = table.support_rows(profile, pops)
     assert rows == [0, 2, 1, 3]
     assert owner == [0, 0, 1, 0]
-    for ends, at in ((profile.start, first), (profile.end, last)):
-        assert [np.searchsorted(table.bounds, b, side="right") - 1 for b in at] == [0, 0, 1, 1]
-        assert [table.times[b] for b in at] == ends[rows].tolist()
+    for ends, at in ((a, first), (b, last)):
+        assert [np.searchsorted(table.bounds, j, side="right") - 1 for j in at] == [0, 0, 1, 1]
+        assert [table.times[j] for j in at] == [ends[r] for r in rows]
 
 
 # -- the plain-float loops against the vectorized kernels they replaced --------
 
-TABLE_COLUMNS = ("cdf_times", "cdf_values", "netflow_times", "arrivals", "netflow_values", "times",
-                 "queue_length", "regulator", "busy", "wait")
+TABLE_COLUMNS = ("netflow_times", "arrivals", "netflow_values", "times", "queue_length", "regulator", "busy",
+                 "wait")
 
 
 def assert_table_is_the_array_table(profile, queues, horizon=None):
     """``fluid.fluid_table`` and ``oracles.fluid_table_by_rows``: the same
-    bytes in all ten columns, the same refined marks and bounds, or the same
-    refusal."""
+    bytes in all eight columns, the same refined marks and bounds, or the
+    same refusal; and each queue's F_k (``fluid._arrivals``), end to end,
+    the array kernel's."""
     got = outcome(fluid.fluid_table, profile, queues, horizon)
     want = outcome(fluid_table_by_rows, profile, queues, horizon)
     if isinstance(want, str):
@@ -467,8 +473,13 @@ def assert_table_is_the_array_table(profile, queues, horizon=None):
     for name in TABLE_COLUMNS:
         assert bytes(getattr(got, name)) == getattr(want, name).tobytes(), name
     assert got.refined == want.refined.astype(np.uint8).tobytes()
-    for name in ("cdf_bounds", "netflow_bounds", "bounds"):
+    for name in ("netflow_bounds", "bounds"):
         assert getattr(got, name) == getattr(want, name).tolist(), name
+    cdfs = [fluid._arrivals(profile, q.id) for q in queues]
+    cdf_times, cdf_values, cdf_bounds = _cdf_rows(profile, [q.id for q in queues])
+    assert bytes(array("d", chain.from_iterable(t for t, _ in cdfs))) == cdf_times.tobytes()
+    assert bytes(array("d", chain.from_iterable(v for _, v in cdfs))) == cdf_values.tobytes()
+    assert [0, *accumulate(len(t) for t, _ in cdfs)] == cdf_bounds.tolist()
 
 
 def assert_loops_are_the_array_kernels(s, profile):
@@ -523,6 +534,34 @@ def solver_profiles(draw):
 @settings(max_examples=150, deadline=None)
 def test_loops_are_the_array_kernels_on_solver_profiles(case):
     assert_loops_are_the_array_kernels(*case)
+
+
+@st.composite
+def reference_cases(draw):
+    """A scenario and a profile, its solver's (``solver_profiles``) or
+    random (``profiles_with_queues``: often queues without rows), and a
+    grid: the default one, or up to 40 points anywhere from 3 before to 3
+    past the window of the profile and its drains, so that the reference's
+    horizon reaches past the grid on either side."""
+    if draw(st.booleans()):
+        s, profile = draw(solver_profiles())
+    else:
+        profile, queues, _ = draw(profiles_with_queues())
+        s = cq.Scenario(tuple(queues), (cq.PopulationSpec(1, 1.0, 1.0),))
+    if draw(st.booleans()):
+        return s, profile, sim.default_grid(profile, s, points=draw(st.integers(2, 64)))
+    lo, hi = fluid.default_horizon(profile, s.queues, pad=0.0)
+    points = st.floats(lo - 3.0, hi + 3.0) | st.sampled_from([lo, hi, 0.0])
+    return s, profile, np.array(sorted(draw(st.lists(points, min_size=2, max_size=40, unique=True))))
+
+
+@given(reference_cases())
+@settings(max_examples=100, deadline=None)
+def test_fluid_reference_reads_f_k_at_the_marks_as_on_its_breakpoints(case):
+    s, profile, grid = case
+    horizon = fluid.default_horizon(profile, s.queues, cover=(float(grid[0]), float(grid[-1])))
+    want = fluid_on_grid(profile, fluid.fluid_table(profile, s.queues, horizon), grid)
+    assert sim.fluid_reference(s, profile, grid).tobytes() == want.tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 255, 256, 1000,

@@ -1,8 +1,10 @@
 """The package namespace: ``import concertq`` loads no submodule and no
 numpy, serves every public name from its module on access (each module on
 first access), and each CLI command loads only the modules it runs: numpy
-only in simulate, after the scenario model."""
+only in simulate, after the scenario model.  Only the simulator and its
+writers import numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,13 +60,60 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
         "loaded()\n"
         "concertq.poa.poa_multi\n"
         "loaded()\n"
-        "profile.start\n"
+        # every other member of the profile, and every field and method of its fluid table
+        "assert {n for n in vars(concertq.ArrivalProfile) if not n.startswith('_')} - {'queue_cdf'} == {\n"
+        "    'from_rows', 'segments', 'rows_at', 'queue_ids', 'total_mass', 'mass', 'support_bounds',\n"
+        "    'shifted', 'require_queues', 'to_csv', 'from_csv'}\n"
+        "again = concertq.ArrivalProfile(concertq.ArrivalProfile.from_csv(profile.to_csv()).segments)\n"
+        "assert again == profile and again.rows_at(2).tolist() == [0] and again.support_bounds() == (0.0, 1.0)\n"
+        "table = concertq.fluid.fluid_table(again, [concertq.QueueSpec(1, 1.0, 0.0), concertq.QueueSpec(2, 1.0, 0.25)])\n"
+        "again.require_queues(table.queues)\n"
+        "assert table.support_rows(again, [concertq.PopulationSpec(1, 1.0, 1.0)]) == ([1, 0], [0, 0], [1, 6], [2, 7])\n"
+        "assert [len(table._asdict()[name]) for name in table._fields] == [2, 9, 9, 9, 9, 3, 10, 10, 10, 10, 10, 3]\n"
+        "loaded()\n"
+        "profile.queue_cdf(1)  # a PiecewisePath\n"
         "loaded()\n"
     )
     cli = {"cli", "errors", "serialize", "serve"}
     profile = cli | {"model"}
     analytic = profile | {"poa", "equilibrium", "fluid"}
-    assert list(map(set, _loaded(script))) == [set(), cli, profile, analytic, analytic | {"numpy"}]
+    assert list(map(set, _loaded(script))) == [set(), cli, profile, analytic, analytic, analytic | {"numpy"}]
+
+
+def _numpy_imports(tree: ast.AST, scope: str = "") -> list[str]:
+    """The qualified name of the function or class around each import of
+    numpy in ``tree`` ("" at module level)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _numpy_imports(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+            [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        found += [scope for name in names if name.split(".")[0] == "numpy"]
+        found += _numpy_imports(node, scope)
+    return found
+
+
+# where numpy may be imported: the simulator, the array writer of serialize,
+# the simulate command's handler (the key columns of sim.csv) and the
+# methods of PiecewisePath
+NUMPY_SCOPES = {
+    "sim": lambda scope: True,
+    "serialize": {"csv_rows", "write_csv", "_distinct_text", "_finite"}.__contains__,
+    "cli": {"_cmd_simulate"}.__contains__,
+    "fluid": lambda scope: scope.startswith("PiecewisePath."),
+}
+
+
+def test_only_the_simulator_and_its_writers_import_numpy():
+    scanned = {}
+    for path in sorted(Path(SRC, "concertq").glob("*.py")):
+        scanned[path.stem] = _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        allowed = NUMPY_SCOPES.get(path.stem, lambda scope: False)
+        for scope in scanned[path.stem]:
+            assert allowed(scope), f"{path.stem}.{scope or '<module>'} imports numpy"
+    assert "" in scanned["sim"] and "PiecewisePath.__call__" in scanned["fluid"] and not scanned["model"]
 
 
 ARRAYS = {"fluid", "numpy"}

@@ -96,10 +96,11 @@ def test_optimal_profile_matches_the_capacity_inverse():
         )
         got, cost = cq.optimal_profile(s)
         want, want_cost = optimal_profile_by_capacity_inverse(s)
-        for name in ("pop", "queue", "density"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        for name in ("start", "end"):
-            assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+        pop, queue, start, end, density = zip(got.columns, want.columns)
+        for columns in (pop, queue, density):
+            assert np.array_equal(*columns)
+        for columns in (start, end):
+            assert np.allclose(*columns, rtol=0, atol=1e-12)
         assert cost == pytest.approx(want_cost, rel=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_optimal_reorders_populations_by_beta():
         [(1.0, 0.0)], [{"alpha": 1.0 / 3.0, "beta": 1.0}, {"alpha": 2, "beta": 2}]
     )
     profile, cost = cq.optimal_profile(s)
-    assert profile.start[profile.pop == 2].min() == 0.0
+    assert min(a for p, a in zip(profile.columns[0], profile.columns[2]) if p == 2) == 0.0
     # swapping the order must cost more: beta-weighted completion times
     swapped = sum(
         p.beta * 0.5 * (b * b - a * a)

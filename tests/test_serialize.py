@@ -104,3 +104,13 @@ def test_write_csv_refuses_ragged_columns_before_the_first_block(monkeypatch):
     with pytest.raises(ValueError):
         serialize.write_csv(out, ["q", "x"], [np.arange(12), np.zeros(11)])
     assert out.getvalue() == ""
+
+
+def test_to_json_writes_python_scalars_only():
+    # every to_dict converts numpy values with float, int or tolist; a float64
+    # is a float subclass and writes as one
+    assert serialize.to_json({"x": np.float64(0.1), "n": [1, None, True]}) == '{"x": 0.10000000000000001, "n": [1, null, true]}\n'
+    with pytest.raises(TypeError, match="cannot serialize int64"):
+        serialize.to_json(np.int64(1))
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        serialize.to_json({"grid": np.zeros(2)})

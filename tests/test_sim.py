@@ -838,7 +838,7 @@ def test_convergence_report_refuses_a_profile_of_another_mass():
     s = single_queue_scenario()
     profile = equilibrium_profile(s)
     doubled = cq.ArrivalProfile.from_rows(
-        zip(profile.pop, profile.queue, profile.start, profile.end, 2.0 * profile.density)
+        zip(*profile.columns[:4], [2.0 * d for d in profile.columns[4]])
     )
     cfg = sim.SimConfig(n=1_000, seed=0)
     with pytest.raises(cq.DomainError, match="total mass"):
