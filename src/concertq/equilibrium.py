@@ -217,7 +217,7 @@ def _solve(s: Scenario) -> EquilibriumProfile:
 
     T[0] = min(first_arrivals.values())
     return EquilibriumProfile(
-        profile=ArrivalProfile.from_rows(rows),
+        profile=ArrivalProfile(rows),
         terminal_time=T[N],
         arrival_epochs=tuple(T),
         service_epochs=tuple(taus),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from operator import add
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 # ArrivalProfile and Segment live in model, which needs no numpy, and are served here too
 from .model import ArrivalProfile, DomainError, PopulationSpec, QueueSpec, Segment
@@ -57,8 +57,8 @@ class PiecewisePath:
     opens, growing at its service rate once it has drained).
     """
 
-    times: np.ndarray
-    values: np.ndarray
+    times: Any  # read-only float64 numpy arrays, as are the values
+    values: Any
     extend: str = "const"
 
     def __post_init__(self):

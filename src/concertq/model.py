@@ -8,9 +8,12 @@ at time zero; ``Scenario.time_origin`` records the subtracted offset and the
 serializers add it back on output.  ``service_windows`` is the one home of
 the capacity epochs: the solvers' serve sets, pruning, the terminal time and
 the optimal profile's windows all come from it.  Last comes the arrival
-profile, ``ArrivalProfile``: its rows are stored once, as compact columns
-that are built, checked, compared, shifted, indexed by queue and written
-without numpy.  This module loads no numpy.
+profile, ``ArrivalProfile``: its rows are stored once, as read-only compact
+columns that are built, checked, compared, shifted, indexed by queue and
+written without numpy.  ``ArrivalProfile(rows)`` is its one constructor and
+judges every row; a row is a ``Segment``, a plain named tuple (use
+``seg._replace(...)`` and ``tuple(seg)``) that checks nothing itself.  This
+module loads no numpy.
 
 All model objects are immutable after construction and safe to share across
 workers.
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add, eq, le, mul, sub
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -341,23 +345,15 @@ def pruned_scenario(s: Scenario) -> tuple[Scenario, ValidationReport]:
 # -- arrival profiles -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Constant-density arrivals of one population at one queue on [start, end]."""
+class Segment(NamedTuple):
+    """One profile row: constant-density arrivals of one population at one
+    queue on [start, end].  A plain tuple; ``ArrivalProfile`` judges it."""
 
     population: int
     queue: int
     start: float
     end: float
     density: float
-
-    def __post_init__(self):
-        if any(isinstance(x, bool) for x in (self.start, self.end, self.density)):
-            raise TypeError("bool is not a number here")
-        if not (self.end >= self.start):
-            raise DomainError(f"segment has end < start: {self}")
-        if self.density < 0:
-            raise DomainError(f"segment has negative density: {self}")
 
     @property
     def mass(self) -> float:
@@ -368,28 +364,23 @@ class ArrivalProfile:
     """Constant-density segments, one or more per (population, queue) pair,
     one row per segment in profile order.
 
-    The rows are stored once, as five ``array.array`` columns, ``columns``
-    (int64 population and queue ids, float64 start, end and density: 40
-    bytes a row), converted and checked when the profile is built.  Every
-    member reads those columns, and only ``queue_cdf``, which returns a
-    numpy-backed ``fluid.PiecewisePath``, loads numpy.  ``rows_at`` (each
-    queue's rows) and ``segments`` (the rows as records) are built on first
-    use.  Build a profile from ``Segment`` records or with ``from_rows``."""
+    ``ArrivalProfile(rows)`` takes any five-field rows (pop, queue, start,
+    end, density), ``Segment``s included: each id converted by ``int`` and
+    each value by ``float``; TypeError for a bool start, end or density, and
+    DomainError naming the first row, by position, with a non-finite value,
+    end < start, negative density or non-finite mass.  The rows are stored
+    once, as five read-only ``memoryview`` columns, ``columns`` (format "q"
+    population and queue ids, "d" start, end and density: 40 bytes a row).
+    Every member reads those columns, and only ``queue_cdf``, which returns
+    a numpy-backed ``fluid.PiecewisePath``, loads numpy.  ``rows_at`` (each
+    queue's rows, read-only too) and ``segments`` (the rows as ``Segment``s)
+    are built on first use."""
 
-    def __init__(self, segments=()):
-        self._store(*_transposed((s.population, s.queue, s.start, s.end, s.density) for s in segments))
-
-    @classmethod
-    def from_rows(cls, rows) -> "ArrivalProfile":
-        """The profile with one row per (pop, queue, start, end, density)
-        tuple, each id converted by ``int`` and each value by ``float``;
-        DomainError naming the first row, by position, with a non-finite
-        value, end < start, negative density or non-finite mass, and
-        ``Segment``'s TypeError for a bool start, end or density."""
-        columns = _transposed(rows)
+    def __init__(self, rows=()):
+        columns = list(zip(*rows)) or [()] * 5
         if bool in map(type, chain(*columns[2:])):
             raise TypeError("bool is not a number here")
-        return cls.__new__(cls)._store(*columns)
+        self._store(*columns)
 
     def _store(self, pop, queue, start, end, density) -> "ArrivalProfile":
         """Keep the columns, converted by ``_column``, once every row passes
@@ -403,8 +394,12 @@ class ArrivalProfile:
                 and min(d, default=0.0) >= 0):
             i, what = next((i, what) for i, what in enumerate(map(_row_fault, a, b, d)) if what)
             raise DomainError(f"profile row {i} has {what}")
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", tuple(map(_readonly, columns)))
         return self
+
+    def __reduce__(self):
+        # rebuilt, and judged again, by the constructor: a memoryview does not pickle
+        return ArrivalProfile, (list(zip(*self.columns)),)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name}: ArrivalProfile is read-only")
@@ -415,7 +410,7 @@ class ArrivalProfile:
         rows = {queue: array("q") for queue in self.queue_ids}
         for i, queue in enumerate(self.columns[1]):
             rows[queue].append(i)
-        return rows
+        return {queue: _readonly(column) for queue, column in rows.items()}
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
@@ -430,10 +425,10 @@ class ArrivalProfile:
             return NotImplemented
         return self.columns == other.columns
 
-    def rows_at(self, queue: int) -> array:
-        """Row numbers of the queue's segments, in profile order (an int64
-        ``array.array``, empty for a queue without rows)."""
-        return self._rows_by_queue.get(queue, array("q"))
+    def rows_at(self, queue: int) -> memoryview:
+        """Row numbers of the queue's segments, in profile order (a
+        read-only "q" ``memoryview``, empty for a queue without rows)."""
+        return self._rows_by_queue.get(queue, _NO_ROWS)
 
     @property
     def queue_ids(self) -> tuple[int, ...]:
@@ -527,10 +522,18 @@ def _column(typecode: str, values, convert) -> array:
         return array(typecode, map(convert, values))
 
 
+def _readonly(column: array) -> memoryview:
+    """A read-only copy of a compact column, in its format."""
+    return memoryview(column.tobytes()).cast(column.typecode)
+
+
+_NO_ROWS = _readonly(array("q"))  # rows_at of a queue without rows
+
+
 def _row_fault(a: float, b: float, d: float) -> str | None:
     """What a profile row with start ``a``, end ``b`` and density ``d``
-    has that no profile takes, or None: a non-finite value, then Segment's
-    checks, then a non-finite mass (so that no sum of masses overflows)."""
+    has that no profile takes, or None: a non-finite value, end < start,
+    negative density, then a non-finite mass (so no sum of masses overflows)."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
         return "a non-finite value"
     if not b >= a:
@@ -563,8 +566,3 @@ def _data_rows(text: str):
         row = raw.strip()
         if row and not row.startswith("#") and not row.lower().startswith("pop,"):
             yield lineno, row
-
-
-def _transposed(rows) -> list:
-    """The five columns of profile rows."""
-    return list(zip(*rows)) or [()] * 5

@@ -106,7 +106,7 @@ def optimal_profile(s: Scenario) -> tuple[ArrivalProfile, float]:
             if b > a:
                 rows.append((pop.id, q.id, a, b, q.mu))
                 cost += pop.beta * q.mu * 0.5 * (b * b - a * a)
-    return ArrivalProfile.from_rows(rows), cost
+    return ArrivalProfile(rows), cost
 
 
 def poa_closed_form(s: Scenario) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import chain, filterfalse, repeat
+from typing import Any  # numpy arrays: this module imports numpy only when called
 
 # rows per csv_rows call of write_csv, which bounds the text built at once
 CSV_BLOCK_ROWS = 8192
@@ -72,12 +73,12 @@ def to_json(obj) -> str:
 
 
 def column_cells(column) -> map:
-    """The text of every value of a compact column (an ``array.array`` of
-    int64 or float64): ints by ``str``, floats as ``fmt`` writes them (its
-    callers refuse non-finite ones).  Each distinct value is formatted once,
-    a float keyed on its bit pattern (so -0.0 keeps its own text)."""
+    """The text of every value of a compact column (int64 or float64, its
+    buffer format "q" or "d"): ints by ``str``, floats as ``fmt`` writes them
+    (its callers refuse non-finite ones).  Each distinct value is formatted
+    once, a float keyed on its bit pattern (so -0.0 keeps its own text)."""
     keys = memoryview(column).cast("B").cast("q")
-    spec = "" if column.typecode == "q" else ".17g"
+    spec = "" if memoryview(column).format == "q" else ".17g"
     texts = {key: format(x, spec) for key, x in dict(zip(keys, column)).items()}
     return map(texts.__getitem__, keys)
 
@@ -97,7 +98,7 @@ def write_columns(out, header: list[str], columns) -> None:
         out.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:
+def _distinct_text(values: Any, key: Any, spec: str) -> list[str]:
     """``format(x, spec)`` of every value, as references to one string per
     distinct ``key``: keys are sorted, the first of each run of equal keys
     marks a distinct value, and a scatter of the run numbers maps every cell
@@ -115,7 +116,7 @@ def _distinct_text(values: np.ndarray, key: np.ndarray, spec: str) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
+def _finite(arr: Any) -> Any:
     """A float column as float64, refused if it holds a non-finite value
     (the error names its first one)."""
     import numpy as np

@@ -14,8 +14,8 @@ profile: the sampler routes through one per-interval cumulative table and
 never holds an n x K array.  Replications run one at a time.
 
 Of the profile and the fluid table only this module reads numpy forms:
-their columns are read through ``np.frombuffer`` views where they are used
-(``_arrays``, ``fluid_reference``).
+their columns are read as numpy arrays over their buffers, with no copy,
+where they are used (``_arrays``, ``fluid_reference``).
 
 Randomness is fully reproducible: every stream is a Philox (counter-based)
 generator keyed by SeedSequence([seed, replication, stream index]), with
@@ -101,9 +101,9 @@ def default_grid(profile: ArrivalProfile, s: Scenario, points: int = 512) -> np.
 
 
 def _arrays(profile: ArrivalProfile) -> list[np.ndarray]:
-    """The profile's five stored columns as numpy arrays that share their
+    """The profile's five stored columns as read-only numpy arrays over their
     memory: int64 population and queue ids, float64 start, end and density."""
-    return [np.frombuffer(column, dtype=column.typecode) for column in profile.columns]
+    return [np.asarray(column) for column in profile.columns]
 
 
 def sorted_unique(*arrays):

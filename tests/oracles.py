@@ -70,7 +70,7 @@ from concertq.model import DomainError, ParseError
 def profile_arrays(profile):
     """The profile's five stored columns as numpy arrays that share their
     memory: int64 population and queue ids, float64 start, end and density."""
-    return [np.frombuffer(column, dtype=column.typecode) for column in profile.columns]
+    return [np.asarray(column) for column in profile.columns]
 
 
 def queue_rows(profile, queue):
@@ -338,8 +338,8 @@ def convergence_study(s, profile, cfg, n_factor=100):
 
 def profile_segments_from_csv(text):
     """``ArrivalProfile.from_csv`` one ``Segment`` per row: the same cell
-    checks and ParseError text, Segment's own domain checks and a finite
-    mass."""
+    checks and ParseError text, then each row's domain checks in order (end
+    >= start, a nonnegative density and a finite mass)."""
     segs = []
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         row = raw.strip()
@@ -349,9 +349,14 @@ def profile_segments_from_csv(text):
         where = f"bad profile row {lineno}: {row!r}"
         if len(parts) != 5:
             raise ParseError(f"{where}: expected 5 cells")
-        segs.append(Segment(*model._cells(parts, (int, int, float, float, float), where)))
-        if not math.isfinite(segs[-1].mass):
+        seg = Segment(*model._cells(parts, (int, int, float, float, float), where))
+        if not seg.end >= seg.start:
+            raise DomainError(f"segment has end < start: {seg}")
+        if seg.density < 0:
+            raise DomainError(f"segment has negative density: {seg}")
+        if not math.isfinite(seg.mass):
             raise DomainError(f"profile row {lineno} has non-finite mass")
+        segs.append(seg)
     return segs
 
 
@@ -506,7 +511,7 @@ def optimal_profile_by_capacity_inverse(s):
             if b > a:
                 rows.append((pop.id, q.id, a, b, q.mu))
                 cost += pop.beta * q.mu * 0.5 * (b * b - a * a)
-    return ArrivalProfile.from_rows(rows), cost
+    return ArrivalProfile(rows), cost
 
 
 def arrivals_at(rec, grid):

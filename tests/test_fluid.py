@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 from itertools import compress
 
@@ -328,12 +330,13 @@ def test_arrival_profile_csv_is_the_per_cell_format():
 
 
 def test_segments_reject_bools_and_csv_rejects_non_finite_values():
+    # a Segment is a plain row: the profile refuses its bool, as any row's,
+    # in each of start, end and density
     with pytest.raises(TypeError, match="bool"):
-        cq.Segment(1, 1, 0.0, True, 0.5)
-    # from_rows keeps Segment's rule for each of start, end and density
+        cq.ArrivalProfile([cq.Segment(1, 1, 0.0, True, 0.5)])
     for row in ((1, 1, 0.0, True, 0.5), (1, 1, True, 1.0, 0.5), (1, 1, 0.0, 1.0, False)):
         with pytest.raises(TypeError, match="bool is not a number here"):
-            cq.ArrivalProfile.from_rows([row])
+            cq.ArrivalProfile([row])
     # an inf density is refused when the profile is built, so it never
     # reaches to_csv; the CSV writer still refuses non-finite cells itself
     with pytest.raises(cq.DomainError, match="row 0 has a non-finite value"):
@@ -357,14 +360,14 @@ def test_profiles_built_in_the_library_refuse_non_finite_rows(row, what):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
         with pytest.raises(cq.DomainError, match=f"profile row 1 has {what}$"):
-            cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1.0), row])
+            cq.ArrivalProfile([(1, 1, 0.0, 1.0, 1.0), row])
 
 
 def test_segment_profiles_and_shifts_refuse_non_finite_values():
     with pytest.raises(cq.DomainError, match="profile row 0 has a non-finite value"):
         cq.ArrivalProfile((cq.Segment(1, 1, 0.0, 1.0, np.nan),))
     with pytest.raises(cq.DomainError, match="profile row 0 has a non-finite value"):
-        cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1.0)]).shifted(np.inf)
+        cq.ArrivalProfile([(1, 1, 0.0, 1.0, 1.0)]).shifted(np.inf)
 
 
 def test_pair_segments_keep_profile_order():
@@ -431,7 +434,7 @@ def _profile_csv(draw):
 
 def _same_columns(profile, columns):
     return all(
-        np.dtype(a.typecode) == c.dtype and a.tobytes() == c.tobytes()
+        np.asarray(a).dtype == c.dtype and a.tobytes() == c.tobytes()
         for a, c in zip(profile.columns, columns)
     )
 
@@ -471,7 +474,7 @@ def test_columnar_csv_parse_refuses_what_the_segment_parse_refuses(rows):
 @settings(max_examples=100, deadline=None)
 @given(_PROFILE_ROWS, _FLOATS)
 def test_shifted_is_the_per_segment_shift(rows, dt):
-    profile = cq.ArrivalProfile.from_rows(rows)
+    profile = cq.ArrivalProfile(rows)
     moved = shifted_segments(profile.segments, dt)
     assert _same_columns(profile.shifted(dt), segment_columns(moved))
 
@@ -479,7 +482,7 @@ def test_shifted_is_the_per_segment_shift(rows, dt):
 @settings(max_examples=100, deadline=None)
 @given(_PROFILE_ROWS)
 def test_segments_view_rebuilds_the_same_columns(rows):
-    profile = cq.ArrivalProfile.from_rows(rows)
+    profile = cq.ArrivalProfile(rows)
     again = cq.ArrivalProfile(profile.segments)
     assert _same_columns(again, segment_columns(profile.segments))
     assert _same_columns(again, profile_arrays(profile))
@@ -487,7 +490,7 @@ def test_segments_view_rebuilds_the_same_columns(rows):
 
 
 def test_profile_columns_are_read_only_and_segments_cached():
-    profile = cq.ArrivalProfile.from_rows([(1, 2, 0.0, 1.0, 0.5), (2, 1, -1.0, 0.5, 0.25)])
+    profile = cq.ArrivalProfile([(1, 2, 0.0, 1.0, 0.5), (2, 1, -1.0, 0.5, 0.25)])
     for name in ("columns", "segments", "start"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(profile, name, ())
@@ -500,24 +503,65 @@ def test_profile_columns_are_read_only_and_segments_cached():
     assert len(profile) == 2 and len(cq.ArrivalProfile(())) == 0
 
 
-def test_from_rows_converts_ids_and_values_as_numpy_does():
+@settings(max_examples=100, deadline=None)
+@given(_PROFILE_ROWS)
+def test_every_form_of_the_same_rows_builds_the_same_profile(rows):
+    profile = cq.ArrivalProfile(rows)
+    forms = (
+        tuple(rows), [list(row) for row in rows], [cq.Segment(*row) for row in rows],
+        iter(rows), cq.ArrivalProfile.from_csv(profile.to_csv()).segments,
+    )
+    for again in [*map(cq.ArrivalProfile, forms), cq.ArrivalProfile.from_csv(profile.to_csv())]:
+        assert again == profile and _same_columns(again, profile_arrays(profile))
+        assert again.segments == profile.segments
+        assert again.queue_ids == profile.queue_ids
+        assert all(again.rows_at(q) == profile.rows_at(q) for q in profile.queue_ids)
+
+
+def test_columns_and_row_indexes_refuse_writes_and_the_caches_hold():
+    profile = cq.ArrivalProfile([(1, 1, 0.0, 1.0, 1.0)])
+    before = (profile.segments, profile.rows_at(1).tolist(), profile.total_mass, profile.to_csv())
+    for column, value in ((3, 5.0), (1, 7)):
+        with pytest.raises(TypeError, match="cannot modify read-only memory"):
+            profile.columns[column][0] = value
+    with pytest.raises(TypeError, match="cannot modify read-only memory"):
+        profile.rows_at(1)[0] = 7
+    assert [memoryview(c).format for c in profile.columns] == ["q", "q", "d", "d", "d"]
+    assert (profile.segments, profile.rows_at(1).tolist(), profile.total_mass, profile.to_csv()) == before
+    assert profile.segments[0].end == 1.0 and profile.queue_ids == (1,)
+    assert not any(np.asarray(c).flags.writeable for c in profile.columns)
+
+
+@pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy])
+def test_profiles_with_built_caches_pickle_and_copy(copy_of):
+    profile = cq.ArrivalProfile([(2, 3, -0.0, 0.5, 1.0 / 3.0), (1, 1, 0.0, 1.0, 0.5), (2, 1, 1.0, 2.0, 0.0)])
+    profile.segments, profile.rows_at(1)  # build both caches
+    again = copy_of(profile)
+    assert again == profile and _same_columns(again, profile_arrays(profile))
+    assert again.segments == profile.segments and again.to_csv() == profile.to_csv()
+    assert [again.rows_at(q).tolist() for q in (1, 3)] == [[1, 2], [0]]
+    with pytest.raises(TypeError):
+        again.columns[2][0] = 1.0
+
+
+def test_the_constructor_converts_ids_and_values_as_numpy_does():
     # ids by int() and values by float(): 1.5 -> 1, True -> 1, '1' -> 1, '0.0' -> 0.0
-    profile = cq.ArrivalProfile.from_rows([(1.5, True, "0.0", 1, "0.5"), ("1", np.int32(2), 0, 2.0, np.float32(0.25))])
+    profile = cq.ArrivalProfile([(1.5, True, "0.0", 1, "0.5"), ("1", np.int32(2), 0, 2.0, np.float32(0.25))])
     pop, queue, start, end, density = profile_arrays(profile)
     assert (pop.dtype, queue.dtype, start.dtype, end.dtype, density.dtype) == (np.int64,) * 2 + (np.float64,) * 3
     assert pop.tolist() == [1, 1] and queue.tolist() == [1, 2]
     assert start.tolist() == [0.0, 0.0] and end.tolist() == [1.0, 2.0]
     assert density.tolist() == [0.5, 0.25]
     assert profile.segments[0] == cq.Segment(1, 1, 0.0, 1.0, 0.5)
-    assert all(type(x) in (int, float) for g in profile.segments for x in vars(g).values())
+    assert all(type(x) in (int, float) for g in profile.segments for x in g)
 
 
 def test_rows_of_numpy_scalars_write_the_same_csv():
     rows = [(1, 2, -0.5, 0.25, 1.0 / 3.0), (2, 1, 1e-300, 0.75, 0.0), (3, 7, -0.0, 0.0, 2.5)]
     scalars = [(np.int64(p), np.int32(q), np.float64(a), np.float64(b), np.float64(d)) for p, q, a, b, d in rows]
-    text = cq.ArrivalProfile.from_rows(rows).shifted(0.125).to_csv()
-    assert cq.ArrivalProfile.from_rows(scalars).shifted(np.float64(0.125)).to_csv() == text
-    assert cq.ArrivalProfile.from_rows(np.array(rows)).shifted(0.125).to_csv() == text
+    text = cq.ArrivalProfile(rows).shifted(0.125).to_csv()
+    assert cq.ArrivalProfile(scalars).shifted(np.float64(0.125)).to_csv() == text
+    assert cq.ArrivalProfile(np.array(rows)).shifted(0.125).to_csv() == text
     assert text.splitlines()[1:] == [
         f"{p},{q},{fmt(a + 0.125)},{fmt(b + 0.125)},{fmt(d)}" for p, q, a, b, d in rows
     ]
@@ -526,7 +570,7 @@ def test_rows_of_numpy_scalars_write_the_same_csv():
 @pytest.mark.parametrize("big", [2**63, -(2**63) - 1])
 def test_an_id_past_64_bits_is_refused_when_the_profile_is_built(big):
     with pytest.raises(OverflowError):
-        cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1.0), (1, big, 0.0, 1.0, 1.0)])
+        cq.ArrivalProfile([(1, 1, 0.0, 1.0, 1.0), (1, big, 0.0, 1.0, 1.0)])
     with pytest.raises(OverflowError):
         cq.ArrivalProfile((cq.Segment(big, 1, 0.0, 1.0, 1.0),))
 
@@ -538,7 +582,7 @@ def test_an_id_past_64_bits_is_refused_when_the_profile_is_built(big):
 def test_out_of_domain_rows_are_named(row, what):
     rows = [(1, 2, 0.25, 0.75, 0.5), row, (1, 1, 0.0, -1.0, -1.0)]
     with pytest.raises(cq.DomainError, match=f"profile row 1 has {what}"):
-        cq.ArrivalProfile.from_rows(rows)
+        cq.ArrivalProfile(rows)
     text = "pop,queue,a,b,density\n" + "\n".join(",".join(map(repr, r)) for r in rows) + "\n"
     with pytest.raises(cq.DomainError, match=f"profile row 3 has {what}"):
         cq.ArrivalProfile.from_csv(text)
@@ -659,7 +703,7 @@ def test_fluid_regulator_left_of_a_late_window_is_zero():
     # a window that starts after the opening while the queue idles: the
     # regulator breaks at the opening, where it is 0, and stays 0 before it
     q = cq.QueueSpec(id=1, mu=2.0, t_start=0.0)
-    profile = cq.ArrivalProfile.from_rows([(1, 1, 5.0, 10.0, 1.0)])
+    profile = cq.ArrivalProfile([(1, 1, 5.0, 10.0, 1.0)])
     psi = cq.fluid_regulator(profile, q, (2.0, 50.0))
     wide = cq.fluid_regulator(profile, q, (-50.0, 50.0))
     ts = np.arange(-20.0, 61.0)

@@ -153,7 +153,7 @@ def verifier_cases(draw):
         else:
             factors = st.sampled_from([1.0, 0.5, 2.0, 1 - 2.0**-10, 1 + 2.0**-10])
             profile = cq.ArrivalProfile(tuple(
-                replace(g, density=g.density * draw(factors)) for g in segs))
+                g._replace(density=g.density * draw(factors)) for g in segs))
     if profile is None:
         def segment(pop, lengths, densities):
             q, start = draw(st.sampled_from(s.queues)), draw(ticks) - 4.0
@@ -298,7 +298,7 @@ def profiles_with_queues(draw):
         st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.5),
         st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.01, 3.0),
     ), max_size=12))
-    profile = cq.ArrivalProfile.from_rows([(p, q, a, a + length, d) for p, q, a, length, d in rows])
+    profile = cq.ArrivalProfile([(p, q, a, a + length, d) for p, q, a, length, d in rows])
     horizon = fluid.default_horizon(profile, queues)
     if draw(st.booleans()):
         lo = draw(st.floats(-1.0, 1.5)) + 0.0
@@ -339,7 +339,7 @@ def test_fluid_table_is_the_per_queue_kernel(case):
     ([(1, 2, 0.0, 1e10, 1.0), (1, 3, 0.0, 1.0, 1.0)], 1e300, cq.DomainError),
 ])
 def test_fluid_table_refuses_the_first_queue_whose_netflow_overflows(rows, mu, kernel_error):
-    profile = cq.ArrivalProfile.from_rows(rows)
+    profile = cq.ArrivalProfile(rows)
     queues = [cq.QueueSpec(id=i, mu=mu, t_start=0.0) for i in (1, 2, 3)]
     horizon = (-1.0, 3.0)
     with pytest.raises(cq.DomainError, match=re.escape(f"queue 2: the netflow at rate {mu!r} is not finite")) as got:
@@ -525,7 +525,7 @@ def solver_profiles(draw):
     except cq.DomainError:
         assume(False)
     if draw(st.booleans()):
-        profile = cq.ArrivalProfile(tuple(replace(g, density=g.density * draw(st.floats(0.8, 1.2)))
+        profile = cq.ArrivalProfile(tuple(g._replace(density=g.density * draw(st.floats(0.8, 1.2)))
                                           for g in profile.segments))
     return s, profile
 
@@ -591,7 +591,7 @@ def test_a_queue_of_2000_rows_is_the_array_kernel_within_its_time_bound():
     starts = rng.uniform(0.0, 100.0, 2000)
     rows = [(1, 1, a, a + length, d)
             for a, length, d in zip(starts, rng.uniform(0.0, 20.0, 2000), rng.uniform(0.0, 2.0, 2000))]
-    profile = cq.ArrivalProfile.from_rows(rows)
+    profile = cq.ArrivalProfile(rows)
     queues = [cq.QueueSpec(id=1, mu=15.0, t_start=10.0)]
     clock = time.perf_counter()
     fluid.fluid_table(profile, queues)

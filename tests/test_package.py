@@ -8,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -53,7 +54,7 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
         "loaded()\n"
-        "profile = concertq.ArrivalProfile.from_rows([(1, 2, 0.5, 1.0, 2.0), (1, 1, 0.0, 1.0, 1.0)])\n"
+        "profile = concertq.ArrivalProfile([(1, 2, 0.5, 1.0, 2.0), (1, 1, 0.0, 1.0, 1.0)])\n"
         "assert profile.shifted(1.5).to_csv() == 'pop,queue,a,b,density\\n1,2,2,2.5,2\\n1,1,1.5,2.5,1\\n'\n"
         "assert (len(profile), profile.total_mass, profile.mass(queue=2), profile.queue_ids) == (2, 2.0, 1.0, (1, 2))\n"
         "assert profile.segments[0] == concertq.Segment(1, 2, 0.5, 1.0, 2.0) and profile == profile.shifted(0.0)\n"
@@ -62,7 +63,7 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
         "loaded()\n"
         # every other member of the profile, and every field and method of its fluid table
         "assert {n for n in vars(concertq.ArrivalProfile) if not n.startswith('_')} - {'queue_cdf'} == {\n"
-        "    'from_rows', 'segments', 'rows_at', 'queue_ids', 'total_mass', 'mass', 'support_bounds',\n"
+        "    'segments', 'rows_at', 'queue_ids', 'total_mass', 'mass', 'support_bounds',\n"
         "    'shifted', 'require_queues', 'to_csv', 'from_csv'}\n"
         "again = concertq.ArrivalProfile(concertq.ArrivalProfile.from_csv(profile.to_csv()).segments)\n"
         "assert again == profile and again.rows_at(2).tolist() == [0] and again.support_bounds() == (0.0, 1.0)\n"
@@ -171,6 +172,31 @@ def test_every_public_name_is_its_modules_object():
         obj = getattr(cq, name)
         assert obj is getattr(sys.modules[obj.__module__], name), name
     assert {getattr(cq, n).__module__ for n in cq.__all__} == {f"concertq.{m}" for m in MODULES}
+
+
+def _annotated(obj):
+    """The object, and for a class each public method, property and cached
+    property it defines, as the functions whose annotations they carry."""
+    yield obj
+    if isinstance(obj, type):
+        for name, member in vars(obj).items():
+            if not name.startswith("_"):
+                member = getattr(member, "fget", None) or getattr(member, "func", member)
+                yield getattr(member, "__func__", member)
+
+
+def test_every_public_annotation_resolves():
+    from concertq import serialize
+
+    # and serialize's array helpers, which import numpy only when called
+    named = [getattr(cq, name) for name in cq.__all__] + [serialize._distinct_text, serialize._finite]
+    checked = 0
+    for obj in named:
+        for target in _annotated(obj):
+            if callable(target):
+                typing.get_type_hints(target)
+                checked += 1
+    assert checked > len(named)
 
 
 def test_a_patched_submodule_reaches_the_package_name(monkeypatch):

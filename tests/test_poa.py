@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -172,7 +171,7 @@ def test_one_queue_is_the_single_queue_concert_game(mu, t_start, alpha, beta, ma
     assert closed.mass(queue=q.id) == pytest.approx(mu * (T - q.t_start), rel=1e-12)
     solved = cq.solve_single(s).profile
     assert len(solved.segments) == 1
-    got, want = (dataclasses.astuple(p.segments[0]) for p in (solved, closed))
+    got, want = (tuple(p.segments[0]) for p in (solved, closed))
     for a, b in zip(got, want):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
     assert cq.verify_equilibrium(s, closed).is_equilibrium

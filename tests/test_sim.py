@@ -89,7 +89,7 @@ def test_sampling_rejects_empty_profile():
 
 def test_sampling_rejects_a_profile_whose_mass_overflows():
     # each row's mass is finite, their sum is not: no NaN times, no warning
-    profile = cq.ArrivalProfile.from_rows([(1, 1, 0.0, 1.0, 1e308), (1, 2, 0.0, 1.0, 1e308)])
+    profile = cq.ArrivalProfile([(1, 1, 0.0, 1.0, 1e308), (1, 2, 0.0, 1.0, 1e308)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(cq.DomainError, match="overflows"):
@@ -255,7 +255,7 @@ def test_route_matches_the_column_count_oracle(build, monkeypatch):
 
 # overlapping rows at one queue, rows out of time order, a zero-mass row and
 # a zero-density row: each cell sums several densities in profile order
-_OVERLAPPING = cq.ArrivalProfile.from_rows([
+_OVERLAPPING = cq.ArrivalProfile([
     (1, 2, 0.1, 0.7, 0.3),
     (2, 5, -0.4, 0.2, 1.0 / 3.0),
     (1, 2, 0.0, 0.4, 0.7),
@@ -289,7 +289,7 @@ def test_density_table_is_the_per_segment_loop(profile, monkeypatch):
 
 # both queues on an interval eight ulps wide: about 200,000 draws share nine
 # distinct times, so nearly every event is tied with another
-_TIED = cq.ArrivalProfile.from_rows([
+_TIED = cq.ArrivalProfile([
     (1, 1, 1.0, 1.0 + 8 * 2.0**-52, 3e14),
     (1, 2, 1.0, 1.0 + 8 * 2.0**-52, 1e14),
 ])
@@ -358,7 +358,7 @@ def test_a_time_that_rounds_past_its_knot_is_capped_at_it(monkeypatch):
     # this arrival uniform falls in the first interval, whose inverse CDF
     # rounds it to 1.1333857763418109e-07, past the interval's right knot
     knot = 1.1333857679079245e-07
-    profile = cq.ArrivalProfile.from_rows([
+    profile = cq.ArrivalProfile([
         (1, 1, -8.77299543303145, knot, 9.391383672616298),
         (1, 1, knot, 0.03818523919061176, 0.0026317490596624513),
     ])
@@ -837,7 +837,7 @@ def test_convergence_report_refuses_a_profile_of_another_mass():
     # mass would be simulated at half its scale
     s = single_queue_scenario()
     profile = equilibrium_profile(s)
-    doubled = cq.ArrivalProfile.from_rows(
+    doubled = cq.ArrivalProfile(
         zip(*profile.columns[:4], [2.0 * d for d in profile.columns[4]])
     )
     cfg = sim.SimConfig(n=1_000, seed=0)
